@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .choquet import choquet_integral, choquet_sum
 from .core import (Act, Capacity, FiniteSpace, Number, PointMap,
-                   is_exact, validate_capacity, pushforward,
+                   additive_capacity, is_exact, validate_capacity, pushforward,
                    _require_same_space)
 from .hierarchy import TERMINAL, FamilyLevel, USequence, terminal_space
 from .uncertainty import GTransform, UncertaintySpace, epsilon, xi
@@ -90,7 +90,8 @@ def is_mp_unc_map(h: PointMap, source: UncertaintySpace,
 def dirac(space: FiniteSpace, point: str) -> Capacity:
     """The 0/1 capacity concentrated at one point."""
     i = space.index(point)
-    masses = tuple(Fraction(1) if j == i else Fraction(0) for j in range(len(space)))
+    zero = Fraction(0)
+    masses = (zero,) * i + (Fraction(1),) + (zero,) * (len(space) - i - 1)
     return Capacity(space, masses=masses, is_additive=True)
 
 
@@ -167,9 +168,17 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
 
     v lives on the capacity list; the result's value on A is the Choquet
     integral of the evaluation act of A under v.  Additive v over additive
-    capacities yields an additive result.
+    capacities yields an additive result, computed in mass space as
+    w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base.
     """
     _require_same_space(v.space, us.capacity_space)
+    if v.is_additive and all(cap.is_additive for _, cap in us.capacities):
+        masses = [0] * len(us.base)
+        for weight, (_, cap) in zip(v.singleton_masses(), us.capacities):
+            if weight:
+                for i, m in enumerate(cap.singleton_masses()):
+                    masses[i] += weight * m
+        return additive_capacity(us.base, masses)
     table = {mask: choquet_integral(v, epsilon(us, mask))
              for mask in us.base.all_masks()}
     return validate_capacity(us.base, table)

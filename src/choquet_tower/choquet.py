@@ -58,12 +58,7 @@ class ChainDecomposition:
 
 def decompose(f: Act) -> ChainDecomposition:
     """Group points by value and sort descending; equal values share a block."""
-    by_value: dict = {}
-    for i, v in enumerate(f.values):
-        by_value.setdefault(v, 0)
-        by_value[v] |= 1 << i
-    blocks = tuple((by_value[v], v) for v in sorted(by_value, reverse=True))
-    return ChainDecomposition(f.space, blocks)
+    return ChainDecomposition(f.space, f.chain_blocks)
 
 
 def upper_level_distribution(u: Capacity, f: Act, r: Number) -> Number:
@@ -81,12 +76,13 @@ def choquet_sum(value_of: Callable[[int], Number], f: Act) -> Number:
 
     Works for arbitrary monotone set functions (not only normalized
     capacities); the trailing zero sentinel makes negative act values come
-    out right because the blocks cover the whole space.
+    out right because the blocks cover the whole space.  This is the
+    definition ``choquet_integral`` must agree with; the law suites use it
+    as their oracle.
     """
-    chain = decompose(f)
     total = 0
     cum = 0
-    blocks = chain.blocks
+    blocks = f.chain_blocks
     for idx, (mask, value) in enumerate(blocks):
         cum |= mask
         nxt = blocks[idx + 1][1] if idx + 1 < len(blocks) else 0
@@ -100,10 +96,31 @@ def choquet_integral(u: Capacity, f: Act) -> Number:
     """The Choquet integral of an act against a capacity.
 
     Reduces to the u-weighted sum of values when u is additive, and to
-    u(A) on the indicator act of A.
+    u(A) on the indicator act of A.  One walk down the act's chain: a dense
+    table is looked up at each cumulative level set, while a mass vector
+    keeps a running cumulative mass, so additive capacities of any size
+    integrate in time linear in the number of points.
     """
     _require_same_space(u.space, f.space)
-    return choquet_sum(u.value, f)
+    table, masses = u._table, u._masses
+    total = 0
+    level = 0
+    cum = 0
+    blocks = f.chain_blocks
+    for idx, (mask, value) in enumerate(blocks):
+        if masses is None:
+            cum |= mask
+            level = table[cum]
+        else:
+            while mask:
+                low = mask & -mask
+                level += masses[low.bit_length() - 1]
+                mask ^= low
+        nxt = blocks[idx + 1][1] if idx + 1 < len(blocks) else 0
+        step = value - nxt
+        if step != 0:
+            total += step * level
+    return total
 
 
 def are_comonotonic(f: Act, g: Act) -> bool:

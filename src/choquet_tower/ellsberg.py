@@ -98,14 +98,23 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
     base = urn.capacity_space
 
     def member(p: Number) -> Capacity:
-        if is_exact(p):
-            p = Fraction(p)
-            q = 1 - p
-        else:
+        if not is_exact(p):
             q = 1.0 - p
-        masses = tuple(math.comb(two_n, k) * p ** k * q ** (two_n - k)
-                       for k in range(two_n + 1))
-        return Capacity(base, masses=masses, is_additive=True)
+            masses = tuple(math.comb(two_n, k) * p ** k * q ** (two_n - k)
+                           for k in range(two_n + 1))
+            return Capacity(base, masses=masses, is_additive=True)
+        # p = a/b: mass k is C(2N, k) a^k (b-a)^(2N-k) over b^(2N), built
+        # with k descending so no list of big powers is kept
+        p = Fraction(p)
+        a, b = p.numerator, p.denominator
+        denom = b ** two_n
+        masses = [None] * (two_n + 1)
+        coef = power = 1  # C(2N, k) and (b-a)^(2N-k)
+        for k in range(two_n, -1, -1):
+            masses[k] = Fraction(coef * a ** k * power, denom)
+            coef = coef * k // (two_n - k + 1)
+            power *= b - a
+        return Capacity(base, masses=tuple(masses), is_additive=True)
 
     return FamilyLevel(base=base, family=member, weight="lebesgue",
                        binomial_n=two_n)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
                        is_unc_map, monad_counterexample, mu,
                        substitution_check)
-from .choquet import chain_act, choquet_integral
+from .choquet import chain_act, choquet_integral, choquet_sum
 from .core import (Act, Capacity, FiniteSpace, PointMap, pushforward,
                    validate_capacity)
 from .ellsberg import UrnParams, build_sequence
@@ -225,9 +225,12 @@ def run_choquet_suite(seed: int = 7, trials: int = 500,
         rhs = a * choquet_integral(u, f) + b * choquet_integral(u, g)
         if lhs != rhs:
             return f"additive capacity not linear: {lhs} vs {rhs}"
+        direct = choquet_integral(u, f)
         weighted = sum(v * m for v, m in zip(f.values, u.singleton_masses()))
-        if choquet_integral(u, f) != weighted:
+        if direct != weighted:
             return "additive capacity does not reduce to the weighted sum"
+        if direct != choquet_sum(u.value, f):
+            return "mass-vector integral differs from the telescoping sum"
         return None
 
     return SuiteReport("choquet", seed, (
@@ -311,7 +314,7 @@ def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
         for mask in base.all_masks():
             act = Act(level2.space, tuple(averaged[name].value(mask)
                                           for name in level2.space.points))
-            table[mask] = choquet_integral(w, act)
+            table[mask] = choquet_sum(w.value, act)
         for mask in base.all_masks():
             if left.value(mask) != table[mask]:
                 return f"associativity broke at mask {mask} for {w}"
@@ -400,12 +403,17 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
         ok, idx = projective_consistency(ProjectiveVector(tower, (cap, lifted)))
         if not ok:
             return f"point-mass chain flagged inconsistent at {idx}"
-        # bump one subset value by a grid step, keeping the table monotone
+        # move the first point's value by a grid step; a raise lifts every
+        # superset to at least the new value so the table stays monotone
         tweaked = {mask: cap.value(mask) for mask in tower.base.all_masks()}
-        target = 1 << 0
         step = Fraction(1, tower.grid)
-        tweaked[target] = (tweaked[target] + step if tweaked[target] + step <= 1
-                           else tweaked[target] - step)
+        if tweaked[1] + step <= 1:
+            bumped = tweaked[1] + step
+            for mask in tweaked:
+                if mask & 1:
+                    tweaked[mask] = max(tweaked[mask], bumped)
+        else:
+            tweaked[1] -= step
         perturbed = validate_capacity(tower.base, tweaked)
         ok, idx = projective_consistency(ProjectiveVector(tower, (perturbed, lifted)))
         if ok or idx != 1:

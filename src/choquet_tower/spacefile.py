@@ -41,12 +41,18 @@ def _mask_from_bitstring(space: FiniteSpace, key: str) -> int:
 
 def load_space_file(source: Union[str, Path, dict],
                     backend: str = "rational") -> SpaceFile:
-    """Parse a space file from a path, JSON text, or already-decoded dict."""
+    """Parse a space file from a path, JSON text, or already-decoded dict.
+
+    A string whose first non-blank character is ``{`` is JSON text (a space
+    file is always a JSON object); any other string, like a ``Path``, names
+    a file to read.
+    """
     if isinstance(source, dict):
         doc = source
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        doc = json.loads(source)
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        doc = json.loads(text)
+        doc = json.loads(Path(source).read_text())
 
     space = make_space(doc["points"])
     capacities = {}

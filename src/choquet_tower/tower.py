@@ -8,6 +8,7 @@ which the law checks tolerate by comparing exact tables rather than names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -45,6 +46,12 @@ class GridTower:
     grid: int
     levels: tuple[TowerLevel, ...]
 
+    def __post_init__(self):
+        # capacities hash by their set-function signature and compare exactly
+        object.__setattr__(self, "_names", tuple(
+            {cap: name for name, cap in level.capacities or ()}
+            for level in self.levels))
+
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
@@ -65,10 +72,7 @@ class GridTower:
 
     def find_name(self, level: int, cap: Capacity) -> Optional[str]:
         """Grid name of an exact table match at the given level, if any."""
-        for name, candidate in self.levels[level].capacities:
-            if candidate.equals(cap, tol=0.0):
-                return name
-        return None
+        return self._names[level].get(cap)
 
 
 def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
@@ -78,13 +82,14 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
     levels = [TowerLevel(base, None)]
     current = base
     for _ in range(depth):
+        size = math.comb(len(current) + grid - 1, grid)
+        if size > 5000:
+            raise TowerSizeError(f"level would have {size} points")
         caps = []
         for numerators in _grid_compositions(len(current), grid):
             name = "-".join(str(c) for c in numerators)
             masses = tuple(Fraction(c, grid) for c in numerators)
             caps.append((name, Capacity(current, masses=masses, is_additive=True)))
-        if len(caps) > 5000:
-            raise TowerSizeError(f"level would have {len(caps)} points")
         space = FiniteSpace(tuple(name for name, _ in caps))
         levels.append(TowerLevel(space, tuple(caps)))
         current = space

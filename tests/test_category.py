@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquet_tower.category import (compose_ug_maps, dirac,
                                     emb_dirac_conditions, embedding_condition,
                                     is_mp_unc_map, is_ug_map, is_unc_map,
                                     monad_counterexample, mu,
                                     substitution_check)
-from choquet_tower.choquet import choquet_integral
+from choquet_tower.choquet import choquet_integral, choquet_sum
 from choquet_tower.core import (Act, FiniteSpace, PointMap,
                                 additive_capacity, identity_map, indicator,
-                                make_space, pushforward)
+                                make_space, pushforward, validate_capacity)
 from choquet_tower.ellsberg import UrnParams, build_sequence, build_urn_space
 from choquet_tower.laws import (rand_act, rand_capacity, rand_nonadditive,
                                 rand_point_map, rand_uncertainty_space)
@@ -349,3 +351,35 @@ class TestAssociativityWitness:
             for mask in us.base.all_masks():
                 direct = choquet_integral(v, epsilon(us, mask))
                 assert averaged.value(mask) == direct
+
+
+@st.composite
+def additive_averaging(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    space = FiniteSpace(tuple("abcde"[:n]))
+    mass_lists = st.lists(st.integers(min_value=0, max_value=6),
+                          min_size=n, max_size=n).filter(any)
+    caps = {}
+    for weights in draw(st.lists(mass_lists, min_size=1, max_size=6)):
+        cap = additive_capacity(space, [Fraction(w, sum(weights)) for w in weights])
+        caps.setdefault(cap.signature(), cap)
+    us = UncertaintySpace(space, tuple(
+        (f"c{j}", cap) for j, cap in enumerate(caps.values())))
+    v_weights = draw(st.lists(st.integers(min_value=0, max_value=6),
+                              min_size=len(caps), max_size=len(caps)).filter(any))
+    v = additive_capacity(us.capacity_space,
+                          [Fraction(w, sum(v_weights)) for w in v_weights])
+    return us, v
+
+
+@given(additive_averaging())
+@settings(max_examples=100)
+def test_mass_path_mu_matches_dense_definition(data):
+    us, v = data
+    averaged = mu(us, v)
+    assert averaged._masses is not None
+    dense = validate_capacity(us.base, {
+        mask: choquet_sum(v.value, epsilon(us, mask))
+        for mask in us.base.all_masks()})
+    assert averaged.equals(dense, tol=0.0)
+    assert averaged.signature() == dense.signature()

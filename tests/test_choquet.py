@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet_tower.choquet import (NotComonotonicError, are_comonotonic,
-                                   chain_act, choquet_integral, common_chain,
-                                   decompose, upper_level_distribution)
+                                   chain_act, choquet_integral, choquet_sum,
+                                   common_chain, decompose,
+                                   upper_level_distribution)
 from choquet_tower.core import (Act, Capacity, FiniteSpace, additive_capacity,
                                 constant_act, indicator, make_space,
                                 validate_capacity)
@@ -224,3 +225,29 @@ def test_comonotonic_additivity_property(data, payload):
     assert are_comonotonic(f, g)
     assert choquet_integral(u, f + g) == \
         choquet_integral(u, f) + choquet_integral(u, g)
+
+
+@st.composite
+def mass_capacity_acts(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    space = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+    weights = draw(st.lists(st.integers(min_value=0, max_value=9),
+                            min_size=n, max_size=n).filter(any))
+    u = additive_capacity(space, [Fraction(w, sum(weights)) for w in weights])
+    # few distinct values, so blocks of several points occur
+    values = st.one_of(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        st.floats(min_value=-4, max_value=4, allow_nan=False))
+    pool = draw(st.lists(values, min_size=1, max_size=n))
+    f = Act(space, tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+    return u, f
+
+
+@given(mass_capacity_acts())
+@settings(max_examples=150)
+def test_mass_path_matches_telescoping_sum(data):
+    u, f = data
+    assert u._masses is not None
+    got = choquet_integral(u, f)
+    want = choquet_sum(u.value, f)
+    assert got == want and type(got) is type(want)

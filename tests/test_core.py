@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,21 @@ class TestValidateCapacity:
         with pytest.raises(MonotonicityError) as err:
             validate_capacity(space, table)
         assert err.value.witness == (space.mask(["a"]), space.mask(["a", "b"]))
+
+    def test_first_cover_pair_is_the_witness(self):
+        # one violation deep in a 14-point table: a 13-point set sits below
+        # its 12-point subsets; the failing cover pair is reported without
+        # a scan over all subset pairs
+        space = make_space([f"p{i}" for i in range(14)])
+        table = {mask: Fraction(mask.bit_count(), 14) for mask in space.all_masks()}
+        table[space.full_mask >> 1] = Fraction(11, 14)
+        start = time.perf_counter()
+        with pytest.raises(MonotonicityError) as err:
+            validate_capacity(space, table)
+        assert time.perf_counter() - start < 2.0
+        small, large = err.value.witness
+        assert small & large == small and small != large
+        assert table[small] > table[large]
 
     def test_incomplete_table_rejected(self):
         space = make_space(["a", "b"])

@@ -17,6 +17,11 @@ def test_suite_passes(suite, kwargs):
     assert report.passed, report.to_dict()
 
 
+def test_retraction_on_three_point_base():
+    report = laws.run_retraction_suite(space_size=3)
+    assert report.passed, report.to_dict()
+
+
 def test_reports_are_seed_stable():
     a = laws.run_choquet_suite(seed=11, trials=25).to_dict()
     b = laws.run_choquet_suite(seed=11, trials=25).to_dict()

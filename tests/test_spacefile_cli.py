@@ -37,6 +37,14 @@ class TestSpaceFile:
         assert loaded.capacities["w"](loaded.space.subset(["A1"])) == Fraction(1, 10)
         assert loaded.acts["f"].values == (11, 1, 0)
 
+    def test_long_json_text(self):
+        doc = dict(EXAMPLE, acts={f"f{i}": [str(i), "1", "0"] for i in range(400)})
+        text = json.dumps(doc)
+        assert len(text) > 5000
+        loaded = load_space_file(text)
+        assert len(loaded.acts) == 400
+        assert choquet_integral(loaded.capacities["u1"], loaded.acts["f11"]) == 4
+
     def test_bitstring_orientation(self):
         doc = {"points": ["R", "B"], "capacities": {
             "w": {"mode": "full",

@@ -8,6 +8,7 @@ from choquet_tower.laws import rand_additive
 from choquet_tower.tower import (ProjectiveVector, TowerSizeError,
                                  build_tower, iota, projective_consistency)
 import random
+import time
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,24 @@ class TestBuildTower:
             build_tower(FiniteSpace(("a", "b", "c", "d")), 2, 2)
         with pytest.raises(TowerSizeError):
             build_tower(FiniteSpace(("a", "b")), 5, 2)
+
+    def test_level_cap_checked_before_enumerating(self):
+        # the third level would hold 1 798 940 capacities
+        start = time.perf_counter()
+        with pytest.raises(TowerSizeError):
+            build_tower(FiniteSpace(("a", "b", "c")), 3, 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_point_mass_average_on_a_large_level(self):
+        # level 3 of the grid-3 tower has 1540 points over a 20-point level 2,
+        # beyond the dense-table cap; averaging stays in mass space
+        big = build_tower(FiniteSpace(("a", "b")), 3, 3)
+        assert len(big.space_at(3)) == 1540
+        for name, cap in big.levels[3].capacities[::97]:
+            averaged = mu(big.view(2), dirac(big.space_at(3), name))
+            assert averaged._masses is not None
+            assert averaged.equals(cap, tol=0.0)
+            assert big.find_name(3, averaged) == name
 
 
 class TestIota:
