@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .choquet import choquet_integral, choquet_sum
 from .core import (Act, Capacity, FiniteSpace, Number, PointMap,
                    additive_capacity, is_exact, validate_capacity, pushforward,
-                   _require_same_space)
+                   values_close, _require_same_space)
 from .hierarchy import TERMINAL, FamilyLevel, USequence, terminal_space
 from .uncertainty import GTransform, UncertaintySpace, epsilon, xi
 
@@ -92,7 +92,7 @@ def dirac(space: FiniteSpace, point: str) -> Capacity:
     i = space.index(point)
     zero = Fraction(0)
     masses = (zero,) * i + (Fraction(1),) + (zero,) * (len(space) - i - 1)
-    return Capacity(space, masses=masses, is_additive=True)
+    return Capacity(space, masses=masses)
 
 
 def embedding_condition(us: UncertaintySpace) -> bool:
@@ -193,9 +193,7 @@ def substitution_check(u: Capacity, h: PointMap, f: Act,
 
     lhs = choquet_integral(u, precompose_act(f, h))
     rhs = choquet_integral(pushforward(u, h), f)
-    if is_exact(lhs) and is_exact(rhs):
-        return lhs == rhs
-    return abs(lhs - rhs) <= tol
+    return values_close(lhs, rhs, tol)
 
 
 @dataclass(frozen=True)
@@ -239,7 +237,7 @@ def monad_counterexample(beta: Number) -> MonadCounterexample:
     for i in range(n + 1):
         for j in range(n + 1 - i):
             masses = (Fraction(i, n), Fraction(j, n), Fraction(n - i - j, n))
-            caps.append((f"u{i}{j}", Capacity(space, masses=masses, is_additive=True)))
+            caps.append((f"u{i}{j}", Capacity(space, masses=masses)))
     us = UncertaintySpace(space, tuple(caps))
     printed_count = (n - 1) * n // 2
     actual_count = len(caps)
@@ -272,36 +270,6 @@ def monad_counterexample(beta: Number) -> MonadCounterexample:
         printed_count=printed_count, actual_count=actual_count)
 
 
-def _level_base(level) -> FiniteSpace:
-    if isinstance(level, UncertaintySpace):
-        return level.base
-    if isinstance(level, FamilyLevel):
-        return level.base
-    if level is TERMINAL:
-        return terminal_space().base
-    raise TypeError(f"unexpected level {level!r}")
-
-
-def _level_capacities(level) -> Optional[tuple]:
-    if isinstance(level, UncertaintySpace):
-        return level.capacities
-    if level is TERMINAL:
-        return terminal_space().capacities
-    return None
-
-
-def _resolve_target_capacity(level, ref: Union[str, Capacity]) -> Capacity:
-    if isinstance(ref, Capacity):
-        return ref
-    caps = _level_capacities(level)
-    if caps is None:
-        raise ValueError("family-level images must be given as capacities")
-    for name, cap in caps:
-        if name == ref:
-            return cap
-    raise ValueError(f"no capacity named {ref!r} at the target level")
-
-
 def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
               source: USequence, target: USequence, g: GTransform,
               depth: int, *, seed: int = 0, random_acts: int = 50,
@@ -310,19 +278,21 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
 
     ``phi[k]`` maps level-k points; for k >= 1 the level-k points are the
     level-(k-1) capacity names, and an image may be a capacity object when
-    the target level is a parameterized family.  The commuting identity is
-    checked on every indicator act plus seeded random acts.
+    the target level is a parameterized family; an image given by name must
+    name a capacity of the target level.  The commuting identity is checked
+    on every indicator act plus seeded random acts.
     """
     if depth < 2 or len(phi) < depth:
         raise ValueError("need at least two levels of maps")
     rng = random.Random(seed)
     for n in range(depth - 1):
-        src_level = source.levels[n] if n < len(source.levels) else TERMINAL
-        tgt_level = target.levels[n] if n < len(target.levels) else TERMINAL
-        if isinstance(src_level, FamilyLevel):
+        src = source.levels[n] if n < len(source.levels) else TERMINAL
+        tgt = target.levels[n] if n < len(target.levels) else TERMINAL
+        if isinstance(src, FamilyLevel):
             raise ValueError("family levels are not supported on the source side")
-        src = src_level if isinstance(src_level, UncertaintySpace) else terminal_space()
-        tgt_base = _level_base(tgt_level)
+        src = terminal_space() if src is TERMINAL else src
+        tgt = terminal_space() if tgt is TERMINAL else tgt
+        tgt_base = tgt.base
         point_map = PointMap(src.base, tgt_base, dict(phi[n]))
 
         test_acts = [Act(tgt_base, tuple(1 if mask >> i & 1 else 0
@@ -334,28 +304,26 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
                 for _ in range(len(tgt_base)))))
 
         for u_name, u in src.capacities:
-            image = phi[n + 1][u_name]
-            v = _resolve_target_capacity(tgt_level, image)
+            v = phi[n + 1][u_name]
+            if not isinstance(v, Capacity):
+                if not isinstance(tgt, UncertaintySpace) or v not in tgt.names:
+                    raise ValueError(f"no capacity named {v!r} at the target level")
+                v = tgt.capacity(v)
             for f in test_acts:
                 lifted = f.map(g.forward) if g.kind != "linear" else f
                 pulled = Act(src.base, tuple(lifted.at(point_map(p))
                                              for p in src.base.points))
                 lhs = choquet_integral(u, pulled)
                 rhs = choquet_integral(v, lifted)
-                if is_exact(lhs) and is_exact(rhs):
-                    ok = lhs == rhs
-                else:
-                    ok = abs(lhs - rhs) <= tol
-                if not ok:
+                if not values_close(lhs, rhs, tol):
                     return MapWitness(False, failure=(n, u_name, f.values, lhs, rhs))
     return MapWitness(True)
 
 
-def compose_ug_maps(phi: Sequence[Mapping], psi: Sequence[Mapping],
-                    mid: USequence) -> list[dict]:
-    """Pointwise composition of level maps (first phi into mid, then psi)."""
+def compose_ug_maps(phi: Sequence[Mapping], psi: Sequence[Mapping]) -> list[dict]:
+    """Pointwise composition of level maps (first phi, then psi)."""
     out = []
-    for k, (pk, qk) in enumerate(zip(phi, psi)):
+    for pk, qk in zip(phi, psi):
         composed = {}
         for key, val in pk.items():
             composed[key] = qk[val] if isinstance(val, str) else val

@@ -48,12 +48,7 @@ class ChainDecomposition:
         return tuple(v for _, v in self.blocks)
 
     def reconstruct(self) -> Act:
-        out = [0] * len(self.space)
-        for mask, value in self.blocks:
-            for i in range(len(self.space)):
-                if mask >> i & 1:
-                    out[i] = value
-        return Act(self.space, tuple(out))
+        return chain_act(self.space, self.blocks)
 
 
 def decompose(f: Act) -> ChainDecomposition:

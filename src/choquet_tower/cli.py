@@ -1,8 +1,9 @@
 """Command-line surface: urn reports, law suites, counterexamples, integrals.
 
 Exit codes: 0 ok, 1 usage or input error, 2 a mathematically anchored
-verdict failed, 3 a law suite found a counterexample.  Same seed and flags
-yield byte-identical output.
+verdict failed (judged only at the scalar urn layers), 3 a law suite found a
+counterexample.  Each subcommand accepts only the flags it reads.  Same
+seed and flags yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERDICT = 2
 EXIT_LAW = 3
+BACKENDS = ("rational", "float")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Reproducibility block embedded in every JSON report."""
+    """Reproducibility block embedded in every JSON report.
+
+    Fields a subcommand has no flag for keep their defaults.
+    """
 
     command: str
     seed: int = 0
@@ -102,20 +107,20 @@ def _parse_scalar(text: str, backend: str) -> Number:
 
 
 def cmd_ellsberg(args) -> int:
-    config = RunConfig(command="ellsberg", seed=args.seed, backend=args.backend,
-                       tolerance=args.tolerance, format=args.format, out=args.out)
-    try:
-        params = UrnParams(big_n=args.big_n,
-                           alpha=_parse_scalar(args.alpha, args.backend),
-                           u1=_parse_scalar(args.u1, args.backend))
-        report = ellsberg_report(args.variant, params, args.layer)
-    except (ValueError, AssertionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    config = RunConfig(command="ellsberg", backend=args.backend,
+                       format=args.format, out=args.out)
+    params = UrnParams(big_n=args.big_n,
+                       alpha=_parse_scalar(args.alpha, args.backend),
+                       u1=_parse_scalar(args.u1, args.backend))
+    report = ellsberg_report(args.variant, params, args.layer)
     if args.format == "csv":
         _emit(_report_csv(report, config), args.out)
     else:
         _emit(_to_json(_report_payload(report, config)), args.out)
+    if report.layer == 1:
+        # the capacity-indexed profile is pointwise incomparable by
+        # construction; only the scalar layers carry a verdict
+        return EXIT_OK
     alpha_one = report.params.alpha == 1
     if alpha_one and report.verdict != "equalities":
         return EXIT_VERDICT
@@ -126,8 +131,7 @@ def cmd_ellsberg(args) -> int:
 
 def cmd_laws(args) -> int:
     config = RunConfig(command=f"laws {args.suite}", seed=args.seed,
-                       trials=args.trials, backend=args.backend,
-                       tolerance=args.tolerance, format=args.format, out=args.out)
+                       trials=args.trials, out=args.out)
     runner = laws.SUITES[args.suite]
     kwargs = {"seed": args.seed}
     if args.suite in ("choquet", "dirac", "substitution", "unc-maps"):
@@ -146,7 +150,7 @@ def cmd_laws(args) -> int:
 def cmd_counterexample(args) -> int:
     config = RunConfig(command=f"counterexample {args.which}",
                        backend=args.backend, tolerance=args.tolerance,
-                       format=args.format, out=args.out)
+                       out=args.out)
     if args.which == "comonotonic":
         from .core import Act, FiniteSpace, additive_capacity
 
@@ -176,14 +180,8 @@ def cmd_counterexample(args) -> int:
         return EXIT_OK if expected else EXIT_LAW
 
     if args.beta is None:
-        sys.stderr.write("error: counterexample monad requires --beta\n")
-        return EXIT_USAGE
-    beta = _parse_scalar(args.beta, args.backend)
-    try:
-        result = monad_counterexample(beta)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        raise ValueError("counterexample monad requires --beta")
+    result = monad_counterexample(_parse_scalar(args.beta, args.backend))
     payload = {
         "config": asdict(config),
         "beta": format_number(result.beta, args.backend),
@@ -203,26 +201,10 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_choquet(args) -> int:
-    try:
-        loaded = load_space_file(args.space_file, backend=args.backend)
-        capacity = loaded.capacities[args.capacity]
-        act = loaded.acts[args.act]
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    value = choquet_integral(capacity, act)
+    loaded = load_space_file(args.space_file, backend=args.backend)
+    value = choquet_integral(loaded.capacities[args.capacity], loaded.acts[args.act])
     _emit(format_number(value, args.backend) + "\n", args.out)
     return EXIT_OK
-
-
-def _add_common(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=500)
-    parser.add_argument("--backend", choices=("rational", "float"),
-                        default="rational")
-    parser.add_argument("--tolerance", type=float, default=1e-9)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--u1", required=True)
     p.add_argument("--layer", type=int, choices=(1, 2, 3), required=True)
-    _add_common(p)
+    p.add_argument("--backend", choices=BACKENDS, default="rational")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_ellsberg)
 
     p = sub.add_parser("laws", help="run a seeded law suite")
@@ -244,28 +228,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--space-size", dest="space_size", type=int, default=2)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_laws)
 
     p = sub.add_parser("counterexample", help="reproduce a counterexample")
     p.add_argument("which", choices=("comonotonic", "monad"))
     p.add_argument("--beta", default=None)
-    _add_common(p)
+    p.add_argument("--backend", choices=BACKENDS, default="rational")
+    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("choquet", help="integrate an act from a space file")
     p.add_argument("space_file")
     p.add_argument("capacity")
     p.add_argument("act")
-    _add_common(p)
+    p.add_argument("--backend", choices=BACKENDS, default="rational")
+    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_choquet)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    """Run one subcommand; bad flags, inputs and sizes exit 1 with one line."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError, OSError, AssertionError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

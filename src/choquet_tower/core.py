@@ -20,8 +20,6 @@ Number = Union[int, Fraction, float]
 TABLE_TOL = 1e-12
 #: absolute tolerance for general float value comparisons
 VALUE_TOL = 1e-9
-#: public cap on user-built spaces (subsets are bitmasks)
-MAX_POINTS = 63
 #: cap on spaces that carry dense capacity tables (2**n entries)
 MAX_DENSE_POINTS = 20
 
@@ -35,7 +33,7 @@ class DuplicateLabelError(ValueError):
 
 
 class TooManyPointsError(ValueError):
-    """Space exceeds the bitmask or dense-table point cap."""
+    """Space exceeds the dense-table point cap."""
 
 
 class SpaceMismatchError(ValueError):
@@ -84,8 +82,8 @@ class FiniteSpace:
     """Ordered finite point set; subsets are encoded as bitmasks.
 
     Bit i of a mask corresponds to ``points[i]``.  Labels must be unique
-    and non-empty; ``make_space`` additionally caps the size at 63 points,
-    while derived spaces (capacity lists used as point sets) may exceed it.
+    and there must be at least one; masks are Python ints, so the number of
+    points is unbounded (only dense capacity tables are capped).
     """
 
     points: tuple[str, ...]
@@ -141,9 +139,7 @@ class FiniteSpace:
 
 
 def make_space(labels: Sequence[str]) -> FiniteSpace:
-    """Build a space from unique labels; capped at 63 points (bitmask width)."""
-    if len(labels) > MAX_POINTS:
-        raise TooManyPointsError(f"at most {MAX_POINTS} points, got {len(labels)}")
+    """Build a space from unique labels."""
     return FiniteSpace(tuple(labels))
 
 
@@ -164,10 +160,6 @@ class Subset:
 
     def complement(self) -> "Subset":
         return Subset(self.space, self.space.full_mask ^ self.mask)
-
-    def union(self, other: "Subset") -> "Subset":
-        _require_same_space(self.space, other.space)
-        return Subset(self.space, self.mask | other.mask)
 
     def __contains__(self, label: str) -> bool:
         return bool(self.mask >> self.space.index(label) & 1)
@@ -307,15 +299,14 @@ class Capacity:
     __slots__ = ("space", "_table", "_masses", "is_additive")
 
     def __init__(self, space: FiniteSpace, *, table: tuple = None,
-                 masses: tuple = None, is_additive: bool = None):
+                 masses: tuple = None):
         if (table is None) == (masses is None):
             raise ValueError("exactly one of table/masses must be given")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_masses", masses)
-        if is_additive is None:
-            is_additive = masses is not None or _table_is_additive(space, table)
-        object.__setattr__(self, "is_additive", is_additive)
+        object.__setattr__(self, "is_additive",
+                           masses is not None or _table_is_additive(space, table))
 
     def __setattr__(self, name, value):
         raise AttributeError("Capacity is immutable")
@@ -451,7 +442,7 @@ def _additive_from_masses(space: FiniteSpace, masses: tuple) -> Capacity:
     total = sum(masses)
     if abs(total - 1) > tol:
         raise NormalizationError(f"singleton masses sum to {total}, not 1")
-    return Capacity(space, masses=masses, is_additive=True)
+    return Capacity(space, masses=masses)
 
 
 def additive_capacity(space: FiniteSpace,
@@ -494,7 +485,7 @@ def pushforward(u: Capacity, h: PointMap) -> Capacity:
         out = [0] * len(target)
         for i, p in enumerate(u.space.points):
             out[target.index(h.mapping[p])] += u._masses[i]
-        return Capacity(target, masses=tuple(out), is_additive=True)
+        return Capacity(target, masses=tuple(out))
     table = tuple(u.value(h.preimage_mask(mask)) for mask in target.all_masks())
     return Capacity(target, table=table)
 

@@ -102,7 +102,7 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
             q = 1.0 - p
             masses = tuple(math.comb(two_n, k) * p ** k * q ** (two_n - k)
                            for k in range(two_n + 1))
-            return Capacity(base, masses=masses, is_additive=True)
+            return Capacity(base, masses=masses)
         # p = a/b: mass k is C(2N, k) a^k (b-a)^(2N-k) over b^(2N), built
         # with k descending so no list of big powers is kept
         p = Fraction(p)
@@ -114,7 +114,7 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
             masses[k] = Fraction(coef * a ** k * power, denom)
             coef = coef * k // (two_n - k + 1)
             power *= b - a
-        return Capacity(base, masses=tuple(masses), is_additive=True)
+        return Capacity(base, masses=tuple(masses))
 
     return FamilyLevel(base=base, family=member, weight="lebesgue",
                        binomial_n=two_n)
@@ -127,15 +127,13 @@ def build_sequence(variant: str, params: UrnParams) -> USequence:
     two_n = 2 * params.big_n
     names = urn.capacity_space
     if variant == "X":
-        weights = Capacity(names, masses=(Fraction(1, two_n + 1),) * (two_n + 1),
-                           is_additive=True)
+        weights = Capacity(names, masses=(Fraction(1, two_n + 1),) * (two_n + 1))
         level1 = UncertaintySpace(names, (("vu", weights),))
         return USequence((urn, level1, TERMINAL))
     if variant == "Y":
         denom = 2 ** two_n
         masses = tuple(Fraction(math.comb(two_n, k), denom) for k in range(two_n + 1))
-        level1 = UncertaintySpace(names, (("vb", Capacity(names, masses=masses,
-                                                          is_additive=True)),))
+        level1 = UncertaintySpace(names, (("vb", Capacity(names, masses=masses)),))
         return USequence((urn, level1, TERMINAL))
     if variant == "Z":
         return USequence((urn, binomial_family(urn, params.big_n), TERMINAL))

@@ -46,7 +46,7 @@ TERMINAL = _Terminal()
 def terminal_space() -> UncertaintySpace:
     """The one-point space with its unique capacity."""
     star = FiniteSpace(("*",))
-    bar = Capacity(star, masses=(Fraction(1),), is_additive=True)
+    bar = Capacity(star, masses=(Fraction(1),))
     return UncertaintySpace(star, (("*", bar),))
 
 
@@ -89,7 +89,9 @@ class FamilyLevel:
     the next, so a value function jumps two layers when it crosses this
     entry.  ``binomial_n`` tags families whose member masses are binomial
     coefficients in p (degree-n polynomials), unlocking the exact
-    moment-identity path in ``integrate_family``.
+    moment-identity path in ``integrate_family``.  Members are checked as
+    they are built by ``member``, so a family that is never evaluated is
+    never materialized.
     """
 
     base: FiniteSpace
@@ -101,11 +103,14 @@ class FamilyLevel:
     def __post_init__(self):
         if self.weight != "lebesgue" and not isinstance(self.weight, tuple):
             raise ValueError("weight must be 'lebesgue' or ((p, mass), ...)")
-        for p in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-            cap = self.family(p)
-            _require_same_space(cap.space, self.base)
-            if not cap.is_additive:
-                raise ValueError(f"family member at p={p} is not additive")
+
+    def member(self, p: Number) -> Capacity:
+        """The family's capacity at p, checked to be additive on the base."""
+        cap = self.family(p)
+        _require_same_space(cap.space, self.base)
+        if not cap.is_additive:
+            raise ValueError(f"family member at p={p} is not additive")
+        return cap
 
     @property
     def weight_space(self) -> FiniteSpace:
@@ -141,14 +146,14 @@ def integrate_family(level: FamilyLevel,
         raise ValueError("give exactly one of phi/act")
 
     if isinstance(level.weight, tuple):
-        evaluate = (lambda p: choquet_integral(level.family(p), act)) if act else phi
+        evaluate = (lambda p: choquet_integral(level.member(p), act)) if act else phi
         return sum(w * evaluate(p) for p, w in level.weight)
 
     if act is not None:
         _require_same_space(act.space, level.base)
         if level.binomial_n is not None:
             return sum(act.values, start=Fraction(0)) / (level.binomial_n + 1)
-        phi = lambda p: choquet_integral(level.family(p), act)
+        phi = lambda p: choquet_integral(level.member(p), act)
 
     nodes = (level.binomial_n // 2 + 1) if level.binomial_n is not None else 16
     nodes = max(nodes, 4)

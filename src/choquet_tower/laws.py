@@ -1,16 +1,13 @@
 """Seeded law suites shared by the test suite and the command line.
 
-Each suite runs deterministic trials derived from a single seed and
-reports per-law counts with the first counterexample, if any.  Trials may
-run on a thread pool capped by the CHOQUET_TOWER_THREADS variable; results
-are assembled in trial order, so the output does not depend on scheduling.
+Each suite runs deterministic trials derived from a single seed, one
+after another in trial order, and reports per-law counts with the first
+counterexample, if any.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -27,14 +24,6 @@ from .tower import GridTower, ProjectiveVector, build_tower, iota, \
 from .uncertainty import GTransform, UncertaintySpace
 
 LABELS = "abcdefgh"
-
-
-def thread_count() -> int:
-    raw = os.environ.get("CHOQUET_TOWER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -72,16 +61,8 @@ class SuiteReport:
 def _run_law(name: str, trials: int, seed: int,
              trial_fn: Callable[[random.Random], Optional[str]]) -> LawResult:
     """Run one law; trial_fn returns None on success, else a description."""
-
-    def one(i: int) -> Optional[str]:
-        return trial_fn(random.Random((seed * 1000003 + i) & 0xFFFFFFFF))
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(trials)))
-    else:
-        outcomes = [one(i) for i in range(trials)]
+    outcomes = (trial_fn(random.Random((seed * 1000003 + i) & 0xFFFFFFFF))
+                for i in range(trials))
     failures = [o for o in outcomes if o is not None]
     return LawResult(name, trials, len(failures),
                      failures[0] if failures else None)
@@ -131,8 +112,7 @@ def rand_additive(rng: random.Random, space: FiniteSpace) -> Capacity:
     if sum(weights) == 0:
         weights[rng.randrange(len(weights))] = 1
     total = sum(weights)
-    return Capacity(space, masses=tuple(Fraction(w, total) for w in weights),
-                    is_additive=True)
+    return Capacity(space, masses=tuple(Fraction(w, total) for w in weights))
 
 
 def rand_nonadditive(rng: random.Random, space: FiniteSpace) -> Capacity:
@@ -354,6 +334,10 @@ def run_substitution_suite(seed: int = 7, trials: int = 500) -> SuiteReport:
 
 def run_retraction_suite(grid: int = 2, depth: int = 3,
                          space_size: int = 2, seed: int = 7) -> SuiteReport:
+    if space_size < 2:
+        # on one point {a} is the full set: no inconsistent vector to detect
+        raise ValueError(f"the retraction suite needs a base of at least 2 points, "
+                         f"got {space_size}")
     base = FiniteSpace(tuple(LABELS[:space_size]))
     tower = build_tower(base, grid, depth)
 
@@ -451,7 +435,7 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
         family = seq_z.levels[1]
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
-               {"vb": family.family(Fraction(1, 2))}]
+               {"vb": family.member(Fraction(1, 2))}]
         if not is_ug_map(phi, seq_y, seq_z, g_lin, depth=3, seed=rng.randint(0, 99)):
             return "binomial midpoint inclusion failed"
         return None
@@ -464,8 +448,8 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
                  {"vb": "vb"}]
         incl = [{p: p for p in urn.base.points},
                 {name: name for name, _ in urn.capacities},
-                {"vb": family.family(Fraction(1, 2))}]
-        composed = compose_ug_maps(ident, incl, seq_y)
+                {"vb": family.member(Fraction(1, 2))}]
+        composed = compose_ug_maps(ident, incl)
         if not is_ug_map(composed, seq_y, seq_z, g_lin, depth=3,
                          seed=rng.randint(0, 99)):
             return "composition of passing maps failed"
@@ -522,8 +506,7 @@ def run_unc_maps_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
         codomain = rand_space(rng, 3)
         source = rand_uncertainty_space(rng, domain)
         uniform = Capacity(codomain,
-                           masses=(Fraction(1, len(codomain)),) * len(codomain),
-                           is_additive=True)
+                           masses=(Fraction(1, len(codomain)),) * len(codomain))
         target = UncertaintySpace(codomain, (("uniform", uniform),))
         h = rand_point_map(rng, domain, codomain)
         if not is_unc_map(h, source, target):
@@ -534,7 +517,7 @@ def run_unc_maps_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
         domain = FiniteSpace(("a", "b"))
         codomain = FiniteSpace(("c", "d"))
         source = UncertaintySpace(domain, (("u", dirac(domain, "a")),))
-        v = Capacity(codomain, masses=(Fraction(0), Fraction(1)), is_additive=True)
+        v = Capacity(codomain, masses=(Fraction(0), Fraction(1)))
         target = UncertaintySpace(codomain, (("v", v),))
         h = PointMap(domain, codomain, {"a": "c", "b": "d"})
         witness = is_unc_map(h, source, target)

@@ -89,7 +89,7 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
         for numerators in _grid_compositions(len(current), grid):
             name = "-".join(str(c) for c in numerators)
             masses = tuple(Fraction(c, grid) for c in numerators)
-            caps.append((name, Capacity(current, masses=masses, is_additive=True)))
+            caps.append((name, Capacity(current, masses=masses)))
         space = FiniteSpace(tuple(name for name, _ in caps))
         levels.append(TowerLevel(space, tuple(caps)))
         current = space

@@ -320,6 +320,18 @@ class TestUgMaps:
         witness = is_ug_map(phi, seq_y, seq_z, GTransform.linear(1), depth=3)
         assert not witness.verdict
 
+    @pytest.mark.parametrize("variant", ["X", "Z"])
+    def test_unknown_target_name_rejected(self, variant):
+        params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
+        seq_y = build_sequence("Y", params)
+        urn = seq_y.levels[0]
+        phi = [{p: p for p in urn.base.points},
+               {name: name for name, _ in urn.capacities},
+               {"vb": "vb"}]  # X names its weighting "vu"; Z's family has no names
+        with pytest.raises(ValueError, match="no capacity named 'vb'"):
+            is_ug_map(phi, seq_y, build_sequence(variant, params),
+                      GTransform.linear(1), depth=3)
+
     def test_composition(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
         seq_y = build_sequence("Y", params)
@@ -332,7 +344,7 @@ class TestUgMaps:
         incl = [{p: p for p in urn.base.points},
                 {name: name for name, _ in urn.capacities},
                 {"vb": family.family(Fraction(1, 2))}]
-        composed = compose_ug_maps(ident, incl, seq_y)
+        composed = compose_ug_maps(ident, incl)
         assert is_ug_map(composed, seq_y, seq_z, GTransform.linear(1),
                          depth=3).verdict
 

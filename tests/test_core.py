@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choquet_tower.choquet import choquet_integral
 from choquet_tower.core import (Act, Capacity, DuplicateLabelError,
                                 EmptySpaceError, EndpointError, FiniteSpace,
                                 MonotonicityError, NormalizationError,
@@ -36,10 +37,14 @@ class TestMakeSpace:
         with pytest.raises(DuplicateLabelError):
             make_space(["a", "a"])
 
-    def test_cap_at_63(self):
+    def test_no_63_point_cap(self):
+        assert len(make_space([f"p{i}" for i in range(64)])) == 64
+        space = make_space([f"p{i}" for i in range(100)])
+        u = additive_capacity(space, [Fraction(1, 100)] * 100)
+        f = Act(space, tuple(range(100)))
+        assert choquet_integral(u, f) == Fraction(99, 2)
         with pytest.raises(TooManyPointsError):
-            make_space([f"p{i}" for i in range(64)])
-        make_space([f"p{i}" for i in range(63)])
+            space.all_masks()  # dense tables keep their 20-point cap
 
 
 class TestIndicator:

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from choquet_tower import ellsberg
 from choquet_tower.core import is_additive
-from choquet_tower.ellsberg import (UrnParams, build_sequence, build_urn_space,
-                                    closed_form_values, ellsberg_report,
-                                    paradox_demo)
+from choquet_tower.ellsberg import (UrnParams, binomial_family, build_sequence,
+                                    build_urn_space, closed_form_values,
+                                    ellsberg_report, paradox_demo)
 
 
 class TestUrnParams:
@@ -63,6 +64,17 @@ class TestBuildSequence:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             build_sequence("Q", UrnParams(big_n=1, alpha=1, u1=Fraction(1, 2)))
+
+    def test_family_builds_members_only_on_demand(self, monkeypatch):
+        urn = build_urn_space(UrnParams(big_n=3, alpha=2, u1=Fraction(1, 2)))
+        built = []
+        real = ellsberg.Capacity
+        monkeypatch.setattr(ellsberg, "Capacity",
+                            lambda *args, **kw: built.append(args) or real(*args, **kw))
+        family = binomial_family(urn, 3)
+        assert built == []
+        family.member(Fraction(1, 2))
+        assert len(built) == 1
 
 
 class TestEllsbergReport:

@@ -128,7 +128,7 @@ class TestIntegrateFamily:
             q = 1 - p
             return Capacity(base, masses=tuple(
                 comb(two_n, k) * p ** k * q ** (two_n - k)
-                for k in range(two_n + 1)), is_additive=True)
+                for k in range(two_n + 1)))
 
         return FamilyLevel(base=base, family=member, binomial_n=two_n)
 
@@ -164,6 +164,19 @@ class TestIntegrateFamily:
                             binomial_n=2)
         act = Act(base, (Fraction(0), Fraction(1), Fraction(0)))
         assert integrate_family(level, act=act) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("weight", ["lebesgue", ((Fraction(3, 10), Fraction(1)),)])
+    def test_non_additive_member_is_caught_when_integrated(self, weight):
+        base = FiniteSpace(("a", "b"))
+
+        def member(p):  # additive except near p = 0.3
+            if abs(p - Fraction(3, 10)) < Fraction(1, 20):
+                return Capacity(base, table=(0, 0, 0, 1))
+            return Capacity(base, masses=(p, 1 - p))
+
+        level = FamilyLevel(base=base, family=member, weight=weight)
+        with pytest.raises(ValueError, match="not additive"):
+            integrate_family(level, act=Act(base, (Fraction(1), Fraction(0))))
 
     def test_oscillatory_integrand_fails_refinement(self):
         import math

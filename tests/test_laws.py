@@ -28,8 +28,10 @@ def test_reports_are_seed_stable():
     assert a == b
 
 
-def test_thread_pool_matches_serial(monkeypatch):
-    serial = laws.run_substitution_suite(seed=5, trials=24).to_dict()
-    monkeypatch.setenv("CHOQUET_TOWER_THREADS", "4")
-    threaded = laws.run_substitution_suite(seed=5, trials=24).to_dict()
-    assert serial == threaded
+def test_retraction_needs_two_points(monkeypatch):
+    def no_tower(*args):
+        raise AssertionError("the tower was built before the size check")
+
+    monkeypatch.setattr(laws, "build_tower", no_tower)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        laws.run_retraction_suite(space_size=1)

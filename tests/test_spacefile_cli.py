@@ -161,3 +161,54 @@ class TestCli:
         assert code == 0
         saved = json.loads(target.read_text())
         assert saved["values"]["f2"] == ["3/20"]
+
+
+ELLSBERG = ["ellsberg", "--variant", "X", "--big-n", "1", "--alpha", "1",
+            "--u1", "0.6", "--layer", "2"]
+
+
+@pytest.mark.parametrize("args,flag", [
+    (ELLSBERG, ["--seed", "1"]),
+    (ELLSBERG, ["--trials", "5"]),
+    (ELLSBERG, ["--tolerance", "1e-6"]),
+    (["laws", "dirac"], ["--backend", "float"]),
+    (["laws", "dirac"], ["--tolerance", "1e-6"]),
+    (["laws", "dirac"], ["--format", "csv"]),
+    (["counterexample", "comonotonic"], ["--seed", "1"]),
+    (["counterexample", "comonotonic"], ["--trials", "5"]),
+    (["counterexample", "comonotonic"], ["--format", "csv"]),
+    (["choquet", "space.json", "u1", "f"], ["--seed", "1"]),
+    (["choquet", "space.json", "u1", "f"], ["--trials", "5"]),
+    (["choquet", "space.json", "u1", "f"], ["--tolerance", "1e-6"]),
+    (["choquet", "space.json", "u1", "f"], ["--format", "csv"]),
+])
+def test_unread_flag_is_usage_error(args, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(args + flag)
+    assert err.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["laws", "monad", "--grid", "3", "--space-size", "3"],
+    ["laws", "monad", "--depth", "9"],
+    ["laws", "choquet", "--trials", "0"],
+    ["counterexample", "monad", "--beta", "2", "--tolerance", "0"],
+    ["laws", "retraction", "--space-size", "1"],
+])
+def test_bad_input_exits_one_with_one_line(args, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("variant", ["X", "Y", "Z"])
+@pytest.mark.parametrize("alpha", ["1", "2"])
+def test_ellsberg_layer_one_exits_zero(variant, alpha, capsys):
+    code = main(["ellsberg", "--variant", variant, "--big-n", "2", "--alpha",
+                 alpha, "--u1", "0.6", "--layer", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["layer"] == 1 and out["verdict"] == "mixed"
