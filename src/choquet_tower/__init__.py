@@ -2,8 +2,8 @@
 
 from .core import (Act, Capacity, FiniteSpace, PointMap, Subset,
                    additive_capacity, constant_act, distort, identity_map,
-                   indicator, is_additive, make_space, precompose_act,
-                   pushforward, validate_capacity)
+                   indicator, make_space, precompose_act, pushforward,
+                   validate_capacity)
 from .choquet import (ChainDecomposition, are_comonotonic, choquet_integral,
                       common_chain, decompose, upper_level_distribution)
 from .uncertainty import (GTransform, UncertaintySpace, check_separated,

@@ -15,15 +15,11 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .choquet import choquet_integral, choquet_sum
-from .core import (Act, Capacity, FiniteSpace, Number, PointMap,
-                   additive_capacity, is_exact, validate_capacity, pushforward,
-                   values_close, _require_same_space)
+from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number, PointMap,
+                   additive_capacity, indicator, precompose_act, pushforward,
+                   validate_capacity, values_close, _require_same_space)
 from .hierarchy import TERMINAL, FamilyLevel, USequence, terminal_space
 from .uncertainty import GTransform, UncertaintySpace, epsilon, xi
-
-
-def _is_zero(x: Number) -> bool:
-    return x == 0 if is_exact(x) else abs(x) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,8 @@ def is_unc_map(h: PointMap, source: UncertaintySpace,
         for v_name, v in target.capacities:
             bad = None
             for mask in target.base.all_masks():
-                if _is_zero(v.value(mask)) and not _is_zero(u.value(h.preimage_mask(mask))):
+                if (values_close(v.value(mask), 0, TABLE_TOL) and not
+                        values_close(u.value(h.preimage_mask(mask)), 0, TABLE_TOL)):
                     bad = mask
                     break
             if bad is None:
@@ -132,25 +129,23 @@ def emb_dirac_conditions(source: UncertaintySpace,
         for v_name, v in second.capacities:
             reason = None
             for mask in source.base.all_masks():
-                zero_one = 0
-                zero = 0
-                one = 0
+                zero = one = 0
                 for j, (_, w) in enumerate(caps):
                     val = w.value(mask)
-                    if _is_zero(val):
+                    if values_close(val, 0, TABLE_TOL):
                         zero |= 1 << j
-                        zero_one |= 1 << j
-                    elif _is_zero(val - 1):
+                    elif values_close(val, 1, TABLE_TOL):
                         one |= 1 << j
-                        zero_one |= 1 << j
-                if _is_zero(v.value(zero_one)):
+                if values_close(v.value(zero | one), 0, TABLE_TOL):
                     reason = (1, mask)
                     break
                 comp = source.base.full_mask ^ mask
-                if not _is_zero(u.value(comp)) and _is_zero(v.value(zero)):
+                if (not values_close(u.value(comp), 0, TABLE_TOL)
+                        and values_close(v.value(zero), 0, TABLE_TOL)):
                     reason = (2, mask)
                     break
-                if not _is_zero(u.value(mask)) and _is_zero(v.value(one)):
+                if (not values_close(u.value(mask), 0, TABLE_TOL)
+                        and values_close(v.value(one), 0, TABLE_TOL)):
                     reason = (3, mask)
                     break
             if reason is None:
@@ -184,16 +179,13 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     return validate_capacity(us.base, table)
 
 
-def substitution_check(u: Capacity, h: PointMap, f: Act,
-                       tol: float = 1e-9) -> bool:
+def substitution_check(u: Capacity, h: PointMap, f: Act) -> bool:
     """Integrating f of h under u equals integrating f under the pushforward."""
     _require_same_space(u.space, h.domain)
     _require_same_space(f.space, h.codomain)
-    from .core import precompose_act
-
     lhs = choquet_integral(u, precompose_act(f, h))
     rhs = choquet_integral(pushforward(u, h), f)
-    return values_close(lhs, rhs, tol)
+    return values_close(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -272,8 +264,7 @@ def monad_counterexample(beta: Number) -> MonadCounterexample:
 
 def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
               source: USequence, target: USequence, g: GTransform,
-              depth: int, *, seed: int = 0, random_acts: int = 50,
-              tol: float = 1e-9) -> MapWitness:
+              depth: int, *, seed: int = 0) -> MapWitness:
     """Level-wise maps commuting with the transformed expectation chain.
 
     ``phi[k]`` maps level-k points; for k >= 1 the level-k points are the
@@ -295,10 +286,8 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
         tgt_base = tgt.base
         point_map = PointMap(src.base, tgt_base, dict(phi[n]))
 
-        test_acts = [Act(tgt_base, tuple(1 if mask >> i & 1 else 0
-                                         for i in range(len(tgt_base))))
-                     for mask in tgt_base.all_masks()]
-        for _ in range(random_acts):
+        test_acts = [indicator(tgt_base, mask) for mask in tgt_base.all_masks()]
+        for _ in range(50):
             test_acts.append(Act(tgt_base, tuple(
                 Fraction(rng.randint(-8, 8), rng.randint(1, 6))
                 for _ in range(len(tgt_base)))))
@@ -311,11 +300,9 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
                 v = tgt.capacity(v)
             for f in test_acts:
                 lifted = f.map(g.forward) if g.kind != "linear" else f
-                pulled = Act(src.base, tuple(lifted.at(point_map(p))
-                                             for p in src.base.points))
-                lhs = choquet_integral(u, pulled)
+                lhs = choquet_integral(u, precompose_act(lifted, point_map))
                 rhs = choquet_integral(v, lifted)
-                if not values_close(lhs, rhs, tol):
+                if not values_close(lhs, rhs):
                     return MapWitness(False, failure=(n, u_name, f.values, lhs, rhs))
     return MapWitness(True)
 

@@ -18,7 +18,8 @@ from typing import Optional
 from . import laws
 from .category import monad_counterexample
 from .choquet import are_comonotonic, choquet_integral
-from .core import Number, is_exact
+from .core import (VALUE_TOL, Act, FiniteSpace, Number, additive_capacity,
+                   is_exact, values_close)
 from .ellsberg import EllsbergReport, UrnParams, ellsberg_report
 from .spacefile import load_space_file
 from .uncertainty import UncertaintySpace, xi
@@ -41,7 +42,7 @@ class RunConfig:
     seed: int = 0
     trials: int = 1
     backend: str = "rational"
-    tolerance: float = 1e-9
+    tolerance: float = VALUE_TOL
     format: str = "json"
     out: Optional[str] = None
 
@@ -152,8 +153,6 @@ def cmd_counterexample(args) -> int:
                        backend=args.backend, tolerance=args.tolerance,
                        out=args.out)
     if args.which == "comonotonic":
-        from .core import Act, FiniteSpace, additive_capacity
-
         space = FiniteSpace(("A1", "A2", "A3"))
         us = UncertaintySpace(space, (
             ("u1", additive_capacity(space, [Fraction(1, 3)] * 3)),
@@ -193,16 +192,24 @@ def cmd_counterexample(args) -> int:
         "actual_count": result.actual_count,
     }
     _emit(_to_json(payload), args.out)
-    tol = 0 if is_exact(result.difference) else config.tolerance
-    matches = abs(result.difference - result.difference_formula) <= tol
+    matches = values_close(result.difference, result.difference_formula,
+                           config.tolerance)
     if result.beta == 1:
         matches = matches and result.difference == 0
     return EXIT_OK if matches else EXIT_LAW
 
 
+def _named(kind: str, named: dict, name: str):
+    if name not in named:
+        raise ValueError(f"no {kind} {name!r} in the space file; it defines "
+                         f"{kind} names: {', '.join(named) or 'none'}")
+    return named[name]
+
+
 def cmd_choquet(args) -> int:
     loaded = load_space_file(args.space_file, backend=args.backend)
-    value = choquet_integral(loaded.capacities[args.capacity], loaded.acts[args.act])
+    value = choquet_integral(_named("capacity", loaded.capacities, args.capacity),
+                             _named("act", loaded.acts, args.act))
     _emit(format_number(value, args.backend) + "\n", args.out)
     return EXIT_OK
 
@@ -237,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("comonotonic", "monad"))
     p.add_argument("--beta", default=None)
     p.add_argument("--backend", choices=BACKENDS, default="rational")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=VALUE_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_counterexample)
 

@@ -3,7 +3,8 @@
 Values are either exact rationals (``fractions.Fraction``, the default for
 all law checking) or 64-bit floats (distortions with non-integer exponents,
 exp/log utilities, quadrature).  Mixed arithmetic silently promotes to
-float, which is the intended behaviour.
+float, which is the intended behaviour.  Whether a comparison is exact or
+within a tolerance is decided here, by ``tolerance``, and nowhere else.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Number = Union[int, Fraction, float]
 
-#: absolute tolerance for capacity-table comparisons in the float backend
+#: absolute tolerance for capacity tables and mass vectors holding a float
 TABLE_TOL = 1e-12
-#: absolute tolerance for general float value comparisons
+#: absolute tolerance for comparing values when either one is a float
 VALUE_TOL = 1e-9
 #: cap on spaces that carry dense capacity tables (2**n entries)
 MAX_DENSE_POINTS = 20
@@ -70,11 +71,31 @@ def as_exact(x: Union[str, int, Fraction]) -> Fraction:
     return Fraction(str(x))
 
 
+def tolerance(values: Iterable[Number], tol: float = TABLE_TOL) -> float:
+    """The one exactness rule: 0 when every value is exact, else ``tol``.
+
+    A table, a mass vector or a compared pair is exact when all its values
+    are exact; exact values compare directly, all others within TABLE_TOL
+    (tables and masses) or VALUE_TOL (values).
+    """
+    return 0 if all(is_exact(v) for v in values) else tol
+
+
+def _close(a: Number, b: Number, tol: float) -> bool:
+    # a zero tolerance compares directly, with no Fraction difference
+    return abs(a - b) <= tol if tol else a == b
+
+
 def values_close(a: Number, b: Number, tol: float = VALUE_TOL) -> bool:
-    """Equality check honouring the backend: exact for rationals, abs-tol otherwise."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(a - b) <= tol
+    """Equality of two values: exact for an exact pair, else within tol."""
+    return _close(a, b, tolerance((a, b), tol))
+
+
+def check_dense_size(space: "FiniteSpace") -> None:
+    """Refuse a space too large for a dense table or a walk over its subsets."""
+    if len(space) > MAX_DENSE_POINTS:
+        raise TooManyPointsError(f"dense tables and subset walks are capped at "
+                                 f"{MAX_DENSE_POINTS} points, got {len(space)}")
 
 
 @dataclass(frozen=True)
@@ -132,9 +153,7 @@ class FiniteSpace:
         return Subset(self, self.full_mask)
 
     def all_masks(self) -> range:
-        if len(self.points) > MAX_DENSE_POINTS:
-            raise TooManyPointsError(
-                f"refusing to enumerate 2**{len(self.points)} subsets")
+        check_dense_size(self)
         return range(1 << len(self.points))
 
 
@@ -157,9 +176,6 @@ class Subset:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.space.labels(self.mask)
-
-    def complement(self) -> "Subset":
-        return Subset(self.space, self.space.full_mask ^ self.mask)
 
     def __contains__(self, label: str) -> bool:
         return bool(self.mask >> self.space.index(label) & 1)
@@ -194,10 +210,6 @@ class Act:
         for v in self.values:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"act values must be finite, got {v}")
-
-    @property
-    def backend(self) -> str:
-        return "rational" if all(is_exact(v) for v in self.values) else "float"
 
     @cached_property
     def chain_blocks(self) -> tuple[tuple[int, Number], ...]:
@@ -311,11 +323,6 @@ class Capacity:
     def __setattr__(self, name, value):
         raise AttributeError("Capacity is immutable")
 
-    @property
-    def backend(self) -> str:
-        vals = self._masses if self._masses is not None else self._table
-        return "rational" if all(is_exact(v) for v in vals) else "float"
-
     def value(self, mask: int) -> Number:
         if self._table is not None:
             return self._table[mask]
@@ -364,32 +371,31 @@ class Capacity:
 
     def __repr__(self):
         kind = "additive" if self._masses is not None else "table"
-        return f"Capacity({kind}, {len(self.space)} points, {self.backend})"
+        values = self._masses if self._masses is not None else self._table
+        backend = "float" if tolerance(values) else "rational"
+        return f"Capacity({kind}, {len(self.space)} points, {backend})"
 
 
 def _table_is_additive(space: FiniteSpace, table: tuple) -> bool:
     # additive iff every value splits off its lowest point's singleton
-    exact = all(is_exact(v) for v in table)
+    tol = tolerance(table)
     for mask in range(1, len(table)):
         low = mask & -mask
-        if mask == low:
-            continue
-        diff = table[mask] - table[mask ^ low] - table[low]
-        if (diff != 0) if exact else (abs(diff) > TABLE_TOL):
+        if mask != low and not _close(table[mask], table[mask ^ low] + table[low], tol):
             return False
     return True
 
 
-def _check_monotone(space: FiniteSpace, table: Sequence[Number], exact: bool) -> None:
+def _check_monotone(space: FiniteSpace, table: Sequence[Number]) -> None:
     # cover pairs suffice, and the first failing one is itself a witness
-    tol = 0 if exact else TABLE_TOL
+    tol = tolerance(table)
     n = len(space)
     for mask in range(1 << n):
         for i in range(n):
             if mask >> i & 1:
                 continue
             above = mask | 1 << i
-            if table[mask] - table[above] > tol:
+            if table[mask] > table[above] and not _close(table[mask], table[above], tol):
                 raise MonotonicityError(
                     mask, above,
                     f"capacity decreases from {space.labels(mask)}"
@@ -397,83 +403,71 @@ def _check_monotone(space: FiniteSpace, table: Sequence[Number], exact: bool) ->
                     f" ({table[above]})")
 
 
-def validate_capacity(space: FiniteSpace,
-                      table: Mapping,
-                      *,
-                      singletons_additive: bool = False) -> Capacity:
-    """Check and build a capacity.
+def validate_capacity(space: FiniteSpace, table: Mapping) -> Capacity:
+    """Check and build a capacity from a dense table.
 
-    With ``singletons_additive`` the mapping gives one value per point label
-    and the table is completed by subset-sum; otherwise it must cover every
-    subset (keys are Subset objects or bitmask ints).
+    The table must cover every subset; keys are Subset objects or bitmask
+    ints.  Additive capacities given by their masses go through
+    ``additive_capacity`` instead.
     """
-    if singletons_additive:
-        masses = []
-        for p in space.points:
-            if p not in table:
-                raise SpaceMismatchError(f"missing singleton value for {p!r}")
-            masses.append(table[p])
-        return _additive_from_masses(space, tuple(masses))
-
-    if len(space) > MAX_DENSE_POINTS:
-        raise TooManyPointsError(
-            f"dense capacity tables are capped at {MAX_DENSE_POINTS} points")
+    check_dense_size(space)
     dense: list = [None] * (1 << len(space))
     for key, val in table.items():
         dense[_mask_of(space, key)] = val
     if any(v is None for v in dense):
         raise SpaceMismatchError("table does not cover every subset")
-    exact = all(is_exact(v) for v in dense)
-    tol = 0 if exact else TABLE_TOL
-    if abs(dense[0]) > tol or abs(dense[-1] - 1) > tol:
+    tol = tolerance(dense)
+    if not (_close(dense[0], 0, tol) and _close(dense[-1], 1, tol)):
         raise NormalizationError(
             f"need table(empty)=0 and table(full)=1, got {dense[0]} and {dense[-1]}")
-    _check_monotone(space, dense, exact)
+    _check_monotone(space, dense)
     return Capacity(space, table=tuple(dense))
-
-
-def _additive_from_masses(space: FiniteSpace, masses: tuple) -> Capacity:
-    exact = all(is_exact(v) for v in masses)
-    tol = 0 if exact else TABLE_TOL
-    for i, m in enumerate(masses):
-        if m < -tol:
-            raise MonotonicityError(
-                0, 1 << i, f"negative mass {m} at {space.points[i]!r}")
-    total = sum(masses)
-    if abs(total - 1) > tol:
-        raise NormalizationError(f"singleton masses sum to {total}, not 1")
-    return Capacity(space, masses=masses)
 
 
 def additive_capacity(space: FiniteSpace,
                       masses: Union[Mapping[str, Number], Sequence[Number]]) -> Capacity:
-    """Additive capacity from singleton masses (mapping by label or point order)."""
+    """Check and build an additive capacity from its singleton masses.
+
+    Masses come as a mapping by point label or as a sequence in point
+    order; none may be negative and they must sum to 1.
+    """
     if isinstance(masses, Mapping):
-        return validate_capacity(space, masses, singletons_additive=True)
-    if len(masses) != len(space):
+        for p in space.points:
+            if p not in masses:
+                raise SpaceMismatchError(f"missing singleton value for {p!r}")
+        masses = [masses[p] for p in space.points]
+    elif len(masses) != len(space):
         raise SpaceMismatchError("one mass per point required")
-    return _additive_from_masses(space, tuple(masses))
+    masses = tuple(masses)
+    tol = tolerance(masses)
+    for i, m in enumerate(masses):
+        if m < 0 and not _close(m, 0, tol):
+            raise MonotonicityError(
+                0, 1 << i, f"negative mass {m} at {space.points[i]!r}")
+    total = sum(masses)
+    if not _close(total, 1, tol):
+        raise NormalizationError(f"singleton masses sum to {total}, not 1")
+    return Capacity(space, masses=masses)
 
 
 def distort(u: Capacity, h: Callable[[Number], Number]) -> Capacity:
     """Post-compose a capacity with a nondecreasing reweighting of [0, 1].
 
     h must fix the endpoints and be nondecreasing on the capacity's attained
-    values (all that is ever evaluated).
+    values (all that is ever evaluated); the images decide whether those
+    checks are exact.
     """
     space = u.space
     masks = space.all_masks()
-    exact = u.backend == "rational"
-    tol = 0 if exact else TABLE_TOL
-    h0, h1 = h(u.value(0)), h(u.value(space.full_mask))
-    if abs(h0) > tol or abs(h1 - 1) > tol:
+    lut = {v: h(v) for v in sorted({u.value(m) for m in masks})}
+    images = list(lut.values())
+    tol = tolerance(images)
+    h0, h1 = lut[u.value(0)], lut[u.value(space.full_mask)]
+    if not (_close(h0, 0, tol) and _close(h1, 1, tol)):
         raise EndpointError(f"distortion must fix endpoints, got h(0)={h0}, h(1)={h1}")
-    attained = sorted({u.value(m) for m in masks})
-    images = [h(v) for v in attained]
     for a, b in zip(images, images[1:]):
-        if a > b + tol:
+        if a > b and not _close(a, b, tol):
             raise MonotonicityError(0, 0, f"distortion decreases: {a} > {b}")
-    lut = dict(zip(attained, images))
     return Capacity(space, table=tuple(lut[u.value(m)] for m in masks))
 
 
@@ -488,8 +482,3 @@ def pushforward(u: Capacity, h: PointMap) -> Capacity:
         return Capacity(target, masses=tuple(out))
     table = tuple(u.value(h.preimage_mask(mask)) for mask in target.all_masks())
     return Capacity(target, table=table)
-
-
-def is_additive(u: Capacity) -> bool:
-    """True iff u(A or B) = u(A) + u(B) for all disjoint A, B."""
-    return u.is_additive

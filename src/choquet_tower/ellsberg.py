@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Act, Capacity, FiniteSpace, Number, indicator, is_exact,
-                   make_space, validate_capacity)
+from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number, indicator,
+                   is_exact, make_space, validate_capacity, values_close)
 from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
                         value_function)
 from .uncertainty import UncertaintySpace
@@ -174,15 +174,14 @@ def closed_form_values(variant: str, params: UrnParams,
     }
 
 
-def _compare(a: Number, b: Number, exact: bool) -> str:
-    tol = 0 if exact else 1e-12
-    if abs(a - b) <= tol:
+def _compare(a: Number, b: Number) -> str:
+    if values_close(a, b, TABLE_TOL):
         return "="
     return ">" if a > b else "<"
 
 
-def _pointwise_verdict(left: tuple, right: tuple, exact: bool) -> str:
-    rels = {_compare(a, b, exact) for a, b in zip(left, right)}
+def _pointwise_verdict(left: tuple, right: tuple) -> str:
+    rels = {_compare(a, b) for a, b in zip(left, right)}
     if rels == {"="}:
         return "="
     if "=" in rels and len(rels) > 1 or rels == {">", "<"}:
@@ -214,8 +213,8 @@ def ellsberg_report(variant: str, params: UrnParams, layer: int) -> EllsbergRepo
     """Run one variant to the requested layer and judge the bet orderings.
 
     Values are produced by the layered expectation chain and re-derived from
-    the direct summation formulas; the two must agree (exactly for integer
-    exponents, else within 1e-9) before a verdict is issued.
+    the direct summation formulas; the two must agree (exactly when both are
+    exact, else within ``VALUE_TOL``) before the bets are ordered.
     """
     allowed = {"X": (1, 2), "Y": (1, 2), "Z": (1, 3)}
     if variant not in allowed:
@@ -235,17 +234,15 @@ def ellsberg_report(variant: str, params: UrnParams, layer: int) -> EllsbergRepo
 
     if layer != 1:
         closed = closed_form_values(variant, params, layer)
-        tol = 0 if params.exact else 1e-9
         for name in ACT_NAMES:
             got, want = values[name][0], closed[name]
-            if abs(got - want) > tol:
+            if not values_close(got, want):
                 raise AssertionError(
                     f"layered and closed-form values disagree for {name}: "
                     f"{got} vs {want}")
 
-    exact = params.exact
-    f12 = _pointwise_verdict(values["f1"], values["f2"], exact)
-    f34 = _pointwise_verdict(values["f3"], values["f4"], exact)
+    f12 = _pointwise_verdict(values["f1"], values["f2"])
+    f34 = _pointwise_verdict(values["f3"], values["f4"])
     if f12 == "=" and f34 == "=":
         verdict = "equalities"
     elif f12 == ">" and f34 == ">":

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .choquet import choquet_integral
-from .core import (Act, Capacity, FiniteSpace, Number, Subset,
+from .core import (VALUE_TOL, Act, Capacity, FiniteSpace, Number, Subset,
                    _require_same_space)
 from .uncertainty import UncertaintySpace, xi
 
@@ -98,7 +98,6 @@ class FamilyLevel:
     family: Callable[[Number], Capacity]
     weight: Union[str, tuple[tuple[Number, Number], ...]] = "lebesgue"
     binomial_n: Optional[int] = None
-    weight_label: str = "lambda"
 
     def __post_init__(self):
         if self.weight != "lebesgue" and not isinstance(self.weight, tuple):
@@ -114,7 +113,7 @@ class FamilyLevel:
 
     @property
     def weight_space(self) -> FiniteSpace:
-        return FiniteSpace((self.weight_label,))
+        return FiniteSpace(("lambda",))
 
 
 Level = Union[UncertaintySpace, FamilyLevel, _Terminal]
@@ -161,7 +160,7 @@ def integrate_family(level: FamilyLevel,
     for n in (nodes, 2 * nodes):
         xs, ws = _gauss_legendre_01(n)
         results.append(math.fsum(w * float(phi(x)) for x, w in zip(xs, ws)))
-    if abs(results[0] - results[1]) > 1e-9:
+    if abs(results[0] - results[1]) > VALUE_TOL:
         raise QuadratureError(
             f"refinement moved the value by {abs(results[0] - results[1])!r}")
     return results[1]

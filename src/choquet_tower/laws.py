@@ -76,9 +76,8 @@ def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8,
     return Fraction(rng.randint(lo, hi), rng.randint(1, denom))
 
 
-def rand_space(rng: random.Random, max_points: int = 6,
-               min_points: int = 2) -> FiniteSpace:
-    n = rng.randint(min_points, max_points)
+def rand_space(rng: random.Random, max_points: int = 6) -> FiniteSpace:
+    n = rng.randint(2, max_points)
     return FiniteSpace(tuple(LABELS[:n]))
 
 
@@ -245,7 +244,7 @@ def run_dirac_suite(seed: int = 7, trials: int = 200,
         codomain = rand_space(rng, max_points)
         h = rand_point_map(rng, domain, codomain)
         p = rng.choice(domain.points)
-        if not pushforward(dirac(domain, p), h).equals(dirac(codomain, h(p)), tol=0.0):
+        if pushforward(dirac(domain, p), h) != dirac(codomain, h(p)):
             return f"pushforward of point mass at {p} is not the point mass at {h(p)}"
         return None
 
@@ -264,18 +263,25 @@ def _unit_laws(tower: GridTower, level: int) -> Optional[str]:
                      for p in view.base.points})
     for name, cap in tower.levels[level + 1].capacities:
         back = mu(view, dirac(view.capacity_space, name))
-        if not back.equals(cap, tol=0.0):
+        if back != cap:
             return f"averaging a point mass at {name} is not the identity"
         inner = mu(view, pushforward(cap, lift))
-        if not inner.equals(cap, tol=0.0):
+        if inner != cap:
             return f"averaging the lifted {name} is not the identity"
     return None
 
 
+def _suite_tower(suite: str, grid: int, space_size: int, depth: int) -> GridTower:
+    # both suites reach tower level 2
+    if depth < 2:
+        raise ValueError(f"the {suite} suite needs a tower depth of at least 2, "
+                         f"got {depth}")
+    return build_tower(FiniteSpace(tuple(LABELS[:space_size])), grid, depth)
+
+
 def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
                     space_size: int = 2, depth: int = 3) -> SuiteReport:
-    base = FiniteSpace(tuple(LABELS[:space_size]))
-    tower = build_tower(base, grid, depth)
+    tower = _suite_tower("monad", grid, space_size, depth)
 
     def unit(rng):
         for level in range(tower.depth):
@@ -291,11 +297,11 @@ def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
         w = rand_additive(rng, level2.space)
         left = mu(tower.view(0), mu(tower.view(1), w))
         table = {}
-        for mask in base.all_masks():
+        for mask in tower.base.all_masks():
             act = Act(level2.space, tuple(averaged[name].value(mask)
                                           for name in level2.space.points))
             table[mask] = choquet_sum(w.value, act)
-        for mask in base.all_masks():
+        for mask in tower.base.all_masks():
             if left.value(mask) != table[mask]:
                 return f"associativity broke at mask {mask} for {w}"
         return None
@@ -338,8 +344,7 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
         # on one point {a} is the full set: no inconsistent vector to detect
         raise ValueError(f"the retraction suite needs a base of at least 2 points, "
                          f"got {space_size}")
-    base = FiniteSpace(tuple(LABELS[:space_size]))
-    tower = build_tower(base, grid, depth)
+    tower = _suite_tower("retraction", grid, space_size, depth)
 
     def retraction(rng):
         for n in range(1, tower.depth + 1):
@@ -350,7 +355,7 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
                     lifted_name = tower.find_name(m, up[name])
                     if lifted_name is None:
                         return f"lift of {name} to level {m} left the grid"
-                    if not down[lifted_name].equals(cap, tol=0.0):
+                    if down[lifted_name] != cap:
                         return f"retraction {m}->{n} moved {name}"
         return None
 
@@ -377,7 +382,7 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
                         composed = mn[mid_name] if mid_name else mid
                 else:
                     composed = mn[tower.find_name(m, mid)]
-                if not composed.equals(ln[name], tol=0.0):
+                if composed != ln[name]:
                     return f"composition {l}->{m}->{n} differs from {l}->{n} at {name}"
         return None
 

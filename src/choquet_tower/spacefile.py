@@ -14,8 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .core import (Act, Capacity, FiniteSpace, Number, as_exact, make_space,
-                   validate_capacity)
+from .core import (Act, Capacity, FiniteSpace, Number, additive_capacity,
+                   as_exact, check_dense_size, make_space, validate_capacity)
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,13 @@ def _convert(x: Fraction, backend: str) -> Number:
 def _mask_from_bitstring(space: FiniteSpace, key: str) -> int:
     if len(key) != len(space) or any(ch not in "01" for ch in key):
         raise ValueError(f"subset key {key!r} must be a {len(space)}-character bitstring")
-    mask = 0
-    for i, ch in enumerate(key):
-        if ch == "1":
-            mask |= 1 << i
-    return mask
+    return int(key[::-1], 2)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
 
 
 def load_space_file(source: Union[str, Path, dict],
@@ -54,21 +56,29 @@ def load_space_file(source: Union[str, Path, dict],
     else:
         doc = json.loads(Path(source).read_text())
 
-    space = make_space(doc["points"])
+    _object(doc, "a space file")
+    points = doc.get("points")
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise ValueError("'points' must be a list of strings")
+    space = make_space(points)
     capacities = {}
-    for name, spec in doc.get("capacities", {}).items():
-        mode = spec.get("mode", "full")
-        values = {k: _convert(as_exact(v), backend)
-                  for k, v in spec["values"].items()}
+    for name, spec in _object(doc.get("capacities", {}), "'capacities'").items():
+        mode = _object(spec, f"capacity {name!r}").get("mode", "full")
+        if mode not in ("full", "singletons-additive"):
+            raise ValueError(f"unknown capacity mode {mode!r}")
+        if mode == "full":
+            # refuse before parsing up to 2**n values
+            check_dense_size(space)
+        raw = _object(spec.get("values"), f"the values of capacity {name!r}")
+        values = {k: _convert(as_exact(v), backend) for k, v in raw.items()}
         if mode == "singletons-additive":
-            capacities[name] = validate_capacity(space, values,
-                                                 singletons_additive=True)
-        elif mode == "full":
+            capacities[name] = additive_capacity(space, values)
+        else:
             table = {_mask_from_bitstring(space, k): v for k, v in values.items()}
             capacities[name] = validate_capacity(space, table)
-        else:
-            raise ValueError(f"unknown capacity mode {mode!r}")
     acts = {}
-    for name, vals in doc.get("acts", {}).items():
+    for name, vals in _object(doc.get("acts", {}), "'acts'").items():
+        if not isinstance(vals, list):
+            raise ValueError(f"act {name!r} must be a list of values")
         acts[name] = Act(space, tuple(_convert(as_exact(v), backend) for v in vals))
     return SpaceFile(space=space, capacities=capacities, acts=acts)

@@ -77,6 +77,9 @@ class GridTower:
 
 def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
     """Enumerate `depth` capacity levels over the base on a 1/grid mass grid."""
+    if grid < 1 or depth < 1:
+        raise ValueError(f"a tower needs grid >= 1 and depth >= 1, "
+                         f"got grid {grid}, depth {depth}")
     if len(base) > 3 or grid > 4 or depth > 4:
         raise TowerSizeError("tower guards: base <= 3 points, grid <= 4, depth <= 4")
     levels = [TowerLevel(base, None)]
@@ -156,6 +159,6 @@ def projective_consistency(vec: ProjectiveVector) -> tuple[bool, Optional[int]]:
     tower = vec.tower
     for i in range(len(vec.entries) - 1):
         averaged = mu(tower.view(i), vec.entries[i + 1])
-        if not vec.entries[i].equals(averaged, tol=0.0):
+        if vec.entries[i] != averaged:
             return False, i + 1
     return True, None

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
-from .core import (Act, Capacity, DuplicateLabelError, FiniteSpace, Number,
-                   Subset, is_exact, _require_same_space)
+from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
+                   Number, Subset, _require_same_space)
 
 
 def check_separated(capacities: Union["UncertaintySpace",
@@ -101,7 +101,7 @@ class GTransform:
     def __post_init__(self):
         for t in (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0):
             back = self.inverse(self.forward(t))
-            if abs(back - t) > 1e-9:
+            if abs(back - t) > VALUE_TOL:
                 raise ValueError(f"inverse(forward({t})) = {back}, not an inverse pair")
 
     @classmethod
@@ -131,6 +131,6 @@ def xi_g(us: UncertaintySpace, f: Act, g: GTransform) -> Act:
         return xi(us, f)
     if g.kind == "entropic" and g.param * float(f.sup_norm) > 700.0:
         raise OverflowError("entropic transform overflows for this act")
-    lifted = f.map(lambda v: g.forward(float(v) if is_exact(v) else v))
+    lifted = f.map(lambda v: g.forward(float(v)))
     expect = xi(us, lifted)
     return expect.map(g.inverse)

@@ -11,9 +11,8 @@ from choquet_tower.core import (Act, Capacity, DuplicateLabelError,
                                 MonotonicityError, NormalizationError,
                                 PointMap, SpaceMismatchError,
                                 TooManyPointsError, additive_capacity,
-                                distort, identity_map, indicator, is_additive,
-                                make_space, precompose_act, pushforward,
-                                validate_capacity)
+                                distort, identity_map, indicator, make_space,
+                                precompose_act, pushforward, validate_capacity)
 
 
 def thirds(space):
@@ -97,8 +96,7 @@ class TestPrecompose:
 class TestValidateCapacity:
     def test_additive_thirds(self):
         space = make_space(["A1", "A2", "A3"])
-        u = validate_capacity(space, {p: Fraction(1, 3) for p in space.points},
-                              singletons_additive=True)
+        u = additive_capacity(space, {p: Fraction(1, 3) for p in space.points})
         assert u.is_additive
         assert u(space.subset(["A1", "A2"])) == Fraction(2, 3)
 
@@ -159,10 +157,19 @@ class TestDistort:
         with pytest.raises(EndpointError):
             distort(u, lambda t: t / 2 + Fraction(1, 10))
 
+    @pytest.mark.parametrize("masses", [
+        (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), (0.25, 0.25, 0.5)])
+    def test_float_images_compare_within_tolerance(self, masses):
+        # h(1) is 0.9999999999999999; the images, not the input, are floats
+        space = make_space(["a", "b", "c"])
+        v = distort(additive_capacity(space, masses),
+                    lambda t: sum([float(t) / 10] * 10))
+        assert v.value(space.full_mask) == sum([0.1] * 10)
+
     def test_square_breaks_additivity(self):
         space = make_space(["a", "b", "c"])
         v = distort(thirds(space), lambda t: t * t)
-        assert not is_additive(v)
+        assert not v.is_additive
 
     def test_pointwise_monotone_in_distortion(self):
         space = make_space(["a", "b", "c"])
@@ -193,20 +200,45 @@ class TestPushforward:
         assert pushforward(u, h)(cod.subset(["p"])) == Fraction(1, 2)
 
 
+class TestAdditiveCapacity:
+    def test_negative_mass(self):
+        space = make_space(["a", "b"])
+        with pytest.raises(MonotonicityError) as err:
+            additive_capacity(space, [Fraction(3, 2), Fraction(-1, 2)])
+        assert err.value.witness == (0, 0b10)
+
+    @pytest.mark.parametrize("masses", [
+        [Fraction(1, 2), Fraction(1, 3)], [0.5, 0.5 - 1e-9]])
+    def test_masses_must_sum_to_one(self, masses):
+        with pytest.raises(NormalizationError):
+            additive_capacity(make_space(["a", "b"]), masses)
+
+    def test_float_masses_sum_within_table_tolerance(self):
+        space = make_space(list("abcdefghij"))
+        assert additive_capacity(space, [0.1] * 10).is_additive
+
+    def test_one_mass_per_point(self):
+        space = make_space(["a", "b"])
+        with pytest.raises(SpaceMismatchError):
+            additive_capacity(space, {"a": Fraction(1)})
+        with pytest.raises(SpaceMismatchError):
+            additive_capacity(space, [Fraction(1)])
+
+
 class TestIsAdditive:
     def test_uniform(self):
-        assert is_additive(thirds(make_space(["a", "b", "c"])))
+        assert thirds(make_space(["a", "b", "c"])).is_additive
 
     def test_low_singletons(self):
         space = make_space(["a", "b"])
         table = full_table(space, {(): 0, ("a",): Fraction(1, 10),
                                    ("b",): Fraction(1, 10), ("a", "b"): 1})
-        assert not is_additive(validate_capacity(space, table))
+        assert not validate_capacity(space, table).is_additive
 
     def test_point_mass(self):
         space = make_space(["a", "b"])
         u = additive_capacity(space, [Fraction(1), Fraction(0)])
-        assert is_additive(u)
+        assert u.is_additive
 
 
 LABELS = "abcde"

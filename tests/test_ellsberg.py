@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from choquet_tower import ellsberg
-from choquet_tower.core import is_additive
 from choquet_tower.ellsberg import (UrnParams, binomial_family, build_sequence,
                                     build_urn_space, closed_form_values,
                                     ellsberg_report, paradox_demo)
@@ -26,7 +25,7 @@ class TestUrnParams:
 class TestBuildUrnSpace:
     def test_additive_iff_flat_exponent(self):
         flat = build_urn_space(UrnParams(big_n=2, alpha=1, u1=Fraction(1, 2)))
-        assert all(is_additive(cap) for _, cap in flat.capacities)
+        assert all(cap.is_additive for _, cap in flat.capacities)
 
     def test_bent_blue_odds(self):
         urn = build_urn_space(UrnParams(big_n=1, alpha=2, u1=Fraction(1, 2)))
@@ -40,7 +39,7 @@ class TestBuildUrnSpace:
             cap = urn.capacity(f"u{k}")
             parts = sum(cap(base.subset([c])) for c in "RBY")
             assert parts < 1
-            assert not is_additive(cap)
+            assert not cap.is_additive
 
 
 class TestBuildSequence:

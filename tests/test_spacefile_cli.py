@@ -195,6 +195,12 @@ def test_unread_flag_is_usage_error(args, flag, capsys):
     ["laws", "choquet", "--trials", "0"],
     ["counterexample", "monad", "--beta", "2", "--tolerance", "0"],
     ["laws", "retraction", "--space-size", "1"],
+    ["laws", "monad", "--grid", "0"],
+    ["laws", "retraction", "--grid", "0"],
+    ["laws", "monad", "--depth", "0"],
+    ["laws", "monad", "--depth", "1"],
+    ["laws", "retraction", "--depth", "0"],
+    ["laws", "retraction", "--depth", "1"],
 ])
 def test_bad_input_exits_one_with_one_line(args, capsys):
     assert main(args) == 1
@@ -212,3 +218,62 @@ def test_ellsberg_layer_one_exits_zero(variant, alpha, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["layer"] == 1 and out["verdict"] == "mixed"
+
+
+@pytest.mark.parametrize("args,minimum", [
+    (["laws", "monad", "--depth", "1"], "depth of at least 2"),
+    (["laws", "retraction", "--depth", "1"], "depth of at least 2"),
+    (["laws", "monad", "--grid", "0"], "grid >= 1"),
+])
+def test_tower_lower_bounds_are_named(args, minimum, capsys):
+    assert main(args) == 1
+    assert minimum in capsys.readouterr().err
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1], "a space file must be a JSON object"),
+    ({"points": "ab"}, "'points' must be a list of strings"),
+    ({"points": ["a", 1]}, "'points' must be a list of strings"),
+    ({"points": ["a"], "capacities": ["u"]}, "'capacities' must be a JSON object"),
+    ({"points": ["a"], "capacities": {"u": "1"}}, "capacity 'u' must be a JSON object"),
+    ({"points": ["a"], "capacities": {"u": {"values": ["1"]}}},
+     "the values of capacity 'u' must be a JSON object"),
+    ({"points": ["a"], "capacities": {"u": {"mode": "full"}}},
+     "the values of capacity 'u' must be a JSON object"),
+    ({"points": ["a"], "acts": ["1"]}, "'acts' must be a JSON object"),
+    ({"points": ["a"], "acts": {"f": "1"}}, "act 'f' must be a list of values"),
+])
+def test_malformed_space_file_exits_one(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_space_file(str(path))
+    assert main(["choquet", str(path), "u", "f"]) == 1
+    assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("capacity,act,message", [
+    ("u1", "nope", "no act 'nope' in the space file; it defines act names: f, g"),
+    ("nope", "f", "no capacity 'nope' in the space file; "
+                  "it defines capacity names: u1, u2, w"),
+])
+def test_missing_name_lists_the_file_names(space_path, capacity, act, message,
+                                           capsys):
+    assert main(["choquet", space_path, capacity, act]) == 1
+    assert _one_error_line(capsys) == f"error: {message}"
+
+
+def test_dense_point_cap_acts_before_parsing():
+    points = [f"p{i}" for i in range(21)]
+    doc = {"points": points,
+           "capacities": {"w": {"mode": "full", "values": {"0" * 21: "x"}}}}
+    with pytest.raises(ValueError, match="capped at 20 points, got 21"):
+        load_space_file(doc)
