@@ -16,8 +16,9 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .choquet import choquet_integral, choquet_sum
 from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number, PointMap,
-                   additive_capacity, indicator, precompose_act, pushforward,
-                   validate_capacity, values_close, _require_same_space)
+                   additive_capacity, exponent, indicator, precompose_act,
+                   pushforward, validate_capacity, values_close,
+                   _require_same_space)
 from .hierarchy import TERMINAL, FamilyLevel, USequence, terminal_space
 from .uncertainty import GTransform, UncertaintySpace, epsilon, xi
 
@@ -217,12 +218,7 @@ def monad_counterexample(beta: Number) -> MonadCounterexample:
     masses (i/3, j/3, (3-i-j)/3), the act worth 3 on R, 1 on B, 0 on Y, and
     the counting set function (|A| / 3) ** beta on the capacity list.
     """
-    if beta < 1:
-        raise ValueError("need beta >= 1")
-    if isinstance(beta, float) and beta.is_integer():
-        beta = int(beta)
-    if isinstance(beta, Fraction) and beta.denominator == 1:
-        beta = int(beta)
+    beta = exponent(beta, "beta")
     n = 3
     space = FiniteSpace(("R", "B", "Y"))
     caps = []

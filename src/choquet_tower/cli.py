@@ -104,7 +104,12 @@ def _report_csv(report: EllsbergReport, config: RunConfig) -> str:
 
 def _parse_scalar(text: str, backend: str) -> Number:
     value = Fraction(text)
-    return float(value) if backend == "float" else value
+    if backend != "float":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{text} is too large for a float") from None
 
 
 def cmd_ellsberg(args) -> int:
@@ -259,11 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad flags, inputs and sizes exit 1 with one line."""
+    """Run one subcommand; bad flags, inputs and sizes exit 1 with one line.
+
+    An exact result too large to print in the float backend is an
+    ``OverflowError`` and exits 1 the same way.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, AssertionError) as exc:
+    except (ValueError, KeyError, OSError, AssertionError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

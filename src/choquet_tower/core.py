@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, gt
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Number = Union[int, Fraction, float]
@@ -23,6 +25,8 @@ TABLE_TOL = 1e-12
 VALUE_TOL = 1e-9
 #: cap on spaces that carry dense capacity tables (2**n entries)
 MAX_DENSE_POINTS = 20
+#: largest whole exponent raised exactly; a larger one is refused
+MAX_EXACT_EXPONENT = 1000
 
 
 class EmptySpaceError(ValueError):
@@ -62,13 +66,44 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def as_exact(x: Union[str, int, Fraction]) -> Fraction:
-    """Parse a decimal string, "p/q" string, or integer into a Fraction."""
+def as_exact(x: Union[str, int, float, Fraction]) -> Fraction:
+    """Parse a decimal string, "p/q" string, integer or float into a Fraction.
+
+    A float is read through its decimal text, so 0.1 becomes 1/10.
+    Booleans are refused: they are not numbers, though Python counts them
+    as integers.
+    """
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     return Fraction(str(x))
+
+
+def exponent(x: Number, name: str) -> Number:
+    """Check a distortion exponent (at least 1) and normalize it.
+
+    A whole exponent becomes an ``int`` and is raised exactly, so one above
+    MAX_EXACT_EXPONENT is refused here, before any power is taken.  Other
+    exponents are raised in floats and must fit one.
+    """
+    if x < 1:
+        raise ValueError(f"need {name} >= 1")
+    if (isinstance(x, float) and x.is_integer()
+            or isinstance(x, Fraction) and x.denominator == 1):
+        x = int(x)
+    if isinstance(x, int):
+        if x > MAX_EXACT_EXPONENT:
+            raise ValueError(f"whole {name} must be at most {MAX_EXACT_EXPONENT}"
+                             f" to be raised exactly")
+        return x
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    return x
 
 
 def tolerance(values: Iterable[Number], tol: float = TABLE_TOL) -> float:
@@ -78,7 +113,7 @@ def tolerance(values: Iterable[Number], tol: float = TABLE_TOL) -> float:
     are exact; exact values compare directly, all others within TABLE_TOL
     (tables and masses) or VALUE_TOL (values).
     """
-    return 0 if all(is_exact(v) for v in values) else tol
+    return 0 if all(map(is_exact, values)) else tol
 
 
 def _close(a: Number, b: Number, tol: float) -> bool:
@@ -308,7 +343,7 @@ class Capacity:
     and a singleton-mass vector (additive capacities, any space size).
     """
 
-    __slots__ = ("space", "_table", "_masses", "is_additive")
+    __slots__ = ("space", "_table", "_masses", "_additive")
 
     def __init__(self, space: FiniteSpace, *, table: tuple = None,
                  masses: tuple = None):
@@ -317,11 +352,22 @@ class Capacity:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_masses", masses)
-        object.__setattr__(self, "is_additive",
-                           masses is not None or _table_is_additive(space, table))
+        object.__setattr__(self, "_additive", True if masses is not None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Capacity is immutable")
+
+    @property
+    def is_additive(self) -> bool:
+        """True when every value is the sum of its points' singleton values.
+
+        A table is scanned on first use only; most tables are integrated
+        without anyone asking.
+        """
+        if self._additive is None:
+            object.__setattr__(self, "_additive",
+                               _table_is_additive(*_table_keys(self._table)))
+        return self._additive
 
     def value(self, mask: int) -> Number:
         if self._table is not None:
@@ -376,31 +422,88 @@ class Capacity:
         return f"Capacity({kind}, {len(self.space)} points, {backend})"
 
 
-def _table_is_additive(space: FiniteSpace, table: tuple) -> bool:
-    # additive iff every value splits off its lowest point's singleton
+def _table_keys(table: Sequence[Number]) -> tuple[list, float]:
+    """Comparison keys for a dense table and the tolerance they compare within.
+
+    An exact table becomes integer numerators over one common denominator;
+    they compare and add exactly like the Fractions they stand for, at
+    integer speed.  A table holding a float keeps its values and compares
+    within TABLE_TOL.  So does an exact table whose common denominator would
+    be far longer than its longest own denominator (many coprime ones),
+    because then every key would be long; its Fractions are the keys.
+    """
     tol = tolerance(table)
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        if mask != low and not _close(table[mask], table[mask ^ low] + table[low], tol):
+    if tol:
+        return list(table), tol
+    dens = {v.denominator for v in table}
+    limit = 2 * max(dens).bit_length() + 64
+    common = 1
+    for d in dens:
+        common = math.lcm(common, d)
+        if common.bit_length() > limit:
+            return list(table), 0
+    scale = {d: common // d for d in dens}
+    return [v.numerator * scale[v.denominator] for v in table], 0
+
+
+def _table_is_additive(keys: list, tol: float) -> bool:
+    # additive iff every value splits off its lowest point's singleton: the
+    # masks whose lowest point is i are h + 2h*k (h = 2**i); k = 0 is the
+    # singleton itself
+    h = 1
+    while 3 * h < len(keys):
+        whole = keys[3 * h::2 * h]
+        split = list(map(add, keys[2 * h::2 * h], repeat(keys[h])))
+        if whole != split and not all(map(_close, whole, split, repeat(tol))):
             return False
+        h *= 2
     return True
 
 
-def _check_monotone(space: FiniteSpace, table: Sequence[Number]) -> None:
-    # cover pairs suffice, and the first failing one is itself a witness
-    tol = tolerance(table)
-    n = len(space)
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            above = mask | 1 << i
-            if table[mask] > table[above] and not _close(table[mask], table[above], tol):
-                raise MonotonicityError(
-                    mask, above,
-                    f"capacity decreases from {space.labels(mask)}"
-                    f" ({table[mask]}) to {space.labels(above)}"
-                    f" ({table[above]})")
+def _cover_slices(n: int):
+    """Slice pairs that together pair every mask lacking point i with the
+    mask adding it, point by point: (i, lo, hi).
+
+    Within a pair, masks ascend.  A point with few masks per run of 2h
+    (h = 2**i) strides over whole runs, one pair per offset; one with long
+    runs takes one pair per run, so no point needs more than sqrt(2**n)
+    pairs.
+    """
+    size = 1 << n
+    for i in range(n):
+        h = 1 << i
+        if 2 * h * h <= size:
+            for r in range(h):
+                yield i, slice(r, size, 2 * h), slice(r + h, size, 2 * h)
+        else:
+            for s in range(0, size, 2 * h):
+                yield i, slice(s, s + h), slice(s + h, s + 2 * h)
+
+
+def _check_monotone(space: FiniteSpace, table: Sequence[Number],
+                    keys: list, tol: float) -> None:
+    # cover pairs suffice, and the first failing one in (mask, point) order
+    # is itself a witness
+    first = None
+    masks = range(len(keys))
+    for i, lo, hi in _cover_slices(len(space)):
+        below, above = keys[lo], keys[hi]
+        # only a pair that decreases can fail, so the tolerance is applied
+        # to those alone; within a slice the first failure has the least mask
+        for j in compress(range(len(below)), map(gt, below, above)):
+            if not _close(below[j], above[j], tol):
+                pair = (masks[lo][j], i)
+                if first is None or pair < first:
+                    first = pair
+                break
+    if first is not None:
+        mask, i = first
+        above = mask | 1 << i
+        raise MonotonicityError(
+            mask, above,
+            f"capacity decreases from {space.labels(mask)}"
+            f" ({table[mask]}) to {space.labels(above)}"
+            f" ({table[above]})")
 
 
 def validate_capacity(space: FiniteSpace, table: Mapping) -> Capacity:
@@ -408,7 +511,8 @@ def validate_capacity(space: FiniteSpace, table: Mapping) -> Capacity:
 
     The table must cover every subset; keys are Subset objects or bitmask
     ints.  Additive capacities given by their masses go through
-    ``additive_capacity`` instead.
+    ``additive_capacity`` instead.  Exact tables are checked on integer
+    numerators over one common denominator.
     """
     check_dense_size(space)
     dense: list = [None] * (1 << len(space))
@@ -416,11 +520,11 @@ def validate_capacity(space: FiniteSpace, table: Mapping) -> Capacity:
         dense[_mask_of(space, key)] = val
     if any(v is None for v in dense):
         raise SpaceMismatchError("table does not cover every subset")
-    tol = tolerance(dense)
+    keys, tol = _table_keys(dense)
     if not (_close(dense[0], 0, tol) and _close(dense[-1], 1, tol)):
         raise NormalizationError(
             f"need table(empty)=0 and table(full)=1, got {dense[0]} and {dense[-1]}")
-    _check_monotone(space, dense)
+    _check_monotone(space, dense, keys, tol)
     return Capacity(space, table=tuple(dense))
 
 
@@ -435,6 +539,10 @@ def additive_capacity(space: FiniteSpace,
         for p in space.points:
             if p not in masses:
                 raise SpaceMismatchError(f"missing singleton value for {p!r}")
+        foreign = [label for label in masses if label not in space._index]
+        if foreign:
+            raise SpaceMismatchError(f"singleton values for labels that are not "
+                                     f"points: {', '.join(map(repr, foreign))}")
         masses = [masses[p] for p in space.points]
     elif len(masses) != len(space):
         raise SpaceMismatchError("one mass per point required")

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number, indicator,
-                   is_exact, make_space, validate_capacity, values_close)
+from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number, exponent,
+                   indicator, is_exact, make_space, validate_capacity,
+                   values_close)
 from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
                         value_function)
 from .uncertainty import UncertaintySpace
@@ -35,16 +36,9 @@ class UrnParams:
     def __post_init__(self):
         if self.big_n < 1:
             raise ValueError("need N >= 1")
-        if self.alpha < 1:
-            raise ValueError("need alpha >= 1")
+        object.__setattr__(self, "alpha", exponent(self.alpha, "alpha"))
         if not 0 < self.u1 < 1:
             raise ValueError("need 0 < u1 < 1")
-        alpha = self.alpha
-        if isinstance(alpha, float) and alpha.is_integer():
-            alpha = int(alpha)
-        if isinstance(alpha, Fraction) and alpha.denominator == 1:
-            alpha = int(alpha)
-        object.__setattr__(self, "alpha", alpha)
 
     @property
     def exact(self) -> bool:

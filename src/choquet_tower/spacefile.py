@@ -2,8 +2,9 @@
 
 Capacity values come either as a full table keyed by subset bitstrings
 (leftmost character = first point) or as singleton values completed by
-additivity.  Numbers are decimal strings or "p/q" rational strings and are
-parsed exactly; the float backend converts after parsing.
+additivity.  Numbers are decimal strings, "p/q" rational strings or JSON
+numbers (not booleans) and are parsed exactly, each distinct string once;
+the float backend converts after parsing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 from .core import (Act, Capacity, FiniteSpace, Number, additive_capacity,
                    as_exact, check_dense_size, make_space, validate_capacity)
@@ -29,8 +30,27 @@ def _convert(x: Fraction, backend: str) -> Number:
     return float(x) if backend == "float" else x
 
 
+def _number_parser(backend: str) -> Callable[[object], Number]:
+    """Parse JSON values in the backend, each distinct string once.
+
+    Tables repeat a few values many times; parsed numbers are immutable,
+    so every entry with the same string shares one.
+    """
+    parsed: dict[str, Number] = {}
+
+    def number(raw) -> Number:
+        if not isinstance(raw, str):
+            return _convert(as_exact(raw), backend)
+        value = parsed.get(raw)
+        if value is None:
+            value = parsed[raw] = _convert(as_exact(raw), backend)
+        return value
+
+    return number
+
+
 def _mask_from_bitstring(space: FiniteSpace, key: str) -> int:
-    if len(key) != len(space) or any(ch not in "01" for ch in key):
+    if len(key) != len(space) or key.strip("01"):
         raise ValueError(f"subset key {key!r} must be a {len(space)}-character bitstring")
     return int(key[::-1], 2)
 
@@ -61,6 +81,7 @@ def load_space_file(source: Union[str, Path, dict],
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise ValueError("'points' must be a list of strings")
     space = make_space(points)
+    number = _number_parser(backend)
     capacities = {}
     for name, spec in _object(doc.get("capacities", {}), "'capacities'").items():
         mode = _object(spec, f"capacity {name!r}").get("mode", "full")
@@ -70,15 +91,15 @@ def load_space_file(source: Union[str, Path, dict],
             # refuse before parsing up to 2**n values
             check_dense_size(space)
         raw = _object(spec.get("values"), f"the values of capacity {name!r}")
-        values = {k: _convert(as_exact(v), backend) for k, v in raw.items()}
         if mode == "singletons-additive":
+            values = {k: number(v) for k, v in raw.items()}
             capacities[name] = additive_capacity(space, values)
         else:
-            table = {_mask_from_bitstring(space, k): v for k, v in values.items()}
+            table = {_mask_from_bitstring(space, k): number(v) for k, v in raw.items()}
             capacities[name] = validate_capacity(space, table)
     acts = {}
     for name, vals in _object(doc.get("acts", {}), "'acts'").items():
         if not isinstance(vals, list):
             raise ValueError(f"act {name!r} must be a list of values")
-        acts[name] = Act(space, tuple(_convert(as_exact(v), backend) for v in vals))
+        acts[name] = Act(space, tuple(number(v) for v in vals))
     return SpaceFile(space=space, capacities=capacities, acts=acts)

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet_tower.choquet import choquet_integral
-from choquet_tower.core import (Act, Capacity, DuplicateLabelError,
-                                EmptySpaceError, EndpointError, FiniteSpace,
+from choquet_tower.core import (MAX_EXACT_EXPONENT, Act, Capacity,
+                                DuplicateLabelError, EmptySpaceError,
+                                EndpointError, FiniteSpace,
                                 MonotonicityError, NormalizationError,
                                 PointMap, SpaceMismatchError,
                                 TooManyPointsError, additive_capacity,
-                                distort, identity_map, indicator, make_space,
-                                precompose_act, pushforward, validate_capacity)
+                                distort, exponent, identity_map, indicator,
+                                make_space, precompose_act, pushforward,
+                                validate_capacity)
 
 
 def thirds(space):
@@ -137,6 +139,27 @@ class TestValidateCapacity:
         space = make_space(["a", "b"])
         with pytest.raises(SpaceMismatchError):
             validate_capacity(space, {0: 0, 3: 1})
+
+
+class TestExponent:
+    def test_whole_exponents_become_ints(self):
+        for whole in (3, 3.0, Fraction(6, 2), MAX_EXACT_EXPONENT):
+            assert exponent(whole, "alpha") == int(whole)
+            assert type(exponent(whole, "alpha")) is int
+
+    def test_other_exponents_are_kept(self):
+        assert exponent(Fraction(3, 2), "beta") == Fraction(3, 2)
+        assert exponent(2.5, "beta") == 2.5
+
+    @pytest.mark.parametrize("x,message", [
+        (Fraction(1, 2), "need alpha >= 1"),
+        (MAX_EXACT_EXPONENT + 1, "whole alpha must be at most"),
+        (1e300, "whole alpha must be at most"),
+        (Fraction(10 ** 400) + Fraction(1, 2), "alpha is too large for a float"),
+    ])
+    def test_refused_before_any_power(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            exponent(x, "alpha")
 
 
 class TestDistort:

@@ -201,6 +201,15 @@ def test_unread_flag_is_usage_error(args, flag, capsys):
     ["laws", "monad", "--depth", "1"],
     ["laws", "retraction", "--depth", "0"],
     ["laws", "retraction", "--depth", "1"],
+    ["ellsberg", "--variant", "X", "--big-n", "2", "--alpha", "1e400",
+     "--u1", "0.5", "--layer", "2"],
+    ["ellsberg", "--variant", "X", "--big-n", "2", "--alpha", "1e400",
+     "--u1", "0.5", "--layer", "2", "--backend", "float"],
+    ["ellsberg", "--variant", "X", "--big-n", "2", "--alpha", "1e300",
+     "--u1", "0.5", "--layer", "2", "--backend", "float"],
+    ["counterexample", "monad", "--beta", "1e400"],
+    ["counterexample", "monad", "--beta", "1e400", "--backend", "float"],
+    ["counterexample", "monad", "--beta", "1000", "--backend", "float"],
 ])
 def test_bad_input_exits_one_with_one_line(args, capsys):
     assert main(args) == 1
@@ -250,6 +259,11 @@ def _one_error_line(capsys) -> str:
      "the values of capacity 'u' must be a JSON object"),
     ({"points": ["a"], "acts": ["1"]}, "'acts' must be a JSON object"),
     ({"points": ["a"], "acts": {"f": "1"}}, "act 'f' must be a list of values"),
+    ({"points": ["a", "b"], "acts": {"f": [True, False]}},
+     "expected a number, got True"),
+    ({"points": ["a", "b"], "capacities": {"u": {
+        "mode": "singletons-additive", "values": {"a": "1/2", "b": "1/2", "Q": "7"}}}},
+     "singleton values for labels that are not points: 'Q'"),
 ])
 def test_malformed_space_file_exits_one(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -269,6 +283,15 @@ def test_missing_name_lists_the_file_names(space_path, capacity, act, message,
                                            capsys):
     assert main(["choquet", space_path, capacity, act]) == 1
     assert _one_error_line(capsys) == f"error: {message}"
+
+
+def test_json_numbers_parse_exactly():
+    loaded = load_space_file({
+        "points": ["a", "b"],
+        "capacities": {"u": {"mode": "singletons-additive",
+                             "values": {"a": 0.1, "b": "9/10"}}},
+        "acts": {"f": [1, 0]}})
+    assert choquet_integral(loaded.capacities["u"], loaded.acts["f"]) == Fraction(1, 10)
 
 
 def test_dense_point_cap_acts_before_parsing():
