@@ -168,7 +168,7 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base.
     """
     _require_same_space(v.space, us.capacity_space)
-    if v.is_additive and all(cap.is_additive for _, cap in us.capacities):
+    if v.is_additive and us.is_additive:
         masses = [0] * len(us.base)
         for weight, (_, cap) in zip(v.singleton_masses(), us.capacities):
             if weight:

@@ -135,19 +135,32 @@ def cmd_ellsberg(args) -> int:
     return EXIT_OK
 
 
+#: defaults of the law-suite flags other than --seed and --out
+LAW_FLAG_DEFAULTS = {"trials": 500, "grid": 2, "depth": 3, "space_size": 2}
+#: which of those flags each suite reads; giving it any other is an input error
+SUITE_FLAGS = {
+    "choquet": ("trials",),
+    "dirac": ("trials",),
+    "monad": ("trials", "grid", "space_size", "depth"),
+    "substitution": ("trials",),
+    "retraction": ("grid", "space_size", "depth"),
+    "ug-map": (),
+    "unc-maps": ("trials",),
+}
+
+
 def cmd_laws(args) -> int:
+    reads = SUITE_FLAGS[args.suite]
+    given = {flag: getattr(args, flag) for flag in LAW_FLAG_DEFAULTS
+             if getattr(args, flag) is not None}
+    unread = [f"--{flag.replace('_', '-')}" for flag in given if flag not in reads]
+    if unread:
+        raise ValueError(f"the {args.suite} suite does not read {', '.join(unread)}")
+    flags = {**LAW_FLAG_DEFAULTS, **given}
     config = RunConfig(command=f"laws {args.suite}", seed=args.seed,
-                       trials=args.trials, out=args.out)
-    runner = laws.SUITES[args.suite]
-    kwargs = {"seed": args.seed}
-    if args.suite in ("choquet", "dirac", "substitution", "unc-maps"):
-        kwargs["trials"] = args.trials
-    if args.suite == "monad":
-        kwargs.update(trials=args.trials, grid=args.grid,
-                      space_size=args.space_size, depth=args.depth)
-    if args.suite == "retraction":
-        kwargs.update(grid=args.grid, space_size=args.space_size, depth=args.depth)
-    report = runner(**kwargs)
+                       trials=flags["trials"], out=args.out)
+    report = laws.SUITES[args.suite](
+        seed=args.seed, **{flag: flags[flag] for flag in reads})
     payload = {"config": asdict(config), **report.to_dict()}
     _emit(_to_json(payload), args.out)
     return EXIT_OK if report.passed else EXIT_LAW
@@ -237,11 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laws", help="run a seeded law suite")
     p.add_argument("suite", choices=sorted(laws.SUITES))
-    p.add_argument("--grid", type=int, default=2)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--space-size", dest="space_size", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=500)
+    for flag in LAW_FLAG_DEFAULTS:  # None marks a flag left out
+        p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_laws)
 

@@ -208,13 +208,6 @@ class Subset:
         if not 0 <= self.mask <= self.space.full_mask:
             raise SpaceMismatchError(f"mask {self.mask:#x} has bits beyond the space")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.space.labels(self.mask)
-
-    def __contains__(self, label: str) -> bool:
-        return bool(self.mask >> self.space.index(label) & 1)
-
 
 def _require_same_space(a: FiniteSpace, b: FiniteSpace) -> None:
     if a.points != b.points:
@@ -388,17 +381,6 @@ class Capacity:
             return self._masses
         return tuple(self._table[1 << i] for i in range(len(self.space)))
 
-    def signature(self):
-        """Hashable identity of the underlying set function.
-
-        Additive capacities canonicalize to their singleton masses, so the
-        dense and mass-vector representations of the same set function
-        collide as intended.
-        """
-        if self.is_additive:
-            return ("additive", self.singleton_masses())
-        return ("table", self._table)
-
     def equals(self, other: "Capacity", tol: float = TABLE_TOL) -> bool:
         """Pointwise table equality (exact pairs compare exactly, floats by tol)."""
         if self.space.points != other.space.points:
@@ -413,7 +395,8 @@ class Capacity:
         return isinstance(other, Capacity) and self.equals(other, tol=0.0)
 
     def __hash__(self):
-        return hash((self.space.points, self.signature()))
+        # equal set functions share singleton values in either form: no table scan
+        return hash((self.space.points, self.singleton_masses()))
 
     def __repr__(self):
         kind = "additive" if self._masses is not None else "table"

@@ -27,17 +27,8 @@ class QuadratureError(ArithmeticError):
 
 
 class _Terminal:
-    """Marker for the one-point absorbing tail of a sequence."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Terminal"
+    """Marker for the one-point absorbing tail of a sequence; its one
+    instance, TERMINAL, is compared by identity."""
 
 
 TERMINAL = _Terminal()

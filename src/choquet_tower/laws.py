@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
                        is_unc_map, monad_counterexample, mu,
@@ -151,17 +151,22 @@ def rand_comonotonic_pair(rng: random.Random, space: FiniteSpace) -> tuple[Act, 
     return f, g
 
 
+def distinct_space(space: FiniteSpace, capacities: Iterable[Capacity],
+                   prefix: str) -> UncertaintySpace:
+    """The distinct capacities, first copies in order, named `prefix` + counter."""
+    return UncertaintySpace(space, tuple(
+        (f"{prefix}{i}", cap) for i, cap in enumerate(dict.fromkeys(capacities))))
+
+
 def rand_uncertainty_space(rng: random.Random, space: FiniteSpace,
                            max_caps: int = 3) -> UncertaintySpace:
-    caps = {}
+    caps: dict = {}
     want = rng.randint(1, max_caps)
     tries = 0
     while len(caps) < want and tries < 30:
-        cap = rand_capacity(rng, space)
-        caps.setdefault(cap.signature(), cap)
+        caps.setdefault(rand_capacity(rng, space))
         tries += 1
-    return UncertaintySpace(space, tuple(
-        (f"w{i}", cap) for i, cap in enumerate(caps.values())))
+    return distinct_space(space, caps, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +478,8 @@ def run_unc_maps_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
         codomain = rand_space(rng, 3)
         source = rand_uncertainty_space(rng, domain)
         h = rand_point_map(rng, domain, codomain)
-        pushed = {}
-        for name, cap in source.capacities:
-            image = pushforward(cap, h)
-            pushed.setdefault(image.signature(), image)
-        target = UncertaintySpace(codomain, tuple(
-            (f"v{i}", cap) for i, cap in enumerate(pushed.values())))
+        target = distinct_space(codomain, (pushforward(cap, h)
+                                           for _, cap in source.capacities), "v")
         if not is_mp_unc_map(h, source, target):
             return "pushforward-built map not measure preserving"
         if not is_unc_map(h, source, target):
@@ -492,14 +493,8 @@ def run_unc_maps_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
         src = rand_uncertainty_space(rng, a)
         f = rand_point_map(rng, a, b)
         g = rand_point_map(rng, b, c)
-        mid_caps = {cap.signature(): cap
-                    for cap in (pushforward(cap, f) for _, cap in src.capacities)}
-        mid = UncertaintySpace(b, tuple(
-            (f"v{i}", cap) for i, cap in enumerate(mid_caps.values())))
-        end_caps = {cap.signature(): cap
-                    for cap in (pushforward(cap, g) for _, cap in mid.capacities)}
-        end = UncertaintySpace(c, tuple(
-            (f"z{i}", cap) for i, cap in enumerate(end_caps.values())))
+        mid = distinct_space(b, (pushforward(cap, f) for _, cap in src.capacities), "v")
+        end = distinct_space(c, (pushforward(cap, g) for _, cap in mid.capacities), "z")
         if not is_mp_unc_map(f.then(g), src, end):
             return "composition of measure preserving maps failed"
         if not is_unc_map(f.then(g), src, end):

@@ -47,10 +47,9 @@ class GridTower:
     levels: tuple[TowerLevel, ...]
 
     def __post_init__(self):
-        # capacities hash by their set-function signature and compare exactly
-        object.__setattr__(self, "_names", tuple(
-            {cap: name for name, cap in level.capacities or ()}
-            for level in self.levels))
+        object.__setattr__(self, "_views", tuple(
+            UncertaintySpace(below.space, above.capacities)
+            for below, above in zip(self.levels, self.levels[1:])))
 
     @property
     def depth(self) -> int:
@@ -60,19 +59,17 @@ class GridTower:
         return self.levels[level].space
 
     def capacity_at(self, level: int, name: str) -> Capacity:
-        for cap_name, cap in self.levels[level].capacities:
-            if cap_name == name:
-                return cap
-        raise KeyError(name)
+        return self.view(level - 1).capacity(name)
 
     def view(self, level: int) -> UncertaintySpace:
         """Level `level` as an uncertainty space carrying level+1's points."""
-        return UncertaintySpace(self.levels[level].space,
-                                self.levels[level + 1].capacities)
+        if level < 0:
+            raise IndexError(f"tower levels start at 0, got {level}")
+        return self._views[level]
 
     def find_name(self, level: int, cap: Capacity) -> Optional[str]:
         """Grid name of an exact table match at the given level, if any."""
-        return self._names[level].get(cap)
+        return self.view(level - 1).name_of(cap)
 
 
 def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:

@@ -8,11 +8,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
                    Number, Subset, _require_same_space)
+
+
+def _name_index(capacities: Sequence[tuple[str, Capacity]]
+                ) -> tuple[dict, Optional[tuple[str, str]]]:
+    """Each capacity's name by value, and the first pair of names sharing one."""
+    index: dict = {}
+    for name, cap in capacities:
+        if cap in index:
+            return index, (index[cap], name)
+        index[cap] = name
+    return index, None
 
 
 def check_separated(capacities: Union["UncertaintySpace",
@@ -26,13 +38,8 @@ def check_separated(capacities: Union["UncertaintySpace",
     """
     if isinstance(capacities, UncertaintySpace):
         capacities = capacities.capacities
-    seen: dict = {}
-    for name, cap in capacities:
-        sig = cap.signature()
-        if sig in seen:
-            return False, (seen[sig], name)
-        seen[sig] = name
-    return True, None
+    pair = _name_index(capacities)[1]
+    return pair is None, pair
 
 
 @dataclass(frozen=True)
@@ -50,12 +57,13 @@ class UncertaintySpace:
             raise DuplicateLabelError("capacity names must be unique")
         for name, cap in self.capacities:
             _require_same_space(cap.space, self.base)
-        ok, pair = check_separated(self.capacities)
-        if not ok:
+        index, pair = _name_index(self.capacities)
+        if pair is not None:
             raise DuplicateLabelError(
                 f"capacities {pair[0]!r} and {pair[1]!r} have identical tables")
         object.__setattr__(self, "_capacity_space", FiniteSpace(tuple(names)))
         object.__setattr__(self, "_by_name", dict(self.capacities))
+        object.__setattr__(self, "_name_of", index)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -68,6 +76,15 @@ class UncertaintySpace:
 
     def capacity(self, name: str) -> Capacity:
         return self._by_name[name]
+
+    def name_of(self, cap: Capacity) -> Optional[str]:
+        """The name of the capacity equal to `cap` as a set function, if any."""
+        return self._name_of.get(cap)
+
+    @cached_property
+    def is_additive(self) -> bool:
+        """True when every capacity is additive; decided on first use only."""
+        return all(cap.is_additive for _, cap in self.capacities)
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:

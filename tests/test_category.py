@@ -78,7 +78,7 @@ class TestUncMaps:
             images = {}
             for _, cap in source.capacities:
                 pushed = pushforward(cap, h)
-                images.setdefault(pushed.signature(), pushed)
+                images.setdefault(pushed, pushed)
             target = UncertaintySpace(cod, tuple(
                 (f"v{i}", cap) for i, cap in enumerate(images.values())))
             assert is_mp_unc_map(h, source, target).verdict
@@ -199,10 +199,9 @@ class TestMu:
             names = []
             for name, cap in source.capacities:
                 pushed = pushforward(cap, h)
-                key = pushed.signature()
-                if key not in images:
-                    images[key] = (f"v{len(images)}", pushed)
-                names.append((name, images[key][0]))
+                if pushed not in images:
+                    images[pushed] = (f"v{len(images)}", pushed)
+                names.append((name, images[pushed][0]))
             target = UncertaintySpace(cod, tuple(images.values()))
             sh = PointMap(source.capacity_space, target.capacity_space,
                           dict(names))
@@ -221,10 +220,9 @@ class TestMu:
         names = []
         for name, cap in source.capacities:
             pushed = pushforward(cap, h)
-            key = pushed.signature()
-            if key not in images:
-                images[key] = (f"v{len(images)}", pushed)
-            names.append((name, images[key][0]))
+            if pushed not in images:
+                images[pushed] = (f"v{len(images)}", pushed)
+            names.append((name, images[pushed][0]))
         target = UncertaintySpace(cod, tuple(images.values()))
         sh = PointMap(source.capacity_space, target.capacity_space, dict(names))
         for mask in cod.all_masks():
@@ -374,7 +372,7 @@ def additive_averaging(draw):
     caps = {}
     for weights in draw(st.lists(mass_lists, min_size=1, max_size=6)):
         cap = additive_capacity(space, [Fraction(w, sum(weights)) for w in weights])
-        caps.setdefault(cap.signature(), cap)
+        caps.setdefault(cap, cap)
     us = UncertaintySpace(space, tuple(
         (f"c{j}", cap) for j, cap in enumerate(caps.values())))
     v_weights = draw(st.lists(st.integers(min_value=0, max_value=6),
@@ -394,4 +392,4 @@ def test_mass_path_mu_matches_dense_definition(data):
         mask: choquet_sum(v.value, epsilon(us, mask))
         for mask in us.base.all_masks()})
     assert averaged.equals(dense, tol=0.0)
-    assert averaged.signature() == dense.signature()
+    assert averaged == dense and hash(averaged) == hash(dense)

@@ -189,6 +189,35 @@ def test_unread_flag_is_usage_error(args, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,unread", [
+    (["laws", "ug-map", "--trials", "3", "--grid", "9", "--depth", "0",
+      "--space-size", "0"], "--trials, --grid, --depth, --space-size"),
+    (["laws", "retraction", "--trials", "0"], "--trials"),
+    (["laws", "choquet", "--grid", "2"], "--grid"),
+    (["laws", "unc-maps", "--depth", "3"], "--depth"),
+    (["laws", "substitution", "--space-size", "2"], "--space-size"),
+])
+def test_laws_flag_the_suite_does_not_read_exits_one(args, unread, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: the {args[1]} suite does not read {unread}"]
+
+
+@pytest.mark.parametrize("args", [
+    ["laws", "monad", "--trials", "500", "--grid", "2", "--space-size", "2",
+     "--depth", "3"],
+    ["laws", "retraction", "--grid", "2", "--space-size", "2", "--depth", "3"],
+    ["laws", "dirac", "--trials", "500"],
+])
+def test_laws_read_flags_at_their_defaults_change_nothing(args, capsys):
+    assert main(args) == 0
+    explicit = capsys.readouterr().out
+    assert main(args[:2]) == 0
+    assert capsys.readouterr().out == explicit
+
+
 @pytest.mark.parametrize("args", [
     ["laws", "monad", "--grid", "3", "--space-size", "3"],
     ["laws", "monad", "--depth", "9"],

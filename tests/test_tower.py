@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from choquet_tower.category import dirac, mu
-from choquet_tower.core import FiniteSpace, validate_capacity
-from choquet_tower.laws import rand_additive
+from choquet_tower.core import Capacity, FiniteSpace, validate_capacity
+from choquet_tower.laws import rand_additive, rand_capacity
 from choquet_tower.tower import (ProjectiveVector, TowerSizeError,
                                  build_tower, iota, projective_consistency)
 import random
@@ -56,6 +56,60 @@ class TestBuildTower:
             assert averaged._masses is not None
             assert averaged.equals(cap, tol=0.0)
             assert big.find_name(3, averaged) == name
+
+
+def _linear_name(tower, level, cap):
+    """The find_name oracle: the first grid capacity equal to cap, by scan."""
+    return next((name for name, grid_cap in tower.levels[level].capacities
+                 if grid_cap == cap), None)
+
+
+def _candidates(rng, tower, level, grid_caps):
+    # grid points in both forms, then mixtures and draws that may leave the grid
+    space = tower.space_at(level - 1)
+    for cap in grid_caps:
+        yield cap
+        if len(space) <= 8:
+            yield validate_capacity(space, {m: cap.value(m) for m in space.all_masks()})
+    for _ in range(len(grid_caps)):
+        a, b = rng.choice(grid_caps), rng.choice(grid_caps)
+        yield Capacity(space, masses=tuple((x + y) / 2 for x, y in
+                                           zip(a.singleton_masses(), b.singleton_masses())))
+        yield rand_additive(rng, space)
+    if len(space) <= 8:
+        yield rand_capacity(rng, space)
+
+
+class TestViews:
+    def test_views_are_built_once(self, tower):
+        for k in range(tower.depth):
+            assert tower.view(k) is tower.view(k)
+            assert tower.view(k).capacities is tower.levels[k + 1].capacities
+        with pytest.raises(IndexError):
+            tower.view(tower.depth)
+        with pytest.raises(IndexError):
+            tower.view(-1)
+
+    def test_find_name_matches_a_linear_scan(self, tower):
+        rng = random.Random(3)
+        for level in range(1, tower.depth + 1):
+            grid_caps = [cap for _, cap in tower.levels[level].capacities]
+            hits = misses = 0
+            for cap in _candidates(rng, tower, level, grid_caps):
+                expected = _linear_name(tower, level, cap)
+                assert tower.find_name(level, cap) == expected
+                hits += expected is not None
+                misses += expected is None
+            assert hits >= len(grid_caps) and misses > 0
+            for name, cap in tower.levels[level].capacities:
+                assert tower.capacity_at(level, name) is cap
+
+    def test_find_name_on_a_sample_of_the_large_level(self):
+        big = build_tower(FiniteSpace(("a", "b")), 3, 3)
+        rng = random.Random(8)
+        sample = [cap for _, cap in rng.sample(big.levels[3].capacities, 25)]
+        for cap in _candidates(rng, big, 3, sample):
+            assert big.find_name(3, cap) == _linear_name(big, 3, cap)
 
 
 class TestIota:
