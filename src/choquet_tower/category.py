@@ -49,14 +49,14 @@ def is_unc_map(h: PointMap, source: UncertaintySpace,
     _require_same_space(h.domain, source.base)
     _require_same_space(h.codomain, target.base)
     dominating: dict[str, str] = {}
+    preimages = h.preimage_masks()
     for u_name, u in source.capacities:
         blockers = []
         chosen = None
         for v_name, v in target.capacities:
             bad = None
-            for mask in target.base.all_masks():
-                if (values_close(v.value(mask), 0, TABLE_TOL) and not
-                        values_close(u.value(h.preimage_mask(mask)), 0, TABLE_TOL)):
+            for mask, pre in enumerate(preimages):
+                if v.is_null(mask) and not u.is_null(pre):
                     bad = mask
                     break
             if bad is None:
@@ -90,7 +90,9 @@ def dirac(space: FiniteSpace, point: str) -> Capacity:
     i = space.index(point)
     zero = Fraction(0)
     masses = (zero,) * i + (Fraction(1),) + (zero,) * (len(space) - i - 1)
-    return Capacity(space, masses=masses)
+    nums = [0] * len(space)
+    nums[i] = 1
+    return Capacity(space, masses=masses, exact=(nums, 1))
 
 
 def embedding_condition(us: UncertaintySpace) -> bool:
@@ -132,21 +134,18 @@ def emb_dirac_conditions(source: UncertaintySpace,
             for mask in source.base.all_masks():
                 zero = one = 0
                 for j, (_, w) in enumerate(caps):
-                    val = w.value(mask)
-                    if values_close(val, 0, TABLE_TOL):
+                    if w.is_null(mask):
                         zero |= 1 << j
-                    elif values_close(val, 1, TABLE_TOL):
+                    elif values_close(w.value(mask), 1, TABLE_TOL):
                         one |= 1 << j
-                if values_close(v.value(zero | one), 0, TABLE_TOL):
+                if v.is_null(zero | one):
                     reason = (1, mask)
                     break
                 comp = source.base.full_mask ^ mask
-                if (not values_close(u.value(comp), 0, TABLE_TOL)
-                        and values_close(v.value(zero), 0, TABLE_TOL)):
+                if not u.is_null(comp) and v.is_null(zero):
                     reason = (2, mask)
                     break
-                if (not values_close(u.value(mask), 0, TABLE_TOL)
-                        and values_close(v.value(one), 0, TABLE_TOL)):
+                if not u.is_null(mask) and v.is_null(one):
                     reason = (3, mask)
                     break
             if reason is None:
@@ -165,15 +164,27 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     v lives on the capacity list; the result's value on A is the Choquet
     integral of the evaluation act of A under v.  Additive v over additive
     capacities yields an additive result, computed in mass space as
-    w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base.
+    w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base, on
+    integer numerators when the weights and ``us.mass_rows`` have them.
     """
     _require_same_space(v.space, us.capacity_space)
     if v.is_additive and us.is_additive:
-        masses = [0] * len(us.base)
-        for weight, (_, cap) in zip(v.singleton_masses(), us.capacities):
-            if weight:
-                for i, m in enumerate(cap.singleton_masses()):
-                    masses[i] += weight * m
+        exact = us.mass_rows and v.exact_form
+        if exact:
+            (nums, den), (rows, row_den) = exact, us.mass_rows
+            if v._masses is None:
+                nums = [nums[1 << j] for j in range(len(v.space))]
+            sums = [0] * len(us.base)
+            for weight, row in zip(nums, rows):
+                if weight:
+                    sums = [s + weight * m for s, m in zip(sums, row)]
+            masses = [Fraction(s, den * row_den) for s in sums]
+        else:
+            masses = [0] * len(us.base)
+            for weight, (_, cap) in zip(v.singleton_masses(), us.capacities):
+                if weight:
+                    for i, m in enumerate(cap.singleton_masses()):
+                        masses[i] += weight * m
         return additive_capacity(us.base, masses)
     table = {mask: choquet_integral(v, epsilon(us, mask))
              for mask in us.base.all_masks()}

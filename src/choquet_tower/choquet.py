@@ -9,6 +9,8 @@ brute-force oracle in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .core import Act, Capacity, FiniteSpace, Number, _require_same_space
@@ -91,13 +93,34 @@ def choquet_integral(u: Capacity, f: Act) -> Number:
     """The Choquet integral of an act against a capacity.
 
     Reduces to the u-weighted sum of values when u is additive, and to
-    u(A) on the indicator act of A.  One walk down the act's chain: a dense
-    table is looked up at each cumulative level set, while a mass vector
-    keeps a running cumulative mass, so additive capacities of any size
-    integrate in time linear in the number of points.
+    u(A) on the indicator act of A.  When both have an exact form (integer
+    numerators over one denominator each) the sum runs on integers and one
+    Fraction is built at the end: a dense table is looked up at each
+    cumulative level set of the act's chain, while a mass vector, whose
+    telescoping sum is the mass-weighted sum of the act's values, takes
+    one dot product.  Otherwise (floats, or too coprime denominators) one
+    walk down the act's chain does the same in the values themselves,
+    keeping a running cumulative mass for a mass vector, so additive
+    capacities of any size integrate in time linear in the number of points.
     """
     _require_same_space(u.space, f.space)
     table, masses = u._table, u._masses
+    cap_form, act_form = u.exact_form, f.exact_form
+    if cap_form is not None and act_form is not None:
+        nums, cap_den = cap_form
+        cums, steps, act_den, int_steps = f.exact_chain
+        if masses is None:
+            total = sum(map(mul, steps, map(nums.__getitem__, cums)))
+            levels = map(table.__getitem__, cums)
+        else:
+            total = sum(map(mul, act_form[0], nums))
+            top = cums[-1] if cums else 0
+            levels = (m for i, m in enumerate(masses) if top >> i & 1)
+        value = Fraction(total, act_den * cap_den)
+        # the walk below returns an int when every term is a product of ints
+        if int_steps and all(type(level) is int for level in levels):
+            return value.numerator
+        return value
     total = 0
     level = 0
     cum = 0

@@ -5,6 +5,10 @@ all law checking) or 64-bit floats (distortions with non-integer exponents,
 exp/log utilities, quadrature).  Mixed arithmetic silently promotes to
 float, which is the intended behaviour.  Whether a comparison is exact or
 within a tolerance is decided here, by ``tolerance``, and nowhere else.
+
+Exact capacities and acts also keep their values in one exact form, built
+once by ``_exact_form``: integer numerators over one common denominator,
+which compare, add and multiply at integer speed.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, gt
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Number = Union[int, Fraction, float]
 
@@ -210,6 +214,8 @@ class Subset:
 
 
 def _require_same_space(a: FiniteSpace, b: FiniteSpace) -> None:
+    if a is b:
+        return
     if a.points != b.points:
         raise SpaceMismatchError(f"space mismatch: {a.points} vs {b.points}")
 
@@ -250,6 +256,43 @@ class Act:
         for i, v in enumerate(self.values):
             by_value[v] = by_value.get(v, 0) | 1 << i
         return tuple((by_value[v], v) for v in sorted(by_value, reverse=True))
+
+    @cached_property
+    def exact_form(self) -> Optional[tuple[list[int], int]]:
+        """The values as integer numerators over one denominator, or None
+        (see ``_exact_form``); computed once per act."""
+        return _exact_form(self.values)
+
+    @cached_property
+    def exact_chain(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int, bool]]:
+        """The descending chain in the exact form, or None without one.
+
+        Returns the cumulative level-set masks, the integer step down from
+        each level's numerator to the next one's (to 0 after the last; a
+        zero step is left out), the denominator, and whether every step is
+        a difference of ints in ``chain_blocks`` (whose block values are
+        each block's first value).
+        """
+        if self.exact_form is None:
+            return None
+        nums, den = self.exact_form
+        blocks: dict = {}
+        for i, v in enumerate(nums):
+            block = blocks.setdefault(v, [0, i])
+            block[0] |= 1 << i
+        levels = sorted(blocks, reverse=True)
+        whole = [type(self.values[blocks[v][1]]) is int for v in levels] + [True]
+        cums, steps = [], []
+        cum = 0
+        ints = True
+        for k, value in enumerate(levels):
+            cum |= blocks[value][0]
+            nxt = levels[k + 1] if k + 1 < len(levels) else 0
+            if value != nxt:
+                cums.append(cum)
+                steps.append(value - nxt)
+                ints = ints and whole[k] and whole[k + 1]
+        return tuple(cums), tuple(steps), den, ints
 
     @property
     def sup_norm(self) -> Number:
@@ -311,6 +354,17 @@ class PointMap:
                 m |= 1 << i
         return m
 
+    def preimage_masks(self) -> list[int]:
+        """The preimage of every codomain mask, in mask order."""
+        check_dense_size(self.codomain)
+        of_point = [0] * len(self.codomain)
+        for i, p in enumerate(self.domain.points):
+            of_point[self.codomain.index(self.mapping[p])] |= 1 << i
+        masks = [0]
+        for m in of_point:
+            masks += [q | m for q in masks]
+        return masks
+
     def then(self, after: "PointMap") -> "PointMap":
         """Composition: first self, then `after`."""
         _require_same_space(self.codomain, after.domain)
@@ -328,27 +382,49 @@ def precompose_act(f: Act, h: PointMap) -> Act:
     return Act(h.domain, tuple(f.at(h.mapping[p]) for p in h.domain.points))
 
 
+#: marks an exact form not yet derived
+_PENDING = object()
+
+
 class Capacity:
     """A monotone set function with value 0 on the empty set and 1 on the full set.
 
     Two internal representations share one interface: a dense table over the
     whole powerset (arbitrary monotone set functions, spaces up to 20 points)
     and a singleton-mass vector (additive capacities, any space size).
+    Either form of an exact capacity also has an exact form (see
+    ``exact_form``): a caller that already holds it, such as a checked
+    constructor, hands it over as ``exact`` (None for values without one),
+    and any other capacity derives it on first use.
     """
 
-    __slots__ = ("space", "_table", "_masses", "_additive")
+    __slots__ = ("space", "_table", "_masses", "_additive", "_exact", "_hash")
 
     def __init__(self, space: FiniteSpace, *, table: tuple = None,
-                 masses: tuple = None):
+                 masses: tuple = None, exact=_PENDING):
         if (table is None) == (masses is None):
             raise ValueError("exactly one of table/masses must be given")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_masses", masses)
         object.__setattr__(self, "_additive", True if masses is not None else None)
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Capacity is immutable")
+
+    @property
+    def exact_form(self) -> Optional[tuple[list[int], int]]:
+        """The table or masses as integer numerators over one denominator.
+
+        None for a capacity holding a float, or one whose denominators are
+        too coprime to share one (see ``_exact_form``).
+        """
+        if self._exact is _PENDING:
+            values = self._table if self._masses is None else self._masses
+            object.__setattr__(self, "_exact", _exact_form(values))
+        return self._exact
 
     @property
     def is_additive(self) -> bool:
@@ -358,8 +434,8 @@ class Capacity:
         without anyone asking.
         """
         if self._additive is None:
-            object.__setattr__(self, "_additive",
-                               _table_is_additive(*_table_keys(self._table)))
+            keys, tol = _keys(self._table, self.exact_form)
+            object.__setattr__(self, "_additive", _table_is_additive(keys, tol))
         return self._additive
 
     def value(self, mask: int) -> Number:
@@ -376,15 +452,48 @@ class Capacity:
     def __call__(self, subset: Union[Subset, int]) -> Number:
         return self.value(_mask_of(self.space, subset))
 
+    def is_null(self, mask: int) -> bool:
+        """Whether the value on a subset is 0 (within TABLE_TOL for floats)."""
+        form = self.exact_form
+        if form is None:
+            return values_close(self.value(mask), 0, TABLE_TOL)
+        if self._masses is None:
+            return form[0][mask] == 0
+        return not sum(n for i, n in enumerate(form[0]) if mask >> i & 1)
+
     def singleton_masses(self) -> tuple[Number, ...]:
         if self._masses is not None:
             return self._masses
         return tuple(self._table[1 << i] for i in range(len(self.space)))
 
+    def _dense_exact(self) -> tuple[list[int], int]:
+        # the exact form as a table: a mass vector's subset sums
+        nums, den = self.exact_form
+        if self._masses is None:
+            return nums, den
+        sums = [0]
+        for n in nums:
+            sums += [s + n for s in sums]
+        return sums, den
+
     def equals(self, other: "Capacity", tol: float = TABLE_TOL) -> bool:
-        """Pointwise table equality (exact pairs compare exactly, floats by tol)."""
+        """Pointwise table equality (exact pairs compare exactly, floats by tol).
+
+        Two exact forms compare as integer lists, cross-multiplied when
+        their denominators differ; a table and a mass vector compare on the
+        mass vector's subset sums.
+        """
         if self.space.points != other.space.points:
             return False
+        mine, theirs = self.exact_form, other.exact_form
+        if mine is not None and theirs is not None:
+            if (self._masses is None) == (other._masses is None):
+                (a, da), (b, db) = mine, theirs
+            else:
+                (a, da), (b, db) = self._dense_exact(), other._dense_exact()
+            if da == db:
+                return a == b
+            return [x * db for x in a] == [y * da for y in b]
         if self._masses is not None and other._masses is not None:
             return all(values_close(a, b, tol)
                        for a, b in zip(self._masses, other._masses))
@@ -395,8 +504,12 @@ class Capacity:
         return isinstance(other, Capacity) and self.equals(other, tol=0.0)
 
     def __hash__(self):
-        # equal set functions share singleton values in either form: no table scan
-        return hash((self.space.points, self.singleton_masses()))
+        # equal set functions share singleton values in either form: no table
+        # scan; computed once
+        if self._hash is None:
+            object.__setattr__(self, "_hash",
+                               hash((self.space.points, self.singleton_masses())))
+        return self._hash
 
     def __repr__(self):
         kind = "additive" if self._masses is not None else "table"
@@ -405,28 +518,41 @@ class Capacity:
         return f"Capacity({kind}, {len(self.space)} points, {backend})"
 
 
-def _table_keys(table: Sequence[Number]) -> tuple[list, float]:
-    """Comparison keys for a dense table and the tolerance they compare within.
+def _exact_form(values: Sequence[Number]) -> Optional[tuple[list[int], int]]:
+    """Exact values as integer numerators over one common denominator.
 
-    An exact table becomes integer numerators over one common denominator;
-    they compare and add exactly like the Fractions they stand for, at
-    integer speed.  A table holding a float keeps its values and compares
-    within TABLE_TOL.  So does an exact table whose common denominator would
-    be far longer than its longest own denominator (many coprime ones),
-    because then every key would be long; its Fractions are the keys.
+    The denominator is the least common multiple of the values' own, so the
+    numerators compare, add and multiply exactly like the values they stand
+    for, at integer speed.  None for values holding a float, and for exact
+    values whose common denominator would be far longer than their longest
+    own one (many coprime ones), because then every numerator would be long.
     """
-    tol = tolerance(table)
-    if tol:
-        return list(table), tol
-    dens = {v.denominator for v in table}
+    # the type scan runs in C; only another type needs the full check
+    if (not set(map(type, values)) <= {int, Fraction}
+            and not all(map(is_exact, values))):
+        return None
+    dens = {v.denominator for v in values}
     limit = 2 * max(dens).bit_length() + 64
     common = 1
     for d in dens:
         common = math.lcm(common, d)
         if common.bit_length() > limit:
-            return list(table), 0
+            return None
     scale = {d: common // d for d in dens}
-    return [v.numerator * scale[v.denominator] for v in table], 0
+    return [v.numerator * scale[v.denominator] for v in values], common
+
+
+def _keys(values: Sequence[Number], form) -> tuple[list, float]:
+    """Comparison keys for values whose exact form is ``form``, and the
+    tolerance they compare within.
+
+    Values with an exact form compare on its numerators.  The others keep
+    their values: exact ones with too coprime denominators compare exactly,
+    and those holding a float within TABLE_TOL.
+    """
+    if form is not None:
+        return form[0], 0
+    return list(values), tolerance(values)
 
 
 def _table_is_additive(keys: list, tol: float) -> bool:
@@ -494,21 +620,25 @@ def validate_capacity(space: FiniteSpace, table: Mapping) -> Capacity:
 
     The table must cover every subset; keys are Subset objects or bitmask
     ints.  Additive capacities given by their masses go through
-    ``additive_capacity`` instead.  Exact tables are checked on integer
-    numerators over one common denominator.
+    ``additive_capacity`` instead.  An exact table is checked on its exact
+    form, which the capacity keeps.
     """
     check_dense_size(space)
-    dense: list = [None] * (1 << len(space))
+    full = space.full_mask
+    dense: list = [None] * (full + 1)
     for key, val in table.items():
-        dense[_mask_of(space, key)] = val
+        # an int key in range is a mask already; any other key is checked
+        dense[key if type(key) is int and 0 <= key <= full
+              else _mask_of(space, key)] = val
     if any(v is None for v in dense):
         raise SpaceMismatchError("table does not cover every subset")
-    keys, tol = _table_keys(dense)
+    form = _exact_form(dense)
+    keys, tol = _keys(dense, form)
     if not (_close(dense[0], 0, tol) and _close(dense[-1], 1, tol)):
         raise NormalizationError(
             f"need table(empty)=0 and table(full)=1, got {dense[0]} and {dense[-1]}")
     _check_monotone(space, dense, keys, tol)
-    return Capacity(space, table=tuple(dense))
+    return Capacity(space, table=tuple(dense), exact=form)
 
 
 def additive_capacity(space: FiniteSpace,
@@ -516,7 +646,8 @@ def additive_capacity(space: FiniteSpace,
     """Check and build an additive capacity from its singleton masses.
 
     Masses come as a mapping by point label or as a sequence in point
-    order; none may be negative and they must sum to 1.
+    order; none may be negative and they must sum to 1.  Exact masses are
+    checked on their exact form, which the capacity keeps.
     """
     if isinstance(masses, Mapping):
         for p in space.points:
@@ -530,15 +661,15 @@ def additive_capacity(space: FiniteSpace,
     elif len(masses) != len(space):
         raise SpaceMismatchError("one mass per point required")
     masses = tuple(masses)
-    tol = tolerance(masses)
-    for i, m in enumerate(masses):
+    form = _exact_form(masses)
+    keys, tol = _keys(masses, form)
+    for i, m in enumerate(keys):
         if m < 0 and not _close(m, 0, tol):
             raise MonotonicityError(
-                0, 1 << i, f"negative mass {m} at {space.points[i]!r}")
-    total = sum(masses)
-    if not _close(total, 1, tol):
-        raise NormalizationError(f"singleton masses sum to {total}, not 1")
-    return Capacity(space, masses=masses)
+                0, 1 << i, f"negative mass {masses[i]} at {space.points[i]!r}")
+    if not _close(sum(keys), form[1] if form else 1, tol):
+        raise NormalizationError(f"singleton masses sum to {sum(masses)}, not 1")
+    return Capacity(space, masses=masses, exact=form)
 
 
 def distort(u: Capacity, h: Callable[[Number], Number]) -> Capacity:
@@ -567,9 +698,18 @@ def pushforward(u: Capacity, h: PointMap) -> Capacity:
     _require_same_space(u.space, h.domain)
     target = h.codomain
     if u._masses is not None:
+        images = [target.index(h.mapping[p]) for p in u.space.points]
         out = [0] * len(target)
-        for i, p in enumerate(u.space.points):
-            out[target.index(h.mapping[p])] += u._masses[i]
-        return Capacity(target, masses=tuple(out))
-    table = tuple(u.value(h.preimage_mask(mask)) for mask in target.all_masks())
-    return Capacity(target, table=table)
+        for j, m in zip(images, u._masses):
+            out[j] += m
+        form = u.exact_form
+        if form is None:
+            return Capacity(target, masses=tuple(out))
+        nums = [0] * len(target)
+        for j, n in zip(images, form[0]):
+            nums[j] += n
+        return Capacity(target, masses=tuple(out), exact=(nums, form[1]))
+    pre = h.preimage_masks()
+    form = u.exact_form
+    return Capacity(target, table=tuple(u._table[m] for m in pre),
+                    exact=([form[0][m] for m in pre], form[1]) if form else _PENDING)

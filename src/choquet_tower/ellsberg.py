@@ -102,13 +102,14 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
         p = Fraction(p)
         a, b = p.numerator, p.denominator
         denom = b ** two_n
-        masses = [None] * (two_n + 1)
+        nums = [None] * (two_n + 1)
         coef = power = 1  # C(2N, k) and (b-a)^(2N-k)
         for k in range(two_n, -1, -1):
-            masses[k] = Fraction(coef * a ** k * power, denom)
+            nums[k] = coef * a ** k * power
             coef = coef * k // (two_n - k + 1)
             power *= b - a
-        return Capacity(base, masses=tuple(masses))
+        return Capacity(base, masses=tuple(Fraction(n, denom) for n in nums),
+                        exact=(nums, denom))
 
     return FamilyLevel(base=base, family=member, weight="lebesgue",
                        binomial_n=two_n)
@@ -121,13 +122,16 @@ def build_sequence(variant: str, params: UrnParams) -> USequence:
     two_n = 2 * params.big_n
     names = urn.capacity_space
     if variant == "X":
-        weights = Capacity(names, masses=(Fraction(1, two_n + 1),) * (two_n + 1))
+        weights = Capacity(names, masses=(Fraction(1, two_n + 1),) * (two_n + 1),
+                           exact=([1] * (two_n + 1), two_n + 1))
         level1 = UncertaintySpace(names, (("vu", weights),))
         return USequence((urn, level1, TERMINAL))
     if variant == "Y":
         denom = 2 ** two_n
-        masses = tuple(Fraction(math.comb(two_n, k), denom) for k in range(two_n + 1))
-        level1 = UncertaintySpace(names, (("vb", Capacity(names, masses=masses)),))
+        nums = [math.comb(two_n, k) for k in range(two_n + 1)]
+        weights = Capacity(names, masses=tuple(Fraction(n, denom) for n in nums),
+                           exact=(nums, denom))
+        level1 = UncertaintySpace(names, (("vb", weights),))
         return USequence((urn, level1, TERMINAL))
     if variant == "Z":
         return USequence((urn, binomial_family(urn, params.big_n), TERMINAL))

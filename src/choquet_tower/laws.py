@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
@@ -89,21 +90,31 @@ def rand_nonneg_act(rng: random.Random, space: FiniteSpace) -> Act:
     return Act(space, tuple(rand_fraction(rng, 0, 8) for _ in space.points))
 
 
+@cache
+def _sixteenths() -> tuple[Fraction, ...]:
+    return tuple(Fraction(k, 16) for k in range(17))
+
+
 def rand_capacity(rng: random.Random, space: FiniteSpace) -> Capacity:
-    """Random monotone table: raw draws pushed up along set inclusion."""
+    """Random monotone table: raw draws pushed up along set inclusion.
+
+    Values are sixteenths, drawn and pushed up as integer numerators that
+    the capacity keeps as its exact form.
+    """
     n = len(space)
-    table = [Fraction(0)] * (1 << n)
+    nums = [0] * (1 << n)
     for mask in range(1, 1 << n):
-        raw = Fraction(rng.randint(0, 16), 16)
-        best = raw
+        best = rng.randint(0, 16)
         for i in range(n):
             if mask >> i & 1:
-                below = table[mask ^ (1 << i)]
+                below = nums[mask ^ (1 << i)]
                 if below > best:
                     best = below
-        table[mask] = best
-    table[-1] = Fraction(1)
-    return Capacity(space, table=tuple(table))
+        nums[mask] = best
+    nums[-1] = 16
+    sixteenths = _sixteenths()
+    return Capacity(space, table=tuple(sixteenths[k] for k in nums),
+                    exact=(nums, 16))
 
 
 def rand_additive(rng: random.Random, space: FiniteSpace) -> Capacity:
@@ -296,16 +307,15 @@ def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
         return None
 
     level2 = tower.levels[2]
-    averaged = {name: mu(tower.view(0), cap) for name, cap in level2.capacities}
+    averaged = [mu(tower.view(0), cap) for _, cap in level2.capacities]
+    # the evaluation act of each base subset over the averaged level-2 points
+    evaluations = [Act(level2.space, tuple(cap.value(mask) for cap in averaged))
+                   for mask in tower.base.all_masks()]
 
     def associativity(rng):
         w = rand_additive(rng, level2.space)
         left = mu(tower.view(0), mu(tower.view(1), w))
-        table = {}
-        for mask in tower.base.all_masks():
-            act = Act(level2.space, tuple(averaged[name].value(mask)
-                                          for name in level2.space.points))
-            table[mask] = choquet_sum(w.value, act)
+        table = [choquet_sum(w.value, act) for act in evaluations]
         for mask in tower.base.all_masks():
             if left.value(mask) != table[mask]:
                 return f"associativity broke at mask {mask} for {w}"

@@ -49,9 +49,10 @@ def _number_parser(backend: str) -> Callable[[object], Number]:
     return number
 
 
-def _mask_from_bitstring(space: FiniteSpace, key: str) -> int:
-    if len(key) != len(space) or key.strip("01"):
-        raise ValueError(f"subset key {key!r} must be a {len(space)}-character bitstring")
+def _mask_from_bitstring(n: int, key: str) -> int:
+    # n is the number of points; the leftmost character is the first point
+    if len(key) != n or key.strip("01"):
+        raise ValueError(f"subset key {key!r} must be a {n}-character bitstring")
     return int(key[::-1], 2)
 
 
@@ -95,7 +96,8 @@ def load_space_file(source: Union[str, Path, dict],
             values = {k: number(v) for k, v in raw.items()}
             capacities[name] = additive_capacity(space, values)
         else:
-            table = {_mask_from_bitstring(space, k): number(v) for k, v in raw.items()}
+            n = len(space)
+            table = {_mask_from_bitstring(n, k): number(v) for k, v in raw.items()}
             capacities[name] = validate_capacity(space, table)
     acts = {}
     for name, vals in _object(doc.get("acts", {}), "'acts'").items():

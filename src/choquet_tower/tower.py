@@ -9,7 +9,7 @@ which the law checks tolerate by comparing exact tables rather than names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -40,16 +40,16 @@ class TowerLevel:
 
 @dataclass(frozen=True)
 class GridTower:
-    """Base space plus enumerated grid-additive capacity levels."""
+    """Base space plus enumerated grid-additive capacity levels.
+
+    ``views[k]`` is level k as an uncertainty space carrying level k+1's
+    capacities; its capacity space is level k+1's point set itself.
+    """
 
     base: FiniteSpace
     grid: int
     levels: tuple[TowerLevel, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_views", tuple(
-            UncertaintySpace(below.space, above.capacities)
-            for below, above in zip(self.levels, self.levels[1:])))
+    views: tuple[UncertaintySpace, ...] = field(repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -65,7 +65,7 @@ class GridTower:
         """Level `level` as an uncertainty space carrying level+1's points."""
         if level < 0:
             raise IndexError(f"tower levels start at 0, got {level}")
-        return self._views[level]
+        return self.views[level]
 
     def find_name(self, level: int, cap: Capacity) -> Optional[str]:
         """Grid name of an exact table match at the given level, if any."""
@@ -80,6 +80,7 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
     if len(base) > 3 or grid > 4 or depth > 4:
         raise TowerSizeError("tower guards: base <= 3 points, grid <= 4, depth <= 4")
     levels = [TowerLevel(base, None)]
+    views = []
     current = base
     for _ in range(depth):
         size = math.comb(len(current) + grid - 1, grid)
@@ -89,11 +90,12 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
         for numerators in _grid_compositions(len(current), grid):
             name = "-".join(str(c) for c in numerators)
             masses = tuple(Fraction(c, grid) for c in numerators)
-            caps.append((name, Capacity(current, masses=masses)))
-        space = FiniteSpace(tuple(name for name, _ in caps))
-        levels.append(TowerLevel(space, tuple(caps)))
-        current = space
-    return GridTower(base, grid, tuple(levels))
+            caps.append((name, Capacity(current, masses=masses,
+                                        exact=(list(numerators), grid))))
+        views.append(UncertaintySpace(current, tuple(caps)))
+        current = views[-1].capacity_space
+        levels.append(TowerLevel(current, views[-1].capacities))
+    return GridTower(base, grid, tuple(levels), tuple(views))
 
 
 def iota(tower: GridTower, m_from: int, n_to: int) -> dict[str, Capacity]:

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
-                   Number, Subset, _require_same_space)
+                   Number, Subset, _exact_form, _require_same_space)
 
 
 def _name_index(capacities: Sequence[tuple[str, Capacity]]
@@ -85,6 +85,19 @@ class UncertaintySpace:
     def is_additive(self) -> bool:
         """True when every capacity is additive; decided on first use only."""
         return all(cap.is_additive for _, cap in self.capacities)
+
+    @cached_property
+    def mass_rows(self) -> Optional[tuple[list[list[int]], int]]:
+        """Every capacity's singleton values as integer numerators over one
+        common denominator, one row per capacity, or None (see
+        ``core._exact_form``); built on first use only."""
+        n = len(self.base)
+        form = _exact_form([m for _, cap in self.capacities
+                            for m in cap.singleton_masses()])
+        if form is None:
+            return None
+        nums, den = form
+        return [nums[i:i + n] for i in range(0, len(nums), n)], den
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:

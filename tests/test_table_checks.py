@@ -49,17 +49,22 @@ def oracle_is_additive(table) -> bool:
     return True
 
 
+def table_keys(table):
+    """The comparison keys ``core`` checks a table on, and their tolerance."""
+    return core._keys(table, core._exact_form(table))
+
+
 def fast_witness(table):
     space = make_space([f"p{i}" for i in range(len(table).bit_length() - 1)])
     try:
-        core._check_monotone(space, table, *core._table_keys(table))
+        core._check_monotone(space, table, *table_keys(table))
     except MonotonicityError as err:
         return err.witness
     return None
 
 
 def fast_is_additive(table) -> bool:
-    return core._table_is_additive(*core._table_keys(table))
+    return core._table_is_additive(*table_keys(table))
 
 
 def _subset_sums(masses):
@@ -155,14 +160,14 @@ def test_float_tables_match_the_definitions(table):
 
 def test_keys_are_integer_numerators_for_a_shared_denominator():
     table = [Fraction(k, 12) for k in range(8)]
-    keys, tol = core._table_keys(table)
+    keys, tol = table_keys(table)
     assert keys == list(range(8)) and tol == 0
     assert all(type(k) is int for k in keys)
 
 
 def test_many_coprime_denominators_keep_fraction_keys():
     table = [Fraction(k, p) for k, p in enumerate(PRIMES[-16:])]
-    keys, tol = core._table_keys(table)
+    keys, tol = table_keys(table)
     assert keys == table and tol == 0
 
 
