@@ -178,13 +178,12 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
             for weight, row in zip(nums, rows):
                 if weight:
                     sums = [s + weight * m for s, m in zip(sums, row)]
-            masses = [Fraction(s, den * row_den) for s in sums]
-        else:
-            masses = [0] * len(us.base)
-            for weight, (_, cap) in zip(v.singleton_masses(), us.capacities):
-                if weight:
-                    for i, m in enumerate(cap.singleton_masses()):
-                        masses[i] += weight * m
+            return additive_capacity(us.base, form=(sums, den * row_den))
+        masses = [0] * len(us.base)
+        for weight, (_, cap) in zip(v.singleton_masses(), us.capacities):
+            if weight:
+                for i, m in enumerate(cap.singleton_masses()):
+                    masses[i] += weight * m
         return additive_capacity(us.base, masses)
     table = {mask: choquet_integral(v, epsilon(us, mask))
              for mask in us.base.all_masks()}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, gt
+from operator import add, attrgetter, eq, gt, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Number = Union[int, Fraction, float]
@@ -615,26 +615,84 @@ def _check_monotone(space: FiniteSpace, table: Sequence[Number],
             f" ({table[above]})")
 
 
-def validate_capacity(space: FiniteSpace, table: Mapping) -> Capacity:
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _checked_form(form, size: int) -> tuple[list[int], int]:
+    """A handed-over exact form, checked for shape and in lowest terms.
+
+    ``form`` is (numerators, denominator) and stands for the values
+    numerator/denominator, so it is refused where those values would be: a
+    count other than ``size`` is a SpaceMismatchError, a numerator or
+    denominator that is not an int a TypeError, and a zero denominator a
+    ZeroDivisionError.  One gcd brings it to the positive denominator that
+    ``_exact_form`` would derive from those values (the lcm of their own).
+    A handed-over form is kept even where ``_exact_form`` would find the
+    values too coprime to share one: its caller has the numerators already.
+    """
+    nums, den = form
+    if len(nums) != size:
+        raise SpaceMismatchError(f"exact form has {len(nums)} numerators, need {size}")
+    if type(den) is not int or not set(map(type, nums)) <= {int}:
+        raise TypeError("an exact form holds int numerators over an int denominator")
+    if den == 0:
+        raise ZeroDivisionError("exact form with denominator 0")
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
+    return nums, den
+
+
+def _form_values(form: tuple[list[int], int], values: Optional[Sequence]) -> Sequence:
+    """The values a checked form stands for: one Fraction per numerator, or
+    the caller's own values, which must be exact and equal them."""
+    nums, den = form
+    if values is None:
+        return [Fraction(n, den) for n in nums]
+    if not (set(map(type, values)) <= {int, Fraction}
+            and all(map(eq, map(mul, map(_numerator, values), repeat(den)),
+                        map(mul, nums, map(_denominator, values))))):
+        raise ValueError("values differ from the exact form handed over with them")
+    return values
+
+
+def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence],
+                      *, form: Optional[tuple[Sequence[int], int]] = None) -> Capacity:
     """Check and build a capacity from a dense table.
 
-    The table must cover every subset; keys are Subset objects or bitmask
-    ints.  Additive capacities given by their masses go through
-    ``additive_capacity`` instead.  An exact table is checked on its exact
-    form, which the capacity keeps.
+    The table must cover every subset: a mapping whose keys are Subset
+    objects or bitmask ints, or a sequence in mask order.  Additive
+    capacities given by their masses go through ``additive_capacity``
+    instead.  An exact table is checked on its exact form, which the
+    capacity keeps.  A caller that holds that form hands it over as
+    ``form`` = (numerators, denominator) in mask order, with a table that
+    must equal it; it is checked (see ``_checked_form``), and then goes
+    through the same normalization and monotonicity checks as a derived one.
     """
     check_dense_size(space)
     full = space.full_mask
-    dense: list = [None] * (full + 1)
-    for key, val in table.items():
-        # an int key in range is a mask already; any other key is checked
-        dense[key if type(key) is int and 0 <= key <= full
-              else _mask_of(space, key)] = val
-    if any(v is None for v in dense):
+    if isinstance(table, Mapping):
+        dense: list = [None] * (full + 1)
+        for key, val in table.items():
+            # an int key in range is a mask already; any other key is checked
+            dense[key if type(key) is int and 0 <= key <= full
+                  else _mask_of(space, key)] = val
+        if any(v is None for v in dense):
+            raise SpaceMismatchError("table does not cover every subset")
+    elif len(table) == full + 1:
+        dense = table
+    else:
         raise SpaceMismatchError("table does not cover every subset")
-    form = _exact_form(dense)
+    if form is None:
+        form = _exact_form(dense)
+    else:
+        form = _checked_form(form, full + 1)
+        dense = _form_values(form, dense)
     keys, tol = _keys(dense, form)
-    if not (_close(dense[0], 0, tol) and _close(dense[-1], 1, tol)):
+    if not (_close(keys[0], 0, tol) and _close(keys[-1], form[1] if form else 1, tol)):
         raise NormalizationError(
             f"need table(empty)=0 and table(full)=1, got {dense[0]} and {dense[-1]}")
     _check_monotone(space, dense, keys, tol)
@@ -642,12 +700,16 @@ def validate_capacity(space: FiniteSpace, table: Mapping) -> Capacity:
 
 
 def additive_capacity(space: FiniteSpace,
-                      masses: Union[Mapping[str, Number], Sequence[Number]]) -> Capacity:
+                      masses: Union[Mapping[str, Number], Sequence[Number], None] = None,
+                      *, form: Optional[tuple[Sequence[int], int]] = None) -> Capacity:
     """Check and build an additive capacity from its singleton masses.
 
     Masses come as a mapping by point label or as a sequence in point
     order; none may be negative and they must sum to 1.  Exact masses are
-    checked on their exact form, which the capacity keeps.
+    checked on their exact form, which the capacity keeps.  As in
+    ``validate_capacity``, a caller holding that form hands it over as
+    ``form``, with masses that equal it or without masses (then they are
+    Fractions of it), and it goes through the same checks.
     """
     if isinstance(masses, Mapping):
         for p in space.points:
@@ -658,10 +720,16 @@ def additive_capacity(space: FiniteSpace,
             raise SpaceMismatchError(f"singleton values for labels that are not "
                                      f"points: {', '.join(map(repr, foreign))}")
         masses = [masses[p] for p in space.points]
-    elif len(masses) != len(space):
+    elif masses is not None and len(masses) != len(space):
         raise SpaceMismatchError("one mass per point required")
+    if form is None:
+        if masses is None:
+            raise TypeError("additive_capacity needs masses or their exact form")
+        form = _exact_form(masses)
+    else:
+        form = _checked_form(form, len(space))
+        masses = _form_values(form, masses)
     masses = tuple(masses)
-    form = _exact_form(masses)
     keys, tol = _keys(masses, form)
     for i, m in enumerate(keys):
         if m < 0 and not _close(m, 0, tol):

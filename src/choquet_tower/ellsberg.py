@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number, exponent,
-                   indicator, is_exact, make_space, validate_capacity,
-                   values_close)
+from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number,
+                   additive_capacity, exponent, indicator, is_exact,
+                   make_space, validate_capacity, values_close)
 from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
                         value_function)
 from .uncertainty import UncertaintySpace
@@ -54,24 +55,37 @@ class UrnParams:
 
 
 def build_urn_space(params: UrnParams) -> UncertaintySpace:
-    """The urn with one capacity u_k per hypothetical blue count k = 0..2N."""
+    """The urn with one capacity u_k per hypothetical blue count k = 0..2N.
+
+    With a whole alpha every table is exact, with integer numerators over
+    D = 3 (2N)^alpha: in mask order R, B, RB, Y, RY, BY they are S, 2k^alpha,
+    S + 2k^alpha, 2(2N-k)^alpha, S + 2(2N-k)^alpha and 2S, with S = (2N)^alpha.
+    Each table is checked on that form, and its values are Fractions of it
+    shared across tables: u_k's yellow values are u_(2N-k)'s blue ones.
+    """
     space = make_space(["R", "B", "Y"])
     two_n = 2 * params.big_n
     third = Fraction(1, 3)
     caps = []
+    if isinstance(params.alpha, int):
+        s = two_n ** params.alpha
+        d = 3 * s
+        blue = [2 * k ** params.alpha for k in range(two_n + 1)]
+        b_values = [Fraction(b, d) for b in blue]
+        rb_values = [Fraction(s + b, d) for b in blue]
+        two_thirds = Fraction(2, 3)
+        for k, b in enumerate(blue):
+            y = blue[two_n - k]
+            values = (0, third, b_values[k], rb_values[k],
+                      b_values[two_n - k], rb_values[two_n - k], two_thirds, 1)
+            cap = validate_capacity(space, values,
+                                    form=([0, s, b, s + b, y, s + y, 2 * s, d], d))
+            caps.append((f"u{k}", cap))
+        return UncertaintySpace(space, tuple(caps))
     for k in range(two_n + 1):
         blue = 2 * third * params.ratio_power(k)
         yellow = 2 * third * params.ratio_power(two_n - k)
-        table = {
-            0b000: 0,
-            space.mask(["R"]): third,
-            space.mask(["B"]): blue,
-            space.mask(["Y"]): yellow,
-            space.mask(["R", "B"]): third + blue,
-            space.mask(["R", "Y"]): third + yellow,
-            space.mask(["B", "Y"]): 2 * third,
-            0b111: 1,
-        }
+        table = (0, third, blue, third + blue, yellow, third + yellow, 2 * third, 1)
         caps.append((f"u{k}", validate_capacity(space, table)))
     return UncertaintySpace(space, tuple(caps))
 
@@ -118,35 +132,25 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
 def build_sequence(variant: str, params: UrnParams) -> USequence:
     """Assemble the urn sequence for variant X (uniform), Y (binomial at
     p=1/2), or Z (binomial family under Lebesgue weight)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     urn = build_urn_space(params)
-    two_n = 2 * params.big_n
-    names = urn.capacity_space
-    if variant == "X":
-        weights = Capacity(names, masses=(Fraction(1, two_n + 1),) * (two_n + 1),
-                           exact=([1] * (two_n + 1), two_n + 1))
-        level1 = UncertaintySpace(names, (("vu", weights),))
-        return USequence((urn, level1, TERMINAL))
-    if variant == "Y":
-        denom = 2 ** two_n
-        nums = [math.comb(two_n, k) for k in range(two_n + 1)]
-        weights = Capacity(names, masses=tuple(Fraction(n, denom) for n in nums),
-                           exact=(nums, denom))
-        level1 = UncertaintySpace(names, (("vb", weights),))
-        return USequence((urn, level1, TERMINAL))
     if variant == "Z":
         return USequence((urn, binomial_family(urn, params.big_n), TERMINAL))
-    raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    weights = additive_capacity(urn.capacity_space,
+                                form=_weight_numerators(variant, 2 * params.big_n))
+    level1 = UncertaintySpace(urn.capacity_space,
+                              (("vu" if variant == "X" else "vb", weights),))
+    return USequence((urn, level1, TERMINAL))
 
 
-def _layer_weights(variant: str, params: UrnParams) -> list[Number]:
-    """Effective weight of each u_k in the final one-point layer."""
-    two_n = 2 * params.big_n
-    if variant == "X":
-        return [Fraction(1, two_n + 1)] * (two_n + 1)
+def _weight_numerators(variant: str, two_n: int) -> tuple[list[int], int]:
+    """Weight of each u_k in the final one-point layer, as integer
+    numerators over one denominator: uniform for X and for Z (each binomial
+    mass integrates to 1/(2N+1) over p), binomial at p = 1/2 for Y."""
     if variant == "Y":
-        return [Fraction(math.comb(two_n, k), 2 ** two_n) for k in range(two_n + 1)]
-    # Z: each binomial mass integrates to 1/(2N+1) over p
-    return [Fraction(1, two_n + 1)] * (two_n + 1)
+        return [math.comb(two_n, k) for k in range(two_n + 1)], 2 ** two_n
+    return [1] * (two_n + 1), two_n + 1
 
 
 def closed_form_values(variant: str, params: UrnParams,
@@ -154,16 +158,26 @@ def closed_form_values(variant: str, params: UrnParams,
     """Top-layer values of the four bets by direct summation.
 
     Only the scalar layers (2 for X/Y, 3 for Z) have closed forms; they are
-    the utility anchor times the weighted means of the distorted odds.
+    the utility anchor times the weighted means of the distorted odds.  With
+    a whole alpha each mean is one Fraction of integer sums: weight
+    numerators times k^alpha over the weight denominator times (2N)^alpha.
     """
     if (variant, layer) not in (("X", 2), ("Y", 2), ("Z", 3)):
         raise ValueError(f"no closed form for variant {variant} at layer {layer}")
     two_n = 2 * params.big_n
     u1 = params.u1
-    w = _layer_weights(variant, params)
+    nums, den = _weight_numerators(variant, two_n)
+    alpha = params.alpha
+    if isinstance(alpha, int):
+        powers = [k ** alpha for k in range(two_n + 1)]
+        scale = den * two_n ** alpha
+        mean_up = Fraction(sum(map(mul, nums, powers)), scale)
+        mean_down = Fraction(sum(map(mul, nums, reversed(powers))), scale)
+    else:
+        w = [Fraction(n, den) for n in nums]
+        mean_up = sum(wk * params.ratio_power(k) for k, wk in enumerate(w))
+        mean_down = sum(wk * params.ratio_power(two_n - k) for k, wk in enumerate(w))
     third = Fraction(1, 3)
-    mean_up = sum(wk * params.ratio_power(k) for k, wk in enumerate(w))
-    mean_down = sum(wk * params.ratio_power(two_n - k) for k, wk in enumerate(w))
     return {
         "f1": u1 * third,
         "f2": u1 * 2 * third * mean_up,

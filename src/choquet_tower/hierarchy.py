@@ -127,7 +127,8 @@ def integrate_family(level: FamilyLevel,
     With ``act`` the integrand is the Choquet integral of the act under the
     p-th member; for a binomial family under Lebesgue weight that integrand
     is linear in the member masses, each of which integrates to
-    1/(binomial_n + 1), so the result is the exact mean of the act's values.
+    1/(binomial_n + 1), so the result is the exact mean of the act's values,
+    summed on its integer numerators when it has an exact form.
     The generic path uses Gauss-Legendre with enough nodes to be exact on
     polynomials of the family's degree, and one refinement doubling as a
     cross-check.
@@ -142,6 +143,9 @@ def integrate_family(level: FamilyLevel,
     if act is not None:
         _require_same_space(act.space, level.base)
         if level.binomial_n is not None:
+            form = act.exact_form
+            if form is not None:
+                return Fraction(sum(form[0]), form[1] * (level.binomial_n + 1))
             return sum(act.values, start=Fraction(0)) / (level.binomial_n + 1)
         phi = lambda p: choquet_integral(level.member(p), act)
 
