@@ -172,19 +172,18 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
         exact = us.mass_rows and v.exact_form
         if exact:
             (nums, den), (rows, row_den) = exact, us.mass_rows
-            if v._masses is None:
-                nums = [nums[1 << j] for j in range(len(v.space))]
-            sums = [0] * len(us.base)
-            for weight, row in zip(nums, rows):
-                if weight:
-                    sums = [s + weight * m for s, m in zip(sums, row)]
-            return additive_capacity(us.base, form=(sums, den * row_den))
-        masses = [0] * len(us.base)
-        for weight, (_, cap) in zip(v.singleton_masses(), us.capacities):
+            weights = nums if v._masses is not None else [
+                nums[1 << j] for j in range(len(v.space))]
+        else:
+            weights = v.singleton_masses()
+            rows = [cap.singleton_masses() for _, cap in us.capacities]
+        sums = [0] * len(us.base)
+        for weight, row in zip(weights, rows):
             if weight:
-                for i, m in enumerate(cap.singleton_masses()):
-                    masses[i] += weight * m
-        return additive_capacity(us.base, masses)
+                sums = [s + weight * m for s, m in zip(sums, row)]
+        if exact:
+            return additive_capacity(us.base, form=(sums, den * row_den))
+        return additive_capacity(us.base, sums)
     table = {mask: choquet_integral(v, epsilon(us, mask))
              for mask in us.base.all_masks()}
     return validate_capacity(us.base, table)

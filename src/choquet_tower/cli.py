@@ -19,7 +19,7 @@ from . import laws
 from .category import monad_counterexample
 from .choquet import are_comonotonic, choquet_integral
 from .core import (VALUE_TOL, Act, FiniteSpace, Number, additive_capacity,
-                   is_exact, values_close)
+                   is_exact, parse_number, values_close)
 from .ellsberg import EllsbergReport, UrnParams, ellsberg_report
 from .spacefile import load_space_file
 from .uncertainty import UncertaintySpace, xi
@@ -102,22 +102,12 @@ def _report_csv(report: EllsbergReport, config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_scalar(text: str, backend: str) -> Number:
-    value = Fraction(text)
-    if backend != "float":
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{text} is too large for a float") from None
-
-
 def cmd_ellsberg(args) -> int:
     config = RunConfig(command="ellsberg", backend=args.backend,
                        format=args.format, out=args.out)
     params = UrnParams(big_n=args.big_n,
-                       alpha=_parse_scalar(args.alpha, args.backend),
-                       u1=_parse_scalar(args.u1, args.backend))
+                       alpha=parse_number(args.alpha, args.backend),
+                       u1=parse_number(args.u1, args.backend))
     report = ellsberg_report(args.variant, params, args.layer)
     if args.format == "csv":
         _emit(_report_csv(report, config), args.out)
@@ -198,7 +188,7 @@ def cmd_counterexample(args) -> int:
 
     if args.beta is None:
         raise ValueError("counterexample monad requires --beta")
-    result = monad_counterexample(_parse_scalar(args.beta, args.backend))
+    result = monad_counterexample(parse_number(args.beta, args.backend))
     payload = {
         "config": asdict(config),
         "beta": format_number(result.beta, args.backend),

@@ -86,6 +86,19 @@ def as_exact(x: Union[str, int, float, Fraction]) -> Fraction:
     return Fraction(str(x))
 
 
+def parse_number(x: Union[str, int, float, Fraction], backend: str) -> Number:
+    """Parse a value exactly (see ``as_exact``), then convert it for the
+    backend: a Fraction for "rational", a float for "float", where a value
+    too large for a float is refused."""
+    value = as_exact(x)
+    if backend != "float":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{x} is too large for a float") from None
+
+
 def exponent(x: Number, name: str) -> Number:
     """Check a distortion exponent (at least 1) and normalize it.
 
@@ -466,31 +479,19 @@ class Capacity:
             return self._masses
         return tuple(self._table[1 << i] for i in range(len(self.space)))
 
-    def _dense_exact(self) -> tuple[list[int], int]:
-        # the exact form as a table: a mass vector's subset sums
-        nums, den = self.exact_form
-        if self._masses is None:
-            return nums, den
-        sums = [0]
-        for n in nums:
-            sums += [s + n for s in sums]
-        return sums, den
-
     def equals(self, other: "Capacity", tol: float = TABLE_TOL) -> bool:
         """Pointwise table equality (exact pairs compare exactly, floats by tol).
 
-        Two exact forms compare as integer lists, cross-multiplied when
-        their denominators differ; a table and a mass vector compare on the
-        mass vector's subset sums.
+        Two exact forms of the same kind compare as integer lists,
+        cross-multiplied when their denominators differ; a table and a mass
+        vector compare pointwise.
         """
         if self.space.points != other.space.points:
             return False
         mine, theirs = self.exact_form, other.exact_form
-        if mine is not None and theirs is not None:
-            if (self._masses is None) == (other._masses is None):
-                (a, da), (b, db) = mine, theirs
-            else:
-                (a, da), (b, db) = self._dense_exact(), other._dense_exact()
+        same_kind = (self._masses is None) == (other._masses is None)
+        if mine is not None and theirs is not None and same_kind:
+            (a, da), (b, db) = mine, theirs
             if da == db:
                 return a == b
             return [x * db for x in a] == [y * da for y in b]
@@ -762,22 +763,25 @@ def distort(u: Capacity, h: Callable[[Number], Number]) -> Capacity:
 
 
 def pushforward(u: Capacity, h: PointMap) -> Capacity:
-    """Transport a capacity along a point map: result(B) = u(preimage of B)."""
+    """Transport a capacity along a point map: result(B) = u(preimage of B).
+
+    A mass vector adds each point's mass into its image's, a table reads
+    each subset's preimage; the same step carries the exact form.
+    """
     _require_same_space(u.space, h.domain)
     target = h.codomain
+    form = u.exact_form
     if u._masses is not None:
         images = [target.index(h.mapping[p]) for p in u.space.points]
-        out = [0] * len(target)
-        for j, m in zip(images, u._masses):
-            out[j] += m
-        form = u.exact_form
-        if form is None:
-            return Capacity(target, masses=tuple(out))
-        nums = [0] * len(target)
-        for j, n in zip(images, form[0]):
-            nums[j] += n
-        return Capacity(target, masses=tuple(out), exact=(nums, form[1]))
+
+        def push(values):
+            out = [0] * len(target)
+            for j, m in zip(images, values):
+                out[j] += m
+            return out
+
+        return Capacity(target, masses=tuple(push(u._masses)),
+                        exact=(push(form[0]), form[1]) if form else _PENDING)
     pre = h.preimage_masks()
-    form = u.exact_form
     return Capacity(target, table=tuple(u._table[m] for m in pre),
                     exact=([form[0][m] for m in pre], form[1]) if form else _PENDING)

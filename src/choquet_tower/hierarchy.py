@@ -172,14 +172,10 @@ class USequence:
             raise ValueError("a sequence starts with a concrete uncertainty space")
         for cur, nxt in zip(self.levels, self.levels[1:]):
             if isinstance(cur, UncertaintySpace):
-                if isinstance(nxt, UncertaintySpace):
+                if isinstance(nxt, (UncertaintySpace, FamilyLevel)):
                     if nxt.base.points != cur.names:
                         raise ValueError(
                             "next level's points must be this level's capacities")
-                elif isinstance(nxt, FamilyLevel):
-                    if nxt.base.points != cur.names:
-                        raise ValueError(
-                            "family base must be the previous level's capacities")
                 elif nxt is TERMINAL and len(cur.capacities) != 1:
                     raise ValueError(
                         "only a single-capacity level can close with the terminal space")
@@ -201,17 +197,6 @@ class USequence:
         return self.levels[0].base
 
 
-def _push_one(level: Level, act: Act) -> Act:
-    if isinstance(level, UncertaintySpace):
-        return xi(level, act)
-    if level is TERMINAL:
-        if len(act.values) != 1:
-            raise LayerError("terminal level expects a one-point act")
-        term = terminal_space()
-        return Act(term.capacity_space, (act.values[0],))
-    raise LayerError("family level act is a function of p, not materializable")
-
-
 def xi_chain(seq: USequence, f: Act, m: int, n: int) -> Act:
     """Iterated Choquet expectation from layer m up to layer n."""
     if not 0 <= m <= n <= seq.layer_count:
@@ -231,8 +216,12 @@ def xi_chain(seq: USequence, f: Act, m: int, n: int) -> Act:
                 _require_same_space(act.space, level.base)
                 value = integrate_family(level, act=act)
                 act = Act(level.weight_space, (value,))
+            elif level is TERMINAL:
+                if len(act.values) != 1:
+                    raise LayerError("terminal level expects a one-point act")
+                act = Act(terminal_space().capacity_space, act.values)
             else:
-                act = _push_one(level, act)
+                act = xi(level, act)
         layer += width
     if layer < n:
         raise LayerError(f"layer {n} is beyond the stored sequence")

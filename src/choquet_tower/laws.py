@@ -20,8 +20,8 @@ from .choquet import chain_act, choquet_integral, choquet_sum
 from .core import (Act, Capacity, FiniteSpace, PointMap, pushforward,
                    validate_capacity)
 from .ellsberg import UrnParams, build_sequence
-from .tower import GridTower, ProjectiveVector, build_tower, iota, \
-    projective_consistency
+from .tower import (GridTower, ProjectiveVector, build_tower, iota, project,
+                    projective_consistency)
 from .uncertainty import GTransform, UncertaintySpace
 
 LABELS = "abcdefgh"
@@ -307,7 +307,7 @@ def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
         return None
 
     level2 = tower.levels[2]
-    averaged = [mu(tower.view(0), cap) for _, cap in level2.capacities]
+    averaged = iota(tower, 2, 1).values()
     # the evaluation act of each base subset over the averaged level-2 points
     evaluations = [Act(level2.space, tuple(cap.value(mask) for cap in averaged))
                    for mask in tower.base.all_masks()]
@@ -364,13 +364,11 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
     def retraction(rng):
         for n in range(1, tower.depth + 1):
             for m in range(n, tower.depth + 1):
-                up = iota(tower, n, m)
-                down = iota(tower, m, n)
                 for name, cap in tower.levels[n].capacities:
-                    lifted_name = tower.find_name(m, up[name])
-                    if lifted_name is None:
+                    lifted = project(tower, cap, n, m)
+                    if tower.find_name(m, lifted) is None:
                         return f"lift of {name} to level {m} left the grid"
-                    if down[lifted_name] != cap:
+                    if project(tower, lifted, m, n) != cap:
                         return f"retraction {m}->{n} moved {name}"
         return None
 
@@ -380,24 +378,10 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
                    for n in range(1, tower.depth + 1)
                    if l >= m >= n or l <= m <= n]
         for l, m, n in triples:
-            lm = iota(tower, l, m)
-            ln = iota(tower, l, n)
-            mn = iota(tower, m, n)
-            for name in tower.space_at(l).points:
-                mid = lm[name]
-                if l >= m:
-                    mid_name = tower.find_name(m, mid)
-                    if mid_name is None and l > m:
-                        # descended averages can leave the grid; push directly
-                        stepped = mid
-                        for k in range(m, n, -1):
-                            stepped = mu(tower.view(k - 2), stepped)
-                        composed = stepped
-                    else:
-                        composed = mn[mid_name] if mid_name else mid
-                else:
-                    composed = mn[tower.find_name(m, mid)]
-                if composed != ln[name]:
+            # a descent may leave the grid; the next descent carries it on
+            for name, cap in tower.levels[l].capacities:
+                composed = project(tower, project(tower, cap, l, m), m, n)
+                if composed != project(tower, cap, l, n):
                     return f"composition {l}->{m}->{n} differs from {l}->{n} at {name}"
         return None
 

@@ -3,20 +3,19 @@
 Capacity values come either as a full table keyed by subset bitstrings
 (leftmost character = first point) or as singleton values completed by
 additivity.  Numbers are decimal strings, "p/q" rational strings or JSON
-numbers (not booleans) and are parsed exactly, each distinct string once;
-the float backend converts after parsing.
+numbers (not booleans) and are parsed exactly, each distinct string once,
+by ``core.parse_number``, as numeric flags are.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Union
 
 from .core import (Act, Capacity, FiniteSpace, Number, additive_capacity,
-                   as_exact, check_dense_size, make_space, validate_capacity)
+                   check_dense_size, make_space, parse_number, validate_capacity)
 
 
 @dataclass(frozen=True)
@@ -24,10 +23,6 @@ class SpaceFile:
     space: FiniteSpace
     capacities: dict[str, Capacity]
     acts: dict[str, Act]
-
-
-def _convert(x: Fraction, backend: str) -> Number:
-    return float(x) if backend == "float" else x
 
 
 def _number_parser(backend: str) -> Callable[[object], Number]:
@@ -40,10 +35,10 @@ def _number_parser(backend: str) -> Callable[[object], Number]:
 
     def number(raw) -> Number:
         if not isinstance(raw, str):
-            return _convert(as_exact(raw), backend)
+            return parse_number(raw, backend)
         value = parsed.get(raw)
         if value is None:
-            value = parsed[raw] = _convert(as_exact(raw), backend)
+            value = parsed[raw] = parse_number(raw, backend)
         return value
 
     return number

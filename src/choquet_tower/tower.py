@@ -98,36 +98,31 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
     return GridTower(base, grid, tuple(levels), tuple(views))
 
 
+def project(tower: GridTower, cap: Capacity, m_from: int, n_to: int) -> Capacity:
+    """Carry one level-``m_from`` point, given as its capacity, to level ``n_to``.
+
+    Identity on equal levels; repeated averaging when descending (the
+    result is an exact capacity on the lower level, possibly off-grid);
+    repeated point-mass lifting when climbing, which needs ``cap`` on the
+    grid and stays on it.  Levels lie in 1..depth, as ``iota`` checks.
+    """
+    for k in range(m_from, n_to, -1):
+        cap = mu(tower.view(k - 2), cap)
+    for k in range(m_from, n_to):
+        cap = dirac(tower.space_at(k), tower.find_name(k, cap))
+    return cap
+
+
 def iota(tower: GridTower, m_from: int, n_to: int) -> dict[str, Capacity]:
     """The projection/embedding between tower levels, point by point.
 
-    Identity on equal levels; repeated averaging when descending (results
-    are exact capacities on the lower level, possibly off-grid); repeated
-    point-mass lifting when climbing (results stay on-grid).  Keys are
-    level-``m_from`` point names; values are capacities representing the
-    image points at level ``n_to``.
+    Keys are level-``m_from`` point names; values are capacities
+    representing the image points at level ``n_to`` (see ``project``).
     """
     if not 1 <= m_from <= tower.depth or not 1 <= n_to <= tower.depth:
         raise ValueError(f"levels must lie in 1..{tower.depth}")
-    out = {}
-    for name, cap in tower.levels[m_from].capacities:
-        if m_from == n_to:
-            out[name] = cap
-        elif m_from > n_to:
-            current = cap
-            for k in range(m_from, n_to, -1):
-                current = mu(tower.view(k - 2), current)
-            out[name] = current
-        else:
-            current_name = name
-            for k in range(m_from, n_to):
-                lifted = dirac(tower.space_at(k), current_name)
-                grid_name = tower.find_name(k + 1, lifted)
-                if grid_name is None:
-                    raise AssertionError("point masses must lie on the grid")
-                current_name = grid_name
-            out[name] = tower.capacity_at(n_to, current_name)
-    return out
+    return {name: project(tower, cap, m_from, n_to)
+            for name, cap in tower.levels[m_from].capacities}
 
 
 @dataclass(frozen=True)

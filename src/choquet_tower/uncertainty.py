@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
-                   Number, Subset, _exact_form, _require_same_space)
+                   Number, Subset, _exact_form, _mask_of, _require_same_space)
 
 
 def _name_index(capacities: Sequence[tuple[str, Capacity]]
@@ -102,12 +102,7 @@ class UncertaintySpace:
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
     """Evaluation act of a subset: each capacity reports its value on it."""
-    if isinstance(subset, Subset):
-        _require_same_space(subset.space, us.base)
-        mask = subset.mask
-    else:
-        mask = int(subset)
-        us.base.subset_of_mask(mask)
+    mask = _mask_of(us.base, subset)
     return Act(us.capacity_space,
                tuple(cap.value(mask) for _, cap in us.capacities))
 

@@ -293,13 +293,16 @@ def _one_error_line(capsys) -> str:
     ({"points": ["a", "b"], "capacities": {"u": {
         "mode": "singletons-additive", "values": {"a": "1/2", "b": "1/2", "Q": "7"}}}},
      "singleton values for labels that are not points: 'Q'"),
+    ({"points": ["a"], "acts": {"f": ["1e400"]}}, "1e400 is too large for a float"),
 ])
 def test_malformed_space_file_exits_one(doc, message, tmp_path, capsys):
+    # only the float backend converts, so only it refuses a value past its range
+    backend = "float" if message.endswith("for a float") else "rational"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
-        load_space_file(str(path))
-    assert main(["choquet", str(path), "u", "f"]) == 1
+        load_space_file(str(path), backend=backend)
+    assert main(["choquet", str(path), "u", "f", "--backend", backend]) == 1
     assert message in _one_error_line(capsys)
 
 
