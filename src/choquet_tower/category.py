@@ -87,12 +87,9 @@ def is_mp_unc_map(h: PointMap, source: UncertaintySpace,
 
 def dirac(space: FiniteSpace, point: str) -> Capacity:
     """The 0/1 capacity concentrated at one point."""
-    i = space.index(point)
-    zero = Fraction(0)
-    masses = (zero,) * i + (Fraction(1),) + (zero,) * (len(space) - i - 1)
     nums = [0] * len(space)
-    nums[i] = 1
-    return Capacity(space, masses=masses, exact=(nums, 1))
+    nums[space.index(point)] = 1
+    return additive_capacity(space, form=(nums, 1))
 
 
 def embedding_condition(us: UncertaintySpace) -> bool:
@@ -233,8 +230,8 @@ def monad_counterexample(beta: Number) -> MonadCounterexample:
     caps = []
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            masses = (Fraction(i, n), Fraction(j, n), Fraction(n - i - j, n))
-            caps.append((f"u{i}{j}", Capacity(space, masses=masses)))
+            caps.append((f"u{i}{j}",
+                         additive_capacity(space, form=([i, j, n - i - j], n))))
     us = UncertaintySpace(space, tuple(caps))
     printed_count = (n - 1) * n // 2
     actual_count = len(caps)

@@ -9,6 +9,7 @@ seed and flags yield byte-identical output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -127,20 +128,15 @@ def cmd_ellsberg(args) -> int:
 
 #: defaults of the law-suite flags other than --seed and --out
 LAW_FLAG_DEFAULTS = {"trials": 500, "grid": 2, "depth": 3, "space_size": 2}
-#: which of those flags each suite reads; giving it any other is an input error
-SUITE_FLAGS = {
-    "choquet": ("trials",),
-    "dirac": ("trials",),
-    "monad": ("trials", "grid", "space_size", "depth"),
-    "substitution": ("trials",),
-    "retraction": ("grid", "space_size", "depth"),
-    "ug-map": (),
-    "unc-maps": ("trials",),
-}
+#: the flags each suite's function takes, read on import so that a suite later
+#: wrapped as (*args, **kwargs) keeps them; any other flag is an input error
+SUITE_READS = {name: [flag for flag in inspect.signature(suite).parameters
+                      if flag in LAW_FLAG_DEFAULTS]
+               for name, suite in laws.SUITES.items()}
 
 
 def cmd_laws(args) -> int:
-    reads = SUITE_FLAGS[args.suite]
+    reads = SUITE_READS[args.suite]
     given = {flag: getattr(args, flag) for flag in LAW_FLAG_DEFAULTS
              if getattr(args, flag) is not None}
     unread = [f"--{flag.replace('_', '-')}" for flag in given if flag not in reads]

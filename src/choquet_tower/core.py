@@ -620,18 +620,22 @@ _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
-def _checked_form(form, size: int) -> tuple[list[int], int]:
-    """A handed-over exact form, checked for shape and in lowest terms.
+def _values_and_form(values: Optional[Sequence], form, size: int) -> tuple:
+    """The values a checked constructor checks, and their exact form.
 
-    ``form`` is (numerators, denominator) and stands for the values
-    numerator/denominator, so it is refused where those values would be: a
-    count other than ``size`` is a SpaceMismatchError, a numerator or
-    denominator that is not an int a TypeError, and a zero denominator a
-    ZeroDivisionError.  One gcd brings it to the positive denominator that
-    ``_exact_form`` would derive from those values (the lcm of their own).
-    A handed-over form is kept even where ``_exact_form`` would find the
-    values too coprime to share one: its caller has the numerators already.
+    The form is derived from the values (see ``_exact_form``) unless handed
+    over as (numerators, denominator), standing for numerator/denominator:
+    then a count other than ``size`` is a SpaceMismatchError, a non-int a
+    TypeError, a zero denominator a ZeroDivisionError, as for those values.
+    One gcd brings it to the positive denominator ``_exact_form`` would
+    derive, kept even where that would find the values too coprime to
+    share one.  Values given with it must be exact and equal it; else they
+    are its Fractions, one per distinct numerator (a point mass has two).
     """
+    if form is None:
+        if values is None:
+            raise TypeError("a capacity needs its values or their exact form")
+        return values, _exact_form(values)
     nums, den = form
     if len(nums) != size:
         raise SpaceMismatchError(f"exact form has {len(nums)} numerators, need {size}")
@@ -644,20 +648,14 @@ def _checked_form(form, size: int) -> tuple[list[int], int]:
         g = -g
     if g != 1:
         nums, den = [n // g for n in nums], den // g
-    return nums, den
-
-
-def _form_values(form: tuple[list[int], int], values: Optional[Sequence]) -> Sequence:
-    """The values a checked form stands for: one Fraction per numerator, or
-    the caller's own values, which must be exact and equal them."""
-    nums, den = form
     if values is None:
-        return [Fraction(n, den) for n in nums]
+        fractions = {n: Fraction(n, den) for n in set(nums)}
+        return list(map(fractions.__getitem__, nums)), (nums, den)
     if not (set(map(type, values)) <= {int, Fraction}
             and all(map(eq, map(mul, map(_numerator, values), repeat(den)),
                         map(mul, nums, map(_denominator, values))))):
         raise ValueError("values differ from the exact form handed over with them")
-    return values
+    return values, (nums, den)
 
 
 def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence],
@@ -670,7 +668,7 @@ def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence],
     instead.  An exact table is checked on its exact form, which the
     capacity keeps.  A caller that holds that form hands it over as
     ``form`` = (numerators, denominator) in mask order, with a table that
-    must equal it; it is checked (see ``_checked_form``), and then goes
+    must equal it; it is checked (see ``_values_and_form``), and then goes
     through the same normalization and monotonicity checks as a derived one.
     """
     check_dense_size(space)
@@ -687,11 +685,7 @@ def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence],
         dense = table
     else:
         raise SpaceMismatchError("table does not cover every subset")
-    if form is None:
-        form = _exact_form(dense)
-    else:
-        form = _checked_form(form, full + 1)
-        dense = _form_values(form, dense)
+    dense, form = _values_and_form(dense, form, full + 1)
     keys, tol = _keys(dense, form)
     if not (_close(keys[0], 0, tol) and _close(keys[-1], form[1] if form else 1, tol)):
         raise NormalizationError(
@@ -723,17 +717,11 @@ def additive_capacity(space: FiniteSpace,
         masses = [masses[p] for p in space.points]
     elif masses is not None and len(masses) != len(space):
         raise SpaceMismatchError("one mass per point required")
-    if form is None:
-        if masses is None:
-            raise TypeError("additive_capacity needs masses or their exact form")
-        form = _exact_form(masses)
-    else:
-        form = _checked_form(form, len(space))
-        masses = _form_values(form, masses)
+    masses, form = _values_and_form(masses, form, len(space))
     masses = tuple(masses)
     keys, tol = _keys(masses, form)
-    for i, m in enumerate(keys):
-        if m < 0 and not _close(m, 0, tol):
+    for i in compress(range(len(keys)), map(gt, repeat(0), keys)):
+        if not _close(keys[i], 0, tol):
             raise MonotonicityError(
                 0, 1 << i, f"negative mass {masses[i]} at {space.points[i]!r}")
     if not _close(sum(keys), form[1] if form else 1, tol):

@@ -106,6 +106,7 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
     base = urn.capacity_space
 
     def member(p: Number) -> Capacity:
+        # unchecked, as binomial weights; tests count one Capacity call per member
         if not is_exact(p):
             q = 1.0 - p
             masses = tuple(math.comb(two_n, k) * p ** k * q ** (two_n - k)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, FiniteSpace, Number, Subset,
-                   _require_same_space)
+                   _require_same_space, additive_capacity)
 from .uncertainty import UncertaintySpace, xi
 
 
@@ -37,8 +37,7 @@ TERMINAL = _Terminal()
 def terminal_space() -> UncertaintySpace:
     """The one-point space with its unique capacity."""
     star = FiniteSpace(("*",))
-    bar = Capacity(star, masses=(Fraction(1),))
-    return UncertaintySpace(star, (("*", bar),))
+    return UncertaintySpace(star, (("*", additive_capacity(star, form=([1], 1))),))
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
                        is_unc_map, monad_counterexample, mu,
                        substitution_check)
 from .choquet import chain_act, choquet_integral, choquet_sum
-from .core import (Act, Capacity, FiniteSpace, PointMap, pushforward,
-                   validate_capacity)
+from .core import (Act, Capacity, FiniteSpace, PointMap, additive_capacity,
+                   pushforward, validate_capacity)
 from .ellsberg import UrnParams, build_sequence
 from .tower import (GridTower, ProjectiveVector, build_tower, iota, project,
                     projective_consistency)
-from .uncertainty import GTransform, UncertaintySpace
+from .uncertainty import GTransform, UncertaintySpace, epsilon
 
 LABELS = "abcdefgh"
 
@@ -113,6 +113,7 @@ def rand_capacity(rng: random.Random, space: FiniteSpace) -> Capacity:
         nums[mask] = best
     nums[-1] = 16
     sixteenths = _sixteenths()
+    # unchecked, being monotone by construction: checks cost ~0.15 s per laws pass
     return Capacity(space, table=tuple(sixteenths[k] for k in nums),
                     exact=(nums, 16))
 
@@ -121,8 +122,7 @@ def rand_additive(rng: random.Random, space: FiniteSpace) -> Capacity:
     weights = [rng.randint(0, 8) for _ in space.points]
     if sum(weights) == 0:
         weights[rng.randrange(len(weights))] = 1
-    total = sum(weights)
-    return Capacity(space, masses=tuple(Fraction(w, total) for w in weights))
+    return additive_capacity(space, form=(weights, sum(weights)))
 
 
 def rand_nonadditive(rng: random.Random, space: FiniteSpace) -> Capacity:
@@ -373,6 +373,17 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
         return None
 
     def composition(rng):
+        # the other side of a descent is built without mu: each averaging
+        # step is its defining table A -> I(v, epsilon(view, A))
+        evaluations = [[epsilon(view, mask) for mask in view.base.all_masks()]
+                       for view in tower.views[:-1]]
+        descents = {}
+        for l in range(2, tower.depth + 1):
+            for name, cap in tower.levels[l].capacities:
+                for n in range(l - 1, 0, -1):
+                    cap = validate_capacity(tower.space_at(n - 1), [
+                        choquet_integral(cap, act) for act in evaluations[n - 1]])
+                    descents[l, n, name] = cap
         triples = [(l, m, n) for l in range(1, tower.depth + 1)
                    for m in range(1, tower.depth + 1)
                    for n in range(1, tower.depth + 1)
@@ -381,7 +392,8 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
             # a descent may leave the grid; the next descent carries it on
             for name, cap in tower.levels[l].capacities:
                 composed = project(tower, project(tower, cap, l, m), m, n)
-                if composed != project(tower, cap, l, n):
+                direct = descents[l, n, name] if l > n else project(tower, cap, l, n)
+                if composed != direct:
                     return f"composition {l}->{m}->{n} differs from {l}->{n} at {name}"
         return None
 
@@ -499,8 +511,7 @@ def run_unc_maps_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
         domain = rand_space(rng, 4)
         codomain = rand_space(rng, 3)
         source = rand_uncertainty_space(rng, domain)
-        uniform = Capacity(codomain,
-                           masses=(Fraction(1, len(codomain)),) * len(codomain))
+        uniform = additive_capacity(codomain, form=([1] * len(codomain), len(codomain)))
         target = UncertaintySpace(codomain, (("uniform", uniform),))
         h = rand_point_map(rng, domain, codomain)
         if not is_unc_map(h, source, target):
@@ -511,7 +522,7 @@ def run_unc_maps_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
         domain = FiniteSpace(("a", "b"))
         codomain = FiniteSpace(("c", "d"))
         source = UncertaintySpace(domain, (("u", dirac(domain, "a")),))
-        v = Capacity(codomain, masses=(Fraction(0), Fraction(1)))
+        v = additive_capacity(codomain, form=([0, 1], 1))
         target = UncertaintySpace(codomain, (("v", v),))
         h = PointMap(domain, codomain, {"a": "c", "b": "d"})
         witness = is_unc_map(h, source, target)

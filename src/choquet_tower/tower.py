@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .category import dirac, mu
-from .core import Capacity, FiniteSpace
+from .core import Capacity, FiniteSpace, additive_capacity
 from .uncertainty import UncertaintySpace
 
 
@@ -89,9 +88,8 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
         caps = []
         for numerators in _grid_compositions(len(current), grid):
             name = "-".join(str(c) for c in numerators)
-            masses = tuple(Fraction(c, grid) for c in numerators)
-            caps.append((name, Capacity(current, masses=masses,
-                                        exact=(list(numerators), grid))))
+            caps.append((name, additive_capacity(current,
+                                                 form=(list(numerators), grid))))
         views.append(UncertaintySpace(current, tuple(caps)))
         current = views[-1].capacity_space
         levels.append(TowerLevel(current, views[-1].capacities))

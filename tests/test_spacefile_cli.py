@@ -196,6 +196,7 @@ def test_unread_flag_is_usage_error(args, flag, capsys):
     (["laws", "choquet", "--grid", "2"], "--grid"),
     (["laws", "unc-maps", "--depth", "3"], "--depth"),
     (["laws", "substitution", "--space-size", "2"], "--space-size"),
+    (["laws", "dirac", "--space-size", "2"], "--space-size"),
 ])
 def test_laws_flag_the_suite_does_not_read_exits_one(args, unread, capsys):
     assert main(args) == 1
@@ -210,6 +211,9 @@ def test_laws_flag_the_suite_does_not_read_exits_one(args, unread, capsys):
      "--depth", "3"],
     ["laws", "retraction", "--grid", "2", "--space-size", "2", "--depth", "3"],
     ["laws", "dirac", "--trials", "500"],
+    ["laws", "choquet", "--trials", "500"],
+    ["laws", "substitution", "--trials", "500"],
+    ["laws", "unc-maps", "--trials", "500"],
 ])
 def test_laws_read_flags_at_their_defaults_change_nothing(args, capsys):
     assert main(args) == 0

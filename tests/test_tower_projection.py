@@ -71,3 +71,6 @@ def test_a_perturbed_average_fails_the_retraction_suite(monkeypatch):
     retraction = report.laws[0]
     assert retraction.name == "retraction" and retraction.failures == 1
     assert retraction.first_failure.startswith("retraction ")
+    composition = report.laws[1]
+    assert composition.name == "monotone-composition" and composition.failures == 1
+    assert composition.first_failure.startswith("composition ")
