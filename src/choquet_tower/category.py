@@ -168,9 +168,8 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     if v.is_additive and us.is_additive:
         exact = us.mass_rows and v.exact_form
         if exact:
-            (nums, den), (rows, row_den) = exact, us.mass_rows
-            weights = nums if v._masses is not None else [
-                nums[1 << j] for j in range(len(v.space))]
+            (rows, row_den), den = us.mass_rows, v._den
+            weights = v._singleton_keys()
         else:
             weights = v.singleton_masses()
             rows = [cap.singleton_masses() for _, cap in us.capacities]

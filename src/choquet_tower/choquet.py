@@ -99,40 +99,33 @@ def choquet_integral(u: Capacity, f: Act) -> Number:
     cumulative level set of the act's chain, while a mass vector, whose
     telescoping sum is the mass-weighted sum of the act's values, takes
     one dot product.  Otherwise (floats, or too coprime denominators) one
-    walk down the act's chain does the same in the values themselves,
-    keeping a running cumulative mass for a mass vector, so additive
-    capacities of any size integrate in time linear in the number of points.
+    walk down the act's chain does the same in values read through
+    ``u.value``: a table's at each cumulative level set, a mass vector's
+    point by point into a running cumulative mass, so additive capacities
+    of any size integrate in time linear in the number of points.
     """
     _require_same_space(u.space, f.space)
-    table, masses = u._table, u._masses
-    cap_form, act_form = u.exact_form, f.exact_form
-    if cap_form is not None and act_form is not None:
-        nums, cap_den = cap_form
-        cums, steps, act_den, int_steps = f.exact_chain
-        if masses is None:
+    form, chain = u.exact_form, f.exact_chain
+    if form is not None and chain is not None:
+        nums, cap_den = form
+        cums, steps, act_den = chain
+        if u._masses is None:
             total = sum(map(mul, steps, map(nums.__getitem__, cums)))
-            levels = map(table.__getitem__, cums)
         else:
-            total = sum(map(mul, act_form[0], nums))
-            top = cums[-1] if cums else 0
-            levels = (m for i, m in enumerate(masses) if top >> i & 1)
-        value = Fraction(total, act_den * cap_den)
-        # the walk below returns an int when every term is a product of ints
-        if int_steps and all(type(level) is int for level in levels):
-            return value.numerator
-        return value
+            total = sum(map(mul, f.exact_form[0], nums))
+        return Fraction(total, act_den * cap_den)
     total = 0
     level = 0
     cum = 0
     blocks = f.chain_blocks
     for idx, (mask, value) in enumerate(blocks):
-        if masses is None:
+        if u._masses is None:
             cum |= mask
-            level = table[cum]
+            level = u.value(cum)
         else:
             while mask:
                 low = mask & -mask
-                level += masses[low.bit_length() - 1]
+                level += u.value(low)
                 mask ^= low
         nxt = blocks[idx + 1][1] if idx + 1 < len(blocks) else 0
         step = value - nxt

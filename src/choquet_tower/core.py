@@ -6,9 +6,10 @@ exp/log utilities, quadrature).  Mixed arithmetic silently promotes to
 float, which is the intended behaviour.  Whether a comparison is exact or
 within a tolerance is decided here, by ``tolerance``, and nowhere else.
 
-Exact capacities and acts also keep their values in one exact form, built
-once by ``_exact_form``: integer numerators over one common denominator,
-which compare, add and multiply at integer speed.
+An exact capacity stores its values once, in an exact form built by
+``_exact_form``: integer numerators over one common denominator, which
+compare, add and multiply at integer speed; its values are their Fractions.
+An exact act keeps its values and derives the same form once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, attrgetter, eq, gt, mul
+from operator import add, gt
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Number = Union[int, Fraction, float]
@@ -277,35 +278,29 @@ class Act:
         return _exact_form(self.values)
 
     @cached_property
-    def exact_chain(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int, bool]]:
+    def exact_chain(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """The descending chain in the exact form, or None without one.
 
         Returns the cumulative level-set masks, the integer step down from
         each level's numerator to the next one's (to 0 after the last; a
-        zero step is left out), the denominator, and whether every step is
-        a difference of ints in ``chain_blocks`` (whose block values are
-        each block's first value).
+        zero step is left out), and the denominator.
         """
         if self.exact_form is None:
             return None
         nums, den = self.exact_form
         blocks: dict = {}
         for i, v in enumerate(nums):
-            block = blocks.setdefault(v, [0, i])
-            block[0] |= 1 << i
+            blocks[v] = blocks.get(v, 0) | 1 << i
         levels = sorted(blocks, reverse=True)
-        whole = [type(self.values[blocks[v][1]]) is int for v in levels] + [True]
         cums, steps = [], []
         cum = 0
-        ints = True
         for k, value in enumerate(levels):
-            cum |= blocks[value][0]
+            cum |= blocks[value]
             nxt = levels[k + 1] if k + 1 < len(levels) else 0
             if value != nxt:
                 cums.append(cum)
                 steps.append(value - nxt)
-                ints = ints and whole[k] and whole[k + 1]
-        return tuple(cums), tuple(steps), den, ints
+        return tuple(cums), tuple(steps), den
 
     @property
     def sup_norm(self) -> Number:
@@ -395,33 +390,36 @@ def precompose_act(f: Act, h: PointMap) -> Act:
     return Act(h.domain, tuple(f.at(h.mapping[p]) for p in h.domain.points))
 
 
-#: marks an exact form not yet derived
-_PENDING = object()
-
-
 class Capacity:
     """A monotone set function with value 0 on the empty set and 1 on the full set.
 
     Two internal representations share one interface: a dense table over the
     whole powerset (arbitrary monotone set functions, spaces up to 20 points)
     and a singleton-mass vector (additive capacities, any space size).
-    Either form of an exact capacity also has an exact form (see
-    ``exact_form``): a caller that already holds it, such as a checked
-    constructor, hands it over as ``exact`` (None for values without one),
-    and any other capacity derives it on first use.
+    Either one is stored once.  With ``den`` set it holds integer numerators
+    over ``den`` (see ``exact_form``); with ``den`` None it holds the values
+    themselves, floats or exact values too coprime to share one denominator.
+    The constructor derives the form from the values when no ``den`` is
+    given (see ``_exact_form``), and takes a list of int numerators over a
+    given ``den`` unchecked.
     """
 
-    __slots__ = ("space", "_table", "_masses", "_additive", "_exact", "_hash")
+    __slots__ = ("space", "_table", "_masses", "_den", "_additive", "_hash")
 
-    def __init__(self, space: FiniteSpace, *, table: tuple = None,
-                 masses: tuple = None, exact=_PENDING):
+    def __init__(self, space: FiniteSpace, *, table: Sequence = None,
+                 masses: Sequence = None, den: Optional[int] = None):
         if (table is None) == (masses is None):
             raise ValueError("exactly one of table/masses must be given")
+        stored = table if masses is None else masses
+        if den is None:
+            stored, den = _exact_form(stored) or (tuple(stored), None)
+        elif type(stored) is not list:
+            stored = list(stored)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_masses", masses)
+        object.__setattr__(self, "_table", stored if masses is None else None)
+        object.__setattr__(self, "_masses", None if masses is None else stored)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_additive", True if masses is not None else None)
-        object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -434,10 +432,15 @@ class Capacity:
         None for a capacity holding a float, or one whose denominators are
         too coprime to share one (see ``_exact_form``).
         """
-        if self._exact is _PENDING:
-            values = self._table if self._masses is None else self._masses
-            object.__setattr__(self, "_exact", _exact_form(values))
-        return self._exact
+        if self._den is None:
+            return None
+        return (self._table if self._masses is None else self._masses), self._den
+
+    def _keys(self) -> tuple[Sequence, float]:
+        """The stored table or masses, and the tolerance they compare within:
+        numerators and exact values directly, floats within TABLE_TOL."""
+        stored = self._table if self._masses is None else self._masses
+        return stored, 0 if self._den else tolerance(stored)
 
     @property
     def is_additive(self) -> bool:
@@ -447,75 +450,87 @@ class Capacity:
         without anyone asking.
         """
         if self._additive is None:
-            keys, tol = _keys(self._table, self.exact_form)
-            object.__setattr__(self, "_additive", _table_is_additive(keys, tol))
+            object.__setattr__(self, "_additive", _table_is_additive(*self._keys()))
         return self._additive
 
-    def value(self, mask: int) -> Number:
+    def _stored_value(self, mask: int):
+        # the table entry, or the sum of the masses, lowest point first
         if self._table is not None:
             return self._table[mask]
         total = 0
-        m = mask
-        while m:
-            low = m & -m
+        while mask:
+            low = mask & -mask
             total += self._masses[low.bit_length() - 1]
-            m ^= low
+            mask ^= low
         return total
+
+    def value(self, mask: int) -> Number:
+        stored = self._stored_value(mask)
+        return stored if self._den is None else Fraction(stored, self._den)
 
     def __call__(self, subset: Union[Subset, int]) -> Number:
         return self.value(_mask_of(self.space, subset))
 
     def is_null(self, mask: int) -> bool:
         """Whether the value on a subset is 0 (within TABLE_TOL for floats)."""
-        form = self.exact_form
-        if form is None:
-            return values_close(self.value(mask), 0, TABLE_TOL)
-        if self._masses is None:
-            return form[0][mask] == 0
-        return not sum(n for i, n in enumerate(form[0]) if mask >> i & 1)
+        stored = self._stored_value(mask)
+        return stored == 0 if self._den else values_close(stored, 0, TABLE_TOL)
 
-    def singleton_masses(self) -> tuple[Number, ...]:
+    def _singleton_keys(self) -> Sequence:
+        # what is stored for each point's singleton
         if self._masses is not None:
             return self._masses
-        return tuple(self._table[1 << i] for i in range(len(self.space)))
+        return [self._table[1 << i] for i in range(len(self.space))]
+
+    def singleton_masses(self) -> tuple[Number, ...]:
+        keys, den = self._singleton_keys(), self._den
+        return tuple(keys) if den is None else tuple(Fraction(n, den) for n in keys)
+
+    def _subset_keys(self) -> Sequence:
+        # the stored value of every subset in mask order: a mass vector's
+        # subset sums are added lowest point first, as ``value`` adds them
+        if self._table is not None:
+            return self._table
+        sums = [0]
+        for m in self._masses:
+            sums += [s + m for s in sums]
+        return sums
 
     def equals(self, other: "Capacity", tol: float = TABLE_TOL) -> bool:
         """Pointwise table equality (exact pairs compare exactly, floats by tol).
 
-        Two exact forms of the same kind compare as integer lists,
-        cross-multiplied when their denominators differ; a table and a mass
-        vector compare pointwise.
+        Two mass vectors compare point by point, anything else subset by
+        subset, a mass vector expanded to its subset sums.  Two exact forms
+        compare as integer lists, cross-multiplied when their denominators
+        differ; other values compare as values.
         """
         if self.space.points != other.space.points:
             return False
-        mine, theirs = self.exact_form, other.exact_form
-        same_kind = (self._masses is None) == (other._masses is None)
-        if mine is not None and theirs is not None and same_kind:
-            (a, da), (b, db) = mine, theirs
-            if da == db:
-                return a == b
-            return [x * db for x in a] == [y * da for y in b]
-        if self._masses is not None and other._masses is not None:
-            return all(values_close(a, b, tol)
-                       for a, b in zip(self._masses, other._masses))
-        return all(values_close(self.value(m), other.value(m), tol)
-                   for m in self.space.all_masks())
+        a, b = self._masses, other._masses
+        if a is None or b is None:
+            a, b = self._subset_keys(), other._subset_keys()
+        da, db = self._den, other._den
+        if da and db:
+            return a == b if da == db else [x * db for x in a] == [y * da for y in b]
+        a = a if da is None else [Fraction(x, da) for x in a]
+        b = b if db is None else [Fraction(y, db) for y in b]
+        return all(map(values_close, a, b, repeat(tol)))
 
     def __eq__(self, other):
         return isinstance(other, Capacity) and self.equals(other, tol=0.0)
 
     def __hash__(self):
-        # equal set functions share singleton values in either form: no table
-        # scan; computed once
+        # equal set functions share singleton values in either form, hashed
+        # as correctly rounded floats: no table scan, no Fraction; computed once
         if self._hash is None:
-            object.__setattr__(self, "_hash",
-                               hash((self.space.points, self.singleton_masses())))
+            singles, den = self._singleton_keys(), self._den
+            floats = [n / den for n in singles] if den else list(map(float, singles))
+            object.__setattr__(self, "_hash", hash((self.space.points, tuple(floats))))
         return self._hash
 
     def __repr__(self):
         kind = "additive" if self._masses is not None else "table"
-        values = self._masses if self._masses is not None else self._table
-        backend = "float" if tolerance(values) else "rational"
+        backend = "float" if self._keys()[1] else "rational"
         return f"Capacity({kind}, {len(self.space)} points, {backend})"
 
 
@@ -543,20 +558,7 @@ def _exact_form(values: Sequence[Number]) -> Optional[tuple[list[int], int]]:
     return [v.numerator * scale[v.denominator] for v in values], common
 
 
-def _keys(values: Sequence[Number], form) -> tuple[list, float]:
-    """Comparison keys for values whose exact form is ``form``, and the
-    tolerance they compare within.
-
-    Values with an exact form compare on its numerators.  The others keep
-    their values: exact ones with too coprime denominators compare exactly,
-    and those holding a float within TABLE_TOL.
-    """
-    if form is not None:
-        return form[0], 0
-    return list(values), tolerance(values)
-
-
-def _table_is_additive(keys: list, tol: float) -> bool:
+def _table_is_additive(keys: Sequence, tol: float) -> bool:
     # additive iff every value splits off its lowest point's singleton: the
     # masks whose lowest point is i are h + 2h*k (h = 2**i); k = 0 is the
     # singleton itself
@@ -590,10 +592,10 @@ def _cover_slices(n: int):
                 yield i, slice(s, s + h), slice(s + h, s + 2 * h)
 
 
-def _check_monotone(space: FiniteSpace, table: Sequence[Number],
-                    keys: list, tol: float) -> None:
+def _check_monotone(space: FiniteSpace, value: Callable[[int], Number],
+                    keys: Sequence, tol: float) -> None:
     # cover pairs suffice, and the first failing one in (mask, point) order
-    # is itself a witness
+    # is itself a witness; ``value`` gives the values the message prints
     first = None
     masks = range(len(keys))
     for i, lo, hi in _cover_slices(len(space)):
@@ -612,30 +614,21 @@ def _check_monotone(space: FiniteSpace, table: Sequence[Number],
         raise MonotonicityError(
             mask, above,
             f"capacity decreases from {space.labels(mask)}"
-            f" ({table[mask]}) to {space.labels(above)}"
-            f" ({table[above]})")
+            f" ({value(mask)}) to {space.labels(above)}"
+            f" ({value(above)})")
 
 
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
+def _checked_form(form: tuple[Sequence[int], int], size: int) -> tuple[Sequence[int], int]:
+    """An exact form handed to a checked constructor, as ``_exact_form``
+    would derive it.
 
-
-def _values_and_form(values: Optional[Sequence], form, size: int) -> tuple:
-    """The values a checked constructor checks, and their exact form.
-
-    The form is derived from the values (see ``_exact_form``) unless handed
-    over as (numerators, denominator), standing for numerator/denominator:
-    then a count other than ``size`` is a SpaceMismatchError, a non-int a
-    TypeError, a zero denominator a ZeroDivisionError, as for those values.
-    One gcd brings it to the positive denominator ``_exact_form`` would
-    derive, kept even where that would find the values too coprime to
-    share one.  Values given with it must be exact and equal it; else they
-    are its Fractions, one per distinct numerator (a point mass has two).
+    The form is (numerators, denominator), standing for numerator /
+    denominator: a count other than ``size`` is a SpaceMismatchError, a
+    non-int a TypeError, a zero denominator a ZeroDivisionError, as for
+    those values.  One gcd brings it to the positive denominator
+    ``_exact_form`` would derive, kept even where that would find the values
+    too coprime to share one.
     """
-    if form is None:
-        if values is None:
-            raise TypeError("a capacity needs its values or their exact form")
-        return values, _exact_form(values)
     nums, den = form
     if len(nums) != size:
         raise SpaceMismatchError(f"exact form has {len(nums)} numerators, need {size}")
@@ -643,55 +636,51 @@ def _values_and_form(values: Optional[Sequence], form, size: int) -> tuple:
         raise TypeError("an exact form holds int numerators over an int denominator")
     if den == 0:
         raise ZeroDivisionError("exact form with denominator 0")
-    g = math.gcd(den, *nums)
-    if den < 0:
-        g = -g
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     if g != 1:
-        nums, den = [n // g for n in nums], den // g
-    if values is None:
-        fractions = {n: Fraction(n, den) for n in set(nums)}
-        return list(map(fractions.__getitem__, nums)), (nums, den)
-    if not (set(map(type, values)) <= {int, Fraction}
-            and all(map(eq, map(mul, map(_numerator, values), repeat(den)),
-                        map(mul, nums, map(_denominator, values))))):
-        raise ValueError("values differ from the exact form handed over with them")
-    return values, (nums, den)
+        return [n // g for n in nums], den // g
+    return nums, den
 
 
-def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence],
+def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence, None] = None,
                       *, form: Optional[tuple[Sequence[int], int]] = None) -> Capacity:
     """Check and build a capacity from a dense table.
 
     The table must cover every subset: a mapping whose keys are Subset
     objects or bitmask ints, or a sequence in mask order.  Additive
     capacities given by their masses go through ``additive_capacity``
-    instead.  An exact table is checked on its exact form, which the
-    capacity keeps.  A caller that holds that form hands it over as
-    ``form`` = (numerators, denominator) in mask order, with a table that
-    must equal it; it is checked (see ``_values_and_form``), and then goes
-    through the same normalization and monotonicity checks as a derived one.
+    instead.  A caller that holds the table's exact form hands it over as
+    ``form`` = (numerators, denominator) in mask order, in place of the
+    table; it is checked (see ``_checked_form``).  Either way the capacity
+    is built first, and what it stores goes through the normalization and
+    monotonicity checks.
     """
     check_dense_size(space)
+    if (table is None) == (form is None):
+        raise TypeError("give a capacity's table or its exact form, not both")
     full = space.full_mask
-    if isinstance(table, Mapping):
-        dense: list = [None] * (full + 1)
-        for key, val in table.items():
-            # an int key in range is a mask already; any other key is checked
-            dense[key if type(key) is int and 0 <= key <= full
-                  else _mask_of(space, key)] = val
-        if any(v is None for v in dense):
-            raise SpaceMismatchError("table does not cover every subset")
-    elif len(table) == full + 1:
-        dense = table
+    if form is not None:
+        nums, den = _checked_form(form, full + 1)
+        cap = Capacity(space, table=nums, den=den)
     else:
-        raise SpaceMismatchError("table does not cover every subset")
-    dense, form = _values_and_form(dense, form, full + 1)
-    keys, tol = _keys(dense, form)
-    if not (_close(keys[0], 0, tol) and _close(keys[-1], form[1] if form else 1, tol)):
-        raise NormalizationError(
-            f"need table(empty)=0 and table(full)=1, got {dense[0]} and {dense[-1]}")
-    _check_monotone(space, dense, keys, tol)
-    return Capacity(space, table=tuple(dense), exact=form)
+        if isinstance(table, Mapping):
+            dense: list = [None] * (full + 1)
+            for key, val in table.items():
+                # an int key in range is a mask already; any other key is checked
+                dense[key if type(key) is int and 0 <= key <= full
+                      else _mask_of(space, key)] = val
+            if any(v is None for v in dense):
+                raise SpaceMismatchError("table does not cover every subset")
+            table = dense
+        elif len(table) != full + 1:
+            raise SpaceMismatchError("table does not cover every subset")
+        cap = Capacity(space, table=table)
+    keys, tol = cap._keys()
+    if not (_close(keys[0], 0, tol) and _close(keys[-1], cap._den or 1, tol)):
+        raise NormalizationError(f"need table(empty)=0 and table(full)=1, got "
+                                 f"{cap.value(0)} and {cap.value(full)}")
+    _check_monotone(space, cap.value, keys, tol)
+    return cap
 
 
 def additive_capacity(space: FiniteSpace,
@@ -700,33 +689,38 @@ def additive_capacity(space: FiniteSpace,
     """Check and build an additive capacity from its singleton masses.
 
     Masses come as a mapping by point label or as a sequence in point
-    order; none may be negative and they must sum to 1.  Exact masses are
-    checked on their exact form, which the capacity keeps.  As in
-    ``validate_capacity``, a caller holding that form hands it over as
-    ``form``, with masses that equal it or without masses (then they are
-    Fractions of it), and it goes through the same checks.
+    order; none may be negative and they must sum to 1.  As in
+    ``validate_capacity``, a caller holding their exact form hands it over
+    as ``form`` in place of the masses, and the capacity built from either
+    goes through the same checks.
     """
-    if isinstance(masses, Mapping):
-        for p in space.points:
-            if p not in masses:
-                raise SpaceMismatchError(f"missing singleton value for {p!r}")
-        foreign = [label for label in masses if label not in space._index]
-        if foreign:
-            raise SpaceMismatchError(f"singleton values for labels that are not "
-                                     f"points: {', '.join(map(repr, foreign))}")
-        masses = [masses[p] for p in space.points]
-    elif masses is not None and len(masses) != len(space):
-        raise SpaceMismatchError("one mass per point required")
-    masses, form = _values_and_form(masses, form, len(space))
-    masses = tuple(masses)
-    keys, tol = _keys(masses, form)
+    if (masses is None) == (form is None):
+        raise TypeError("give a capacity's masses or their exact form, not both")
+    if form is not None:
+        nums, den = _checked_form(form, len(space))
+        cap = Capacity(space, masses=nums, den=den)
+    else:
+        if isinstance(masses, Mapping):
+            for p in space.points:
+                if p not in masses:
+                    raise SpaceMismatchError(f"missing singleton value for {p!r}")
+            foreign = [label for label in masses if label not in space._index]
+            if foreign:
+                raise SpaceMismatchError(f"singleton values for labels that are not "
+                                         f"points: {', '.join(map(repr, foreign))}")
+            masses = [masses[p] for p in space.points]
+        elif len(masses) != len(space):
+            raise SpaceMismatchError("one mass per point required")
+        cap = Capacity(space, masses=masses)
+    keys, tol = cap._keys()
     for i in compress(range(len(keys)), map(gt, repeat(0), keys)):
         if not _close(keys[i], 0, tol):
             raise MonotonicityError(
-                0, 1 << i, f"negative mass {masses[i]} at {space.points[i]!r}")
-    if not _close(sum(keys), form[1] if form else 1, tol):
-        raise NormalizationError(f"singleton masses sum to {sum(masses)}, not 1")
-    return Capacity(space, masses=masses, exact=form)
+                0, 1 << i, f"negative mass {cap.value(1 << i)} at {space.points[i]!r}")
+    if not _close(sum(keys), cap._den or 1, tol):
+        raise NormalizationError(f"singleton masses sum to "
+                                 f"{cap.value(space.full_mask)}, not 1")
+    return cap
 
 
 def distort(u: Capacity, h: Callable[[Number], Number]) -> Capacity:
@@ -736,40 +730,30 @@ def distort(u: Capacity, h: Callable[[Number], Number]) -> Capacity:
     values (all that is ever evaluated); the images decide whether those
     checks are exact.
     """
-    space = u.space
-    masks = space.all_masks()
-    lut = {v: h(v) for v in sorted({u.value(m) for m in masks})}
+    values = list(map(u.value, u.space.all_masks()))
+    lut = {v: h(v) for v in sorted(set(values))}
     images = list(lut.values())
     tol = tolerance(images)
-    h0, h1 = lut[u.value(0)], lut[u.value(space.full_mask)]
+    h0, h1 = lut[values[0]], lut[values[-1]]
     if not (_close(h0, 0, tol) and _close(h1, 1, tol)):
         raise EndpointError(f"distortion must fix endpoints, got h(0)={h0}, h(1)={h1}")
     for a, b in zip(images, images[1:]):
         if a > b and not _close(a, b, tol):
             raise MonotonicityError(0, 0, f"distortion decreases: {a} > {b}")
-    return Capacity(space, table=tuple(lut[u.value(m)] for m in masks))
+    return Capacity(u.space, table=[lut[v] for v in values])
 
 
 def pushforward(u: Capacity, h: PointMap) -> Capacity:
     """Transport a capacity along a point map: result(B) = u(preimage of B).
 
-    A mass vector adds each point's mass into its image's, a table reads
-    each subset's preimage; the same step carries the exact form.
+    A mass vector adds each point's stored mass into its image's, a table
+    reads each subset's preimage; numerators stay over their denominator.
     """
     _require_same_space(u.space, h.domain)
     target = h.codomain
-    form = u.exact_form
     if u._masses is not None:
-        images = [target.index(h.mapping[p]) for p in u.space.points]
-
-        def push(values):
-            out = [0] * len(target)
-            for j, m in zip(images, values):
-                out[j] += m
-            return out
-
-        return Capacity(target, masses=tuple(push(u._masses)),
-                        exact=(push(form[0]), form[1]) if form else _PENDING)
-    pre = h.preimage_masks()
-    return Capacity(target, table=tuple(u._table[m] for m in pre),
-                    exact=([form[0][m] for m in pre], form[1]) if form else _PENDING)
+        out = [0] * len(target)
+        for p, m in zip(u.space.points, u._masses):
+            out[target.index(h.mapping[p])] += m
+        return Capacity(target, masses=out, den=u._den)
+    return Capacity(target, table=[u._table[m] for m in h.preimage_masks()], den=u._den)

@@ -60,28 +60,22 @@ def build_urn_space(params: UrnParams) -> UncertaintySpace:
     With a whole alpha every table is exact, with integer numerators over
     D = 3 (2N)^alpha: in mask order R, B, RB, Y, RY, BY they are S, 2k^alpha,
     S + 2k^alpha, 2(2N-k)^alpha, S + 2(2N-k)^alpha and 2S, with S = (2N)^alpha.
-    Each table is checked on that form, and its values are Fractions of it
-    shared across tables: u_k's yellow values are u_(2N-k)'s blue ones.
+    Each table is handed to ``validate_capacity`` as that form alone, and
+    checked and kept on it.
     """
     space = make_space(["R", "B", "Y"])
     two_n = 2 * params.big_n
-    third = Fraction(1, 3)
     caps = []
     if isinstance(params.alpha, int):
         s = two_n ** params.alpha
         d = 3 * s
         blue = [2 * k ** params.alpha for k in range(two_n + 1)]
-        b_values = [Fraction(b, d) for b in blue]
-        rb_values = [Fraction(s + b, d) for b in blue]
-        two_thirds = Fraction(2, 3)
         for k, b in enumerate(blue):
             y = blue[two_n - k]
-            values = (0, third, b_values[k], rb_values[k],
-                      b_values[two_n - k], rb_values[two_n - k], two_thirds, 1)
-            cap = validate_capacity(space, values,
-                                    form=([0, s, b, s + b, y, s + y, 2 * s, d], d))
+            cap = validate_capacity(space, form=([0, s, b, s + b, y, s + y, 2 * s, d], d))
             caps.append((f"u{k}", cap))
         return UncertaintySpace(space, tuple(caps))
+    third = Fraction(1, 3)
     for k in range(two_n + 1):
         blue = 2 * third * params.ratio_power(k)
         yellow = 2 * third * params.ratio_power(two_n - k)
@@ -123,8 +117,7 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
             nums[k] = coef * a ** k * power
             coef = coef * k // (two_n - k + 1)
             power *= b - a
-        return Capacity(base, masses=tuple(Fraction(n, denom) for n in nums),
-                        exact=(nums, denom))
+        return Capacity(base, masses=nums, den=denom)
 
     return FamilyLevel(base=base, family=member, weight="lebesgue",
                        binomial_n=two_n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
@@ -90,11 +89,6 @@ def rand_nonneg_act(rng: random.Random, space: FiniteSpace) -> Act:
     return Act(space, tuple(rand_fraction(rng, 0, 8) for _ in space.points))
 
 
-@cache
-def _sixteenths() -> tuple[Fraction, ...]:
-    return tuple(Fraction(k, 16) for k in range(17))
-
-
 def rand_capacity(rng: random.Random, space: FiniteSpace) -> Capacity:
     """Random monotone table: raw draws pushed up along set inclusion.
 
@@ -112,10 +106,8 @@ def rand_capacity(rng: random.Random, space: FiniteSpace) -> Capacity:
                     best = below
         nums[mask] = best
     nums[-1] = 16
-    sixteenths = _sixteenths()
     # unchecked, being monotone by construction: checks cost ~0.15 s per laws pass
-    return Capacity(space, table=tuple(sixteenths[k] for k in nums),
-                    exact=(nums, 16))
+    return Capacity(space, table=nums, den=16)
 
 
 def rand_additive(rng: random.Random, space: FiniteSpace) -> Capacity:

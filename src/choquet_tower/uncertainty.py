@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
-                   Number, Subset, _exact_form, _mask_of, _require_same_space)
+                   Number, Subset, _mask_of, _require_same_space)
 
 
 def _name_index(capacities: Sequence[tuple[str, Capacity]]
@@ -88,16 +88,16 @@ class UncertaintySpace:
 
     @cached_property
     def mass_rows(self) -> Optional[tuple[list[list[int]], int]]:
-        """Every capacity's singleton values as integer numerators over one
-        common denominator, one row per capacity, or None (see
-        ``core._exact_form``); built on first use only."""
-        n = len(self.base)
-        form = _exact_form([m for _, cap in self.capacities
-                            for m in cap.singleton_masses()])
-        if form is None:
+        """Every capacity's singleton values as integer numerators over the
+        least common multiple of their denominators, one row per capacity,
+        or None when one has no exact form; built on first use only, from
+        the stored numerators."""
+        caps = [cap for _, cap in self.capacities]
+        if not all(cap._den for cap in caps):
             return None
-        nums, den = form
-        return [nums[i:i + n] for i in range(0, len(nums), n)], den
+        den = math.lcm(*(cap._den for cap in caps))
+        return [[n * (den // cap._den) for n in cap._singleton_keys()]
+                for cap in caps], den
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:

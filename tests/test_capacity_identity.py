@@ -77,7 +77,7 @@ def test_random_tables_hash_by_value(n, seed_a, seed_b):
     _assert_hash_follows_equality(a, b)
     # the same set function, rebuilt with whole values as ints
     copy = Capacity(space, table=tuple(int(v) if v.denominator == 1 else v
-                                       for v in a._table))
+                                       for v in map(a.value, space.all_masks())))
     assert a == copy
     _assert_hash_follows_equality(a, copy)
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from choquet_tower import core
 from choquet_tower.choquet import choquet_integral, choquet_sum
 from choquet_tower.core import (Act, Capacity, FiniteSpace, SpaceMismatchError,
-                                TABLE_TOL, additive_capacity, make_space,
+                                TABLE_TOL, additive_capacity, is_exact, make_space,
                                 validate_capacity, values_close)
 from choquet_tower.laws import rand_capacity
 from choquet_tower.spacefile import load_space_file
@@ -89,11 +89,11 @@ def value_walk(u: Capacity, f: Act):
     for idx, (mask, value) in enumerate(blocks):
         if u._masses is None:
             cum |= mask
-            level = u._table[cum]
+            level = u.value(cum)
         else:
             for i in range(len(f.values)):
                 if mask >> i & 1:
-                    level += u._masses[i]
+                    level += u.value(1 << i)
         nxt = blocks[idx + 1][1] if idx + 1 < len(blocks) else 0
         if value != nxt:
             total += (value - nxt) * level
@@ -148,16 +148,17 @@ def mass_cases(draw):
 
 
 def _check_against_oracles(u: Capacity, f: Act) -> None:
-    values = u._table if u._masses is None else u._masses
+    values = (u.singleton_masses() if u._masses is not None
+              else [u.value(m) for m in u.space.all_masks()])
     event(f"capacity: {_form_kind(values)}")
     event(f"act: {_form_kind(f.values)}")
     got = choquet_integral(u, f)
     if core.tolerance(values) or core.tolerance(f.values):
         want = value_walk(u, f)
-        assert got == want and type(got) is type(want)
+        assert got == want and is_exact(got) == is_exact(want)
         return
     want = choquet_sum(u.value, f)
-    assert got == want and type(got) is type(want)
+    assert got == want and is_exact(got) == is_exact(want)
     assert got == fraction_walk(u, f)
     if u.exact_form is None or f.exact_form is None:
         assert got == value_walk(u, f)
@@ -191,15 +192,15 @@ def test_readme_example_stays_a_fraction():
     assert got == 4 and type(got) is Fraction
 
 
-def test_whole_values_keep_the_walks_int():
+def test_whole_values_integrate_to_equal_exact_values():
     space = make_space(["a", "b"])
     u = validate_capacity(space, {0: 0, 1: Fraction(1, 2), 2: Fraction(1, 3), 3: 1})
-    # every term is an int times an int: the full set's value is the int 1
-    assert type(choquet_integral(u, Act(space, (5, 5)))) is int
-    # a zero act adds no term at all
-    assert choquet_integral(u, Act(space, (Fraction(0), Fraction(0)))) == 0
-    assert type(choquet_integral(u, Act(space, (Fraction(0), Fraction(0))))) is int
-    assert type(choquet_integral(u, Act(space, (5, 1)))) is Fraction
+    # whole values need not give an int, only the exact value: 5 times the
+    # full set's 1, no term at all for a zero act, and 4 * 1/2 + 1
+    for values, want in (((5, 5), 5), ((Fraction(0), Fraction(0)), 0), ((5, 1), 3)):
+        got = choquet_integral(u, Act(space, values))
+        assert got == want == choquet_sum(u.value, Act(space, values))
+        assert is_exact(got)
 
 
 # -- equality and hashing across forms ------------------------------------------
@@ -223,10 +224,9 @@ def capacity_pairs(draw):
         return {
             "masses": lambda: additive_capacity(space, masses),
             "masses over 3x": lambda: Capacity(
-                space, masses=tuple(masses), exact=([3 * w for w in weights], 3 * scale)),
+                space, masses=[3 * w for w in weights], den=3 * scale),
             "table": lambda: validate_capacity(space, dict(enumerate(sums))),
-            "table over 3x": lambda: Capacity(space, table=tuple(sums),
-                                              exact=(nums, 3 * scale)),
+            "table over 3x": lambda: Capacity(space, table=nums, den=3 * scale),
             "float masses": lambda: Capacity(space, masses=tuple(map(float, masses))),
             "float table": lambda: Capacity(space, table=tuple(map(float, sums))),
             "squared table": lambda: Capacity(space, table=tuple(s * s for s in sums)),
@@ -289,11 +289,12 @@ def test_rand_capacity_draws_like_the_fraction_generator():
         space = _space(1 + seed % 6)
         ours, theirs = random.Random(seed), random.Random(seed)
         u = rand_capacity(ours, space)
-        assert u._table == _fraction_rand_capacity(theirs, space)
-        assert all(type(v) is Fraction for v in u._table)
+        values = tuple(map(u.value, space.all_masks()))
+        assert values == _fraction_rand_capacity(theirs, space)
+        assert all(type(v) is Fraction for v in values)
         assert ours.getstate() == theirs.getstate()
         nums, den = u.exact_form
-        assert [Fraction(k, den) for k in nums] == list(u._table)
+        assert [Fraction(k, den) for k in nums] == list(values)
 
 
 @pytest.fixture
@@ -402,7 +403,7 @@ def _prepared_inputs():
     pairs.append((masses, _act(rng, space, "shared")))
     for u, f in pairs:
         assert u.exact_form is not None and f.exact_chain is not None
-        assert not f.exact_chain[3]  # Fraction steps: the result is a Fraction
+        assert f.exact_chain[2] > 1  # Fraction steps: not every value is whole
     return pairs
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet_tower import core
-from choquet_tower.core import (TABLE_TOL, MonotonicityError, make_space,
+from choquet_tower.core import (TABLE_TOL, Capacity, MonotonicityError, make_space,
                                 tolerance, validate_capacity)
 from choquet_tower.spacefile import load_space_file
 
@@ -49,15 +49,20 @@ def oracle_is_additive(table) -> bool:
     return True
 
 
+def _space_for(table):
+    return make_space([f"p{i}" for i in range(len(table).bit_length() - 1)])
+
+
 def table_keys(table):
-    """The comparison keys ``core`` checks a table on, and their tolerance."""
-    return core._keys(table, core._exact_form(table))
+    """The comparison keys ``core`` checks a table on, and their tolerance:
+    the numerators of its exact form, or else the values themselves."""
+    form = Capacity(_space_for(table), table=table).exact_form
+    return (form[0], 0) if form else (list(table), tolerance(table))
 
 
 def fast_witness(table):
-    space = make_space([f"p{i}" for i in range(len(table).bit_length() - 1)])
     try:
-        core._check_monotone(space, table, *table_keys(table))
+        core._check_monotone(_space_for(table), table.__getitem__, *table_keys(table))
     except MonotonicityError as err:
         return err.witness
     return None

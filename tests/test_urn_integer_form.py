@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from choquet_tower import core
 from choquet_tower.core import (Act, Capacity, MonotonicityError,
                                 NormalizationError, SpaceMismatchError,
-                                additive_capacity, make_space,
+                                additive_capacity, is_exact, make_space,
                                 validate_capacity)
 from choquet_tower.ellsberg import (UrnParams, binomial_family, build_sequence,
                                     build_urn_space, closed_form_values,
@@ -77,8 +77,14 @@ def oracle_closed_form(variant, params):
     }
 
 
-def same_typed(a, b):
-    return len(a) == len(b) and all(type(x) is type(y) and x == y for x, y in zip(a, b))
+def same_values(a, b):
+    """Equal values that print alike and are exact alike."""
+    return len(a) == len(b) and all(x == y and str(x) == str(y) and is_exact(x) == is_exact(y)
+                                    for x, y in zip(a, b))
+
+
+def values_of(cap):
+    return [cap.value(m) for m in cap.space.all_masks()]
 
 
 LAYER = {"X": 2, "Y": 2, "Z": 3}
@@ -97,12 +103,13 @@ def test_tables_and_forms_match_the_fraction_loop(params):
     oracle = oracle_tables(params)
     assert len(urn.capacities) == len(oracle) == 2 * params.big_n + 1
     for (name, cap), table in zip(urn.capacities, oracle):
-        # values and their types, int 0 and 1 at the ends included
-        assert same_typed(cap._table, table), name
+        # values as they print, 0 and 1 at the ends included
+        assert same_values(values_of(cap), table), name
+        assert all(map(is_exact, values_of(cap)))
         assert cap.exact_form == core._exact_form(table)
     # k = 0 and k = 2N: no blue, no yellow
-    assert urn.capacities[0][1]._table[0b010] == 0
-    assert urn.capacities[-1][1]._table[0b100] == 0
+    assert urn.capacities[0][1].value(0b010) == 0
+    assert urn.capacities[-1][1].value(0b100) == 0
 
 
 @given(whole_params)
@@ -111,7 +118,8 @@ def test_closed_forms_match_the_fraction_sums(params):
     for variant in LAYER:
         got = closed_form_values(variant, params, LAYER[variant])
         want = oracle_closed_form(variant, params)
-        assert same_typed(list(got.values()), list(want.values()))
+        assert same_values(list(got.values()), list(want.values()))
+        assert all(map(is_exact, got.values()))
         assert list(got) == list(want)
 
 
@@ -145,12 +153,13 @@ def test_urn_and_weights_hand_over_their_forms(monkeypatch):
     params = UrnParams(big_n=4, alpha=3, u1=Fraction(3, 5))
     for variant in ("X", "Y"):
         urn = build_urn_space(params)
-        assert all(cap._exact is not core._PENDING for _, cap in urn.capacities)
+        assert all(cap.exact_form is not None for _, cap in urn.capacities)
         weights = build_sequence(variant, params).levels[1].capacities[0][1]
-        assert weights._exact is not core._PENDING
-        assert same_typed(weights._masses, oracle_weights(variant, params))
+        assert weights.exact_form is not None
+        assert same_values(weights.singleton_masses(), oracle_weights(variant, params))
+        assert all(map(is_exact, weights.singleton_masses()))
     assert derived == []
-    assert weights.exact_form == derive(weights._masses)
+    assert weights.exact_form == derive(weights.singleton_masses())
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(7, 3)])
@@ -158,12 +167,12 @@ def test_non_whole_exponents_keep_the_float_path(alpha):
     params = UrnParams(big_n=5, alpha=alpha, u1=Fraction(3, 5))
     urn = build_urn_space(params)
     for (_, cap), table in zip(urn.capacities, oracle_tables(params)):
-        assert same_typed(cap._table, table)
+        assert same_values(values_of(cap), table)
         assert cap.exact_form is None
-        assert any(type(v) is float for v in cap._table)
+        assert any(type(v) is float for v in values_of(cap))
     for variant in LAYER:
         got = closed_form_values(variant, params, LAYER[variant])
-        assert same_typed(list(got.values()),
+        assert same_values(list(got.values()),
                           list(oracle_closed_form(variant, params).values()))
 
 
@@ -179,10 +188,9 @@ def fractions(nums, den):
     return [Fraction(n, den) for n in nums]
 
 
-def table_by_form(space, nums, den, values=None):
-    """``validate_capacity`` given a form, with the values it stands for."""
-    return validate_capacity(space, fractions(nums, den) if values is None else values,
-                             form=(nums, den))
+def table_by_form(space, nums, den):
+    """``validate_capacity`` given a form in place of the values."""
+    return validate_capacity(space, form=(nums, den))
 
 
 def raised(call):
@@ -201,7 +209,7 @@ def assert_same_refusal(form_call, value_call, kind):
 
 
 def test_form_entry_refuses_a_wrong_length():
-    assert_same_refusal(lambda: table_by_form(SPACE, NUMS[:3], DEN, VALUES),
+    assert_same_refusal(lambda: table_by_form(SPACE, NUMS[:3], DEN),
                         lambda: validate_capacity(SPACE, dict(enumerate(VALUES[:3]))),
                         SpaceMismatchError)
     assert_same_refusal(lambda: additive_capacity(SPACE, form=([1, 1, 1], 3)),
@@ -210,7 +218,7 @@ def test_form_entry_refuses_a_wrong_length():
 
 
 def test_form_entry_refuses_a_non_int_numerator():
-    assert_same_refusal(lambda: table_by_form(SPACE, [0, "3", 6, 12], DEN, VALUES),
+    assert_same_refusal(lambda: table_by_form(SPACE, [0, "3", 6, 12], DEN),
                         lambda: validate_capacity(SPACE, [0, "3", Fraction(1, 2), 1]),
                         TypeError)
     assert_same_refusal(lambda: additive_capacity(SPACE, form=(["1", 2], 3)),
@@ -218,14 +226,14 @@ def test_form_entry_refuses_a_non_int_numerator():
                         TypeError)
     for other in (3.0, True, Fraction(3)):
         with pytest.raises(TypeError):
-            table_by_form(SPACE, [0, other, 6, 12], DEN, VALUES)
+            table_by_form(SPACE, [0, other, 6, 12], DEN)
     with pytest.raises(TypeError):
-        table_by_form(SPACE, NUMS, 12.0, VALUES)
+        table_by_form(SPACE, NUMS, 12.0)
 
 
 def test_form_entry_refuses_a_denominator_below_one():
     with pytest.raises(ZeroDivisionError):
-        table_by_form(SPACE, NUMS, 0, VALUES)
+        table_by_form(SPACE, NUMS, 0)
     with pytest.raises(ZeroDivisionError):
         fractions(NUMS, 0)
     assert_same_refusal(lambda: table_by_form(SPACE, NUMS, -DEN),
@@ -263,12 +271,17 @@ def test_form_entry_refuses_a_decrease_with_the_same_witness():
 
 
 def test_form_entry_refuses_values_that_differ_from_it():
-    with pytest.raises(ValueError, match="differ"):
-        table_by_form(SPACE, NUMS, DEN, [0, Fraction(1, 4), Fraction(1, 3), 1])
-    with pytest.raises(ValueError, match="differ"):
-        table_by_form(SPACE, NUMS, DEN, [0, 0.25, 0.5, 1])
-    with pytest.raises(ValueError, match="differ"):
+    # one stored form: values beside a form are refused, equal or not, and
+    # so is a call with neither
+    for values in ([0, Fraction(1, 4), Fraction(1, 3), 1], [0, 0.25, 0.5, 1], VALUES):
+        with pytest.raises(TypeError):
+            validate_capacity(SPACE, values, form=(NUMS, DEN))
+    with pytest.raises(TypeError):
         additive_capacity(SPACE, [Fraction(1, 3), Fraction(2, 3)], form=([2, 1], 3))
+    with pytest.raises(TypeError):
+        validate_capacity(SPACE)
+    with pytest.raises(TypeError):
+        additive_capacity(SPACE)
 
 
 @st.composite
@@ -302,7 +315,7 @@ def test_form_entry_agrees_with_the_value_entry(case):
     if by_values is None:
         assert by_form is None
         u, v = validate_capacity(space, values), table_by_form(space, nums, den)
-        assert v == u and list(v._table) == values
+        assert v == u and values_of(v) == values
         assert v.exact_form == u.exact_form == core._exact_form(values)
     else:
         assert type(by_form) is type(by_values)
@@ -344,8 +357,8 @@ def test_urn_tables_do_no_fraction_arithmetic(fraction_ops):
     fraction_ops.update(built=0, ops=0)
     urn = build_urn_space(params)
     assert fraction_ops["ops"] == 0
-    # blue and red-or-blue per k, a third and two thirds
-    assert fraction_ops["built"] <= 2 * 601 + 2
+    # the tables are kept and hashed on their numerators alone
+    assert fraction_ops["built"] == 0
     assert len(urn.capacities) == 601
 
 
@@ -361,10 +374,11 @@ def test_closed_forms_build_a_handful_of_fractions(fraction_ops, variant):
 
 
 def test_checked_results_are_still_capacities():
-    u = table_by_form(SPACE, NUMS, DEN, VALUES)
-    assert isinstance(u, Capacity) and u._table == tuple(VALUES)
+    u = table_by_form(SPACE, NUMS, DEN)
+    assert isinstance(u, Capacity) and values_of(u) == VALUES
     m = additive_capacity(SPACE, form=([2, 4], 6))
-    assert m._masses == (Fraction(1, 3), Fraction(2, 3)) and m.exact_form == ([1, 2], 3)
+    assert m.singleton_masses() == (Fraction(1, 3), Fraction(2, 3))
+    assert m.exact_form == ([1, 2], 3)
 
 
 # -- mass-space mu hands its integer sums over ---------------------------------
@@ -393,7 +407,8 @@ def test_mu_hands_its_sums_to_the_form_entry(monkeypatch):
     want = [sum((w * cap.singleton_masses()[i]
                  for w, (_, cap) in zip(v.singleton_masses(), us.capacities)),
                 start=Fraction(0)) for i in range(3)]
-    assert same_typed(averaged._masses, want)
+    assert same_values(averaged.singleton_masses(), want)
+    assert all(map(is_exact, averaged.singleton_masses()))
     assert averaged.exact_form == derive(want)
 
 
