@@ -15,8 +15,9 @@ An exact act keeps its values and derives the same form once.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, gt
@@ -32,6 +33,11 @@ VALUE_TOL = 1e-9
 MAX_DENSE_POINTS = 20
 #: largest whole exponent raised exactly; a larger one is refused
 MAX_EXACT_EXPONENT = 1000
+#: largest decimal exponent magnitude parsed, Python's own limit on the
+#: digits of an integer printed as text; a larger one is refused
+MAX_DECIMAL_EXPONENT = 4300
+#: the exponent of a number's decimal text, as ``Fraction`` reads it
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class EmptySpaceError(ValueError):
@@ -76,7 +82,8 @@ def as_exact(x: Union[str, int, float, Fraction]) -> Fraction:
 
     A float is read through its decimal text, so 0.1 becomes 1/10.
     Booleans are refused: they are not numbers, though Python counts them
-    as integers.
+    as integers.  A decimal exponent above MAX_DECIMAL_EXPONENT in
+    magnitude is refused before parsing, which would build 10**exponent.
     """
     if isinstance(x, bool):
         raise ValueError(f"expected a number, got {x}")
@@ -84,7 +91,13 @@ def as_exact(x: Union[str, int, float, Fraction]) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(str(x))
+    text = str(x)
+    # only the last e can start an exponent
+    exp = _DECIMAL_EXPONENT.match(text, max(text.rfind("e"), text.rfind("E"), 0))
+    if exp and abs(int(exp[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"{text} has a decimal exponent above "
+                         f"{MAX_DECIMAL_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 def parse_number(x: Union[str, int, float, Fraction], backend: str) -> Number:
@@ -572,24 +585,27 @@ def _table_is_additive(keys: Sequence, tol: float) -> bool:
     return True
 
 
-def _cover_slices(n: int):
+@cache
+def _cover_slices(n: int) -> tuple[tuple[int, slice, slice], ...]:
     """Slice pairs that together pair every mask lacking point i with the
     mask adding it, point by point: (i, lo, hi).
 
     Within a pair, masks ascend.  A point with few masks per run of 2h
     (h = 2**i) strides over whole runs, one pair per offset; one with long
     runs takes one pair per run, so no point needs more than sqrt(2**n)
-    pairs.
+    pairs.  The plan depends on n alone and is built once per n.
     """
     size = 1 << n
+    pairs = []
     for i in range(n):
         h = 1 << i
         if 2 * h * h <= size:
-            for r in range(h):
-                yield i, slice(r, size, 2 * h), slice(r + h, size, 2 * h)
+            pairs += [(i, slice(r, size, 2 * h), slice(r + h, size, 2 * h))
+                      for r in range(h)]
         else:
-            for s in range(0, size, 2 * h):
-                yield i, slice(s, s + h), slice(s + h, s + 2 * h)
+            pairs += [(i, slice(s, s + h), slice(s + h, s + 2 * h))
+                      for s in range(0, size, 2 * h)]
+    return tuple(pairs)
 
 
 def _check_monotone(space: FiniteSpace, value: Callable[[int], Number],
@@ -600,6 +616,8 @@ def _check_monotone(space: FiniteSpace, value: Callable[[int], Number],
     masks = range(len(keys))
     for i, lo, hi in _cover_slices(len(space)):
         below, above = keys[lo], keys[hi]
+        if not any(map(gt, below, above)):
+            continue
         # only a pair that decreases can fail, so the tolerance is applied
         # to those alone; within a slice the first failure has the least mask
         for j in compress(range(len(below)), map(gt, below, above)):

@@ -3,19 +3,29 @@
 Capacity values come either as a full table keyed by subset bitstrings
 (leftmost character = first point) or as singleton values completed by
 additivity.  Numbers are decimal strings, "p/q" rational strings or JSON
-numbers (not booleans) and are parsed exactly, each distinct string once,
-by ``core.parse_number``, as numeric flags are.
+numbers (not booleans) and are parsed exactly by ``core.parse_number``, as
+numeric flags are; a string is parsed once per file.
+
+A full table is loaded in whole-table passes.  Its keys are matched
+against the canonical bitstrings in mask order, and keys and coverage are
+checked before any value is parsed.  Each distinct value is then parsed
+once, and the exact form of the distinct values is derived once; the table
+goes to ``validate_capacity`` as numerators over that denominator.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from pathlib import Path
 from typing import Callable, Union
 
-from .core import (Act, Capacity, FiniteSpace, Number, additive_capacity,
-                   check_dense_size, make_space, parse_number, validate_capacity)
+from . import core
+from .core import (Act, Capacity, FiniteSpace, Number, SpaceMismatchError,
+                   additive_capacity, check_dense_size, make_space, parse_number,
+                   validate_capacity)
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,61 @@ def _mask_from_bitstring(n: int, key: str) -> int:
     return int(key[::-1], 2)
 
 
+def _bitstrings(bits: int) -> list[str]:
+    # every bitstring of this length in mask order, leftmost character = bit 0
+    keys = [""]
+    for _ in range(bits):
+        keys = [k + "0" for k in keys] + [k + "1" for k in keys]
+    return keys
+
+
+def _table_entries(raw: dict, n: int) -> list:
+    """The values of a full table in mask order, its keys checked.
+
+    Each canonical key is looked up, built as a low half joined to a high
+    half so that no list of all 2**n keys is held.  When the object has
+    2**n keys and every lookup hits, its keys are exactly the canonical
+    ones.  Otherwise the first bad key in file order is named, and with
+    none the table misses a subset.
+    """
+    if len(raw) == 1 << n:
+        lows = _bitstrings(n // 2)
+        entries: list = []
+        try:
+            for high in _bitstrings(n - n // 2):
+                entries += map(raw.__getitem__, map(add, lows, repeat(high)))
+            return entries
+        except KeyError:
+            pass
+    for key in raw:
+        _mask_from_bitstring(n, key)
+    raise SpaceMismatchError("table does not cover every subset")
+
+
+def _full_capacity(space: FiniteSpace, raw: dict,
+                   number: Callable[[object], Number]) -> Capacity:
+    """Check and build a capacity from a full table, a pass at a time."""
+    entries = _table_entries(raw, len(space))
+    values = raw.values()
+    if not set(map(type, values)) <= {str, int, float}:
+        # anything else (a bool, null, a list) is refused in file order with
+        # the message ``parse_number`` gives it, not the one for its text
+        for v in values:
+            number(v)
+    # a value is keyed by its text, which is what ``parse_number`` reads: the
+    # float 1e23 and its int compare equal, yet read apart
+    parsed = {text: number(text) for text in dict.fromkeys(map(str, values))}
+    keys = map(str, entries)
+    form = core._exact_form(list(parsed.values()))
+    if form is None:
+        return validate_capacity(space, list(map(parsed.__getitem__, keys)))
+    # numerators over the lcm of the reduced denominators share no factor
+    # with it, so this is the form the table's own values would derive
+    numerator = dict(zip(parsed, form[0]))
+    return validate_capacity(space, form=(list(map(numerator.__getitem__, keys)),
+                                          form[1]))
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -63,14 +128,18 @@ def load_space_file(source: Union[str, Path, dict],
 
     A string whose first non-blank character is ``{`` is JSON text (a space
     file is always a JSON object); any other string, like a ``Path``, names
-    a file to read.
+    a file to read.  JSON nested too deeply for the decoder is a
+    ValueError, as any other malformed file.
     """
     if isinstance(source, dict):
         doc = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source)
     else:
-        doc = json.loads(Path(source).read_text())
+        if not (isinstance(source, str) and source.lstrip().startswith("{")):
+            source = Path(source).read_text()
+        try:
+            doc = json.loads(source)
+        except RecursionError:
+            raise ValueError("a space file nests too deeply") from None
 
     _object(doc, "a space file")
     points = doc.get("points")
@@ -91,9 +160,7 @@ def load_space_file(source: Union[str, Path, dict],
             values = {k: number(v) for k, v in raw.items()}
             capacities[name] = additive_capacity(space, values)
         else:
-            n = len(space)
-            table = {_mask_from_bitstring(n, k): number(v) for k, v in raw.items()}
-            capacities[name] = validate_capacity(space, table)
+            capacities[name] = _full_capacity(space, raw, number)
     acts = {}
     for name, vals in _object(doc.get("acts", {}), "'acts'").items():
         if not isinstance(vals, list):
