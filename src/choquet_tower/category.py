@@ -10,12 +10,11 @@ for non-additive second-order capacities).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .choquet import choquet_integral, choquet_sum
-from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number, PointMap,
+from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, PointMap,
                    additive_capacity, exponent, indicator, precompose_act,
                    pushforward, validate_capacity, values_close,
                    _require_same_space)
@@ -23,8 +22,7 @@ from .hierarchy import TERMINAL, FamilyLevel, USequence, terminal_space
 from .uncertainty import GTransform, UncertaintySpace, epsilon, xi
 
 
-@dataclass(frozen=True)
-class MapWitness:
+class MapWitness(Frozen):
     """Verdict of an arrow check plus the evidence behind it.
 
     On success under absolute continuity, ``dominating`` names the chosen
@@ -34,9 +32,9 @@ class MapWitness:
     unmatched source capacity.
     """
 
-    verdict: bool
-    dominating: Optional[dict[str, str]] = None
-    failure: Optional[tuple] = None
+    def __init__(self, verdict: bool, dominating: Optional[dict[str, str]] = None,
+                 failure: Optional[tuple] = None):
+        self.__dict__.update(verdict=verdict, dominating=dominating, failure=failure)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -98,13 +96,12 @@ def embedding_condition(us: UncertaintySpace) -> bool:
                for p in us.base.points)
 
 
-@dataclass(frozen=True)
-class EmbDiracReport:
+class EmbDiracReport(Frozen):
     """Per-capacity outcome of the three point-mass embedding conditions."""
 
-    verdict: bool
-    chosen: dict[str, Optional[str]]
-    failures: dict[str, tuple]
+    def __init__(self, verdict: bool, chosen: dict[str, Optional[str]],
+                 failures: dict[str, tuple]):
+        self.__dict__.update(verdict=verdict, chosen=chosen, failures=failures)
 
 
 def emb_dirac_conditions(source: UncertaintySpace,
@@ -194,8 +191,7 @@ def substitution_check(u: Capacity, h: PointMap, f: Act) -> bool:
     return values_close(lhs, rhs)
 
 
-@dataclass(frozen=True)
-class MonadCounterexample:
+class MonadCounterexample(Frozen):
     """Both routes through the two-layer average on the fixed 10-capacity urn.
 
     ``difference`` must match ``difference_formula``; it vanishes exactly
@@ -205,15 +201,13 @@ class MonadCounterexample:
     is unnormalized and is integrated as a raw table.
     """
 
-    beta: Number
-    lhs: Number
-    rhs: Number
-    difference: Number
-    lhs_closed: Number
-    rhs_closed: Number
-    difference_formula: Number
-    printed_count: int
-    actual_count: int
+    def __init__(self, beta: Number, lhs: Number, rhs: Number, difference: Number,
+                 lhs_closed: Number, rhs_closed: Number, difference_formula: Number,
+                 printed_count: int, actual_count: int):
+        self.__dict__.update(beta=beta, lhs=lhs, rhs=rhs, difference=difference,
+                             lhs_closed=lhs_closed, rhs_closed=rhs_closed,
+                             difference_formula=difference_formula,
+                             printed_count=printed_count, actual_count=actual_count)
 
 
 def monad_counterexample(beta: Number) -> MonadCounterexample:

@@ -8,42 +8,47 @@ brute-force oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable
 
-from .core import Act, Capacity, FiniteSpace, Number, _require_same_space
+from .core import Act, Capacity, FiniteSpace, Frozen, Number, _require_same_space
 
 
 class NotComonotonicError(ValueError):
     """Two acts move in opposite directions on some pair of points."""
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(Frozen):
     """Disjoint blocks of constant value covering the space, values descending.
 
     ``blocks`` pairs a bitmask with the act's value on it; ``decompose``
     produces strictly decreasing values, while a shared chain for a
-    comonotonic pair may carry ties.
+    comonotonic pair may carry ties.  Chains compare and hash by space and
+    blocks.
     """
 
-    space: FiniteSpace
-    blocks: tuple[tuple[int, Number], ...]
-
-    def __post_init__(self):
+    def __init__(self, space: FiniteSpace, blocks: tuple[tuple[int, Number], ...]):
         union = 0
         prev = None
-        for mask, value in self.blocks:
+        for mask, value in blocks:
             if mask == 0 or union & mask:
                 raise ValueError("blocks must be non-empty and disjoint")
             union |= mask
             if prev is not None and value > prev:
                 raise ValueError("block values must be non-increasing")
             prev = value
-        if union != self.space.full_mask:
+        if union != space.full_mask:
             raise ValueError("blocks must cover the space")
+        self.__dict__.update(space=space, blocks=blocks)
+
+    def __eq__(self, other):
+        if type(other) is not ChainDecomposition:
+            return NotImplemented
+        return (self.space, self.blocks) == (other.space, other.blocks)
+
+    def __hash__(self):
+        return hash((self.space, self.blocks))
 
     @property
     def values(self) -> tuple[Number, ...]:

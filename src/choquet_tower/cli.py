@@ -9,17 +9,15 @@ seed and flags yield byte-identical output.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import laws
 from .category import monad_counterexample
 from .choquet import are_comonotonic, choquet_integral
-from .core import (VALUE_TOL, Act, FiniteSpace, Number, additive_capacity,
+from .core import (VALUE_TOL, Act, FiniteSpace, Frozen, Number, additive_capacity,
                    is_exact, parse_number, values_close)
 from .ellsberg import EllsbergReport, UrnParams, ellsberg_report
 from .spacefile import load_space_file
@@ -32,26 +30,28 @@ EXIT_LAW = 3
 BACKENDS = ("rational", "float")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Reproducibility block embedded in every JSON report.
 
     Fields a subcommand has no flag for keep their defaults.
     """
 
-    command: str
-    seed: int = 0
-    trials: int = 1
-    backend: str = "rational"
-    tolerance: float = VALUE_TOL
-    format: str = "json"
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
+    def __init__(self, command: str, seed: int = 0, trials: int = 1,
+                 backend: str = "rational", tolerance: float = VALUE_TOL,
+                 format: str = "json", out: Optional[str] = None):
+        if tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be at least 1")
+        self.__dict__.update(command=command, seed=seed, trials=trials,
+                             backend=backend, tolerance=tolerance, format=format,
+                             out=out)
+
+    def to_dict(self) -> dict:
+        """The fields by name, in constructor order."""
+        return {"command": self.command, "seed": self.seed, "trials": self.trials,
+                "backend": self.backend, "tolerance": self.tolerance,
+                "format": self.format, "out": self.out}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +76,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _report_payload(report: EllsbergReport, config: RunConfig) -> dict:
     return {
-        "config": asdict(config),
+        "config": config.to_dict(),
         "variant": report.variant,
         "layer": report.layer,
         "params": {"big_n": report.params.big_n,
@@ -126,12 +126,17 @@ def cmd_ellsberg(args) -> int:
     return EXIT_OK
 
 
+def _parameters(fn) -> tuple[str, ...]:
+    """A function's positional parameter names, read from its code object."""
+    code = fn.__code__
+    return code.co_varnames[:code.co_argcount]
+
+
 #: defaults of the law-suite flags other than --seed and --out
 LAW_FLAG_DEFAULTS = {"trials": 500, "grid": 2, "depth": 3, "space_size": 2}
 #: the flags each suite's function takes, read on import so that a suite later
 #: wrapped as (*args, **kwargs) keeps them; any other flag is an input error
-SUITE_READS = {name: [flag for flag in inspect.signature(suite).parameters
-                      if flag in LAW_FLAG_DEFAULTS]
+SUITE_READS = {name: [flag for flag in _parameters(suite) if flag in LAW_FLAG_DEFAULTS]
                for name, suite in laws.SUITES.items()}
 
 
@@ -147,7 +152,7 @@ def cmd_laws(args) -> int:
                        trials=flags["trials"], out=args.out)
     report = laws.SUITES[args.suite](
         seed=args.seed, **{flag: flags[flag] for flag in reads})
-    payload = {"config": asdict(config), **report.to_dict()}
+    payload = {"config": config.to_dict(), **report.to_dict()}
     _emit(_to_json(payload), args.out)
     return EXIT_OK if report.passed else EXIT_LAW
 
@@ -169,7 +174,7 @@ def cmd_counterexample(args) -> int:
         d_f = xf.values[0] - xf.values[1]
         d_g = xg.values[0] - xg.values[1]
         payload = {
-            "config": asdict(config),
+            "config": config.to_dict(),
             "inputs_comonotonic": are_comonotonic(f, g),
             "difference_f": format_number(d_f, "rational"),
             "difference_g": format_number(d_g, "rational"),
@@ -186,7 +191,7 @@ def cmd_counterexample(args) -> int:
         raise ValueError("counterexample monad requires --beta")
     result = monad_counterexample(parse_number(args.beta, args.backend))
     payload = {
-        "config": asdict(config),
+        "config": config.to_dict(),
         "beta": format_number(result.beta, args.backend),
         "average_then_integrate": format_number(result.lhs, args.backend),
         "integrate_expectations": format_number(result.rhs, args.backend),

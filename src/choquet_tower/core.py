@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from itertools import compress, repeat
@@ -38,6 +37,8 @@ MAX_EXACT_EXPONENT = 1000
 MAX_DECIMAL_EXPONENT = 4300
 #: the exponent of a number's decimal text, as ``Fraction`` reads it
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+#: most characters of a value's text that an error message quotes
+ECHO_CHARS = 40
 
 
 class EmptySpaceError(ValueError):
@@ -77,6 +78,11 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _echo(text: str) -> str:
+    # the text as a message quotes it: a long one is cut to ECHO_CHARS and "…"
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "…"
+
+
 def as_exact(x: Union[str, int, float, Fraction]) -> Fraction:
     """Parse a decimal string, "p/q" string, integer or float into a Fraction.
 
@@ -84,6 +90,7 @@ def as_exact(x: Union[str, int, float, Fraction]) -> Fraction:
     Booleans are refused: they are not numbers, though Python counts them
     as integers.  A decimal exponent above MAX_DECIMAL_EXPONENT in
     magnitude is refused before parsing, which would build 10**exponent.
+    An error message quotes at most ECHO_CHARS characters of the text.
     """
     if isinstance(x, bool):
         raise ValueError(f"expected a number, got {x}")
@@ -95,9 +102,15 @@ def as_exact(x: Union[str, int, float, Fraction]) -> Fraction:
     # only the last e can start an exponent
     exp = _DECIMAL_EXPONENT.match(text, max(text.rfind("e"), text.rfind("E"), 0))
     if exp and abs(int(exp[1])) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"{text} has a decimal exponent above "
+        raise ValueError(f"{_echo(text)} has a decimal exponent above "
                          f"{MAX_DECIMAL_EXPONENT} in magnitude")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        # Fraction quotes a literal it cannot read in full
+        if len(text) <= ECHO_CHARS or not str(exc).startswith("Invalid literal"):
+            raise
+        raise ValueError(f"Invalid literal for Fraction: {_echo(repr(text))}") from None
 
 
 def parse_number(x: Union[str, int, float, Fraction], backend: str) -> Number:
@@ -110,7 +123,7 @@ def parse_number(x: Union[str, int, float, Fraction], backend: str) -> Number:
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"{x} is too large for a float") from None
+        raise ValueError(f"{_echo(str(x))} is too large for a float") from None
 
 
 def exponent(x: Number, name: str) -> Number:
@@ -157,6 +170,21 @@ def values_close(a: Number, b: Number, tol: float = VALUE_TOL) -> bool:
     return _close(a, b, tolerance((a, b), tol))
 
 
+class Frozen:
+    """Instances refuse attribute assignment and deletion.
+
+    A constructor stores its attributes straight into ``self.__dict__``
+    (with ``object.__setattr__`` on a class with slots), past the refusal.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __setattr__ = __delattr__ = _refuse
+
+
 def check_dense_size(space: "FiniteSpace") -> None:
     """Refuse a space too large for a dense table or a walk over its subsets."""
     if len(space) > MAX_DENSE_POINTS:
@@ -164,23 +192,30 @@ def check_dense_size(space: "FiniteSpace") -> None:
                                  f"{MAX_DENSE_POINTS} points, got {len(space)}")
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Frozen):
     """Ordered finite point set; subsets are encoded as bitmasks.
 
     Bit i of a mask corresponds to ``points[i]``.  Labels must be unique
     and there must be at least one; masks are Python ints, so the number of
-    points is unbounded (only dense capacity tables are capped).
+    points is unbounded (only dense capacity tables are capped).  Spaces
+    compare and hash by their points.
     """
 
-    points: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: tuple[str, ...]):
+        if not points:
             raise EmptySpaceError("a space needs at least one point")
-        if len(set(self.points)) != len(self.points):
-            raise DuplicateLabelError(f"duplicate point labels in {self.points}")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        if len(set(points)) != len(points):
+            raise DuplicateLabelError(f"duplicate point labels in {points}")
+        self.__dict__.update(points=points,
+                             _index={p: i for i, p in enumerate(points)})
+
+    def __eq__(self, other):
+        if type(other) is not FiniteSpace:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        return hash(self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -228,16 +263,22 @@ def make_space(labels: Sequence[str]) -> FiniteSpace:
     return FiniteSpace(tuple(labels))
 
 
-@dataclass(frozen=True)
-class Subset:
-    """A subset of a FiniteSpace, stored as a bitmask over point indices."""
+class Subset(Frozen):
+    """A subset of a FiniteSpace, stored as a bitmask over point indices;
+    subsets compare and hash by space and mask."""
 
-    space: FiniteSpace
-    mask: int
+    def __init__(self, space: FiniteSpace, mask: int):
+        if not 0 <= mask <= space.full_mask:
+            raise SpaceMismatchError(f"mask {mask:#x} has bits beyond the space")
+        self.__dict__.update(space=space, mask=mask)
 
-    def __post_init__(self):
-        if not 0 <= self.mask <= self.space.full_mask:
-            raise SpaceMismatchError(f"mask {self.mask:#x} has bits beyond the space")
+    def __eq__(self, other):
+        if type(other) is not Subset:
+            return NotImplemented
+        return (self.space, self.mask) == (other.space, other.mask)
+
+    def __hash__(self):
+        return hash((self.space, self.mask))
 
 
 def _require_same_space(a: FiniteSpace, b: FiniteSpace) -> None:
@@ -257,20 +298,26 @@ def _mask_of(space: FiniteSpace, subset: Union[Subset, int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class Act:
-    """A real-valued function on a space's points (always a finite step function)."""
+class Act(Frozen):
+    """A real-valued function on a space's points (always a finite step
+    function); acts compare and hash by space and values."""
 
-    space: FiniteSpace
-    values: tuple[Number, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.space):
+    def __init__(self, space: FiniteSpace, values: tuple[Number, ...]):
+        if len(values) != len(space):
             raise SpaceMismatchError(
-                f"act has {len(self.values)} values for {len(self.space)} points")
-        for v in self.values:
+                f"act has {len(values)} values for {len(space)} points")
+        for v in values:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"act values must be finite, got {v}")
+        self.__dict__.update(space=space, values=values)
+
+    def __eq__(self, other):
+        if type(other) is not Act:
+            return NotImplemented
+        return (self.space, self.values) == (other.space, other.values)
+
+    def __hash__(self):
+        return hash((self.space, self.values))
 
     @cached_property
     def chain_blocks(self) -> tuple[tuple[int, Number], ...]:
@@ -347,22 +394,26 @@ def indicator(space: FiniteSpace, subset: Union[Subset, int]) -> Act:
     return Act(space, tuple(1 if mask >> i & 1 else 0 for i in range(len(space))))
 
 
-@dataclass(frozen=True)
-class PointMap:
-    """A total map between the points of two finite spaces."""
+class PointMap(Frozen):
+    """A total map between the points of two finite spaces; maps compare
+    by domain, codomain and mapping, and are unhashable, as their mapping is."""
 
-    domain: FiniteSpace
-    codomain: FiniteSpace
-    mapping: Mapping[str, str]
-
-    def __post_init__(self):
-        missing = [p for p in self.domain.points if p not in self.mapping]
+    def __init__(self, domain: FiniteSpace, codomain: FiniteSpace,
+                 mapping: Mapping[str, str]):
+        missing = [p for p in domain.points if p not in mapping]
         if missing:
             raise SpaceMismatchError(f"map is not total, missing {missing}")
-        for src, dst in self.mapping.items():
-            self.domain.index(src)
-            if dst not in self.codomain.points:
+        for src, dst in mapping.items():
+            domain.index(src)
+            if dst not in codomain.points:
                 raise SpaceMismatchError(f"map sends {src!r} outside the codomain: {dst!r}")
+        self.__dict__.update(domain=domain, codomain=codomain, mapping=mapping)
+
+    def __eq__(self, other):
+        if type(other) is not PointMap:
+            return NotImplemented
+        return ((self.domain, self.codomain, self.mapping)
+                == (other.domain, other.codomain, other.mapping))
 
     def __call__(self, label: str) -> str:
         return self.mapping[label]
@@ -403,7 +454,7 @@ def precompose_act(f: Act, h: PointMap) -> Act:
     return Act(h.domain, tuple(f.at(h.mapping[p]) for p in h.domain.points))
 
 
-class Capacity:
+class Capacity(Frozen):
     """A monotone set function with value 0 on the empty set and 1 on the full set.
 
     Two internal representations share one interface: a dense table over the
@@ -434,9 +485,6 @@ class Capacity:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_additive", True if masses is not None else None)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Capacity is immutable")
 
     @property
     def exact_form(self) -> Optional[tuple[list[int], int]]:

@@ -11,11 +11,10 @@ adding a third layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Number,
+from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number,
                    additive_capacity, exponent, indicator, is_exact,
                    make_space, validate_capacity, values_close)
 from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
@@ -26,20 +25,16 @@ ACT_NAMES = ("f1", "f2", "f3", "f4")
 VARIANTS = ("X", "Y", "Z")
 
 
-@dataclass(frozen=True)
-class UrnParams:
+class UrnParams(Frozen):
     """Ball-count scale N (3N balls), distortion exponent, and utility anchor."""
 
-    big_n: int
-    alpha: Number
-    u1: Number
-
-    def __post_init__(self):
-        if self.big_n < 1:
+    def __init__(self, big_n: int, alpha: Number, u1: Number):
+        if big_n < 1:
             raise ValueError("need N >= 1")
-        object.__setattr__(self, "alpha", exponent(self.alpha, "alpha"))
-        if not 0 < self.u1 < 1:
+        alpha = exponent(alpha, "alpha")
+        if not 0 < u1 < 1:
             raise ValueError("need 0 < u1 < 1")
+        self.__dict__.update(big_n=big_n, alpha=alpha, u1=u1)
 
     @property
     def exact(self) -> bool:
@@ -195,19 +190,16 @@ def _pointwise_verdict(left: tuple, right: tuple) -> str:
     return rels.pop()
 
 
-@dataclass(frozen=True)
-class EllsbergReport:
+class EllsbergReport(Frozen):
     """Values of the four bets at one layer, with the induced orderings."""
 
-    variant: str
-    layer: int
-    params: UrnParams
-    point_labels: tuple[str, ...]
-    values: dict[str, tuple[Number, ...]]
-    f1_vs_f2: str
-    f3_vs_f4: str
-    verdict: str
-    paradox_represented: bool
+    def __init__(self, variant: str, layer: int, params: UrnParams,
+                 point_labels: tuple[str, ...], values: dict[str, tuple[Number, ...]],
+                 f1_vs_f2: str, f3_vs_f4: str, verdict: str, paradox_represented: bool):
+        self.__dict__.update(variant=variant, layer=layer, params=params,
+                             point_labels=point_labels, values=values,
+                             f1_vs_f2=f1_vs_f2, f3_vs_f4=f3_vs_f4, verdict=verdict,
+                             paradox_represented=paradox_represented)
 
     def rows(self):
         for name in ACT_NAMES:
@@ -261,16 +253,17 @@ def ellsberg_report(variant: str, params: UrnParams, layer: int) -> EllsbergRepo
         paradox_represented=(verdict == "supports modal preference"))
 
 
-@dataclass(frozen=True)
-class ParadoxReport:
+class ParadoxReport(Frozen):
     """The P2 conflict: which act identities hold and how the layers resolve it."""
 
-    identities: tuple[tuple[str, bool], ...]
-    identities_hold: bool
-    modal_preference: str
-    p2_consequence: str
-    branch: str
-    layer2: EllsbergReport
+    def __init__(self, identities: tuple[tuple[str, bool], ...], identities_hold: bool,
+                 modal_preference: str, p2_consequence: str, branch: str,
+                 layer2: EllsbergReport):
+        self.__dict__.update(identities=identities,
+                             identities_hold=identities_hold,
+                             modal_preference=modal_preference,
+                             p2_consequence=p2_consequence, branch=branch,
+                             layer2=layer2)
 
 
 def paradox_demo(params: UrnParams) -> ParadoxReport:

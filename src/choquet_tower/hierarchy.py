@@ -8,12 +8,11 @@ parameterized capacity family integrated against a weight on [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .choquet import choquet_integral
-from .core import (VALUE_TOL, Act, Capacity, FiniteSpace, Number, Subset,
+from .core import (VALUE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, Subset,
                    _require_same_space, additive_capacity)
 from .uncertainty import UncertaintySpace, xi
 
@@ -40,20 +39,17 @@ def terminal_space() -> UncertaintySpace:
     return UncertaintySpace(star, (("*", additive_capacity(star, form=([1], 1))),))
 
 
-@dataclass(frozen=True)
-class UtilityFunction:
+class UtilityFunction(Frozen):
     """Nondecreasing payoff scale with utility 0 at 0 and strictly inside (0,1) at 1."""
 
-    fn: Callable[[Number], Number]
-    kind: str = "custom"
-    u1: Number = None
-
-    def __post_init__(self):
-        if self.u1 is None:
-            object.__setattr__(self, "u1", self.fn(1))
-        zero = self.fn(0)
-        if not (0 < self.u1 < 1) or zero != 0:
-            raise ValueError(f"need 1 > fn(1) > fn(0) = 0, got fn(1)={self.u1}, fn(0)={zero}")
+    def __init__(self, fn: Callable[[Number], Number], kind: str = "custom",
+                 u1: Number = None):
+        if u1 is None:
+            u1 = fn(1)
+        zero = fn(0)
+        if not (0 < u1 < 1) or zero != 0:
+            raise ValueError(f"need 1 > fn(1) > fn(0) = 0, got fn(1)={u1}, fn(0)={zero}")
+        self.__dict__.update(fn=fn, kind=kind, u1=u1)
 
     def __call__(self, x: Number) -> Number:
         return self.fn(x)
@@ -71,8 +67,7 @@ class UtilityFunction:
         return cls(lambda x: u1 * x, kind="anchored", u1=u1)
 
 
-@dataclass(frozen=True)
-class FamilyLevel:
+class FamilyLevel(Frozen):
     """A [0,1]-parameterized family of additive capacities plus a weight on p.
 
     Closes a sequence: the family occupies one level and the weight measure
@@ -84,14 +79,13 @@ class FamilyLevel:
     never materialized.
     """
 
-    base: FiniteSpace
-    family: Callable[[Number], Capacity]
-    weight: Union[str, tuple[tuple[Number, Number], ...]] = "lebesgue"
-    binomial_n: Optional[int] = None
-
-    def __post_init__(self):
-        if self.weight != "lebesgue" and not isinstance(self.weight, tuple):
+    def __init__(self, base: FiniteSpace, family: Callable[[Number], Capacity],
+                 weight: Union[str, tuple[tuple[Number, Number], ...]] = "lebesgue",
+                 binomial_n: Optional[int] = None):
+        if weight != "lebesgue" and not isinstance(weight, tuple):
             raise ValueError("weight must be 'lebesgue' or ((p, mass), ...)")
+        self.__dict__.update(base=base, family=family, weight=weight,
+                             binomial_n=binomial_n)
 
     def member(self, p: Number) -> Capacity:
         """The family's capacity at p, checked to be additive on the base."""
@@ -160,16 +154,13 @@ def integrate_family(level: FamilyLevel,
     return results[1]
 
 
-@dataclass(frozen=True)
-class USequence:
+class USequence(Frozen):
     """Finite prefix of linked uncertainty spaces, possibly closed."""
 
-    levels: tuple[Level, ...]
-
-    def __post_init__(self):
-        if not self.levels or not isinstance(self.levels[0], UncertaintySpace):
+    def __init__(self, levels: tuple[Level, ...]):
+        if not levels or not isinstance(levels[0], UncertaintySpace):
             raise ValueError("a sequence starts with a concrete uncertainty space")
-        for cur, nxt in zip(self.levels, self.levels[1:]):
+        for cur, nxt in zip(levels, levels[1:]):
             if isinstance(cur, UncertaintySpace):
                 if isinstance(nxt, (UncertaintySpace, FamilyLevel)):
                     if nxt.base.points != cur.names:
@@ -183,6 +174,7 @@ class USequence:
                     raise ValueError("a family level closes the sequence")
             elif cur is TERMINAL and nxt is not TERMINAL:
                 raise ValueError("levels after the terminal space stay terminal")
+        self.__dict__.update(levels=levels)
 
     @property
     def layer_count(self) -> int:

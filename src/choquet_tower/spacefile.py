@@ -16,23 +16,21 @@ goes to ``validate_capacity`` as numerators over that denominator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add
 from pathlib import Path
 from typing import Callable, Union
 
 from . import core
-from .core import (Act, Capacity, FiniteSpace, Number, SpaceMismatchError,
+from .core import (Act, Capacity, FiniteSpace, Frozen, Number, SpaceMismatchError,
                    additive_capacity, check_dense_size, make_space, parse_number,
                    validate_capacity)
 
 
-@dataclass(frozen=True)
-class SpaceFile:
-    space: FiniteSpace
-    capacities: dict[str, Capacity]
-    acts: dict[str, Act]
+class SpaceFile(Frozen):
+    def __init__(self, space: FiniteSpace, capacities: dict[str, Capacity],
+                 acts: dict[str, Act]):
+        self.__dict__.update(space=space, capacities=capacities, acts=acts)
 
 
 def _number_parser(backend: str) -> Callable[[object], Number]:

@@ -9,11 +9,10 @@ which the law checks tolerate by comparing exact tables rather than names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .category import dirac, mu
-from .core import Capacity, FiniteSpace, additive_capacity
+from .core import Capacity, FiniteSpace, Frozen, additive_capacity
 from .uncertainty import UncertaintySpace
 
 
@@ -31,24 +30,25 @@ def _grid_compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class TowerLevel:
-    space: FiniteSpace
-    capacities: Optional[tuple[tuple[str, Capacity], ...]]  # None at the base
+class TowerLevel(Frozen):
+    """One tower level: its point set, and its points as capacities on the
+    level below (None at the base)."""
+
+    def __init__(self, space: FiniteSpace,
+                 capacities: Optional[tuple[tuple[str, Capacity], ...]]):
+        self.__dict__.update(space=space, capacities=capacities)
 
 
-@dataclass(frozen=True)
-class GridTower:
+class GridTower(Frozen):
     """Base space plus enumerated grid-additive capacity levels.
 
     ``views[k]`` is level k as an uncertainty space carrying level k+1's
     capacities; its capacity space is level k+1's point set itself.
     """
 
-    base: FiniteSpace
-    grid: int
-    levels: tuple[TowerLevel, ...]
-    views: tuple[UncertaintySpace, ...] = field(repr=False, compare=False)
+    def __init__(self, base: FiniteSpace, grid: int, levels: tuple[TowerLevel, ...],
+                 views: tuple[UncertaintySpace, ...]):
+        self.__dict__.update(base=base, grid=grid, levels=levels, views=views)
 
     @property
     def depth(self) -> int:
@@ -123,8 +123,7 @@ def iota(tower: GridTower, m_from: int, n_to: int) -> dict[str, Capacity]:
             for name, cap in tower.levels[m_from].capacities}
 
 
-@dataclass(frozen=True)
-class ProjectiveVector:
+class ProjectiveVector(Frozen):
     """One capacity per tower level, candidate member of the inverse limit.
 
     Entry i is a capacity on level i's point set (an element of level i+1
@@ -132,15 +131,13 @@ class ProjectiveVector:
     next one.
     """
 
-    tower: GridTower
-    entries: tuple[Capacity, ...]
-
-    def __post_init__(self):
-        if not 1 <= len(self.entries) <= self.tower.depth:
+    def __init__(self, tower: GridTower, entries: tuple[Capacity, ...]):
+        if not 1 <= len(entries) <= tower.depth:
             raise ValueError("vector length must fit the tower depth")
-        for i, cap in enumerate(self.entries):
-            if cap.space.points != self.tower.space_at(i).points:
+        for i, cap in enumerate(entries):
+            if cap.space.points != tower.space_at(i).points:
                 raise ValueError(f"entry {i} lives on the wrong level")
+        self.__dict__.update(tower=tower, entries=entries)
 
 
 def projective_consistency(vec: ProjectiveVector) -> tuple[bool, Optional[int]]:

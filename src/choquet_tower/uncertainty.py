@@ -7,13 +7,12 @@ and Choquet expectation turn acts on the base into acts on the capacities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
-                   Number, Subset, _mask_of, _require_same_space)
+                   Frozen, Number, Subset, _mask_of, _require_same_space)
 
 
 def _name_index(capacities: Sequence[tuple[str, Capacity]]
@@ -42,28 +41,24 @@ def check_separated(capacities: Union["UncertaintySpace",
     return pair is None, pair
 
 
-@dataclass(frozen=True)
-class UncertaintySpace:
+class UncertaintySpace(Frozen):
     """A finite space plus a named, non-empty list of distinct capacities."""
 
-    base: FiniteSpace
-    capacities: tuple[tuple[str, Capacity], ...]
-
-    def __post_init__(self):
-        if not self.capacities:
+    def __init__(self, base: FiniteSpace, capacities: tuple[tuple[str, Capacity], ...]):
+        if not capacities:
             raise ValueError("an uncertainty space needs at least one capacity")
-        names = [name for name, _ in self.capacities]
+        names = [name for name, _ in capacities]
         if len(set(names)) != len(names):
             raise DuplicateLabelError("capacity names must be unique")
-        for name, cap in self.capacities:
-            _require_same_space(cap.space, self.base)
-        index, pair = _name_index(self.capacities)
+        for name, cap in capacities:
+            _require_same_space(cap.space, base)
+        index, pair = _name_index(capacities)
         if pair is not None:
             raise DuplicateLabelError(
                 f"capacities {pair[0]!r} and {pair[1]!r} have identical tables")
-        object.__setattr__(self, "_capacity_space", FiniteSpace(tuple(names)))
-        object.__setattr__(self, "_by_name", dict(self.capacities))
-        object.__setattr__(self, "_name_of", index)
+        self.__dict__.update(base=base, capacities=capacities,
+                             _capacity_space=FiniteSpace(tuple(names)),
+                             _by_name=dict(capacities), _name_of=index)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -114,20 +109,17 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
                tuple(choquet_integral(cap, f) for _, cap in us.capacities))
 
 
-@dataclass(frozen=True)
-class GTransform:
+class GTransform(Frozen):
     """A strictly increasing continuous change of numeraire with its inverse."""
 
-    forward: Callable[[Number], Number]
-    inverse: Callable[[Number], Number]
-    kind: str = "custom"
-    param: Optional[Number] = None
-
-    def __post_init__(self):
+    def __init__(self, forward: Callable[[Number], Number],
+                 inverse: Callable[[Number], Number], kind: str = "custom",
+                 param: Optional[Number] = None):
         for t in (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0):
-            back = self.inverse(self.forward(t))
+            back = inverse(forward(t))
             if abs(back - t) > VALUE_TOL:
                 raise ValueError(f"inverse(forward({t})) = {back}, not an inverse pair")
+        self.__dict__.update(forward=forward, inverse=inverse, kind=kind, param=param)
 
     @classmethod
     def linear(cls, c: Number = 1) -> "GTransform":

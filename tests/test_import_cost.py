@@ -1,0 +1,154 @@
+"""What a command pays before its work: the package's classes are plain
+immutable classes, and importing the command line loads neither
+``dataclasses`` nor ``inspect``."""
+
+import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import choquet_tower
+from choquet_tower import laws
+from choquet_tower.category import EmbDiracReport, MapWitness, MonadCounterexample
+from choquet_tower.choquet import ChainDecomposition
+from choquet_tower.cli import RunConfig
+from choquet_tower.core import (Act, FiniteSpace, Frozen, PointMap, Subset,
+                                additive_capacity)
+from choquet_tower.ellsberg import (EllsbergReport, ParadoxReport, UrnParams,
+                                    binomial_family, build_urn_space)
+from choquet_tower.hierarchy import TERMINAL, USequence, UtilityFunction
+from choquet_tower.laws import LawResult, SuiteReport
+from choquet_tower.spacefile import SpaceFile
+from choquet_tower.tower import ProjectiveVector, build_tower
+from choquet_tower.uncertainty import GTransform, UncertaintySpace
+
+PACKAGE = Path(choquet_tower.__file__).resolve().parent
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def _imports(path: Path):
+    """(line, module) per import statement of a module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    found = [f"{path.name}:{line} imports {name}" for path in modules
+             for line, name in _imports(path) if name.split(".")[0] in SLOW_IMPORTS]
+    assert not found, "\n".join(found)
+
+
+def test_building_the_parser_loads_neither_module():
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import choquet_tower.cli as cli\n"
+             "cli.build_parser()\n"
+             "print(sorted(set(sys.modules) - before))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "choquet_tower.cli" in loaded
+    assert not loaded & SLOW_IMPORTS
+
+
+def _instances() -> list:
+    """One instance of every immutable class in the package."""
+    space = FiniteSpace(("a", "b"))
+    cap = additive_capacity(space, form=([1, 1], 2))
+    us = UncertaintySpace(space, (("u", cap),))
+    params = UrnParams(1, 2, Fraction(3, 5))
+    urn = build_urn_space(params)
+    tower = build_tower(space, 2, 1)
+    report = EllsbergReport("X", 2, params, ("*",), {}, "=", "=", "equalities", False)
+    law = LawResult("law", 1, 0)
+    return [
+        space, Subset(space, 1), Act(space, (1, 0)), cap,
+        PointMap(space, space, {"a": "a", "b": "b"}),
+        ChainDecomposition(space, ((1, 1), (2, 0))),
+        us, GTransform.linear(), UtilityFunction.anchored(Fraction(1, 2)),
+        binomial_family(urn, 1), USequence((us, TERMINAL)),
+        params, report, ParadoxReport((), True, "", "", "", report),
+        MapWitness(True), EmbDiracReport(True, {}, {}),
+        MonadCounterexample(1, 0, 0, 0, 0, 0, 0, 3, 10),
+        tower.levels[0], tower, ProjectiveVector(tower, (cap,)),
+        law, SuiteReport("s", 0, (law,)), SpaceFile(space, {}, {}),
+        RunConfig("laws"),
+    ]
+
+
+def _subclasses(cls) -> set:
+    return {sub for direct in cls.__subclasses__()
+            for sub in {direct} | _subclasses(direct)}
+
+
+def test_every_immutable_class_is_covered():
+    assert {type(obj) for obj in _instances()} == _subclasses(Frozen)
+    assert len(_subclasses(Frozen)) == 24
+
+
+@pytest.mark.parametrize("obj", _instances(), ids=lambda obj: type(obj).__name__)
+def test_attributes_cannot_be_set_or_deleted(obj):
+    name = next(iter(getattr(obj, "__dict__", None) or ["space"]))  # a stored field
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(obj, name, None)
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(obj, "new_attribute", None)
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(obj, name)
+
+
+def test_value_types_compare_and_hash_by_value():
+    space, other = FiniteSpace(("a", "b")), FiniteSpace(("a", "b"))
+    pairs = [
+        (space, other, FiniteSpace(("b", "a"))),
+        (Subset(space, 1), Subset(other, 1), Subset(space, 2)),
+        (Act(space, (1, 0)), Act(other, (Fraction(1), 0)), Act(space, (0, 1))),
+        (ChainDecomposition(space, ((1, 1), (2, 0))),
+         ChainDecomposition(other, ((1, 1), (2, 0))),
+         ChainDecomposition(space, ((2, 1), (1, 0)))),
+    ]
+    for a, b, c in pairs:
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != c and len({a, b, c}) == 2
+        assert a != "not a value"
+    swap = PointMap(space, space, {"a": "b", "b": "a"})
+    assert swap == PointMap(other, other, {"a": "b", "b": "a"})
+    assert swap != PointMap(space, space, {"a": "a", "b": "b"})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(swap)
+
+
+def test_other_classes_compare_by_identity():
+    a, b = RunConfig("laws"), RunConfig("laws")
+    assert a == a and a != b and hash(a) != hash(b)
+
+
+def test_run_config_lists_its_fields_in_order():
+    config = RunConfig("laws choquet", seed=3, trials=25, out="r.json")
+    assert config.to_dict() == {"command": "laws choquet", "seed": 3, "trials": 25,
+                                "backend": "rational", "tolerance": 1e-9,
+                                "format": "json", "out": "r.json"}
+    assert list(config.to_dict()) == ["command", "seed", "trials", "backend",
+                                      "tolerance", "format", "out"]
+
+
+def test_suite_flags_are_read_from_the_suites_parameters():
+    from choquet_tower.cli import SUITE_READS
+    assert SUITE_READS == {"choquet": ["trials"], "dirac": ["trials"],
+                           "monad": ["trials", "grid", "space_size", "depth"],
+                           "substitution": ["trials"],
+                           "retraction": ["grid", "depth", "space_size"],
+                           "ug-map": [], "unc-maps": ["trials"]}
+    assert set(SUITE_READS) == set(laws.SUITES)
