@@ -82,8 +82,7 @@ def choquet_sum(value_of: Callable[[int], Number], f: Act) -> Number:
     definition ``choquet_integral`` must agree with; the law suites use it
     as their oracle.
     """
-    total = 0
-    cum = 0
+    total = cum = 0
     blocks = f.chain_blocks
     for idx, (mask, value) in enumerate(blocks):
         cum |= mask
@@ -103,11 +102,10 @@ def choquet_integral(u: Capacity, f: Act) -> Number:
     Fraction is built at the end: a dense table is looked up at each
     cumulative level set of the act's chain, while a mass vector, whose
     telescoping sum is the mass-weighted sum of the act's values, takes
-    one dot product.  Otherwise (floats, or too coprime denominators) one
-    walk down the act's chain does the same in values read through
-    ``u.value``: a table's at each cumulative level set, a mass vector's
-    point by point into a running cumulative mass, so additive capacities
-    of any size integrate in time linear in the number of points.
+    one dot product.  Otherwise (floats, or too coprime denominators) a
+    table goes to ``choquet_sum`` through ``u.value``, and a mass vector is
+    walked down the act's chain point by point into a running cumulative
+    mass, so additive capacities of any size integrate in linear time.
     """
     _require_same_space(u.space, f.space)
     form, chain = u.exact_form, f.exact_chain
@@ -119,19 +117,15 @@ def choquet_integral(u: Capacity, f: Act) -> Number:
         else:
             total = sum(map(mul, f.exact_form[0], nums))
         return Fraction(total, act_den * cap_den)
-    total = 0
-    level = 0
-    cum = 0
+    if u._masses is None:
+        return choquet_sum(u.value, f)
+    total = level = 0
     blocks = f.chain_blocks
     for idx, (mask, value) in enumerate(blocks):
-        if u._masses is None:
-            cum |= mask
-            level = u.value(cum)
-        else:
-            while mask:
-                low = mask & -mask
-                level += u.value(low)
-                mask ^= low
+        while mask:
+            low = mask & -mask
+            level += u.value(low)
+            mask ^= low
         nxt = blocks[idx + 1][1] if idx + 1 < len(blocks) else 0
         step = value - nxt
         if step != 0:

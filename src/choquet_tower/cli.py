@@ -17,8 +17,8 @@ from typing import Optional
 from . import laws
 from .category import monad_counterexample
 from .choquet import are_comonotonic, choquet_integral
-from .core import (VALUE_TOL, Act, FiniteSpace, Frozen, Number, additive_capacity,
-                   is_exact, parse_number, values_close)
+from .core import (VALUE_TOL, Act, FiniteSpace, Frozen, Number, _echo,
+                   additive_capacity, is_exact, parse_number, values_close)
 from .ellsberg import EllsbergReport, UrnParams, ellsberg_report
 from .spacefile import load_space_file
 from .uncertainty import UncertaintySpace, xi
@@ -210,8 +210,8 @@ def cmd_counterexample(args) -> int:
 
 def _named(kind: str, named: dict, name: str):
     if name not in named:
-        raise ValueError(f"no {kind} {name!r} in the space file; it defines "
-                         f"{kind} names: {', '.join(named) or 'none'}")
+        raise ValueError(f"no {kind} {_echo(repr(name))} in the space file; it "
+                         f"defines {kind} names: {_echo(', '.join(named)) or 'none'}")
     return named[name]
 
 

@@ -204,10 +204,11 @@ class FiniteSpace(Frozen):
     def __init__(self, points: tuple[str, ...]):
         if not points:
             raise EmptySpaceError("a space needs at least one point")
-        if len(set(points)) != len(points):
-            raise DuplicateLabelError(f"duplicate point labels in {points}")
-        self.__dict__.update(points=points,
-                             _index={p: i for i, p in enumerate(points)})
+        index = {p: i for i, p in enumerate(points)}
+        if len(index) != len(points):  # a repeated label is indexed at its last place
+            dup = next(p for i, p in enumerate(points) if index[p] != i)
+            raise DuplicateLabelError(f"duplicate point label {_echo(repr(dup))}")
+        self.__dict__.update(points=points, _index=index)
 
     def __eq__(self, other):
         if type(other) is not FiniteSpace:
@@ -769,11 +770,11 @@ def additive_capacity(space: FiniteSpace,
         if isinstance(masses, Mapping):
             for p in space.points:
                 if p not in masses:
-                    raise SpaceMismatchError(f"missing singleton value for {p!r}")
+                    raise SpaceMismatchError(f"missing singleton value for {_echo(repr(p))}")
             foreign = [label for label in masses if label not in space._index]
             if foreign:
                 raise SpaceMismatchError(f"singleton values for labels that are not "
-                                         f"points: {', '.join(map(repr, foreign))}")
+                                         f"points: {_echo(', '.join(map(repr, foreign)))}")
             masses = [masses[p] for p in space.points]
         elif len(masses) != len(space):
             raise SpaceMismatchError("one mass per point required")

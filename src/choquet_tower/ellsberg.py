@@ -18,7 +18,7 @@ from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number,
                    additive_capacity, exponent, indicator, is_exact,
                    make_space, validate_capacity, values_close)
 from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
-                        value_function)
+                        conditional_act, value_function)
 from .uncertainty import UncertaintySpace
 
 ACT_NAMES = ("f1", "f2", "f3", "f4")
@@ -35,11 +35,6 @@ class UrnParams(Frozen):
         if not 0 < u1 < 1:
             raise ValueError("need 0 < u1 < 1")
         self.__dict__.update(big_n=big_n, alpha=alpha, u1=u1)
-
-    @property
-    def exact(self) -> bool:
-        """Integer exponents stay in the rational backend end-to-end."""
-        return isinstance(self.alpha, int) and is_exact(self.u1)
 
     def ratio_power(self, k: int) -> Number:
         """(k / 2N) ** alpha in the proper backend."""
@@ -274,8 +269,6 @@ def paradox_demo(params: UrnParams) -> ParadoxReport:
     values collapse to equalities, with alpha > 1 they order the bets the
     modal way.
     """
-    from .hierarchy import conditional_act
-
     urn = build_urn_space(params)
     space = urn.base
     acts = standard_acts(space)

@@ -104,10 +104,23 @@ Level = Union[UncertaintySpace, FamilyLevel, _Terminal]
 
 
 def _gauss_legendre_01(n: int) -> tuple[list[float], list[float]]:
-    from numpy.polynomial.legendre import leggauss
-
-    xs, ws = leggauss(n)
-    return [(x + 1.0) / 2.0 for x in xs], [w / 2.0 for w in ws]
+    # Newton on the Legendre recurrence from cos(pi (i + 3/4) / (n + 1/2)), one
+    # root pair +-x of P_n at a time, in at most 10 steps (5 suffice up to
+    # n = 2002): on [0, 1] the nodes (1 -+ x) / 2 weigh 1 / ((1 - x^2) P_n'(x)^2)
+    xs, ws = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(10):
+            p, q = 1.0, 0.0  # P_k(x) and P_(k-1)(x)
+            for k in range(1, n + 1):
+                p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+            dp = n * (x * p - q) / (x * x - 1)
+            x -= p / dp
+            if abs(p / dp) < 1e-15:
+                break
+        xs[i], xs[n - 1 - i] = (1 - x) / 2, (1 + x) / 2
+        ws[i] = ws[n - 1 - i] = 1 / ((1 - x * x) * dp * dp)
+    return xs, ws
 
 
 def integrate_family(level: FamilyLevel,
@@ -142,12 +155,9 @@ def integrate_family(level: FamilyLevel,
             return sum(act.values, start=Fraction(0)) / (level.binomial_n + 1)
         phi = lambda p: choquet_integral(level.member(p), act)
 
-    nodes = (level.binomial_n // 2 + 1) if level.binomial_n is not None else 16
-    nodes = max(nodes, 4)
-    results = []
-    for n in (nodes, 2 * nodes):
-        xs, ws = _gauss_legendre_01(n)
-        results.append(math.fsum(w * float(phi(x)) for x, w in zip(xs, ws)))
+    nodes = max(16 if level.binomial_n is None else level.binomial_n // 2 + 1, 4)
+    results = [math.fsum(w * float(phi(x)) for x, w in zip(*_gauss_legendre_01(n)))
+               for n in (nodes, 2 * nodes)]
     if abs(results[0] - results[1]) > VALUE_TOL:
         raise QuadratureError(
             f"refinement moved the value by {abs(results[0] - results[1])!r}")

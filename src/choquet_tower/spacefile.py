@@ -55,7 +55,8 @@ def _number_parser(backend: str) -> Callable[[object], Number]:
 def _mask_from_bitstring(n: int, key: str) -> int:
     # n is the number of points; the leftmost character is the first point
     if len(key) != n or key.strip("01"):
-        raise ValueError(f"subset key {key!r} must be a {n}-character bitstring")
+        raise ValueError(f"subset key {core._echo(repr(key))} must be a {n}-character "
+                         "bitstring")
     return int(key[::-1], 2)
 
 
@@ -147,13 +148,14 @@ def load_space_file(source: Union[str, Path, dict],
     number = _number_parser(backend)
     capacities = {}
     for name, spec in _object(doc.get("capacities", {}), "'capacities'").items():
-        mode = _object(spec, f"capacity {name!r}").get("mode", "full")
+        what = f"capacity {core._echo(repr(name))}"
+        mode = _object(spec, what).get("mode", "full")
         if mode not in ("full", "singletons-additive"):
-            raise ValueError(f"unknown capacity mode {mode!r}")
+            raise ValueError(f"unknown capacity mode {core._echo(repr(mode))}")
         if mode == "full":
             # refuse before parsing up to 2**n values
             check_dense_size(space)
-        raw = _object(spec.get("values"), f"the values of capacity {name!r}")
+        raw = _object(spec.get("values"), f"the values of {what}")
         if mode == "singletons-additive":
             values = {k: number(v) for k, v in raw.items()}
             capacities[name] = additive_capacity(space, values)
@@ -162,6 +164,6 @@ def load_space_file(source: Union[str, Path, dict],
     acts = {}
     for name, vals in _object(doc.get("acts", {}), "'acts'").items():
         if not isinstance(vals, list):
-            raise ValueError(f"act {name!r} must be a list of values")
+            raise ValueError(f"act {core._echo(repr(name))} must be a list of values")
         acts[name] = Act(space, tuple(number(v) for v in vals))
     return SpaceFile(space=space, capacities=capacities, acts=acts)

@@ -19,7 +19,7 @@ class TestUrnParams:
 
     def test_integral_float_exponent_goes_exact(self):
         params = UrnParams(big_n=1, alpha=2.0, u1=Fraction(3, 5))
-        assert params.alpha == 2 and params.exact
+        assert params.alpha == 2 and isinstance(params.alpha, int)
 
 
 class TestBuildUrnSpace:

@@ -1,6 +1,7 @@
 """What a command pays before its work: the package's classes are plain
-immutable classes, and importing the command line loads neither
-``dataclasses`` nor ``inspect``."""
+immutable classes, importing the command line loads neither
+``dataclasses`` nor ``inspect``, and no module imports anything outside the
+standard library."""
 
 import ast
 import os
@@ -30,9 +31,10 @@ PACKAGE = Path(choquet_tower.__file__).resolve().parent
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
-def _imports(path: Path):
-    """(line, module) per import statement of a module."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def _imports(source: str):
+    """(line, module) per import statement of a module's source, function-local
+    ones included; relative imports are left out."""
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name
@@ -44,8 +46,23 @@ def test_no_module_imports_dataclasses_or_inspect():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
     found = [f"{path.name}:{line} imports {name}" for path in modules
-             for line, name in _imports(path) if name.split(".")[0] in SLOW_IMPORTS]
+             for line, name in _imports(path.read_text())
+             if name.split(".")[0] in SLOW_IMPORTS]
     assert not found, "\n".join(found)
+
+
+def test_no_module_imports_outside_the_standard_library():
+    allowed = sys.stdlib_module_names | {"choquet_tower"}
+    found = [f"{path.name}:{line} imports {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in _imports(path.read_text())
+             if name.split(".")[0] not in allowed]
+    assert not found, "\n".join(found)
+
+
+def test_a_function_local_import_is_seen():
+    source = ("import math\nfrom . import core\n"
+              "def nodes(n):\n    from numpy.polynomial.legendre import leggauss\n")
+    assert list(_imports(source)) == [(1, "math"), (4, "numpy.polynomial.legendre")]
 
 
 def test_building_the_parser_loads_neither_module():
