@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable
+from typing import Callable, Optional
 
 from .core import Act, Capacity, FiniteSpace, Frozen, Number, _require_same_space
 
@@ -93,30 +93,41 @@ def choquet_sum(value_of: Callable[[int], Number], f: Act) -> Number:
     return total
 
 
+def integral_form(u: Capacity, f: Act) -> Optional[tuple[int, int]]:
+    """The integral as an integer numerator over the product of the
+    denominators of u's and f's exact forms, unreduced; None without both.
+
+    A dense table is looked up at each cumulative level set of the act's
+    chain; a mass vector, whose telescoping sum is the mass-weighted sum of
+    the act's values, takes one dot product.  ``choquet_integral``, ``xi``
+    and ``mu`` share this one table-versus-mass dispatch.
+    """
+    form = u.exact_form
+    act = f.exact_form if form is not None else None
+    if act is None:
+        return None
+    nums, cap_den = form
+    if u._masses is not None:
+        return sum(map(mul, act[0], nums)), act[1] * cap_den
+    cums, steps, act_den = f.exact_chain
+    return sum(map(mul, steps, map(nums.__getitem__, cums))), act_den * cap_den
+
+
 def choquet_integral(u: Capacity, f: Act) -> Number:
     """The Choquet integral of an act against a capacity.
 
     Reduces to the u-weighted sum of values when u is additive, and to
-    u(A) on the indicator act of A.  When both have an exact form (integer
-    numerators over one denominator each) the sum runs on integers and one
-    Fraction is built at the end: a dense table is looked up at each
-    cumulative level set of the act's chain, while a mass vector, whose
-    telescoping sum is the mass-weighted sum of the act's values, takes
-    one dot product.  Otherwise (floats, or too coprime denominators) a
-    table goes to ``choquet_sum`` through ``u.value``, and a mass vector is
-    walked down the act's chain point by point into a running cumulative
-    mass, so additive capacities of any size integrate in linear time.
+    u(A) on the indicator act of A.  With exact forms it is one Fraction
+    of ``integral_form``.  Otherwise (floats, or too coprime denominators)
+    a table goes to ``choquet_sum`` through ``u.value``, and a mass vector
+    is walked down the act's chain point by point into a running
+    cumulative mass, so additive capacities of any size integrate in
+    linear time.
     """
     _require_same_space(u.space, f.space)
-    form, chain = u.exact_form, f.exact_chain
-    if form is not None and chain is not None:
-        nums, cap_den = form
-        cums, steps, act_den = chain
-        if u._masses is None:
-            total = sum(map(mul, steps, map(nums.__getitem__, cums)))
-        else:
-            total = sum(map(mul, f.exact_form[0], nums))
-        return Fraction(total, act_den * cap_den)
+    exact = integral_form(u, f)
+    if exact is not None:
+        return Fraction(*exact)
     if u._masses is None:
         return choquet_sum(u.value, f)
     total = level = 0

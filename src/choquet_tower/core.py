@@ -9,17 +9,18 @@ within a tolerance is decided here, by ``tolerance``, and nowhere else.
 An exact capacity stores its values once, in an exact form built by
 ``_exact_form``: integer numerators over one common denominator, which
 compare, add and multiply at integer speed; its values are their Fractions.
-An exact act keeps its values and derives the same form once.
+An exact act has the same form.  It keeps what it was built from, values or
+a form, and derives the other once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, gt
+from operator import add, gt, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Number = Union[int, Fraction, float]
@@ -170,6 +171,20 @@ def values_close(a: Number, b: Number, tol: float = VALUE_TOL) -> bool:
     return _close(a, b, tolerance((a, b), tol))
 
 
+class once:
+    """``functools.cached_property`` without the lock it takes on every
+    first use on Python 3.10 and 3.11: the value goes into ``__dict__``."""
+
+    def __init__(self, fn: Callable):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Frozen:
     """Instances refuse attribute assignment and deletion.
 
@@ -301,9 +316,22 @@ def _mask_of(space: FiniteSpace, subset: Union[Subset, int]) -> int:
 
 class Act(Frozen):
     """A real-valued function on a space's points (always a finite step
-    function); acts compare and hash by space and values."""
+    function); acts compare and hash by space and values.
 
-    def __init__(self, space: FiniteSpace, values: tuple[Number, ...]):
+    An act is built from its values or from ``form`` = (numerators,
+    denominator), checked by ``_checked_form``.  It derives the other on
+    first use: the form by ``_exact_form``, the values as Fractions.  Sums,
+    differences and exact multiples of acts with forms stay on integers.
+    """
+
+    def __init__(self, space: FiniteSpace, values: Optional[tuple[Number, ...]] = None,
+                 *, form: Optional[tuple[Sequence[int], int]] = None):
+        if (values is None) == (form is None):
+            raise TypeError("give an act's values or its exact form, not both")
+        if form is not None:
+            nums, den = _checked_form(form, len(space))
+            self.__dict__.update(space=space, exact_form=(list(nums), den))
+            return
         if len(values) != len(space):
             raise SpaceMismatchError(
                 f"act has {len(values)} values for {len(space)} points")
@@ -320,7 +348,13 @@ class Act(Frozen):
     def __hash__(self):
         return hash((self.space, self.values))
 
-    @cached_property
+    @once
+    def values(self) -> tuple[Number, ...]:
+        """The values of an act built from its form: one Fraction each."""
+        nums, den = self.exact_form
+        return tuple(Fraction(n, den) for n in nums)
+
+    @once
     def chain_blocks(self) -> tuple[tuple[int, Number], ...]:
         """Points grouped by value as (mask, value) blocks, values descending.
 
@@ -332,13 +366,13 @@ class Act(Frozen):
             by_value[v] = by_value.get(v, 0) | 1 << i
         return tuple((by_value[v], v) for v in sorted(by_value, reverse=True))
 
-    @cached_property
+    @once
     def exact_form(self) -> Optional[tuple[list[int], int]]:
         """The values as integer numerators over one denominator, or None
-        (see ``_exact_form``); computed once per act."""
+        (see ``_exact_form``); derived once per act built from values."""
         return _exact_form(self.values)
 
-    @cached_property
+    @once
     def exact_chain(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """The descending chain in the exact form, or None without one.
 
@@ -370,16 +404,30 @@ class Act(Frozen):
     def at(self, label: str) -> Number:
         return self.values[self.space.index(label)]
 
-    def __add__(self, other: "Act") -> "Act":
+    def _combine(self, other: "Act", sign: int) -> "Act":
+        # other's numerators, times sign, added to self's over their lcm
         _require_same_space(self.space, other.space)
-        return Act(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
+        a, b = self.exact_form, other.exact_form
+        if a is None or b is None:
+            op = add if sign > 0 else sub
+            return Act(self.space, tuple(map(op, self.values, other.values)))
+        (na, da), (nb, db) = a, b
+        den = da * db // math.gcd(da, db)
+        sa, sb = den // da, sign * (den // db)
+        return Act(self.space, form=([x * sa + y * sb for x, y in zip(na, nb)], den))
+
+    def __add__(self, other: "Act") -> "Act":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Act") -> "Act":
-        _require_same_space(self.space, other.space)
-        return Act(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._combine(other, -1)
 
     def scale(self, c: Number) -> "Act":
-        return Act(self.space, tuple(c * v for v in self.values))
+        form = self.exact_form if is_exact(c) else None
+        if form is None:
+            return Act(self.space, tuple(c * v for v in self.values))
+        k = c.numerator
+        return Act(self.space, form=([k * n for n in form[0]], form[1] * c.denominator))
 
     def map(self, fn: Callable[[Number], Number]) -> "Act":
         return Act(self.space, tuple(fn(v) for v in self.values))
@@ -466,18 +514,20 @@ class Capacity(Frozen):
     themselves, floats or exact values too coprime to share one denominator.
     The constructor derives the form from the values when no ``den`` is
     given (see ``_exact_form``), and takes a list of int numerators over a
-    given ``den`` unchecked.
+    given ``den`` unchecked.  With ``derive`` False it keeps the values: a
+    caller that has found they have no form derives none again.
     """
 
     __slots__ = ("space", "_table", "_masses", "_den", "_additive", "_hash")
 
     def __init__(self, space: FiniteSpace, *, table: Sequence = None,
-                 masses: Sequence = None, den: Optional[int] = None):
+                 masses: Sequence = None, den: Optional[int] = None,
+                 derive: bool = True):
         if (table is None) == (masses is None):
             raise ValueError("exactly one of table/masses must be given")
         stored = table if masses is None else masses
         if den is None:
-            stored, den = _exact_form(stored) or (tuple(stored), None)
+            stored, den = derive and _exact_form(stored) or (tuple(stored), None)
         elif type(stored) is not list:
             stored = list(stored)
         object.__setattr__(self, "space", space)
@@ -728,24 +778,30 @@ def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence, None] 
     full = space.full_mask
     if form is not None:
         nums, den = _checked_form(form, full + 1)
-        cap = Capacity(space, table=nums, den=den)
-    else:
-        if isinstance(table, Mapping):
-            dense: list = [None] * (full + 1)
-            for key, val in table.items():
-                # an int key in range is a mask already; any other key is checked
-                dense[key if type(key) is int and 0 <= key <= full
-                      else _mask_of(space, key)] = val
-            if any(v is None for v in dense):
-                raise SpaceMismatchError("table does not cover every subset")
-            table = dense
-        elif len(table) != full + 1:
+        return _checked_table(space, nums, den)
+    if isinstance(table, Mapping):
+        dense: list = [None] * (full + 1)
+        for key, val in table.items():
+            # an int key in range is a mask already; any other key is checked
+            dense[key if type(key) is int and 0 <= key <= full
+                  else _mask_of(space, key)] = val
+        if any(v is None for v in dense):
             raise SpaceMismatchError("table does not cover every subset")
-        cap = Capacity(space, table=table)
+        table = dense
+    elif len(table) != full + 1:
+        raise SpaceMismatchError("table does not cover every subset")
+    return _checked_table(space, table)
+
+
+def _checked_table(space: FiniteSpace, stored: Sequence, den: Optional[int] = None,
+                   derive: bool = True) -> Capacity:
+    """Build a dense table as ``Capacity`` does, then run the normalization
+    and monotonicity checks on what it stores."""
+    cap = Capacity(space, table=stored, den=den, derive=derive)
     keys, tol = cap._keys()
     if not (_close(keys[0], 0, tol) and _close(keys[-1], cap._den or 1, tol)):
         raise NormalizationError(f"need table(empty)=0 and table(full)=1, got "
-                                 f"{cap.value(0)} and {cap.value(full)}")
+                                 f"{cap.value(0)} and {cap.value(space.full_mask)}")
     _check_monotone(space, cap.value, keys, tol)
     return cap
 

@@ -131,9 +131,13 @@ def build_sequence(variant: str, params: UrnParams) -> USequence:
 def _weight_numerators(variant: str, two_n: int) -> tuple[list[int], int]:
     """Weight of each u_k in the final one-point layer, as integer
     numerators over one denominator: uniform for X and for Z (each binomial
-    mass integrates to 1/(2N+1) over p), binomial at p = 1/2 for Y."""
+    mass integrates to 1/(2N+1) over p), binomial at p = 1/2 for Y, its
+    coefficients C(2N, k) by the multiplicative recurrence, k ascending."""
     if variant == "Y":
-        return [math.comb(two_n, k) for k in range(two_n + 1)], 2 ** two_n
+        nums = [1] * (two_n + 1)
+        for k in range(two_n):
+            nums[k + 1] = nums[k] * (two_n - k) // (k + 1)
+        return nums, 2 ** two_n
     return [1] * (two_n + 1), two_n + 1
 
 

@@ -7,9 +7,10 @@ counterexample, if any.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import repeat
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
@@ -68,22 +69,46 @@ def _run_law(name: str, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 # random generators (exact rational values throughout)
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n) as ``Random.randrange(n)`` makes it from ``bits``
+    (a ``getrandbits``): ``randint`` and ``choice`` take the same stream."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8,
                   denom: int = 6) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, denom))
+    bits = rng.getrandbits
+    return Fraction(lo + _below(bits, hi - lo + 1), 1 + _below(bits, denom))
 
 
-def rand_space(rng: random.Random, max_points: int = 6) -> FiniteSpace:
-    n = rng.randint(2, max_points)
+@cache
+def _space(n: int) -> FiniteSpace:
     return FiniteSpace(tuple(LABELS[:n]))
 
 
+def rand_space(rng: random.Random, max_points: int = 6) -> FiniteSpace:
+    return _space(2 + _below(rng.getrandbits, max_points - 1))
+
+
+def _drawn_act(rng: random.Random, space: FiniteSpace, lo: int) -> Act:
+    # values in [lo, 8] over 1..6, drawn as ``rand_fraction`` draws them
+    # (numerator, then denominator, point by point) into the act's form
+    bits = rng.getrandbits
+    pairs = [(lo + _below(bits, 9 - lo), 1 + _below(bits, 6)) for _ in space.points]
+    den = math.lcm(*(d for _, d in pairs))
+    return Act(space, form=([n * (den // d) for n, d in pairs], den))
+
+
 def rand_act(rng: random.Random, space: FiniteSpace) -> Act:
-    return Act(space, tuple(rand_fraction(rng) for _ in space.points))
+    return _drawn_act(rng, space, -8)
 
 
 def rand_nonneg_act(rng: random.Random, space: FiniteSpace) -> Act:
-    return Act(space, tuple(rand_fraction(rng, 0, 8) for _ in space.points))
+    return _drawn_act(rng, space, 0)
 
 
 def rand_capacity(rng: random.Random, space: FiniteSpace) -> Capacity:
@@ -96,7 +121,8 @@ def rand_capacity(rng: random.Random, space: FiniteSpace) -> Capacity:
     entry ends as the largest draw on its subsets.
     """
     n = len(space)
-    nums = [0, *map(rng.randrange, repeat(17, (1 << n) - 1))]
+    bits = rng.getrandbits
+    nums = [0] + [_below(bits, 17) for _ in range((1 << n) - 1)]
     for _, lo, hi in _cover_slices(n):
         # a comparison inline costs less than a call to max per entry
         nums[hi] = [a if a > b else b for a, b in zip(nums[hi], nums[lo])]
@@ -106,9 +132,10 @@ def rand_capacity(rng: random.Random, space: FiniteSpace) -> Capacity:
 
 
 def rand_additive(rng: random.Random, space: FiniteSpace) -> Capacity:
-    weights = [rng.randint(0, 8) for _ in space.points]
+    bits = rng.getrandbits
+    weights = [_below(bits, 9) for _ in space.points]
     if sum(weights) == 0:
-        weights[rng.randrange(len(weights))] = 1
+        weights[_below(bits, len(weights))] = 1
     return additive_capacity(space, form=(weights, sum(weights)))
 
 
@@ -122,8 +149,9 @@ def rand_nonadditive(rng: random.Random, space: FiniteSpace) -> Capacity:
 
 def rand_point_map(rng: random.Random, domain: FiniteSpace,
                    codomain: FiniteSpace) -> PointMap:
+    points, bits = codomain.points, rng.getrandbits
     return PointMap(domain, codomain,
-                    {p: rng.choice(codomain.points) for p in domain.points})
+                    {p: points[_below(bits, len(points))] for p in domain.points})
 
 
 def rand_comonotonic_pair(rng: random.Random, space: FiniteSpace) -> tuple[Act, Act]:
@@ -131,7 +159,8 @@ def rand_comonotonic_pair(rng: random.Random, space: FiniteSpace) -> tuple[Act, 
     n = len(space)
     order = list(range(n))
     rng.shuffle(order)
-    cuts = sorted(rng.randint(0, n - 1) for _ in range(rng.randint(0, n - 1)))
+    bits = rng.getrandbits
+    cuts = sorted(_below(bits, n) for _ in range(_below(bits, n)))
     blocks = []
     start = 0
     for c in cuts + [n]:
@@ -159,7 +188,7 @@ def distinct_space(space: FiniteSpace, capacities: Iterable[Capacity],
 def rand_uncertainty_space(rng: random.Random, space: FiniteSpace,
                            max_caps: int = 3) -> UncertaintySpace:
     caps: dict = {}
-    want = rng.randint(1, max_caps)
+    want = 1 + _below(rng.getrandbits, max_caps)
     tries = 0
     while len(caps) < want and tries < 30:
         caps.setdefault(rand_capacity(rng, space))
@@ -193,7 +222,7 @@ def run_choquet_suite(seed: int = 7, trials: int = 500,
         space = rand_space(rng, max_points)
         u = rand_capacity(rng, space)
         f = rand_act(rng, space)
-        lam = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        lam = Fraction(1 + _below(rng.getrandbits, 12), 1 + _below(rng.getrandbits, 12))
         if choquet_integral(u, f.scale(lam)) != lam * choquet_integral(u, f):
             return f"I(lam f) != lam I(f) for lam={lam}"
         return None
@@ -237,7 +266,7 @@ def run_dirac_suite(seed: int = 7, trials: int = 200,
     def evaluation(rng):
         space = rand_space(rng, max_points)
         f = rand_act(rng, space)
-        p = rng.choice(space.points)
+        p = space.points[_below(rng.getrandbits, len(space))]
         if choquet_integral(dirac(space, p), f) != f.at(p):
             return f"I under point mass at {p} is not evaluation"
         return None
@@ -246,7 +275,7 @@ def run_dirac_suite(seed: int = 7, trials: int = 200,
         domain = rand_space(rng, max_points)
         codomain = rand_space(rng, max_points)
         h = rand_point_map(rng, domain, codomain)
-        p = rng.choice(domain.points)
+        p = domain.points[_below(rng.getrandbits, len(domain))]
         if pushforward(dirac(domain, p), h) != dirac(codomain, h(p)):
             return f"pushforward of point mass at {p} is not the point mass at {h(p)}"
         return None
@@ -325,9 +354,10 @@ def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
 
 
 def run_substitution_suite(seed: int = 7, trials: int = 500) -> SuiteReport:
+    domain = _space(4)
+    codomain = FiniteSpace(tuple("xyz"))
+
     def substitution(rng):
-        domain = FiniteSpace(tuple(LABELS[:4]))
-        codomain = FiniteSpace(tuple("xyz"))
         u = rand_nonadditive(rng, domain)
         h = rand_point_map(rng, domain, codomain)
         f = rand_act(rng, codomain)
@@ -427,9 +457,11 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
                {"vu": "vu"}]
-        if not is_ug_map(phi, seq_x, seq_x, g_lin, depth=3, seed=rng.randint(0, 99)):
+        if not is_ug_map(phi, seq_x, seq_x, g_lin, depth=3,
+                         seed=_below(rng.getrandbits, 100)):
             return "identity maps failed under the linear transform"
-        if not is_ug_map(phi, seq_x, seq_x, g_ent, depth=3, seed=rng.randint(0, 99)):
+        if not is_ug_map(phi, seq_x, seq_x, g_ent, depth=3,
+                         seed=_below(rng.getrandbits, 100)):
             return "identity maps failed under the entropic transform"
         return None
 
@@ -439,7 +471,8 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
                {"vb": family.member(Fraction(1, 2))}]
-        if not is_ug_map(phi, seq_y, seq_z, g_lin, depth=3, seed=rng.randint(0, 99)):
+        if not is_ug_map(phi, seq_y, seq_z, g_lin, depth=3,
+                         seed=_below(rng.getrandbits, 100)):
             return "binomial midpoint inclusion failed"
         return None
 
@@ -454,7 +487,7 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
                 {"vb": family.member(Fraction(1, 2))}]
         composed = compose_ug_maps(ident, incl)
         if not is_ug_map(composed, seq_y, seq_z, g_lin, depth=3,
-                         seed=rng.randint(0, 99)):
+                         seed=_below(rng.getrandbits, 100)):
             return "composition of passing maps failed"
         return None
 

@@ -10,7 +10,8 @@ A full table is loaded in whole-table passes.  Its keys are matched
 against the canonical bitstrings in mask order, and keys and coverage are
 checked before any value is parsed.  Each distinct value is then parsed
 once, and the exact form of the distinct values is derived once; the table
-goes to ``validate_capacity`` as numerators over that denominator.
+goes to ``validate_capacity`` as numerators over that denominator, or, with
+no form, keeps its values and goes through the same checks.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ def _full_capacity(space: FiniteSpace, raw: dict,
     keys = map(str, entries)
     form = core._exact_form(list(parsed.values()))
     if form is None:
-        return validate_capacity(space, list(map(parsed.__getitem__, keys)))
+        # the distinct values share no form, so neither does the table
+        return core._checked_table(space, list(map(parsed.__getitem__, keys)),
+                                   derive=False)
     # numerators over the lcm of the reduced denominators share no factor
     # with it, so this is the form the table's own values would derive
     numerator = dict(zip(parsed, form[0]))

@@ -2,17 +2,18 @@
 
 The capacity list is itself a finite point set one level up, so evaluation
 and Choquet expectation turn acts on the base into acts on the capacities.
+When every capacity has an exact form, both build the act's form: integer
+numerators over the least common multiple of the capacities' denominators.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
-from .choquet import choquet_integral
+from .choquet import choquet_integral, integral_form
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
-                   Frozen, Number, Subset, _mask_of, _require_same_space)
+                   Frozen, Number, Subset, _mask_of, _require_same_space, once)
 
 
 def _name_index(capacities: Sequence[tuple[str, Capacity]]
@@ -76,37 +77,55 @@ class UncertaintySpace(Frozen):
         """The name of the capacity equal to `cap` as a set function, if any."""
         return self._name_of.get(cap)
 
-    @cached_property
+    @once
     def is_additive(self) -> bool:
         """True when every capacity is additive; decided on first use only."""
         return all(cap.is_additive for _, cap in self.capacities)
 
-    @cached_property
-    def mass_rows(self) -> Optional[tuple[list[list[int]], int]]:
-        """Every capacity's singleton values as integer numerators over the
-        least common multiple of their denominators, one row per capacity,
-        or None when one has no exact form; built on first use only, from
-        the stored numerators."""
-        caps = [cap for _, cap in self.capacities]
-        if not all(cap._den for cap in caps):
+    @once
+    def form_scales(self) -> Optional[tuple[int, list[int]]]:
+        """The lcm of the capacities' denominators and the factor that brings
+        each one's numerators over it; None when one has no exact form."""
+        dens = [cap._den for _, cap in self.capacities]
+        if not all(dens):
             return None
-        den = math.lcm(*(cap._den for cap in caps))
-        return [[n * (den // cap._den) for n in cap._singleton_keys()]
-                for cap in caps], den
+        den = math.lcm(*dens)
+        return den, [den // d for d in dens]
+
+    @once
+    def mass_rows(self) -> Optional[tuple[list[list[int]], int]]:
+        """Every capacity's singleton values as numerators over the
+        ``form_scales`` denominator, one row per capacity, or None."""
+        if self.form_scales is None:
+            return None
+        den, scales = self.form_scales
+        return [[n * k for n in cap._singleton_keys()]
+                for (_, cap), k in zip(self.capacities, scales)], den
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
-    """Evaluation act of a subset: each capacity reports its value on it."""
+    """Evaluation act of a subset: each capacity reports its value on it,
+    as the stored numerators when every capacity has an exact form."""
     mask = _mask_of(us.base, subset)
-    return Act(us.capacity_space,
-               tuple(cap.value(mask) for _, cap in us.capacities))
+    if us.form_scales is None:
+        return Act(us.capacity_space,
+                   tuple(cap.value(mask) for _, cap in us.capacities))
+    den, scales = us.form_scales
+    return Act(us.capacity_space, form=([cap._stored_value(mask) * k for (_, cap), k
+                                         in zip(us.capacities, scales)], den))
 
 
 def xi(us: UncertaintySpace, f: Act) -> Act:
-    """Choquet expectation act: each capacity reports its integral of f."""
+    """Choquet expectation act: each capacity reports its integral of f,
+    with exact forms as ``integral_form``'s numerators over one denominator."""
     _require_same_space(f.space, us.base)
-    return Act(us.capacity_space,
-               tuple(choquet_integral(cap, f) for _, cap in us.capacities))
+    if us.form_scales is None or f.exact_form is None:
+        return Act(us.capacity_space,
+                   tuple(choquet_integral(cap, f) for _, cap in us.capacities))
+    den, scales = us.form_scales
+    return Act(us.capacity_space, form=(
+        [integral_form(cap, f)[0] * k for (_, cap), k in zip(us.capacities, scales)],
+        f.exact_form[1] * den))
 
 
 class GTransform(Frozen):

@@ -201,6 +201,23 @@ def test_each_distinct_value_is_derived_once(monkeypatch):
     assert seen == [4]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_too_coprime_table_derives_its_form_once(backend, monkeypatch):
+    rng = random.Random(6)
+    primes = [p for p in range(101, 400) if all(p % q for q in range(2, 20))]
+    pool = [Fraction(rng.randint(1, p - 1), p) for p in primes]
+    values = _shuffled_table(6, _monotone_table(6, pool, rng), rng)
+    expected = _per_entry(6, values, backend)
+    seen = []
+    derive = core._exact_form
+    monkeypatch.setattr(core, "_exact_form", lambda values: seen.append(len(values))
+                        or derive(values))
+    loaded = load_space_file(_document(6, values), backend=backend).capacities["u"]
+    # the distinct values alone, where the whole table was derived again
+    assert seen == [len(set(map(str, values.values())))] and seen[0] < 64
+    assert loaded == expected and loaded.exact_form is None
+
+
 # -- guards that act before the work they guard ----------------------------------
 
 BIG_EXPONENT = "1e-999999999"

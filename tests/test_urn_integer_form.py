@@ -20,9 +20,9 @@ from choquet_tower.core import (Act, Capacity, MonotonicityError,
                                 NormalizationError, SpaceMismatchError,
                                 additive_capacity, is_exact, make_space,
                                 validate_capacity)
-from choquet_tower.ellsberg import (UrnParams, binomial_family, build_sequence,
-                                    build_urn_space, closed_form_values,
-                                    standard_acts)
+from choquet_tower.ellsberg import (UrnParams, _weight_numerators, binomial_family,
+                                    build_sequence, build_urn_space,
+                                    closed_form_values, standard_acts)
 from choquet_tower.category import mu
 from choquet_tower.hierarchy import integrate_family
 from choquet_tower.uncertainty import UncertaintySpace, xi
@@ -420,3 +420,12 @@ def test_mu_result_is_still_checked():
     with pytest.raises(MonotonicityError) as err:
         mu(us, v)
     assert err.value.witness == (0, 0b010)
+
+
+@pytest.mark.parametrize("two_n", [*range(65), 600])
+def test_y_weights_are_the_binomial_coefficients(two_n):
+    # both sides of the closed-form check share this helper, so it is held
+    # to math.comb here
+    nums, den = _weight_numerators("Y", two_n)
+    assert nums == [math.comb(two_n, k) for k in range(two_n + 1)]
+    assert den == 2 ** two_n == sum(nums)
