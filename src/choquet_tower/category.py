@@ -9,12 +9,11 @@ for non-additive second-order capacities).
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .choquet import choquet_integral, choquet_sum, integral_form
+from .choquet import choquet_integral, choquet_sum
 from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, PointMap,
                    additive_capacity, exponent, indicator, precompose_act,
                    pushforward, validate_capacity, values_close,
@@ -161,9 +160,8 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     capacities yields an additive result, computed in mass space as
     w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base, on
     integer numerators when the weights and ``us.mass_rows`` have them.
-    Otherwise, when v and every capacity have exact forms, each subset's
-    value is ``integral_form``'s and the table goes to ``validate_capacity``
-    as numerators over the lcm of their denominators.
+    Otherwise the result is that defining table, checked by
+    ``validate_capacity``, which derives its exact form from the values.
     """
     _require_same_space(v.space, us.capacity_space)
     if v.is_additive and us.is_additive:
@@ -181,13 +179,8 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
         if exact:
             return additive_capacity(us.base, form=(sums, den * row_den))
         return additive_capacity(us.base, sums)
-    masks = us.base.all_masks()
-    if v.exact_form is None or us.form_scales is None:
-        return validate_capacity(us.base, [choquet_integral(v, epsilon(us, mask))
-                                           for mask in masks])
-    table = [integral_form(v, epsilon(us, mask)) for mask in masks]
-    den = math.lcm(*(d for _, d in table))
-    return validate_capacity(us.base, form=([n * (den // d) for n, d in table], den))
+    return validate_capacity(us.base, [choquet_integral(v, epsilon(us, mask))
+                                       for mask in us.base.all_masks()])
 
 
 def substitution_check(u: Capacity, h: PointMap, f: Act) -> bool:

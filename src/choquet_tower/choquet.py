@@ -97,10 +97,13 @@ def integral_form(u: Capacity, f: Act) -> Optional[tuple[int, int]]:
     """The integral as an integer numerator over the product of the
     denominators of u's and f's exact forms, unreduced; None without both.
 
-    A dense table is looked up at each cumulative level set of the act's
-    chain; a mass vector, whose telescoping sum is the mass-weighted sum of
-    the act's values, takes one dot product.  ``choquet_integral``, ``xi``
-    and ``mu`` share this one table-versus-mass dispatch.
+    The denominator is always the act's times the capacity's, so callers
+    integrating one act under capacities with one denominator may read the
+    numerator alone: ``xi`` does.  A dense table is looked up at each
+    cumulative level set of the act's chain; a mass vector, whose
+    telescoping sum is the mass-weighted sum of the act's values, takes one
+    dot product.  ``choquet_integral`` and ``xi`` share this one
+    table-versus-mass dispatch.
     """
     form = u.exact_form
     act = f.exact_form if form is not None else None

@@ -1,9 +1,10 @@
 """Command-line surface: urn reports, law suites, counterexamples, integrals.
 
 Exit codes: 0 ok, 1 usage or input error, 2 a mathematically anchored
-verdict failed (judged only at the scalar urn layers), 3 a law suite found a
-counterexample.  Each subcommand accepts only the flags it reads.  Same
-seed and flags yield byte-identical output.
+verdict failed (judged only at the scalar urn layers, where layered values
+that disagree with the closed form fail too), 3 a law suite found a
+counterexample or a trial raised.  Each subcommand accepts only the flags
+it reads.  Same seed and flags yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, AssertionError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

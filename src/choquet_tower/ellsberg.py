@@ -210,8 +210,9 @@ def ellsberg_report(variant: str, params: UrnParams, layer: int) -> EllsbergRepo
     """Run one variant to the requested layer and judge the bet orderings.
 
     Values are produced by the layered expectation chain and re-derived from
-    the direct summation formulas; the two must agree (exactly when both are
-    exact, else within ``VALUE_TOL``) before the bets are ordered.
+    the direct summation formulas.  The two must agree (exactly when both
+    are exact, else within ``VALUE_TOL``) for the bets to be ordered; if
+    they do not, the verdict is "disagrees with the closed form".
     """
     allowed = {"X": (1, 2), "Y": (1, 2), "Z": (1, 3)}
     if variant not in allowed:
@@ -229,18 +230,13 @@ def ellsberg_report(variant: str, params: UrnParams, layer: int) -> EllsbergRepo
         values[name] = act.values
         labels = act.space.points
 
-    if layer != 1:
-        closed = closed_form_values(variant, params, layer)
-        for name in ACT_NAMES:
-            got, want = values[name][0], closed[name]
-            if not values_close(got, want):
-                raise AssertionError(
-                    f"layered and closed-form values disagree for {name}: "
-                    f"{got} vs {want}")
-
     f12 = _pointwise_verdict(values["f1"], values["f2"])
     f34 = _pointwise_verdict(values["f3"], values["f4"])
-    if f12 == "=" and f34 == "=":
+    closed = closed_form_values(variant, params, layer) if layer != 1 else None
+    if closed and not all(values_close(values[name][0], closed[name])
+                          for name in ACT_NAMES):
+        verdict = "disagrees with the closed form"
+    elif f12 == "=" and f34 == "=":
         verdict = "equalities"
     elif f12 == ">" and f34 == ">":
         verdict = "supports modal preference"
@@ -290,8 +286,10 @@ def paradox_demo(params: UrnParams) -> ParadoxReport:
         branch = "modal preference represented"
     elif report.verdict == "equalities":
         branch = "paradox not representable"
-    else:
+    elif report.verdict == "mixed":
         branch = "mixed ordering"
+    else:
+        branch = report.verdict
     return ParadoxReport(
         identities=identities,
         identities_hold=all(ok for _, ok in identities),

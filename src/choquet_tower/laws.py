@@ -58,10 +58,15 @@ class SuiteReport(Frozen):
 
 def _run_law(name: str, trials: int, seed: int,
              trial_fn: Callable[[random.Random], Optional[str]]) -> LawResult:
-    """Run one law; trial_fn returns None on success, else a description."""
-    outcomes = (trial_fn(random.Random((seed * 1000003 + i) & 0xFFFFFFFF))
-                for i in range(trials))
-    failures = [o for o in outcomes if o is not None]
+    """Run one law; trial_fn returns None on success, else a description.
+    A trial that raises fails, described by the exception's type and message."""
+    def outcome(i: int) -> Optional[str]:
+        try:
+            return trial_fn(random.Random((seed * 1000003 + i) & 0xFFFFFFFF))
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    failures = [o for o in map(outcome, range(trials)) if o is not None]
     return LawResult(name, trials, len(failures),
                      failures[0] if failures else None)
 

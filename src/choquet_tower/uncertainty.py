@@ -2,8 +2,10 @@
 
 The capacity list is itself a finite point set one level up, so evaluation
 and Choquet expectation turn acts on the base into acts on the capacities.
-When every capacity has an exact form, both build the act's form: integer
-numerators over the least common multiple of the capacities' denominators.
+The evaluation act is built from the capacities' values.  When every
+capacity and the act have exact forms, the expectation act is built as its
+form: ``integral_form``'s numerators brought over the least common multiple
+of the capacities' denominators, times the act's denominator.
 """
 
 from __future__ import annotations
@@ -104,15 +106,9 @@ class UncertaintySpace(Frozen):
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
-    """Evaluation act of a subset: each capacity reports its value on it,
-    as the stored numerators when every capacity has an exact form."""
+    """Evaluation act of a subset: each capacity reports its value on it."""
     mask = _mask_of(us.base, subset)
-    if us.form_scales is None:
-        return Act(us.capacity_space,
-                   tuple(cap.value(mask) for _, cap in us.capacities))
-    den, scales = us.form_scales
-    return Act(us.capacity_space, form=([cap._stored_value(mask) * k for (_, cap), k
-                                         in zip(us.capacities, scales)], den))
+    return Act(us.capacity_space, tuple(cap.value(mask) for _, cap in us.capacities))
 
 
 def xi(us: UncertaintySpace, f: Act) -> Act:

@@ -1,12 +1,13 @@
 """Acts built from their exact form, against the Fraction definitions.
 
-``xi``, ``epsilon``, act sums, differences and exact multiples, and the
-law-suite draws build an act's integer numerators over one denominator
-directly, and its values are derived from them only when asked for.  The
-oracles are the value definitions: ``choquet_sum`` per capacity for
-``xi``, ``Capacity.value`` for ``epsilon``, value arithmetic for ``+``,
-``-`` and ``scale``.  Floats and values too coprime to share a
-denominator take the value path, so every kind is drawn.
+``xi``, act sums, differences and exact multiples, and the law-suite
+draws build an act's integer numerators over one denominator directly, and
+its values are derived from them only when asked for.  The oracles are the
+value definitions: ``choquet_sum`` per capacity for ``xi``, value
+arithmetic for ``+``, ``-`` and ``scale``.  ``epsilon`` and dense ``mu``,
+which are their value definitions, are checked against
+``Capacity.value`` and the defining table.  Floats and values too coprime
+to share a denominator take the value path, so every kind is drawn.
 """
 
 import random
