@@ -12,14 +12,14 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional
 
-from .core import Act, Capacity, FiniteSpace, Frozen, Number, _require_same_space
+from .core import Act, Capacity, FiniteSpace, Frozen, Number, Value, _require_same_space
 
 
 class NotComonotonicError(ValueError):
     """Two acts move in opposite directions on some pair of points."""
 
 
-class ChainDecomposition(Frozen):
+class ChainDecomposition(Value, Frozen):
     """Disjoint blocks of constant value covering the space, values descending.
 
     ``blocks`` pairs a bitmask with the act's value on it; ``decompose``
@@ -27,6 +27,8 @@ class ChainDecomposition(Frozen):
     comonotonic pair may carry ties.  Chains compare and hash by space and
     blocks.
     """
+
+    _value = ("space", "blocks")
 
     def __init__(self, space: FiniteSpace, blocks: tuple[tuple[int, Number], ...]):
         union = 0
@@ -41,14 +43,6 @@ class ChainDecomposition(Frozen):
         if union != space.full_mask:
             raise ValueError("blocks must cover the space")
         self.__dict__.update(space=space, blocks=blocks)
-
-    def __eq__(self, other):
-        if type(other) is not ChainDecomposition:
-            return NotImplemented
-        return (self.space, self.blocks) == (other.space, other.blocks)
-
-    def __hash__(self):
-        return hash((self.space, self.blocks))
 
     @property
     def values(self) -> tuple[Number, ...]:

@@ -20,7 +20,7 @@ from .category import monad_counterexample
 from .choquet import are_comonotonic, choquet_integral
 from .core import (VALUE_TOL, Act, FiniteSpace, Frozen, Number, _echo,
                    additive_capacity, is_exact, parse_number, values_close)
-from .ellsberg import EllsbergReport, UrnParams, ellsberg_report
+from .ellsberg import VARIANTS, EllsbergReport, UrnParams, ellsberg_report
 from .spacefile import load_space_file
 from .uncertainty import UncertaintySpace, xi
 
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ellsberg", help="layered urn report")
-    p.add_argument("--variant", choices=("X", "Y", "Z"), required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--big-n", dest="big_n", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--u1", required=True)

@@ -22,7 +22,10 @@ from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
 from .uncertainty import UncertaintySpace
 
 ACT_NAMES = ("f1", "f2", "f3", "f4")
-VARIANTS = ("X", "Y", "Z")
+#: each variant's top layer, the scalar one with a closed form; layer 1 is
+#: the capacity-indexed profile
+TOP_LAYER = {"X": 2, "Y": 2, "Z": 3}
+VARIANTS = tuple(TOP_LAYER)
 
 
 class UrnParams(Frozen):
@@ -90,12 +93,12 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
     base = urn.capacity_space
 
     def member(p: Number) -> Capacity:
-        # unchecked, as binomial weights; tests count one Capacity call per member
+        # through the checked door, which refuses the negative masses of a p outside [0, 1]
         if not is_exact(p):
             q = 1.0 - p
             masses = tuple(math.comb(two_n, k) * p ** k * q ** (two_n - k)
                            for k in range(two_n + 1))
-            return Capacity(base, masses=masses)
+            return additive_capacity(base, masses)
         # p = a/b: mass k is C(2N, k) a^k (b-a)^(2N-k) over b^(2N), built
         # with k descending so no list of big powers is kept
         p = Fraction(p)
@@ -107,7 +110,7 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
             nums[k] = coef * a ** k * power
             coef = coef * k // (two_n - k + 1)
             power *= b - a
-        return Capacity(base, masses=nums, den=denom)
+        return additive_capacity(base, form=(nums, denom))
 
     return FamilyLevel(base=base, family=member, weight="lebesgue",
                        binomial_n=two_n)
@@ -145,12 +148,12 @@ def closed_form_values(variant: str, params: UrnParams,
                        layer: int) -> dict[str, Number]:
     """Top-layer values of the four bets by direct summation.
 
-    Only the scalar layers (2 for X/Y, 3 for Z) have closed forms; they are
+    Only a variant's scalar top layer (``TOP_LAYER``) has a closed form; it is
     the utility anchor times the weighted means of the distorted odds.  With
     a whole alpha each mean is one Fraction of integer sums: weight
     numerators times k^alpha over the weight denominator times (2N)^alpha.
     """
-    if (variant, layer) not in (("X", 2), ("Y", 2), ("Z", 3)):
+    if TOP_LAYER.get(variant) != layer:
         raise ValueError(f"no closed form for variant {variant} at layer {layer}")
     two_n = 2 * params.big_n
     u1 = params.u1
@@ -214,12 +217,11 @@ def ellsberg_report(variant: str, params: UrnParams, layer: int) -> EllsbergRepo
     are exact, else within ``VALUE_TOL``) for the bets to be ordered; if
     they do not, the verdict is "disagrees with the closed form".
     """
-    allowed = {"X": (1, 2), "Y": (1, 2), "Z": (1, 3)}
-    if variant not in allowed:
+    if variant not in TOP_LAYER:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if layer not in allowed[variant]:
-        raise ValueError(f"variant {variant} supports layers {allowed[variant]}, "
-                         f"got {layer}")
+    allowed = (1, TOP_LAYER[variant])
+    if layer not in allowed:
+        raise ValueError(f"variant {variant} supports layers {allowed}, got {layer}")
     seq = build_sequence(variant, params)
     util = UtilityFunction.anchored(params.u1)
     acts = standard_acts(seq.base_space())

@@ -42,14 +42,13 @@ def terminal_space() -> UncertaintySpace:
 class UtilityFunction(Frozen):
     """Nondecreasing payoff scale with utility 0 at 0 and strictly inside (0,1) at 1."""
 
-    def __init__(self, fn: Callable[[Number], Number], kind: str = "custom",
-                 u1: Number = None):
+    def __init__(self, fn: Callable[[Number], Number], u1: Number = None):
         if u1 is None:
             u1 = fn(1)
         zero = fn(0)
         if not (0 < u1 < 1) or zero != 0:
             raise ValueError(f"need 1 > fn(1) > fn(0) = 0, got fn(1)={u1}, fn(0)={zero}")
-        self.__dict__.update(fn=fn, kind=kind, u1=u1)
+        self.__dict__.update(fn=fn, u1=u1)
 
     def __call__(self, x: Number) -> Number:
         return self.fn(x)
@@ -57,14 +56,14 @@ class UtilityFunction(Frozen):
     @classmethod
     def exp_saturating(cls) -> "UtilityFunction":
         """1 - exp(-x); float backend."""
-        return cls(lambda x: 1.0 - math.exp(-float(x)), kind="exp1")
+        return cls(lambda x: 1.0 - math.exp(-float(x)))
 
     @classmethod
     def anchored(cls, u1: Number) -> "UtilityFunction":
         """Linear scale through (1, u1); exact when u1 is rational."""
         if not 0 < u1 < 1:
             raise ValueError("anchor must lie strictly between 0 and 1")
-        return cls(lambda x: u1 * x, kind="anchored", u1=u1)
+        return cls(lambda x: u1 * x, u1=u1)
 
 
 class FamilyLevel(Frozen):

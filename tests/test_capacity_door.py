@@ -1,7 +1,7 @@
 """Capacities outside ``core`` are built through its checked constructors.
 
-Two measured exceptions build a ``Capacity`` directly: the random tables of
-``laws.rand_capacity`` and the members of ``ellsberg.binomial_family``.
+One measured exception builds a ``Capacity`` directly: the random tables of
+``laws.rand_capacity``.
 """
 
 import ast
@@ -18,7 +18,7 @@ from choquet_tower.tower import build_tower
 
 PACKAGE = Path(choquet_tower.__file__).resolve().parent
 #: (module, top-level function) pairs that may call Capacity(...) directly
-EXCEPTIONS = {("laws.py", "rand_capacity"), ("ellsberg.py", "binomial_family")}
+EXCEPTIONS = {("laws.py", "rand_capacity")}
 
 
 def _capacity_calls(path: Path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from choquet_tower import ellsberg
+from choquet_tower.core import MonotonicityError
 from choquet_tower.ellsberg import (UrnParams, binomial_family, build_sequence,
                                     build_urn_space, closed_form_values,
                                     ellsberg_report, paradox_demo)
@@ -67,13 +68,19 @@ class TestBuildSequence:
     def test_family_builds_members_only_on_demand(self, monkeypatch):
         urn = build_urn_space(UrnParams(big_n=3, alpha=2, u1=Fraction(1, 2)))
         built = []
-        real = ellsberg.Capacity
-        monkeypatch.setattr(ellsberg, "Capacity",
+        real = ellsberg.additive_capacity
+        monkeypatch.setattr(ellsberg, "additive_capacity",
                             lambda *args, **kw: built.append(args) or real(*args, **kw))
         family = binomial_family(urn, 3)
         assert built == []
         family.member(Fraction(1, 2))
         assert len(built) == 1
+
+    @pytest.mark.parametrize("p", [Fraction(3, 2), -0.5, 1.5])
+    def test_family_refuses_a_parameter_outside_the_unit_interval(self, p):
+        family = binomial_family(build_urn_space(UrnParams(2, 2, Fraction(1, 2))), 2)
+        with pytest.raises(MonotonicityError, match="negative mass"):
+            family.member(p)
 
 
 class TestEllsbergReport:
