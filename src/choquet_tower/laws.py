@@ -467,7 +467,7 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
     urn, family = seq_y.levels[0], seq_z.levels[1]
 
     def identity(rng):
-        phi = _urn_maps(seq_x.levels[0], {"vu": "vu"})
+        phi = _urn_maps(urn, {"vu": "vu"})
         if not is_ug_map(phi, seq_x, seq_x, g_lin, depth=3,
                          seed=_below(rng.getrandbits, 100)):
             return "identity maps failed under the linear transform"

@@ -1,10 +1,10 @@
 """Which lines of the package the benchmark workloads run.
 
-    python3 tools/traffic.py [--workload {urn,laws,spacefile}] ... [--seed N]
+    python3 tools/traffic.py
 
-Runs pass 0 of each workload (all three by default), with the commands and
-output checks ``benchmarks/run.py`` gives it, in this interpreter through
-``cli.main``, under a line tracer limited to the ``choquet_tower`` package.
+Runs pass 0 of each workload at seed 1, with the commands and output checks
+``benchmarks/run.py`` gives it, in this interpreter through ``cli.main``,
+under the standard library's line counter, ``trace.Trace``.
 Then prints, per module, the executable lines of its functions that no
 workload ran, as ranges.  Module and class bodies run at import, so only
 function bodies are counted.  A change that merges or deletes code paths can
@@ -14,12 +14,12 @@ output fails its check, as the trace then shows a broken run.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dis
 import io
 import sys
 import tempfile
+import trace
 from pathlib import Path
 from types import CodeType
 
@@ -60,47 +60,34 @@ def package_lines() -> dict[str, set[int]]:
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def run_traced(workloads: list[str], seed: int,
-               files: set[str]) -> tuple[set[tuple[str, int]], list[str]]:
-    """Run pass 0 of each workload, tracing the lines of ``files``: the
-    (file, line) pairs that ran, and one message per command whose output
-    failed its check."""
-    ran: set[tuple[str, int]] = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
-    def call(frame, event, arg):
-        return local if frame.f_code.co_filename in files else None
-
+def run_traced(workloads: list[str], seed: int) -> tuple[set[tuple[str, int]], list[str]]:
+    """Run pass 0 of each workload, counting lines outside the standard
+    library: the (file, line) pairs that ran, and one message per command
+    whose output failed its check."""
+    tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
     failures = []
     with tempfile.TemporaryDirectory() as work:
         bench.WORK = Path(work)  # where the spacefile workload writes its inputs
         for workload in workloads:
             for cmd in bench.workload_commands(workload, seed)(0):
                 out = io.StringIO()
-                sys.settrace(call)
                 try:
                     with contextlib.redirect_stdout(out), \
                             contextlib.redirect_stderr(io.StringIO()):
-                        rc = cli.main(list(cmd.argv))
+                        rc = tracer.runfunc(cli.main, list(cmd.argv))
                 except SystemExit as exc:
                     rc = exc.code if isinstance(exc.code, int) else 1
-                finally:
-                    sys.settrace(None)
                 problem = cmd.check(rc, out.getvalue())
                 if problem:
                     failures.append(f"{cmd.name}: {problem}")
-    return ran, failures
+    return set(tracer.results().counts), failures
 
 
 def unrun(workloads: list[str], seed: int) -> tuple[dict[str, list[int]], list[str]]:
     """The executable lines no workload ran, sorted, keyed by module file
     name (``core.py``), and the failed output checks."""
     executable = package_lines()
-    ran, failures = run_traced(workloads, seed, set(executable))
+    ran, failures = run_traced(workloads, seed)
     missed = {Path(name).name: sorted(line for line in lines if (name, line) not in ran)
               for name, lines in executable.items()}
     return missed, failures
@@ -120,17 +107,11 @@ def ranges(missed: list[int], executable: set[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="lines of choquet_tower that the "
-                                                 "benchmark workloads do not run")
-    parser.add_argument("--workload", action="append", choices=bench.WORKLOADS,
-                        help="a workload to run (repeatable; default all)")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    workloads = args.workload or list(bench.WORKLOADS)
-    missed, failures = unrun(workloads, args.seed)
+def main() -> int:
+    workloads, seed = list(bench.WORKLOADS), 1
+    missed, failures = unrun(workloads, seed)
     executable = {Path(name).name: lines for name, lines in package_lines().items()}
-    print(f"workloads {', '.join(workloads)}, seed {args.seed}, pass 0")
+    print(f"workloads {', '.join(workloads)}, seed {seed}, pass 0")
     for module, lines in missed.items():
         total = len(executable[module])
         if not total:
