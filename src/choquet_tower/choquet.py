@@ -91,13 +91,12 @@ def integral_form(u: Capacity, f: Act) -> Optional[tuple[int, int]]:
     """The integral as an integer numerator over the product of the
     denominators of u's and f's exact forms, unreduced; None without both.
 
-    The denominator is always the act's times the capacity's, so callers
-    integrating one act under capacities with one denominator may read the
-    numerator alone: ``xi`` does.  A dense table is looked up at each
-    cumulative level set of the act's chain; a mass vector, whose
-    telescoping sum is the mass-weighted sum of the act's values, takes one
-    dot product.  ``choquet_integral`` and ``xi`` share this one
-    table-versus-mass dispatch.
+    A dense table is looked up at each cumulative level set of the act's
+    chain; a mass vector, whose telescoping sum is the mass-weighted sum of
+    the act's values, takes one dot product.  This is the kernel for one
+    capacity, of ``choquet_integral`` and of ``xi`` on a space holding a
+    mass vector; ``xi`` integrates a space of dense tables all at once
+    through its columns, and the tests check it against this.
     """
     form = u.exact_form
     act = f.exact_form if form is not None else None

@@ -14,9 +14,10 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number,
+from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, _echo,
                    additive_capacity, exponent, indicator, is_exact,
-                   make_space, validate_capacity, values_close)
+                   make_space, validate_capacities, validate_capacity,
+                   values_close)
 from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
                         conditional_act, value_function)
 from .uncertainty import UncertaintySpace
@@ -26,10 +27,17 @@ ACT_NAMES = ("f1", "f2", "f3", "f4")
 #: the capacity-indexed profile
 TOP_LAYER = {"X": 2, "Y": 2, "Z": 3}
 VARIANTS = tuple(TOP_LAYER)
+#: largest work estimate ``UrnParams.work_bits`` accepts: the slowest urn
+#: command it admits, N = 2750 at alpha = 1000, runs in about 6 s
+MAX_URN_BITS = 10**8
 
 
 class UrnParams(Frozen):
-    """Ball-count scale N (3N balls), distortion exponent, and utility anchor."""
+    """Ball-count scale N (3N balls), distortion exponent, and utility anchor.
+
+    Parameters whose ``work_bits`` exceed MAX_URN_BITS are refused here,
+    before any table is built.
+    """
 
     def __init__(self, big_n: int, alpha: Number, u1: Number):
         if big_n < 1:
@@ -38,6 +46,21 @@ class UrnParams(Frozen):
         if not 0 < u1 < 1:
             raise ValueError("need 0 < u1 < 1")
         self.__dict__.update(big_n=big_n, alpha=alpha, u1=u1)
+        if self.work_bits > MAX_URN_BITS:
+            raise ValueError(f"N = {_echo(str(big_n))} and alpha = {alpha} ask for about "
+                             f"10^{int(math.log10(self.work_bits))} numerator bits, above "
+                             f"MAX_URN_BITS = 10^{int(math.log10(MAX_URN_BITS))}")
+
+    @property
+    def work_bits(self) -> int:
+        """The work estimate: bits of the exact numerators an urn command
+        holds, (2N+1) (alpha log2(2N) + 2N).  Each of the 2N+1 tables has
+        numerators of about alpha log2(2N) bits (a float's 64 for a
+        non-whole alpha), and the binomial weights of variant Y up to 2N."""
+        two_n = 2 * self.big_n
+        per_table = (math.ceil(self.alpha * math.log2(two_n)) if isinstance(self.alpha, int)
+                     else 64)
+        return (two_n + 1) * (per_table + two_n)
 
     def ratio_power(self, k: int) -> Number:
         """(k / 2N) ** alpha in the proper backend."""
@@ -51,30 +74,31 @@ def build_urn_space(params: UrnParams) -> UncertaintySpace:
     """The urn with one capacity u_k per hypothetical blue count k = 0..2N.
 
     With a whole alpha every table is exact, with integer numerators over
-    D = 3 (2N)^alpha: in mask order R, B, RB, Y, RY, BY they are S, 2k^alpha,
-    S + 2k^alpha, 2(2N-k)^alpha, S + 2(2N-k)^alpha and 2S, with S = (2N)^alpha.
-    Each table is handed to ``validate_capacity`` as that form alone, and
-    checked and kept on it.
+    D = 3H, where H = (2N)^alpha / 2 is whole: in mask order R, B, RB, Y, RY,
+    BY they are H, k^alpha, H + k^alpha, (2N-k)^alpha, H + (2N-k)^alpha and
+    2H.  The 2N+1 tables are handed to ``validate_capacities`` as those
+    forms alone, checked as one batch and kept on them; they share their
+    numerators, two lists of 2N+1, until a gcd reduces one.
     """
     space = make_space(["R", "B", "Y"])
     two_n = 2 * params.big_n
-    caps = []
     if isinstance(params.alpha, int):
-        s = two_n ** params.alpha
-        d = 3 * s
-        blue = [2 * k ** params.alpha for k in range(two_n + 1)]
-        for k, b in enumerate(blue):
-            y = blue[two_n - k]
-            cap = validate_capacity(space, form=([0, s, b, s + b, y, s + y, 2 * s, d], d))
-            caps.append((f"u{k}", cap))
-        return UncertaintySpace(space, tuple(caps))
-    third = Fraction(1, 3)
-    for k in range(two_n + 1):
-        blue = 2 * third * params.ratio_power(k)
-        yellow = 2 * third * params.ratio_power(two_n - k)
-        table = (0, third, blue, third + blue, yellow, third + yellow, 2 * third, 1)
-        caps.append((f"u{k}", validate_capacity(space, table)))
-    return UncertaintySpace(space, tuple(caps))
+        h = two_n ** params.alpha // 2
+        double, d = 2 * h, 3 * h
+        powers = [k ** params.alpha for k in range(two_n + 1)]
+        plus = [h + p for p in powers]
+        caps = validate_capacities(space, (
+            ([0, h, b, hb, y, hy, double, d], d)
+            for b, hb, y, hy in zip(powers, plus, reversed(powers), reversed(plus))))
+    else:
+        third = Fraction(1, 3)
+        caps = []
+        for k in range(two_n + 1):
+            blue = 2 * third * params.ratio_power(k)
+            yellow = 2 * third * params.ratio_power(two_n - k)
+            table = (0, third, blue, third + blue, yellow, third + yellow, 2 * third, 1)
+            caps.append(validate_capacity(space, table))
+    return UncertaintySpace(space, tuple((f"u{k}", cap) for k, cap in enumerate(caps)))
 
 
 def standard_acts(space: FiniteSpace) -> dict[str, Act]:

@@ -19,10 +19,10 @@ from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
 from .choquet import chain_act, choquet_integral, choquet_sum
 from .core import (Act, Capacity, FiniteSpace, Frozen, PointMap, _cover_slices,
                    additive_capacity, pushforward, validate_capacity)
-from .ellsberg import UrnParams, build_sequence
+from .ellsberg import UrnParams, build_sequence, standard_acts
 from .tower import (GridTower, ProjectiveVector, build_tower, iota, project,
                     projective_consistency)
-from .uncertainty import GTransform, UncertaintySpace, epsilon
+from .uncertainty import GTransform, UncertaintySpace, epsilon, xi
 
 LABELS = "abcdefgh"
 
@@ -465,8 +465,15 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
     g_lin = GTransform.linear(1)
     g_ent = GTransform.entropic(1.0)
     urn, family = seq_y.levels[0], seq_z.levels[1]
+    # fixed acts, so no draw is added: the bets, and one with three levels
+    bets = (*standard_acts(urn.base).values(), Act(urn.base, (3, 1, 2)))
 
     def identity(rng):
+        # xi's all-capacity sum against the telescoping definition, per capacity
+        for f in bets:
+            if xi(urn, f).values != tuple(choquet_sum(cap.value, f)
+                                          for _, cap in urn.capacities):
+                return f"xi disagrees with choquet_sum on the act {f.values}"
         phi = _urn_maps(urn, {"vu": "vu"})
         if not is_ug_map(phi, seq_x, seq_x, g_lin, depth=3,
                          seed=_below(rng.getrandbits, 100)):

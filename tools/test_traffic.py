@@ -7,20 +7,27 @@ import ast
 from pathlib import Path
 
 import traffic
-from choquet_tower import choquet, hierarchy
+from choquet_tower import choquet, hierarchy, uncertainty
 
 
-def test_the_urn_workload_runs_both_integral_forms_and_no_quadrature():
+def _function(module, name):
+    tree = ast.parse(Path(module.__file__).read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_urn_workload_runs_xi_columns_and_the_mass_form_and_no_quadrature():
     missed, failures = traffic.unrun(["urn"], seed=1)
     assert failures == []
-    tree = ast.parse(Path(choquet.__file__).read_text())
-    integral_form = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                         and node.name == "integral_form")
-    # the mass-vector and dense-table returns
-    branches = {node.lineno for node in ast.walk(integral_form)
-                if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)}
-    assert len(branches) == 2
-    assert not branches & set(missed["choquet.py"])
+    # xi integrates the urn's tables all at once, through its columns
+    loop = next(node for node in ast.walk(_function(uncertainty, "xi"))
+                if isinstance(node, ast.For))
+    assert loop.body[0].lineno not in missed["uncertainty.py"]
+    # and each weight layer of X and Y, one mass vector, through the
+    # mass-vector return of integral_form
+    mass_branch = next(node for node in ast.walk(_function(choquet, "integral_form"))
+                       if isinstance(node, ast.If) and "_masses" in ast.unparse(node.test))
+    assert mass_branch.body[0].lineno not in missed["choquet.py"]
     quadrature = traffic.executable_lines(hierarchy._gauss_legendre_01.__code__)
     assert quadrature and quadrature <= set(missed["hierarchy.py"])
 
