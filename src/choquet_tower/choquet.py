@@ -95,8 +95,8 @@ def integral_form(u: Capacity, f: Act) -> Optional[tuple[int, int]]:
     chain; a mass vector, whose telescoping sum is the mass-weighted sum of
     the act's values, takes one dot product.  This is the kernel for one
     capacity, of ``choquet_integral`` and of ``xi`` on a space holding a
-    mass vector; ``xi`` integrates a space of dense tables all at once
-    through its columns, and the tests check it against this.
+    mass vector; ``xi`` integrates a space of dense tables all at once,
+    reading the numerators this reads, and the tests check it against this.
     """
     form = u.exact_form
     act = f.exact_form if form is not None else None

@@ -631,25 +631,18 @@ class Capacity(Frozen):
         return isinstance(other, Capacity) and self.equals(other, tol=0.0)
 
     def __hash__(self):
+        # equal set functions share singleton values in either form, hashed
+        # as correctly rounded floats: no table scan, no Fraction; computed once
         if self._hash is None:
-            object.__setattr__(self, "_hash", _singleton_hash(
-                self.space.points, self._singleton_keys(), self._den))
+            singles, den = self._singleton_keys(), self._den
+            floats = [n / den for n in singles] if den else list(map(float, singles))
+            object.__setattr__(self, "_hash", hash((self.space.points, tuple(floats))))
         return self._hash
 
     def __repr__(self):
         kind = "additive" if self._masses is not None else "table"
         backend = "float" if self._keys()[1] else "rational"
         return f"Capacity({kind}, {len(self.space)} points, {backend})"
-
-
-def _singleton_hash(points: tuple, row: Sequence, den: Optional[int]) -> int:
-    """The hash of a capacity on the space of ``points`` from its row of
-    stored singleton values over ``den`` (None when it stores the values).
-
-    Equal set functions share singleton values in either form, hashed as
-    correctly rounded floats: no table scan, no Fraction.
-    """
-    return hash((points, tuple([n / den for n in row] if den else list(map(float, row)))))
 
 
 def _exact_form(values: Sequence[Number]) -> Optional[tuple[list[int], int]]:
@@ -715,15 +708,14 @@ def _cover_slices(n: int, tables: int = 1) -> tuple[tuple[int, slice, slice], ..
     return tuple(pairs)
 
 
-def _check_monotone(space: FiniteSpace, value: Callable[[int], Number],
-                    keys: Sequence, tol: float) -> None:
-    # keys may join several tables of the space end to end: flat index j is
-    # mask j & full of table j >> n.  Cover pairs suffice, and the first
-    # failing one in (index, point) order is its table's own witness;
-    # ``value`` gives, by flat index, the values the message prints
+def _first_decrease(n: int, keys: Sequence, tol: float) -> Optional[tuple[int, int]]:
+    """The first pair (index, point i) in that order whose entry exceeds,
+    beyond ``tol``, the entry at index | 1 << i, or None: the one
+    monotonicity sweep.  ``keys`` may join tables of 2**n entries end to
+    end; cover pairs suffice, and never pair entries of two tables."""
     first = None
     masks = range(len(keys))
-    for i, lo, hi in _cover_slices(len(space), len(keys) >> len(space)):
+    for i, lo, hi in _cover_slices(n, len(keys) >> n):
         below, above = keys[lo], keys[hi]
         # a C-speed scan skips monotone slices: a 16-point table checks in 27 ms, not 33-38
         if not any(map(gt, below, above)):
@@ -736,34 +728,22 @@ def _check_monotone(space: FiniteSpace, value: Callable[[int], Number],
                 if first is None or pair < first:
                     first = pair
                 break
+    return first
+
+
+def _check_monotone(space: FiniteSpace, value: Callable[[int], Number],
+                    keys: Sequence, tol: float) -> None:
+    # the first failing cover pair is itself a witness; ``value`` gives the
+    # values the message prints
+    first = _first_decrease(len(space), keys, tol)
     if first is not None:
-        j, i = first
-        mask = j & space.full_mask
+        mask, i = first
         above = mask | 1 << i
         raise MonotonicityError(
             mask, above,
             f"capacity decreases from {space.labels(mask)}"
-            f" ({value(j)}) to {space.labels(above)}"
-            f" ({value(j | 1 << i)})")
-
-
-def _check_tables(space: FiniteSpace, caps: list, keys: Sequence, tol: float) -> None:
-    """The normalization and monotonicity checks of dense capacities on one
-    space, on what they store: ``keys`` joins their tables end to end.
-
-    The ends are read as two columns, compared directly first and within
-    ``tol`` only when that fails; one ``_check_monotone`` sweep covers the
-    rest.  Each check raises for the first table that fails it.
-    """
-    n, full = len(space), space.full_mask
-    firsts, lasts = keys[::full + 1], list(keys[full::full + 1])
-    tops = [cap._den or 1 for cap in caps]
-    if firsts.count(0) != len(caps) or lasts != tops:
-        for cap, low, high, top in zip(caps, firsts, lasts, tops):
-            if not (_close(low, 0, tol) and _close(high, top, tol)):
-                raise NormalizationError(f"need table(empty)=0 and table(full)=1, got "
-                                         f"{cap.value(0)} and {cap.value(full)}")
-    _check_monotone(space, lambda j: caps[j >> n].value(j & full), keys, tol)
+            f" ({value(mask)}) to {space.labels(above)}"
+            f" ({value(above)})")
 
 
 def _checked_form(form: tuple[Sequence[int], int], size: int) -> tuple[Sequence[int], int]:
@@ -799,9 +779,9 @@ def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence, None] 
     capacities given by their masses go through ``additive_capacity``
     instead.  A caller that holds the table's exact form hands it over as
     ``form`` = (numerators, denominator) in mask order, in place of the
-    table: a batch of one for ``validate_capacities``.  A table builds the
-    capacity first, and what it stores goes through the same normalization
-    and monotonicity checks (``_check_tables``).
+    table: a batch of one for ``validate_capacities``.  Either way the
+    capacity is built first, and what it stores goes through the
+    normalization and monotonicity checks.
     """
     check_dense_size(space)
     if (table is None) == (form is None):
@@ -827,36 +807,41 @@ def validate_capacities(space: FiniteSpace, forms: Iterable[tuple]) -> list[Capa
     """Check and build dense capacities on one space from their exact forms
     (numerators, denominator) in mask order, as one batch.
 
-    Each form is checked and reduced by ``_checked_form``, and the
-    capacities go through ``_check_tables`` together, their numerators
-    joined end to end; their hashes are taken from the batch's singleton
-    columns.  A bad batch is checked again a table at a time, so it raises
-    what its first bad table raises alone.
+    Each form is checked and reduced by ``_checked_form`` as it comes, so
+    only the reduced batch is kept; then the ends of all tables are read as
+    two columns, and one ``_first_decrease`` sweep covers their numerators
+    joined end to end.  A batch that fails any check goes through
+    ``_checked_table`` a table at a time, so it raises what its first bad
+    table raises alone.
     """
     check_dense_size(space)
-    forms, size = list(forms), 1 << len(space)
-    if not forms:
-        return []
+    size, caps = 1 << len(space), []
     try:
-        tables, dens = zip(*map(_checked_form, forms, repeat(size)))
-        caps = [Capacity(space, table=nums, den=den) for nums, den in zip(tables, dens)]
-        keys = caps[0]._table if len(caps) == 1 else list(chain(*tables))
-        _check_tables(space, caps, keys, 0)
+        for nums, den in map(_checked_form, forms, repeat(size)):
+            caps.append(Capacity(space, table=nums, den=den))
     except (ValueError, TypeError, ArithmeticError):
-        for form in forms if len(forms) > 1 else ():
-            validate_capacities(space, [form])
+        for cap in caps:
+            _checked_table(space, cap._table, cap._den)
         raise
-    rows = zip(*(keys[1 << i::size] for i in range(len(space))))
-    for cap, h in zip(caps, map(_singleton_hash, repeat(space.points), rows, dens)):
-        object.__setattr__(cap, "_hash", h)
+    keys = list(chain.from_iterable(cap._table for cap in caps))
+    if not (keys[::size].count(0) == len(caps)
+            and keys[size - 1::size] == [cap._den for cap in caps]
+            and _first_decrease(len(space), keys, 0) is None):
+        for cap in caps:
+            _checked_table(space, cap._table, cap._den)
     return caps
 
 
-def _checked_table(space: FiniteSpace, stored: Sequence, derive: bool = True) -> Capacity:
-    """Build a dense table from its values as ``Capacity`` does, then run
-    ``_check_tables`` on what it stores."""
-    cap = Capacity(space, table=stored, derive=derive)
-    _check_tables(space, [cap], *cap._keys())
+def _checked_table(space: FiniteSpace, stored: Sequence, den: Optional[int] = None,
+                   derive: bool = True) -> Capacity:
+    """Build a dense table as ``Capacity`` does, then run the normalization
+    and monotonicity checks on what it stores."""
+    cap = Capacity(space, table=stored, den=den, derive=derive)
+    keys, tol = cap._keys()
+    if not (_close(keys[0], 0, tol) and _close(keys[-1], cap._den or 1, tol)):
+        raise NormalizationError(f"need table(empty)=0 and table(full)=1, got "
+                                 f"{cap.value(0)} and {cap.value(space.full_mask)}")
+    _check_monotone(space, cap.value, keys, tol)
     return cap
 
 

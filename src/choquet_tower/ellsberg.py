@@ -27,17 +27,13 @@ ACT_NAMES = ("f1", "f2", "f3", "f4")
 #: the capacity-indexed profile
 TOP_LAYER = {"X": 2, "Y": 2, "Z": 3}
 VARIANTS = tuple(TOP_LAYER)
-#: largest work estimate ``UrnParams.work_bits`` accepts: the slowest urn
-#: command it admits, N = 2750 at alpha = 1000, runs in about 6 s
-MAX_URN_BITS = 10**8
+#: largest work estimate (``UrnParams.work``) ``build_sequence`` accepts,
+#: about 6 s of urn command at 0.1 us a unit
+MAX_URN_WORK = 6 * 10**7
 
 
 class UrnParams(Frozen):
-    """Ball-count scale N (3N balls), distortion exponent, and utility anchor.
-
-    Parameters whose ``work_bits`` exceed MAX_URN_BITS are refused here,
-    before any table is built.
-    """
+    """Ball-count scale N (3N balls), distortion exponent, and utility anchor."""
 
     def __init__(self, big_n: int, alpha: Number, u1: Number):
         if big_n < 1:
@@ -46,21 +42,24 @@ class UrnParams(Frozen):
         if not 0 < u1 < 1:
             raise ValueError("need 0 < u1 < 1")
         self.__dict__.update(big_n=big_n, alpha=alpha, u1=u1)
-        if self.work_bits > MAX_URN_BITS:
-            raise ValueError(f"N = {_echo(str(big_n))} and alpha = {alpha} ask for about "
-                             f"10^{int(math.log10(self.work_bits))} numerator bits, above "
-                             f"MAX_URN_BITS = 10^{int(math.log10(MAX_URN_BITS))}")
 
-    @property
-    def work_bits(self) -> int:
-        """The work estimate: bits of the exact numerators an urn command
-        holds, (2N+1) (alpha log2(2N) + 2N).  Each of the 2N+1 tables has
-        numerators of about alpha log2(2N) bits (a float's 64 for a
-        non-whole alpha), and the binomial weights of variant Y up to 2N."""
+    def work(self, variant: str) -> int:
+        """The work estimate of the urn sequence of ``variant``, in units of
+        one bit of an exact table numerator, each about 0.1 us of command
+        time: (2N+1) times the cost of one u_k, plus that of its weight for Y.
+
+        An exact table costs its numerators' bits, alpha log2(2N), and 300
+        to build and check; a float one (non-whole alpha), checked alone,
+        1500.  Y's binomial weights hold up to 2N bits each: summed with
+        exact tables a bit costs 1/64 of a unit, but beside floats each
+        weight becomes a Fraction, at a unit a bit.
+        """
         two_n = 2 * self.big_n
-        per_table = (math.ceil(self.alpha * math.log2(two_n)) if isinstance(self.alpha, int)
-                     else 64)
-        return (two_n + 1) * (per_table + two_n)
+        if isinstance(self.alpha, int):
+            table, weight = math.ceil(self.alpha * math.log2(two_n)) + 300, two_n // 64
+        else:
+            table, weight = 1500, two_n
+        return (two_n + 1) * (table + (weight if variant == "Y" else 0))
 
     def ratio_power(self, k: int) -> Number:
         """(k / 2N) ** alpha in the proper backend."""
@@ -142,9 +141,17 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
 
 def build_sequence(variant: str, params: UrnParams) -> USequence:
     """Assemble the urn sequence for variant X (uniform), Y (binomial at
-    p=1/2), or Z (binomial family under Lebesgue weight)."""
+    p=1/2), or Z (binomial family under Lebesgue weight).
+
+    A sequence whose ``UrnParams.work`` exceeds MAX_URN_WORK is refused
+    before anything is built."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    work = params.work(variant)
+    if work > MAX_URN_WORK:
+        raise ValueError(f"variant {variant} at N = {_echo(str(params.big_n))} and alpha = "
+                         f"{params.alpha} has a work estimate of about 10^"
+                         f"{int(math.log10(work))}, above MAX_URN_WORK = {MAX_URN_WORK:.0e}")
     urn = build_urn_space(params)
     if variant == "Z":
         return USequence((urn, binomial_family(urn, params.big_n), TERMINAL))
@@ -295,8 +302,8 @@ def paradox_demo(params: UrnParams) -> ParadoxReport:
     values collapse to equalities, with alpha > 1 they order the bets the
     modal way.
     """
-    urn = build_urn_space(params)
-    space = urn.base
+    report = ellsberg_report("X", params, 2)
+    space = build_urn_space(params).base
     acts = standard_acts(space)
     rb = space.subset(["R", "B"])
     zero = Act(space, (0, 0, 0))
@@ -307,7 +314,6 @@ def paradox_demo(params: UrnParams) -> ParadoxReport:
         ("(RB; f1, 1) = f4", conditional_act(rb, acts["f1"], one) == acts["f4"]),
         ("(RB; f2, 1) = f3", conditional_act(rb, acts["f2"], one) == acts["f3"]),
     )
-    report = ellsberg_report("X", params, 2)
     if report.verdict == "supports modal preference":
         branch = "modal preference represented"
     elif report.verdict == "equalities":

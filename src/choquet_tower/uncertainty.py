@@ -5,8 +5,8 @@ and Choquet expectation turn acts on the base into acts on the capacities.
 The evaluation act is built from the capacities' values.  When every
 capacity and the act have exact forms, the expectation act is built as its
 form, over the least common multiple of the capacities' denominators times
-the act's: for dense tables, the act's chain steps times the space's
-columns (every capacity's numerator on one subset), summed; otherwise each
+the act's: for dense tables, each of the act's chain steps times every
+capacity's numerator on that step's level set, summed; otherwise each
 capacity's ``integral_form``.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Optional, Sequence, Union
 
 from .choquet import choquet_integral, integral_form
@@ -109,14 +109,13 @@ class UncertaintySpace(Frozen):
                 for (_, cap), k in zip(self.capacities, scales)], den
 
     @once
-    def columns(self) -> Optional[list[tuple[int, ...]]]:
-        """Every capacity's stored numerator on each subset, one column per
-        subset in mask order: the transpose of the capacities' tables, which
-        holds references only.  None unless every capacity is a dense table
-        with an exact form."""
-        if self.form_scales is None or any(cap._table is None for _, cap in self.capacities):
+    def tables(self) -> Optional[list[list[int]]]:
+        """Every capacity's stored table of numerators, in capacity order;
+        None unless every capacity is a dense table with an exact form."""
+        tables = [cap._table for _, cap in self.capacities]
+        if self.form_scales is None or None in tables:
             return None
-        return list(zip(*(cap._table for _, cap in self.capacities)))
+        return tables
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
@@ -131,23 +130,23 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
     With exact forms the act is built as one form over the ``form_scales``
     denominator times the act's.  When every capacity is a dense table, all
     integrals are taken at once: each step of the act's exact chain times
-    the ``columns`` entry of its level set, summed over the chain, then each
-    capacity's sum times its scale.  Otherwise each capacity's numerator is
-    ``integral_form``'s.
+    every table's numerator on its level set, gathered from ``tables``,
+    summed over the chain, then each capacity's sum times its scale.
+    Otherwise each capacity's numerator is ``integral_form``'s.
     """
     _require_same_space(f.space, us.base)
     if us.form_scales is None or f.exact_form is None:
         return Act(us.capacity_space,
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))
     den, scales = us.form_scales
-    if us.columns is None:
+    if us.tables is None:
         nums = (integral_form(cap, f)[0] for _, cap in us.capacities)
     else:
         # one lazy sum over the chain, so only the scaled numerators are kept
         cums, steps, _ = f.exact_chain
         nums = repeat(0)
         for cum, step in zip(cums, steps):
-            nums = map(add, nums, map(mul, us.columns[cum], repeat(step)))
+            nums = map(add, nums, map(mul, map(itemgetter(cum), us.tables), repeat(step)))
     return Act(us.capacity_space, form=(list(map(mul, nums, scales)),
                                         f.exact_form[1] * den))
 

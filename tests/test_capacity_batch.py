@@ -138,7 +138,7 @@ def test_an_empty_batch_builds_nothing():
 
 def test_the_urn_is_checked_in_one_batch_and_one_sweep(monkeypatch):
     calls = {"batch": [], "sweep": 0, "single": 0}
-    batch, sweep = ellsberg.validate_capacities, core._check_monotone
+    batch, sweep = ellsberg.validate_capacities, core._first_decrease
 
     def counted_batch(space, forms):
         forms = list(forms)
@@ -151,11 +151,12 @@ def test_the_urn_is_checked_in_one_batch_and_one_sweep(monkeypatch):
 
     def single(*args, **kwargs):
         calls["single"] += 1
-        raise AssertionError("per-table door called")
+        raise AssertionError("a table was checked alone")
 
     monkeypatch.setattr(ellsberg, "validate_capacities", counted_batch)
     monkeypatch.setattr(ellsberg, "validate_capacity", single)
-    monkeypatch.setattr(core, "_check_monotone", counted_sweep)
+    monkeypatch.setattr(core, "_checked_table", single)
+    monkeypatch.setattr(core, "_first_decrease", counted_sweep)
     urn = build_urn_space(UrnParams(300, 2, Fraction(3, 5)))
     assert len(urn.capacities) == 601
     assert calls == {"batch": [601], "sweep": 1, "single": 0}

@@ -1,8 +1,9 @@
 """The urn's work estimate is checked before anything is built.
 
 Each of ``--big-n`` and ``--alpha`` has its own bound, but together they
-could ask for unbounded work: ``UrnParams`` refuses parameters whose
-``work_bits`` exceed ``MAX_URN_BITS`` with one error line and exit 1.
+could ask for unbounded work: ``build_sequence`` refuses a variant whose
+``UrnParams.work`` exceeds ``MAX_URN_WORK``, and the CLI prints one error
+line and exits 1.
 """
 
 import math
@@ -13,9 +14,18 @@ import pytest
 
 from choquet_tower import ellsberg
 from choquet_tower.cli import main
-from choquet_tower.ellsberg import MAX_URN_BITS, UrnParams
+from choquet_tower.ellsberg import MAX_URN_WORK, UrnParams, build_sequence, paradox_demo
 
 U1 = Fraction(3, 5)
+#: per variant and alpha, the largest N the budget admits; each ran in
+#: 3.3-6.3 s on a 2-CPU container under Python 3.11
+LARGEST = {("X", 2): 89551, ("X", 1000): 2394, ("X", 1.5): 19999,
+           ("Y", 2): 26131, ("Y", 1000): 2381, ("Y", 1.5): 3515,
+           ("Z", 2): 89551, ("Z", 1000): 2394, ("Z", 1.5): 19999}
+
+
+def _never(*args):
+    raise AssertionError("the urn was built")
 
 
 def _refused(argv, capsys):
@@ -26,7 +36,7 @@ def _refused(argv, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 200
-    assert lines[0].startswith("error: ") and "MAX_URN_BITS" in lines[0]
+    assert lines[0].startswith("error: ") and "MAX_URN_WORK" in lines[0]
     return lines[0]
 
 
@@ -34,29 +44,45 @@ def _refused(argv, capsys):
     ("X", "1000000000", "2", "2"),          # once a MemoryError traceback
     ("Z", "20000", "1000", "3"),            # once a hang
     ("Y", "100000", "1", "2"),              # 2N-bit binomial weights
+    ("Y", "4000", "1.5", "2"),              # the weights as Fractions beside floats
     ("X", "9" * 400, "2", "1"),             # a bound that no float can hold
-    ("Z", "2800", "1000", "3"),             # just over the budget
+    ("Z", "2400", "1000", "3"),             # just over the budget
 ])
 def test_an_urn_above_the_budget_exits_one_before_building(variant, big_n, alpha, layer,
                                                            capsys, monkeypatch):
-    def never(*args):
-        raise AssertionError("the urn was built")
-
-    monkeypatch.setattr(ellsberg, "build_urn_space", never)
+    monkeypatch.setattr(ellsberg, "build_urn_space", _never)
     line = _refused(["ellsberg", "--variant", variant, "--big-n", big_n, "--alpha", alpha,
                      "--u1", "0.6", "--layer", layer], capsys)
     assert "…" in line if len(big_n) > 40 else big_n in line
+    assert f"variant {variant} " in line
 
 
-def test_the_estimate_is_the_numerator_bits_of_the_tables_and_weights():
-    params = UrnParams(1000, 2, U1)
-    assert params.work_bits == 2001 * (math.ceil(2 * math.log2(2000)) + 2000)
-    assert UrnParams(1000, 1.5, U1).work_bits == 2001 * (64 + 2000)
+def test_the_paradox_demo_is_refused_before_building(monkeypatch):
+    monkeypatch.setattr(ellsberg, "build_urn_space", _never)
+    with pytest.raises(ValueError, match="MAX_URN_WORK"):
+        paradox_demo(UrnParams(10**9, 2, U1))
 
 
-def test_the_budget_admits_the_documented_corners():
-    for big_n, alpha in ((2750, 1000), (4900, 2), (4900, 1.5), (1000, 1000)):
-        assert UrnParams(big_n, alpha, U1).work_bits <= MAX_URN_BITS
-    for big_n, alpha in ((2800, 1000), (5000, 2), (5000, 1.5)):
-        with pytest.raises(ValueError, match="MAX_URN_BITS"):
-            UrnParams(big_n, alpha, U1)
+def test_the_estimate_charges_the_weights_to_y_alone():
+    exact = UrnParams(1000, 2, U1)
+    table = math.ceil(2 * math.log2(2000)) + 300
+    assert exact.work("X") == exact.work("Z") == 2001 * table
+    assert exact.work("Y") == 2001 * (table + 2000 // 64)
+    floats = UrnParams(1000, 1.5, U1)
+    assert floats.work("X") == floats.work("Z") == 2001 * 1500
+    assert floats.work("Y") == 2001 * (1500 + 2000)
+
+
+@pytest.mark.parametrize("variant,alpha", sorted(LARGEST, key=str))
+def test_the_budget_admits_each_regime_up_to_its_largest_n(variant, alpha):
+    big_n = LARGEST[variant, alpha]
+    assert UrnParams(big_n, alpha, U1).work(variant) <= MAX_URN_WORK
+    with pytest.raises(ValueError, match="MAX_URN_WORK"):
+        build_sequence(variant, UrnParams(big_n + 1, alpha, U1))
+
+
+@pytest.mark.parametrize("variant,layer", [("X", "2"), ("Z", "3")])
+def test_x_and_z_at_n_5000_run(variant, layer, capsys):
+    assert main(["ellsberg", "--variant", variant, "--big-n", "5000", "--alpha", "2",
+                 "--u1", "0.6", "--layer", layer]) == 0
+    assert '"verdict": "supports modal preference"' in capsys.readouterr().out

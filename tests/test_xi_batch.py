@@ -1,7 +1,7 @@
 """``xi`` integrates an act against all dense tables of a space at once.
 
 The oracle is the one-capacity kernel, ``integral_form``, per capacity: its
-numerator over its own denominator.  The column path must agree on spaces of
+numerator over its own denominator.  The batched path must agree on spaces of
 many tables with mixed denominators, on the constant and all-zero acts, and
 a space holding a mass vector must take the per-capacity path.
 """
@@ -57,7 +57,7 @@ def test_xi_on_dense_tables_matches_integral_form_per_capacity(seed, n, count):
     rng = random.Random(seed)
     space = make_space([f"p{i}" for i in range(n)])
     us = _space_of(space, validate_capacities(space, _tables(rng, n, count)))
-    assert us.columns is not None
+    assert us.tables is not None
     acts = [_act(rng, space), constant_act(space, Fraction(rng.randint(-5, 5), 3)),
             constant_act(space, 0), Act(space, (0,) * n)]
     for f in acts:
@@ -91,7 +91,7 @@ def test_a_space_mixing_tables_and_masses_takes_each_capacitys_kernel(seed, n):
         masses.append(additive_capacity(space, [Fraction(w, total) for w in weights]))
     caps = tables[:3] + masses + tables[3:]
     us = _space_of(space, caps)
-    assert us.columns is None
+    assert us.tables is None
     for f in (_act(rng, space), constant_act(space, 2), Act(space, (0,) * n)):
         assert xi(us, f).values == _per_capacity(us, f)
         assert xi(us, f).values == tuple(choquet_sum(cap.value, f) for _, cap in us.capacities)

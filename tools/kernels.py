@@ -1,14 +1,14 @@
 """Time the urn's kernels one layer at a time.
 
-    python3 tools/kernels.py [--repeat R]
+    python3 tools/kernels.py
 
-Runs each kernel R times (default 7) in this interpreter and prints, per
-kernel, the median time and the SHA-256 of a text form of its output:
+Runs each kernel REPEAT times in this interpreter and prints, per kernel,
+the median time and the SHA-256 of a text form of its output:
 
 - ``build_urn_space`` at N = 300 and N = 1000 (alpha 2), every capacity's
   reduced exact form;
 - ``xi`` of the four bets (times u1 = 3/5) over the Z urn at N = 1000, the
-  four result forms, with the urn's cached columns dropped before each run;
+  four result forms, with the urn's cached table list dropped before each run;
 - one step ``xi_chain(seq, f, 0, 1)`` of the bet on blue for each of X, Y
   (N = 300) and Z (N = 1000), the benchmark's urn commands;
 - ``validate_capacity`` on the 16-point full table that
@@ -22,7 +22,6 @@ directory.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -47,6 +46,8 @@ from choquet_tower.hierarchy import USequence, xi_chain  # noqa: E402
 from choquet_tower.uncertainty import UncertaintySpace, xi  # noqa: E402
 
 U1 = Fraction(3, 5)
+#: timed runs of each kernel
+REPEAT = 7
 #: SHA-256 of each kernel's output text
 DIGESTS = {
     "build_urn_space N=300":
@@ -76,7 +77,7 @@ def _space_text(us: UncertaintySpace) -> str:
 
 
 def _fresh(us: UncertaintySpace) -> UncertaintySpace:
-    # the same capacities in a new space, so no cached column carries over
+    # the same capacities in a new space, so no cached table list carries over
     return UncertaintySpace(us.base, us.capacities)
 
 
@@ -140,14 +141,11 @@ def measure(repeat: int) -> dict[str, tuple[float, str]]:
     return results
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=7)
-    args = parser.parse_args(argv)
+def main(repeat: int = REPEAT) -> int:
     print(f"python {platform.python_version()}, {platform.machine()}, "
-          f"{len(os.sched_getaffinity(0))} CPUs, median of {args.repeat}")
+          f"{len(os.sched_getaffinity(0))} CPUs, median of {repeat}")
     failed = False
-    for name, (seconds, digest) in measure(args.repeat).items():
+    for name, (seconds, digest) in measure(repeat).items():
         ok = DIGESTS.get(name) == digest
         failed |= not ok
         print(f"{name:30s} {seconds * 1000:9.3f} ms  sha256 {digest[:16]}"

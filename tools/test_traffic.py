@@ -16,10 +16,10 @@ def _function(module, name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-def test_the_urn_workload_runs_xi_columns_and_the_mass_form_and_no_quadrature():
+def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrature():
     missed, failures = traffic.unrun(["urn"], seed=1)
     assert failures == []
-    # xi integrates the urn's tables all at once, through its columns
+    # xi integrates the act against all of the urn's tables at once
     loop = next(node for node in ast.walk(_function(uncertainty, "xi"))
                 if isinstance(node, ast.For))
     assert loop.body[0].lineno not in missed["uncertainty.py"]
