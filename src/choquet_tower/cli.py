@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import laws
@@ -224,7 +225,10 @@ def cmd_choquet(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: it holds no state
+    between parses, and ``cmd_laws`` looks each suite up when it runs."""
     parser = _Parser(prog="choquet-tower",
                      description="hierarchical uncertainty computations")
     sub = parser.add_subparsers(dest="command", required=True)

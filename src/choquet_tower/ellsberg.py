@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate, repeat
+from typing import Iterable
 
 from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, _echo,
                    additive_capacity, exponent, indicator, is_exact,
@@ -155,24 +156,23 @@ def build_sequence(variant: str, params: UrnParams) -> USequence:
     urn = build_urn_space(params)
     if variant == "Z":
         return USequence((urn, binomial_family(urn, params.big_n), TERMINAL))
-    weights = additive_capacity(urn.capacity_space,
-                                form=_weight_numerators(variant, 2 * params.big_n))
+    nums, den = _weight_numerators(variant, 2 * params.big_n)
+    weights = additive_capacity(urn.capacity_space, form=(list(nums), den))
     level1 = UncertaintySpace(urn.capacity_space,
                               (("vu" if variant == "X" else "vb", weights),))
     return USequence((urn, level1, TERMINAL))
 
 
-def _weight_numerators(variant: str, two_n: int) -> tuple[list[int], int]:
+def _weight_numerators(variant: str, two_n: int) -> tuple[Iterable[int], int]:
     """Weight of each u_k in the final one-point layer, as integer
-    numerators over one denominator: uniform for X and for Z (each binomial
-    mass integrates to 1/(2N+1) over p), binomial at p = 1/2 for Y, its
-    coefficients C(2N, k) by the multiplicative recurrence, k ascending."""
+    numerators, k ascending, and their one denominator: uniform for X and
+    for Z (each binomial mass integrates to 1/(2N+1) over p), binomial at
+    p = 1/2 for Y, its coefficients C(2N, k) by the multiplicative
+    recurrence, each made as it is read."""
     if variant == "Y":
-        nums = [1] * (two_n + 1)
-        for k in range(two_n):
-            nums[k + 1] = nums[k] * (two_n - k) // (k + 1)
-        return nums, 2 ** two_n
-    return [1] * (two_n + 1), two_n + 1
+        return accumulate(range(two_n), lambda coef, k: coef * (two_n - k) // (k + 1),
+                          initial=1), 2 ** two_n
+    return repeat(1, two_n + 1), two_n + 1
 
 
 def closed_form_values(variant: str, params: UrnParams,
@@ -180,9 +180,12 @@ def closed_form_values(variant: str, params: UrnParams,
     """Top-layer values of the four bets by direct summation.
 
     Only a variant's scalar top layer (``TOP_LAYER``) has a closed form; it is
-    the utility anchor times the weighted means of the distorted odds.  With
-    a whole alpha each mean is one Fraction of integer sums: weight
-    numerators times k^alpha over the weight denominator times (2N)^alpha.
+    the utility anchor times the weighted means of the distorted odds.  The
+    weights are made afresh, one at a time, and the two weighted sums are
+    accumulated as they come, so no list of 2N+1 weights is held beside the
+    sequence's.  With a whole alpha each mean is one Fraction of integer
+    sums: weight numerators times k^alpha over the weight denominator times
+    (2N)^alpha.
     """
     if TOP_LAYER.get(variant) != layer:
         raise ValueError(f"no closed form for variant {variant} at layer {layer}")
@@ -191,14 +194,18 @@ def closed_form_values(variant: str, params: UrnParams,
     nums, den = _weight_numerators(variant, two_n)
     alpha = params.alpha
     if isinstance(alpha, int):
-        powers = [k ** alpha for k in range(two_n + 1)]
+        up = down = 0
+        for k, weight in enumerate(nums):
+            up += weight * k ** alpha
+            down += weight * (two_n - k) ** alpha
         scale = den * two_n ** alpha
-        mean_up = Fraction(sum(map(mul, nums, powers)), scale)
-        mean_down = Fraction(sum(map(mul, nums, reversed(powers))), scale)
+        mean_up, mean_down = Fraction(up, scale), Fraction(down, scale)
     else:
-        w = [Fraction(n, den) for n in nums]
-        mean_up = sum(wk * params.ratio_power(k) for k, wk in enumerate(w))
-        mean_down = sum(wk * params.ratio_power(two_n - k) for k, wk in enumerate(w))
+        mean_up = mean_down = 0
+        for k, weight in enumerate(nums):
+            w = Fraction(weight, den)
+            mean_up += w * params.ratio_power(k)
+            mean_down += w * params.ratio_power(two_n - k)
     third = Fraction(1, 3)
     return {
         "f1": u1 * third,

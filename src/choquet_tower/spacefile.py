@@ -7,11 +7,13 @@ numbers (not booleans) and are parsed exactly by ``core.parse_number``, as
 numeric flags are; a string is parsed once per file.
 
 A full table is loaded in whole-table passes.  Its keys are matched
-against the canonical bitstrings in mask order, and keys and coverage are
-checked before any value is parsed.  Each distinct value is then parsed
-once, and the exact form of the distinct values is derived once; the table
-goes to ``validate_capacity`` as numerators over that denominator, or, with
-no form, keeps its values and goes through the same checks.
+against the canonical bitstrings in mask order, a run of keys at a time
+when the file lists them in that order and one lookup a key otherwise, and
+keys and coverage are checked before any value is parsed.  Each distinct
+value is then parsed once, and the exact form of the distinct values is
+derived once; the table goes to ``validate_capacity`` as numerators over
+that denominator, or, with no form, keeps its values and goes through the
+same checks.
 """
 
 from __future__ import annotations
@@ -69,16 +71,47 @@ def _bitstrings(bits: int) -> list[str]:
     return keys
 
 
+def _in_mask_order(keys: list, n: int) -> bool:
+    """Whether ``keys`` are the 2**n canonical bitstrings in mask order.
+
+    Runs of 2**(n//2) keys, joined each followed by a comma, are compared
+    with the canonical run.  Within a run the low columns cycle and the high
+    ones are constant, so one template serves every run: its low columns are
+    written once by strided slices, its high ones once per run.  A run
+    holds as many commas as keys, so a match leaves no key another length.
+    """
+    low = n // 2
+    size, width = 1 << low, n + 1
+    run = bytearray(b"," * (size * width))
+    for c in range(low):
+        run[c::width] = (b"0" * (1 << c) + b"1" * (1 << c)) * (size >> c + 1)
+    ones, zeros = b"1" * size, b"0" * size
+    for high, start in enumerate(range(0, len(keys), size)):
+        for c in range(low, n):
+            run[c::width] = ones if high >> c - low & 1 else zeros
+        try:
+            joined = ",".join(keys[start:start + size])
+        except TypeError:
+            return False  # a key of a decoded dict that is not a string
+        if joined + "," != run.decode():
+            return False
+    return True
+
+
 def _table_entries(raw: dict, n: int) -> list:
     """The values of a full table in mask order, its keys checked.
 
-    Each canonical key is looked up, built as a low half joined to a high
+    An object whose 2**n keys come in mask order, as ``json.dumps`` writes
+    a table built in that order, gives its values as they stand.  Otherwise
+    each canonical key is looked up, built as a low half joined to a high
     half so that no list of all 2**n keys is held.  When the object has
     2**n keys and every lookup hits, its keys are exactly the canonical
     ones.  Otherwise the first bad key in file order is named, and with
     none the table misses a subset.
     """
     if len(raw) == 1 << n:
+        if _in_mask_order(list(raw), n):
+            return list(raw.values())
         lows = _bitstrings(n // 2)
         entries: list = []
         try:
@@ -97,15 +130,18 @@ def _full_capacity(space: FiniteSpace, raw: dict,
     """Check and build a capacity from a full table, a pass at a time."""
     entries = _table_entries(raw, len(space))
     values = raw.values()
-    if not set(map(type, values)) <= {str, int, float}:
+    types = set(map(type, values))
+    if not types <= {str, int, float}:
         # anything else (a bool, null, a list) is refused in file order with
         # the message ``parse_number`` gives it, not the one for its text
         for v in values:
             number(v)
-    # a value is keyed by its text, which is what ``parse_number`` reads: the
-    # float 1e23 and its int compare equal, yet read apart
-    parsed = {text: number(text) for text in dict.fromkeys(map(str, values))}
-    keys = map(str, entries)
+    texts, keys = values, entries
+    if types != {str}:
+        # a value is keyed by its text, which is what ``parse_number`` reads:
+        # the float 1e23 and its int compare equal, yet read apart
+        texts, keys = map(str, values), map(str, entries)
+    parsed = {text: number(text) for text in dict.fromkeys(texts)}
     form = core._exact_form(list(parsed.values()))
     if form is None:
         # the distinct values share no form, so neither does the table

@@ -1,7 +1,8 @@
 """A law suite reads the flags its function takes, as declared by its
-signature when the command line is imported."""
+signature when the command line is imported; ``main`` parses every call
+with the one parser ``build_parser`` makes per process."""
 
-from choquet_tower import laws
+from choquet_tower import cli, laws
 from choquet_tower.cli import main
 
 
@@ -13,3 +14,21 @@ def test_a_suite_wrapped_after_import_keeps_its_flags(monkeypatch, capsys):
     assert main(["laws", "dirac", "--seed", "3"]) == 0
     assert capsys.readouterr().out == plain
     assert '"trials": 500' in plain
+
+
+def test_main_parses_every_call_with_one_parser(monkeypatch, capsys):
+    parsers = []
+    parse = cli._Parser.parse_args
+    monkeypatch.setattr(cli._Parser, "parse_args",
+                        lambda self, argv=None: parsers.append(self) or parse(self, argv))
+    argv = ["counterexample", "comonotonic"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert parsers == [cli.build_parser()] * 2
+    # a parser built afresh prints the same bytes
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert main(argv) == 0
+    assert outputs == [capsys.readouterr().out] * 2
+    assert len(parsers) == 3 and parsers[2] is not parsers[0]

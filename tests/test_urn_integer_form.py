@@ -9,6 +9,8 @@ oracles below are the Fraction loops those paths replace.
 """
 
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -427,5 +429,23 @@ def test_y_weights_are_the_binomial_coefficients(two_n):
     # both sides of the closed-form check share this helper, so it is held
     # to math.comb here
     nums, den = _weight_numerators("Y", two_n)
+    nums = list(nums)
     assert nums == [math.comb(two_n, k) for k in range(two_n + 1)]
     assert den == 2 ** two_n == sum(nums)
+
+
+@pytest.mark.parametrize("variant", ["X", "Y", "Z"])
+def test_closed_forms_hold_no_list_of_weights(variant):
+    # the sequence holds Y's 2N+1 binomial weights; the closed form makes its
+    # own one at a time, so its peak stays far under the size of that list
+    params = UrnParams(300, 2, Fraction(3, 5))
+    weights = [math.comb(600, k) for k in range(601)]
+    held = sys.getsizeof(weights) + sum(map(sys.getsizeof, weights))
+    closed_form_values(variant, params, LAYER[variant])
+    tracemalloc.start()
+    try:
+        closed_form_values(variant, params, LAYER[variant])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held // 8

@@ -1,4 +1,4 @@
-"""Time the urn's kernels one layer at a time.
+"""Time the urn's and the space files' kernels one layer at a time.
 
     python3 tools/kernels.py
 
@@ -12,7 +12,10 @@ the median time and the SHA-256 of a text form of its output:
 - one step ``xi_chain(seq, f, 0, 1)`` of the bet on blue for each of X, Y
   (N = 300) and Z (N = 1000), the benchmark's urn commands;
 - ``validate_capacity`` on the 16-point full table that
-  ``benchmarks/spacegen.py`` writes for seed 1, given as its exact form.
+  ``benchmarks/spacegen.py`` writes for seed 1, given as its exact form;
+- ``load_space_file`` on that generator's seed 1 dense and additive texts,
+  the JSON decoding included: the loaded capacity's exact form and its
+  integral of the act ``f``.
 
 A digest that differs from ``DIGESTS`` is printed as FAIL and the script
 exits 1: a kernel whose output changes is a broken kernel, not a faster one.
@@ -39,10 +42,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import spacegen  # noqa: E402  benchmarks/spacegen.py, read only
 
+from choquet_tower.choquet import choquet_integral  # noqa: E402
 from choquet_tower.core import make_space, validate_capacity  # noqa: E402
 from choquet_tower.ellsberg import (UrnParams, build_sequence,  # noqa: E402
                                     build_urn_space, standard_acts)
 from choquet_tower.hierarchy import USequence, xi_chain  # noqa: E402
+from choquet_tower.spacefile import load_space_file  # noqa: E402
 from choquet_tower.uncertainty import UncertaintySpace, xi  # noqa: E402
 
 U1 = Fraction(3, 5)
@@ -65,6 +70,10 @@ DIGESTS = {
         "66cfbf34d4805273b378832e1cab8331eba25b61130734661bffb93c5b1f113b",
     "validate_capacity 16 points":
         "4ccbec1740ba98b4f2fa1e5306a409458bf4cffb3ac2c36ec03fd8e7d49d85d3",
+    "load_space_file dense":
+        "60e1f7bf97ed10dfc0d6489522d05a2ab0db55a2ec6015c6ec042842da81f3e5",
+    "load_space_file additive":
+        "ae7af1ad1d29b1cf9701b422c69fa597617f5cb26f40f10ef73a817df97460a8",
 }
 
 
@@ -83,6 +92,11 @@ def _fresh(us: UncertaintySpace) -> UncertaintySpace:
 
 def _bets(space) -> list:
     return [act.scale(U1) for act in standard_acts(space).values()]
+
+
+def _loaded_text(loaded, name: str) -> str:
+    cap = loaded.capacities[name]
+    return f"{_form_text(*cap.exact_form)}\n{choquet_integral(cap, loaded.acts['f'])}"
 
 
 def _spacegen_form() -> tuple:
@@ -121,6 +135,10 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
     out["validate_capacity 16 points"] = (
         no_args, lambda: validate_capacity(space16, form=form16),
         lambda cap: _form_text(*cap.exact_form))
+    for kind, case in spacegen.generate(1).items():
+        out[f"load_space_file {kind}"] = (
+            no_args, lambda text=case.text: load_space_file(text),
+            lambda loaded, name=case.capacity: _loaded_text(loaded, name))
     return out
 
 
