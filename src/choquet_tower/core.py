@@ -20,7 +20,7 @@ import re
 import struct
 from functools import cache
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, attrgetter, gt, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -806,17 +806,29 @@ def _checked_form(form: tuple[Sequence[int], int], size: int) -> tuple[Sequence[
     The form is (numerators, denominator), standing for numerator /
     denominator: a count other than ``size`` is a SpaceMismatchError, a
     non-int a TypeError, a zero denominator a ZeroDivisionError, as for
-    those values.  One gcd brings it to the positive denominator
-    ``_exact_form`` would derive, kept even where that would find the values
-    too coprime to share one.
+    those values.  Then ``_reduced`` brings it to the positive denominator
+    ``_exact_form`` would derive.
     """
     nums, den = form
-    if len(nums) != size:
-        raise SpaceMismatchError(f"exact form has {len(nums)} numerators, need {size}")
+    _check_count(nums, size)
     if type(den) is not int or not set(map(type, nums)) <= {int}:
         raise TypeError("an exact form holds int numerators over an int denominator")
     if den == 0:
         raise ZeroDivisionError("exact form with denominator 0")
+    return _reduced(nums, den)
+
+
+def _check_count(nums: Sequence, size: int) -> None:
+    if len(nums) != size:
+        raise SpaceMismatchError(f"exact form has {len(nums)} numerators, need {size}")
+
+
+def _reduced(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    # one gcd brings int numerators over a nonzero int denominator to the
+    # positive one ``_exact_form`` would derive, kept even where that would
+    # find the values too coprime to share one; a form over 1 is reduced already
+    if den == 1:
+        return nums, den
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     if g != 1:
         return [n // g for n in nums], den // g
@@ -832,15 +844,17 @@ def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence, None] 
     capacities given by their masses go through ``additive_capacity``
     instead.  A caller that holds the table's exact form hands it over as
     ``form`` = (numerators, denominator) in mask order, in place of the
-    table: a batch of one for ``validate_capacities``.  Either way the
-    capacity is built first, and what it stores goes through the
-    normalization and monotonicity checks.
+    table: a batch of one for ``validate_tables``, which keeps the list.
+    Either way what the capacity stores goes through the normalization and
+    monotonicity checks.
     """
     check_dense_size(space)
     if (table is None) == (form is None):
         raise TypeError("give a capacity's table or its exact form, not both")
     if form is not None:
-        return validate_capacities(space, [form])[0]
+        nums, den = form
+        _check_count(nums, 1 << len(space))
+        return table_capacities(space, *validate_tables(space, nums, den))[0]
     full = space.full_mask
     if isinstance(table, Mapping):
         dense: list = [None] * (full + 1)
@@ -856,33 +870,45 @@ def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence, None] 
     return _checked_table(space, table)
 
 
-def validate_capacities(space: FiniteSpace, forms: Iterable[tuple]) -> list[Capacity]:
-    """Check and build dense capacities on one space from their exact forms
-    (numerators, denominator) in mask order, as one batch.
+def validate_tables(space: FiniteSpace, keys: Sequence[int], den: int
+                    ) -> tuple[Sequence[int], int]:
+    """Check dense tables on one space as one batch, and return the batch.
 
-    Each form is checked and reduced by ``_checked_form`` as it comes, so
-    only the reduced batch is kept; then the ends of all tables are read as
-    two columns, and one ``_first_decrease`` call covers their numerators
-    joined end to end, packed into one integer when they fit.  A batch
-    that fails any check goes through ``_checked_table`` a table at a time,
-    so it raises what its first bad table raises alone.
+    The batch is one list of int numerators over one denominator: table k
+    is ``keys[k << n:(k + 1) << n]`` in mask order (n points), so
+    ``keys[m::2**n]`` is the column of mask m.  It is checked in whole-batch
+    passes: the length is a multiple of 2**n, every numerator an int (one
+    type scan), ``den`` a nonzero int, every table's first entry 0 and its
+    last ``den``, and one ``_first_decrease`` call covers the whole list.
+    The list is returned as given, or negated with a negative ``den``, so
+    the denominator returned is positive.  A batch that fails goes through
+    the one-table path (``_checked_form``, then the checks of
+    ``_checked_table``) a table at a time, so it raises what its first bad
+    table raises alone.
     """
     check_dense_size(space)
-    size, caps = 1 << len(space), []
-    try:
-        for nums, den in map(_checked_form, forms, repeat(size)):
-            caps.append(Capacity(space, table=nums, den=den))
-    except (ValueError, TypeError, ArithmeticError):
-        for cap in caps:
-            _checked_table(space, cap._table, cap._den)
-        raise
-    keys = list(chain.from_iterable(cap._table for cap in caps))
-    if not (keys[::size].count(0) == len(caps)
-            and keys[size - 1::size] == [cap._den for cap in caps]
-            and _first_decrease(len(space), keys, 0) is None):
-        for cap in caps:
-            _checked_table(space, cap._table, cap._den)
-    return caps
+    n = len(space)
+    size, count = 1 << n, len(keys) >> n
+    whole = (len(keys) == count << n and type(den) is int and den != 0
+             and set(map(type, keys)) <= {int})
+    if whole and den < 0:
+        keys, den = [-k for k in keys], -den
+    if not (whole and keys[::size].count(0) == count
+            and keys[size - 1::size].count(den) == count
+            and _first_decrease(n, keys, 0) is None):
+        for start in range(0, len(keys), size):
+            _checked_table(space, *_checked_form((keys[start:start + size], den), size))
+    return keys, den
+
+
+def table_capacities(space: FiniteSpace, keys: Sequence[int], den: int) -> list[Capacity]:
+    """The capacities of a batch that ``validate_tables`` returned, one per
+    table, each on its own form reduced as ``_checked_form`` reduces it; a
+    batch of one keeps its list."""
+    size = 1 << len(space)
+    tables = ([keys] if len(keys) == size
+              else (keys[s:s + size] for s in range(0, len(keys), size)))
+    return [Capacity(space, table=nums, den=d) for nums, d in map(_reduced, tables, repeat(den))]
 
 
 def _checked_table(space: FiniteSpace, stored: Sequence, den: Optional[int] = None,

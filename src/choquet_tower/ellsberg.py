@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, _echo,
                    additive_capacity, exponent, indicator, is_exact,
-                   make_space, validate_capacities, validate_capacity,
+                   make_space, validate_capacity,
                    values_close)
 from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
                         conditional_act, value_function)
@@ -76,29 +76,32 @@ def build_urn_space(params: UrnParams) -> UncertaintySpace:
     With a whole alpha every table is exact, with integer numerators over
     D = 3H, where H = (2N)^alpha / 2 is whole: in mask order R, B, RB, Y, RY,
     BY they are H, k^alpha, H + k^alpha, (2N-k)^alpha, H + (2N-k)^alpha and
-    2H.  The 2N+1 tables are handed to ``validate_capacities`` as those
-    forms alone, checked as one batch and kept on them; they share their
-    numerators, two lists of 2N+1, until a gcd reduces one.
+    2H.  The 2N+1 tables are written as one batch, the column of mask m in
+    ``keys[m::8]`` filled by one slice assignment, and handed over D to
+    ``UncertaintySpace.of_tables``, which checks the batch as one and builds
+    a capacity only when one is asked for.
     """
     space = make_space(["R", "B", "Y"])
     two_n = 2 * params.big_n
+    names = tuple(f"u{k}" for k in range(two_n + 1))
     if isinstance(params.alpha, int):
         h = two_n ** params.alpha // 2
-        double, d = 2 * h, 3 * h
         powers = [k ** params.alpha for k in range(two_n + 1)]
         plus = [h + p for p in powers]
-        caps = validate_capacities(space, (
-            ([0, h, b, hb, y, hy, double, d], d)
-            for b, hb, y, hy in zip(powers, plus, reversed(powers), reversed(plus))))
-    else:
-        third = Fraction(1, 3)
-        caps = []
-        for k in range(two_n + 1):
-            blue = 2 * third * params.ratio_power(k)
-            yellow = 2 * third * params.ratio_power(two_n - k)
-            table = (0, third, blue, third + blue, yellow, third + yellow, 2 * third, 1)
-            caps.append(validate_capacity(space, table))
-    return UncertaintySpace(space, tuple((f"u{k}", cap) for k, cap in enumerate(caps)))
+        count = len(names)
+        keys = [0] * (8 * count)
+        keys[1::8], keys[6::8], keys[7::8] = [h] * count, [2 * h] * count, [3 * h] * count
+        keys[2::8], keys[3::8] = powers, plus
+        keys[4::8], keys[5::8] = powers[::-1], plus[::-1]
+        return UncertaintySpace.of_tables(space, names, keys, 3 * h)
+    third = Fraction(1, 3)
+    caps = []
+    for k in range(two_n + 1):
+        blue = 2 * third * params.ratio_power(k)
+        yellow = 2 * third * params.ratio_power(two_n - k)
+        table = (0, third, blue, third + blue, yellow, third + yellow, 2 * third, 1)
+        caps.append(validate_capacity(space, table))
+    return UncertaintySpace(space, tuple(zip(names, caps)))
 
 
 def standard_acts(space: FiniteSpace) -> dict[str, Act]:

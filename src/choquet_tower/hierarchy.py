@@ -175,7 +175,7 @@ class USequence(Frozen):
                     if nxt.base.points != cur.names:
                         raise ValueError(
                             "next level's points must be this level's capacities")
-                elif nxt is TERMINAL and len(cur.capacities) != 1:
+                elif nxt is TERMINAL and len(cur.names) != 1:
                     raise ValueError(
                         "only a single-capacity level can close with the terminal space")
             elif isinstance(cur, FamilyLevel):

@@ -3,26 +3,26 @@
 The capacity list is itself a finite point set one level up, so evaluation
 and Choquet expectation turn acts on the base into acts on the capacities.
 The evaluation act is built from the capacities' values.  When every
-capacity and the act have exact forms, the expectation act is built as its
-form, over the least common multiple of the capacities' denominators times
-the act's: for dense tables, each of the act's chain steps times every
-capacity's numerator on that step's level set, summed; otherwise each
-capacity's ``integral_form``.
+capacity is a dense table with an exact form, the space holds them as one
+batch of numerators over one denominator, and the expectation act of an
+exact act is built as its form from the batch's columns; a space holding a
+mass vector takes each capacity's ``integral_form``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import add, itemgetter, mul
-from typing import Callable, Optional, Sequence, Union
+from itertools import chain, repeat
+from operator import add, mul
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .choquet import choquet_integral, integral_form
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
-                   Frozen, Number, Subset, _mask_of, _require_same_space, once)
+                   Frozen, Number, Subset, _mask_of, _require_same_space, once,
+                   table_capacities, validate_tables)
 
 
-def _name_index(capacities: Sequence[tuple[str, Capacity]]
+def _name_index(capacities: Iterable[tuple[str, Capacity]]
                 ) -> tuple[dict, Optional[tuple[str, str]]]:
     """Each capacity's name by value, and the first pair of names sharing one."""
     index: dict = {}
@@ -31,6 +31,19 @@ def _name_index(capacities: Sequence[tuple[str, Capacity]]
             return index, (index[cap], name)
         index[cap] = name
     return index, None
+
+
+def _duplicate(pair: tuple[str, str]) -> DuplicateLabelError:
+    return DuplicateLabelError(f"capacities {pair[0]!r} and {pair[1]!r} have identical tables")
+
+
+def _name_space(names: Sequence[str]) -> FiniteSpace:
+    # the capacity names as the point set one level up
+    if not names:
+        raise ValueError("an uncertainty space needs at least one capacity")
+    if len(set(names)) != len(names):
+        raise DuplicateLabelError("capacity names must be unique")
+    return FiniteSpace(tuple(names))
 
 
 def check_separated(capacities: Union["UncertaintySpace",
@@ -49,23 +62,47 @@ def check_separated(capacities: Union["UncertaintySpace",
 
 
 class UncertaintySpace(Frozen):
-    """A finite space plus a named, non-empty list of distinct capacities."""
+    """A finite space plus a named, non-empty list of distinct capacities.
+
+    A space is built from (name, capacity) pairs, or by ``of_tables`` from
+    dense tables given as one batch, which is all the space keeps: its
+    capacities, ``capacity`` and ``name_of`` are built from the batch on
+    first use.  Every check acts before the space is returned.
+    """
 
     def __init__(self, base: FiniteSpace, capacities: tuple[tuple[str, Capacity], ...]):
-        if not capacities:
-            raise ValueError("an uncertainty space needs at least one capacity")
-        names = [name for name, _ in capacities]
-        if len(set(names)) != len(names):
-            raise DuplicateLabelError("capacity names must be unique")
+        names = _name_space([name for name, _ in capacities])
         for name, cap in capacities:
             _require_same_space(cap.space, base)
         index, pair = _name_index(capacities)
         if pair is not None:
-            raise DuplicateLabelError(
-                f"capacities {pair[0]!r} and {pair[1]!r} have identical tables")
-        self.__dict__.update(base=base, capacities=capacities,
-                             _capacity_space=FiniteSpace(tuple(names)),
-                             _by_name=dict(capacities), _name_of=index)
+            raise _duplicate(pair)
+        self.__dict__.update(base=base, capacities=capacities, _capacity_space=names,
+                             _name_of=index)
+
+    @classmethod
+    def of_tables(cls, base: FiniteSpace, names: tuple[str, ...],
+                  keys: Sequence[int], den: int) -> "UncertaintySpace":
+        """The space of one named capacity per dense table of a batch: int
+        numerators in mask order, joined end to end, over one denominator.
+
+        The batch is checked by ``validate_tables``.  Over one denominator
+        two tables are the same set function exactly when their rows are
+        equal, so the tables are distinct when their rows, read across the
+        columns ``keys[m::2**n]``, are; only a batch with a repeat builds
+        its capacities, to name the first pair as the constructor does.
+        """
+        keys, den = validate_tables(base, keys, den)
+        names_space = _name_space(names)
+        size = 1 << len(base)
+        if len(keys) != len(names) * size:
+            raise ValueError(f"{len(names)} capacity names for "
+                             f"{len(keys) // size} tables")
+        if len(set(zip(*(keys[m::size] for m in range(size))))) != len(names):
+            raise _duplicate(_name_index(zip(names, table_capacities(base, keys, den)))[1])
+        us = cls.__new__(cls)
+        us.__dict__.update(base=base, _capacity_space=names_space, tables=(keys, den))
+        return us
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -75,6 +112,20 @@ class UncertaintySpace(Frozen):
     def capacity_space(self) -> FiniteSpace:
         """The capacity list viewed as the point set one level up."""
         return self._capacity_space
+
+    @once
+    def capacities(self) -> tuple[tuple[str, Capacity], ...]:
+        """The named capacities of a space built by ``of_tables``, built from
+        its batch on first use."""
+        return tuple(zip(self.names, table_capacities(self.base, *self.tables)))
+
+    @once
+    def _by_name(self) -> dict:
+        return dict(self.capacities)
+
+    @once
+    def _name_of(self) -> dict:
+        return _name_index(self.capacities)[0]
 
     def capacity(self, name: str) -> Capacity:
         return self._by_name[name]
@@ -109,13 +160,19 @@ class UncertaintySpace(Frozen):
                 for (_, cap), k in zip(self.capacities, scales)], den
 
     @once
-    def tables(self) -> Optional[list[list[int]]]:
-        """Every capacity's stored table of numerators, in capacity order;
-        None unless every capacity is a dense table with an exact form."""
-        tables = [cap._table for _, cap in self.capacities]
-        if self.form_scales is None or None in tables:
+    def tables(self) -> Optional[tuple[list[int], int]]:
+        """Every capacity's table as one batch: numerators in mask order,
+        joined end to end in capacity order, over one denominator; None
+        unless every capacity is a dense table with an exact form.  A space
+        built by ``of_tables`` holds its own batch; one built from
+        capacities joins theirs on first use, over the ``form_scales``
+        denominator."""
+        if self.form_scales is None or any(cap._table is None for _, cap in self.capacities):
             return None
-        return tables
+        den, scales = self.form_scales
+        return list(chain.from_iterable(
+            cap._table if k == 1 else [n * k for n in cap._table]
+            for (_, cap), k in zip(self.capacities, scales))), den
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
@@ -127,28 +184,30 @@ def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
 def xi(us: UncertaintySpace, f: Act) -> Act:
     """Choquet expectation act: each capacity reports its integral of f.
 
-    With exact forms the act is built as one form over the ``form_scales``
-    denominator times the act's.  When every capacity is a dense table, all
-    integrals are taken at once: each step of the act's exact chain times
-    every table's numerator on its level set, gathered from ``tables``,
-    summed over the chain, then each capacity's sum times its scale.
-    Otherwise each capacity's numerator is ``integral_form``'s.
+    For an exact act on a space of dense exact tables, all integrals are
+    taken at once from the space's batch (``tables``): each step of the
+    act's exact chain times the batch's column of that step's level set,
+    ``keys[cum::2**n]``, summed over the chain, over the batch's denominator
+    times the act's.  On a space holding a mass vector each capacity's
+    numerator is ``integral_form``'s, over the ``form_scales`` denominator
+    times the act's; without exact forms each value is ``choquet_integral``.
     """
     _require_same_space(f.space, us.base)
-    if us.form_scales is None or f.exact_form is None:
+    if f.exact_form is not None and us.tables is not None:
+        keys, den = us.tables
+        n = len(us.base)
+        cums, steps, act_den = f.exact_chain
+        # one lazy sum over the chain, so only the numerators are kept
+        nums = repeat(0, len(keys) >> n)
+        for cum, step in zip(cums, steps):
+            nums = map(add, nums, map(mul, keys[cum::1 << n], repeat(step)))
+        return Act(us.capacity_space, form=(list(nums), act_den * den))
+    if f.exact_form is None or us.form_scales is None:
         return Act(us.capacity_space,
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))
     den, scales = us.form_scales
-    if us.tables is None:
-        nums = (integral_form(cap, f)[0] for _, cap in us.capacities)
-    else:
-        # one lazy sum over the chain, so only the scaled numerators are kept
-        cums, steps, _ = f.exact_chain
-        nums = repeat(0)
-        for cum, step in zip(cums, steps):
-            nums = map(add, nums, map(mul, map(itemgetter(cum), us.tables), repeat(step)))
-    return Act(us.capacity_space, form=(list(map(mul, nums, scales)),
-                                        f.exact_form[1] * den))
+    nums = (integral_form(cap, f)[0] * k for (_, cap), k in zip(us.capacities, scales))
+    return Act(us.capacity_space, form=(list(nums), f.exact_form[1] * den))
 
 
 class GTransform(Frozen):

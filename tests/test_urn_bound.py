@@ -18,7 +18,8 @@ from choquet_tower.ellsberg import MAX_URN_WORK, UrnParams, build_sequence, para
 
 U1 = Fraction(3, 5)
 #: per variant and alpha, the largest N the budget admits; each ran in
-#: 3.3-6.3 s on a 2-CPU container under Python 3.11
+#: 0.9-6.8 s on a 2-CPU container under Python 3.11 (a whole alpha 0.9-3.1 s,
+#: alpha 1.5 2.9-6.8 s)
 LARGEST = {("X", 2): 89551, ("X", 1000): 2394, ("X", 1.5): 19999,
            ("Y", 2): 26131, ("Y", 1000): 2381, ("Y", 1.5): 3515,
            ("Z", 2): 89551, ("Z", 1000): 2394, ("Z", 1.5): 19999}

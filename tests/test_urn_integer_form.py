@@ -1,8 +1,8 @@
 """The urn family on integer numerators, against the Fraction arithmetic it
 replaces, and the checked form entry of the two capacity constructors.
 
-For a whole exponent ``build_urn_space`` hands each table to
-``validate_capacity`` as integer numerators over 3 (2N)^alpha,
+For a whole exponent ``build_urn_space`` hands its tables over as one
+batch of integer numerators over 3 (2N)^alpha / 2,
 ``closed_form_values`` sums weight numerators times k^alpha, and the exact
 binomial layer of ``integrate_family`` sums the act's numerators.  The
 oracles below are the Fraction loops those paths replace.

@@ -6,11 +6,15 @@ Runs each kernel REPEAT times in this interpreter and prints, per kernel,
 the median time and the SHA-256 of a text form of its output:
 
 - ``build_urn_space`` at N = 300 and N = 1000 (alpha 2), every capacity's
-  reduced exact form;
+  reduced exact form, read after the timed call;
+- ``build_urn_space`` at N = 1000 with no capacity read: the batch of
+  tables it checked, its numerators and denominator;
 - ``xi`` of the four bets (times u1 = 3/5) over the Z urn at N = 1000, the
-  four result forms, with the urn's cached table list dropped before each run;
+  four result forms, with the urn rebuilt from its batch before each run,
+  so no capacity built on demand carries over;
 - one step ``xi_chain(seq, f, 0, 1)`` of the bet on blue for each of X, Y
-  (N = 300) and Z (N = 1000), the benchmark's urn commands;
+  (N = 300) and Z (N = 1000), the benchmark's urn commands, the urn rebuilt
+  the same way;
 - ``validate_capacity`` on the 16-point full table that
   ``benchmarks/spacegen.py`` writes for seed 1, given as its exact form;
 - ``load_space_file`` on that generator's seed 1 dense and additive texts,
@@ -59,6 +63,8 @@ DIGESTS = {
         "8f165c8d24326296dcfe0a5c36bbf5698c99760da5535222e134bab6f95c28f6",
     "build_urn_space N=1000":
         "f15a0287e9aa728b99d3e4c766a8004807dd50d0a8d8ce0c6f12d130371f5cf4",
+    "build_urn_space N=1000 batch":
+        "6e23b9a70222d12722663c5fbba1a4feea8c2b87a0af095bc17fa03dcf62df74",
     "xi Z urn, four bets":
         "d42df4d930b61f6b14a398c51a88d27e41fb6b6c5d366c8beee8541fcf07b66f",
     # X and Y share the urn at N = 300, so their first steps agree
@@ -86,8 +92,8 @@ def _space_text(us: UncertaintySpace) -> str:
 
 
 def _fresh(us: UncertaintySpace) -> UncertaintySpace:
-    # the same capacities in a new space, so no cached table list carries over
-    return UncertaintySpace(us.base, us.capacities)
+    # the urn's batch in a new space, so no capacity built on demand carries over
+    return UncertaintySpace.of_tables(us.base, us.names, *us.tables)
 
 
 def _bets(space) -> list:
@@ -124,6 +130,9 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         params = UrnParams(big_n, 2, U1)
         out[f"build_urn_space N={big_n}"] = (
             no_args, lambda params=params: build_urn_space(params), _space_text)
+    out["build_urn_space N=1000 batch"] = (
+        no_args, lambda: build_urn_space(UrnParams(1000, 2, U1)),
+        lambda us: _form_text(*us.tables))
     out["xi Z urn, four bets"] = (
         lambda: (_fresh(z_urn),), lambda us: [xi(us, f) for f in z_bets],
         lambda acts: "\n".join(map(act_text, acts)))
