@@ -158,26 +158,29 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     v lives on the capacity list; the result's value on A is the Choquet
     integral of the evaluation act of A under v.  Additive v over additive
     capacities yields an additive result, computed in mass space as
-    w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base, on
-    integer numerators when the weights and ``us.mass_rows`` have them.
-    Otherwise the result is that defining table, checked by
+    w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base,
+    skipping zero weights.  With exact weights and a ``us.batch`` it runs on
+    integer numerators: capacity j's row is ``keys[j*n:(j+1)*n]`` in a batch
+    of mass vectors, the singleton entries ``keys[j*2**n + 2**i]`` in one of
+    dense tables.  Otherwise the result is that defining table, checked by
     ``validate_capacity``, which derives its exact form from the values.
     """
     _require_same_space(v.space, us.capacity_space)
     if v.is_additive and us.is_additive:
-        exact = us.mass_rows and v.exact_form
-        if exact:
-            (rows, row_den), den = us.mass_rows, v._den
-            weights = v._singleton_keys()
+        n = len(us.base)
+        if v.exact_form and us.batch:
+            (keys, den), weights = us.batch, v._singleton_keys()
+            size = len(keys) // len(us.names)
         else:
-            weights = v.singleton_masses()
-            rows = [cap.singleton_masses() for _, cap in us.capacities]
-        sums = [0] * len(us.base)
-        for weight, row in zip(weights, rows):
+            keys = [m for _, cap in us.capacities for m in cap.singleton_masses()]
+            den, size, weights = None, n, v.singleton_masses()
+        singles = range(n) if size == n else [1 << i for i in range(n)]
+        sums = [0] * n
+        for start, weight in zip(range(0, len(keys), size), weights):
             if weight:
-                sums = [s + weight * m for s, m in zip(sums, row)]
-        if exact:
-            return additive_capacity(us.base, form=(sums, den * row_den))
+                sums = [s + weight * keys[start + i] for s, i in zip(sums, singles)]
+        if den:
+            return additive_capacity(us.base, form=(sums, den * v._den))
         return additive_capacity(us.base, sums)
     return validate_capacity(us.base, [choquet_integral(v, epsilon(us, mask))
                                        for mask in us.base.all_masks()])

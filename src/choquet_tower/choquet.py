@@ -93,10 +93,9 @@ def integral_form(u: Capacity, f: Act) -> Optional[tuple[int, int]]:
 
     A dense table is looked up at each cumulative level set of the act's
     chain; a mass vector, whose telescoping sum is the mass-weighted sum of
-    the act's values, takes one dot product.  This is the kernel for one
-    capacity, of ``choquet_integral`` and of ``xi`` on a space holding a
-    mass vector; ``xi`` integrates a space of dense tables all at once,
-    reading the numerators this reads, and the tests check it against this.
+    the act's values, takes one dot product.  This is the kernel of
+    ``choquet_integral``; ``xi`` integrates a space's batch of tables or of
+    mass vectors all at once, and the tests check it against this.
     """
     form = u.exact_form
     act = f.exact_form if form is not None else None

@@ -46,18 +46,22 @@ class UrnParams(Frozen):
 
     def work(self, variant: str) -> int:
         """The work estimate of the urn sequence of ``variant``, in units of
-        one bit of an exact table numerator, each about 0.1 us of command
-        time: (2N+1) times the cost of one u_k, plus that of its weight for Y.
+        about 0.1 us of command time: (2N+1) times the cost of one u_k, plus
+        that of its weight for Y.
 
-        An exact table costs its numerators' bits, alpha log2(2N), and 300
-        to build and check; a float one (non-whole alpha), checked alone,
-        1500.  Y's binomial weights hold up to 2N bits each: summed with
-        exact tables a bit costs 1/64 of a unit, but beside floats each
-        weight becomes a Fraction, at a unit a bit.
+        An exact table (whole alpha) costs 65 units plus one per 6 bits of
+        its numerators, b = alpha log2(2N) bits, as checked and integrated
+        in one batch; a float one (non-whole alpha), checked alone, 1500.
+        Y's binomial weights hold up to 2N bits each, and each is multiplied
+        by numerators of about b bits: beside exact tables a weight bit
+        costs (b + 350) / 22000 of a unit (about 1/57 at alpha 2, 0.6 at
+        alpha 1000), but beside floats each weight becomes a Fraction, at a
+        unit a bit.
         """
         two_n = 2 * self.big_n
         if isinstance(self.alpha, int):
-            table, weight = math.ceil(self.alpha * math.log2(two_n)) + 300, two_n // 64
+            bits = math.ceil(self.alpha * math.log2(two_n))
+            table, weight = bits // 6 + 65, two_n * (bits + 350) // 22000
         else:
             table, weight = 1500, two_n
         return (two_n + 1) * (table + (weight if variant == "Y" else 0))

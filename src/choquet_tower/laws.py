@@ -210,8 +210,10 @@ def run_choquet_suite(seed: int = 7, trials: int = 500,
     def monotonicity(rng):
         space = rand_space(rng, max_points)
         u = rand_capacity(rng, space)
-        g = rand_act(rng, space)
-        f = g + rand_nonneg_act(rng, space)
+        g, h = rand_act(rng, space), rand_nonneg_act(rng, space)
+        f = g + h
+        if (f - g).exact_form != h.exact_form:
+            return f"(g + h) - g != h on {space.points}"
         if choquet_integral(u, f) < choquet_integral(u, g):
             return f"I(f) < I(g) for f >= g on {space.points}"
         return None

@@ -3,20 +3,20 @@
 The capacity list is itself a finite point set one level up, so evaluation
 and Choquet expectation turn acts on the base into acts on the capacities.
 The evaluation act is built from the capacities' values.  When every
-capacity is a dense table with an exact form, the space holds them as one
-batch of numerators over one denominator, and the expectation act of an
-exact act is built as its form from the batch's columns; a space holding a
-mass vector takes each capacity's ``integral_form``.
+capacity has an exact form and all are dense tables, or all mass vectors,
+the space holds their numerators as one ``batch`` over one denominator:
+``xi`` integrates an exact act against the whole batch at once, and ``mu``
+in ``category`` reads its singleton rows from it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .choquet import choquet_integral, integral_form
+from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
                    Frozen, Number, Subset, _mask_of, _require_same_space, once,
                    table_capacities, validate_tables)
@@ -101,7 +101,7 @@ class UncertaintySpace(Frozen):
         if len(set(zip(*(keys[m::size] for m in range(size))))) != len(names):
             raise _duplicate(_name_index(zip(names, table_capacities(base, keys, den)))[1])
         us = cls.__new__(cls)
-        us.__dict__.update(base=base, _capacity_space=names_space, tables=(keys, den))
+        us.__dict__.update(base=base, _capacity_space=names_space, batch=(keys, den))
         return us
 
     @property
@@ -117,7 +117,7 @@ class UncertaintySpace(Frozen):
     def capacities(self) -> tuple[tuple[str, Capacity], ...]:
         """The named capacities of a space built by ``of_tables``, built from
         its batch on first use."""
-        return tuple(zip(self.names, table_capacities(self.base, *self.tables)))
+        return tuple(zip(self.names, table_capacities(self.base, *self.batch)))
 
     @once
     def _by_name(self) -> dict:
@@ -140,39 +140,21 @@ class UncertaintySpace(Frozen):
         return all(cap.is_additive for _, cap in self.capacities)
 
     @once
-    def form_scales(self) -> Optional[tuple[int, list[int]]]:
-        """The lcm of the capacities' denominators and the factor that brings
-        each one's numerators over it; None when one has no exact form."""
-        dens = [cap._den for _, cap in self.capacities]
-        if not all(dens):
-            return None
-        den = math.lcm(*dens)
-        return den, [den // d for d in dens]
-
-    @once
-    def mass_rows(self) -> Optional[tuple[list[list[int]], int]]:
-        """Every capacity's singleton values as numerators over the
-        ``form_scales`` denominator, one row per capacity, or None."""
-        if self.form_scales is None:
-            return None
-        den, scales = self.form_scales
-        return [[n * k for n in cap._singleton_keys()]
-                for (_, cap), k in zip(self.capacities, scales)], den
-
-    @once
-    def tables(self) -> Optional[tuple[list[int], int]]:
-        """Every capacity's table as one batch: numerators in mask order,
-        joined end to end in capacity order, over one denominator; None
-        unless every capacity is a dense table with an exact form.  A space
+    def batch(self) -> Optional[tuple[list[int], int]]:
+        """Every capacity's stored numerators joined end to end in capacity
+        order, over the lcm of their denominators: 2**n a dense table, n a
+        mass vector, so the length says which kind the batch holds.  None
+        when the capacities mix the kinds or one has no exact form.  A space
         built by ``of_tables`` holds its own batch; one built from
-        capacities joins theirs on first use, over the ``form_scales``
-        denominator."""
-        if self.form_scales is None or any(cap._table is None for _, cap in self.capacities):
+        capacities joins theirs on first use."""
+        caps = [cap for _, cap in self.capacities]
+        if not all(cap._den for cap in caps) or len({cap._table is None for cap in caps}) > 1:
             return None
-        den, scales = self.form_scales
-        return list(chain.from_iterable(
-            cap._table if k == 1 else [n * k for n in cap._table]
-            for (_, cap), k in zip(self.capacities, scales))), den
+        den = math.lcm(*(cap._den for cap in caps))
+        keys: list[int] = []
+        for nums, d in (cap.exact_form for cap in caps):
+            keys += nums if d == den else [n * (den // d) for n in nums]
+        return keys, den
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
@@ -184,30 +166,29 @@ def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
 def xi(us: UncertaintySpace, f: Act) -> Act:
     """Choquet expectation act: each capacity reports its integral of f.
 
-    For an exact act on a space of dense exact tables, all integrals are
-    taken at once from the space's batch (``tables``): each step of the
-    act's exact chain times the batch's column of that step's level set,
-    ``keys[cum::2**n]``, summed over the chain, over the batch's denominator
-    times the act's.  On a space holding a mass vector each capacity's
-    numerator is ``integral_form``'s, over the ``form_scales`` denominator
-    times the act's; without exact forms each value is ``choquet_integral``.
+    An exact act on a space with a ``batch`` is integrated against every
+    capacity at once, over the batch's denominator times the act's: a batch
+    of dense tables takes each step of the act's exact chain times the
+    batch's column of that step's level set, ``keys[cum::2**n]``, summed
+    over the chain; a batch of mass vectors takes each row of n numerators
+    times the act's numerators.  Otherwise each value is ``choquet_integral``.
     """
     _require_same_space(f.space, us.base)
-    if f.exact_form is not None and us.tables is not None:
-        keys, den = us.tables
-        n = len(us.base)
-        cums, steps, act_den = f.exact_chain
-        # one lazy sum over the chain, so only the numerators are kept
-        nums = repeat(0, len(keys) >> n)
-        for cum, step in zip(cums, steps):
-            nums = map(add, nums, map(mul, keys[cum::1 << n], repeat(step)))
-        return Act(us.capacity_space, form=(list(nums), act_den * den))
-    if f.exact_form is None or us.form_scales is None:
+    if f.exact_form is None or us.batch is None:
         return Act(us.capacity_space,
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))
-    den, scales = us.form_scales
-    nums = (integral_form(cap, f)[0] * k for (_, cap), k in zip(us.capacities, scales))
-    return Act(us.capacity_space, form=(list(nums), f.exact_form[1] * den))
+    keys, den = us.batch
+    n = len(us.base)
+    if len(keys) == n * len(us.names):
+        act, act_den = f.exact_form
+        nums = (sum(map(mul, keys[start:start + n], act)) for start in range(0, len(keys), n))
+    else:
+        cums, steps, act_den = f.exact_chain
+        # one lazy sum over the chain, so only the numerators are kept
+        nums = repeat(0, len(us.names))
+        for cum, step in zip(cums, steps):
+            nums = map(add, nums, map(mul, keys[cum::1 << n], repeat(step)))
+    return Act(us.capacity_space, form=(list(nums), act_den * den))
 
 
 class GTransform(Frozen):

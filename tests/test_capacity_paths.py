@@ -53,7 +53,7 @@ def float_averaging(draw):
 @settings(max_examples=150, deadline=None)
 def test_float_mu_is_the_per_capacity_accumulation(data):
     us, v = data
-    assert us.mass_rows is None and v.exact_form is None
+    assert us.batch is None and v.exact_form is None
     averaged = mu(us, v)
     expected = [0] * len(us.base)
     for weight, (_, cap) in zip(v.singleton_masses(), us.capacities):

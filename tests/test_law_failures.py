@@ -19,7 +19,7 @@ import pytest
 from choquet_tower import choquet, ellsberg, laws
 from choquet_tower.category import MapWitness
 from choquet_tower.cli import main
-from choquet_tower.core import additive_capacity
+from choquet_tower.core import Act, additive_capacity
 
 
 def _run(capsys, args: list[str]) -> tuple[int, dict]:
@@ -225,6 +225,15 @@ def test_a_halved_dense_integral_fails_retraction_with_exit_3(monkeypatch, capsy
     assert code == 3
     assert by_law["monotone-composition"]["first_failure"].startswith(
         "NormalizationError: need table(empty)=0 and table(full)=1")
+
+
+def test_a_subtraction_that_adds_fails_monotonicity_with_exit_3(monkeypatch, capsys):
+    # Act._combine with its sign ignored, so f - g returns f + g
+    real = Act._combine
+    monkeypatch.setattr(Act, "_combine", lambda self, other, sign: real(self, other, 1))
+    code, by_law = _run(capsys, ["laws", "choquet", "--seed", "7"])
+    assert code == 3
+    assert by_law["monotonicity"]["first_failure"].startswith("(g + h) - g != h on ")
 
 
 @pytest.mark.parametrize("args, message", [

@@ -18,11 +18,11 @@ from choquet_tower.ellsberg import MAX_URN_WORK, UrnParams, build_sequence, para
 
 U1 = Fraction(3, 5)
 #: per variant and alpha, the largest N the budget admits; each ran in
-#: 0.9-6.8 s on a 2-CPU container under Python 3.11 (a whole alpha 0.9-3.1 s,
+#: 2.9-6.8 s on a 2-CPU container under Python 3.11 (a whole alpha 4.2-5.5 s,
 #: alpha 1.5 2.9-6.8 s)
-LARGEST = {("X", 2): 89551, ("X", 1000): 2394, ("X", 1.5): 19999,
-           ("Y", 2): 26131, ("Y", 1000): 2381, ("Y", 1.5): 3515,
-           ("Z", 2): 89551, ("Z", 1000): 2394, ("Z", 1.5): 19999}
+LARGEST = {("X", 2): 422534, ("X", 1000): 12042, ("X", 1.5): 19999,
+           ("Y", 2): 28408, ("Y", 1000): 4134, ("Y", 1.5): 3515,
+           ("Z", 2): 422534, ("Z", 1000): 12042, ("Z", 1.5): 19999}
 
 
 def _never(*args):
@@ -47,7 +47,7 @@ def _refused(argv, capsys):
     ("Y", "100000", "1", "2"),              # 2N-bit binomial weights
     ("Y", "4000", "1.5", "2"),              # the weights as Fractions beside floats
     ("X", "9" * 400, "2", "1"),             # a bound that no float can hold
-    ("Z", "2400", "1000", "3"),             # just over the budget
+    ("Z", "12043", "1000", "3"),            # just over the budget
 ])
 def test_an_urn_above_the_budget_exits_one_before_building(variant, big_n, alpha, layer,
                                                            capsys, monkeypatch):
@@ -66,9 +66,10 @@ def test_the_paradox_demo_is_refused_before_building(monkeypatch):
 
 def test_the_estimate_charges_the_weights_to_y_alone():
     exact = UrnParams(1000, 2, U1)
-    table = math.ceil(2 * math.log2(2000)) + 300
+    bits = math.ceil(2 * math.log2(2000))
+    table = bits // 6 + 65
     assert exact.work("X") == exact.work("Z") == 2001 * table
-    assert exact.work("Y") == 2001 * (table + 2000 // 64)
+    assert exact.work("Y") == 2001 * (table + 2000 * (bits + 350) // 22000)
     floats = UrnParams(1000, 1.5, U1)
     assert floats.work("X") == floats.work("Z") == 2001 * 1500
     assert floats.work("Y") == 2001 * (1500 + 2000)

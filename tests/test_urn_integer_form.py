@@ -400,7 +400,7 @@ def _second_order():
 def test_mu_hands_its_sums_to_the_form_entry(monkeypatch):
     us, v = _second_order()
     # both forms are made before mu runs
-    assert us.mass_rows and v.exact_form
+    assert us.batch and v.exact_form
     derived = []
     derive = core._exact_form
     monkeypatch.setattr(core, "_exact_form", lambda x: derived.append(x) or derive(x))

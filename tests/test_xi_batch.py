@@ -1,23 +1,31 @@
-"""``xi`` integrates an act against all dense tables of a space at once.
+"""``xi`` integrates an act against a space's whole ``batch`` at once.
 
 The oracle is the one-capacity kernel, ``integral_form``, per capacity: its
-numerator over its own denominator.  The batched path must agree on spaces of
-many tables with mixed denominators, whose batch ``tables`` joins them over
-their lcm, and on the same tables handed over as one batch
-(``UncertaintySpace.of_tables``); on the constant and all-zero acts; and a
-space holding a mass vector must take the per-capacity path.
+numerator over its own denominator, and the telescoping sum ``choquet_sum``.
+The batched path must agree on spaces of many dense tables with mixed
+denominators, whose ``batch`` joins them over their lcm, and on the same
+tables handed over as one batch (``UncertaintySpace.of_tables``); on spaces
+of mass vectors with mixed denominators; on a one-point base, where a table
+has 2 entries and a mass vector 1, and on a single capacity; on the constant
+and all-zero acts.  ``mu`` over a batch of additive dense tables reads their
+singleton entries and must agree with its defining table.  A space mixing
+tables and masses, or holding a float, has no batch and integrates each
+capacity with ``choquet_integral``.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choquet_tower.choquet import choquet_sum, integral_form
+from choquet_tower import uncertainty
+from choquet_tower.category import mu
+from choquet_tower.choquet import choquet_integral, choquet_sum, integral_form
 from choquet_tower.core import (Act, additive_capacity, constant_act, make_space,
                                 validate_capacity)
-from choquet_tower.uncertainty import UncertaintySpace, xi
+from choquet_tower.uncertainty import UncertaintySpace, epsilon, xi
 
 
 def _tables(rng, n, count):
@@ -34,6 +42,16 @@ def _tables(rng, n, count):
     return forms
 
 
+def _masses(rng, n, count):
+    """Mass vectors on n points as forms whose reduced denominators differ."""
+    forms = []
+    for _ in range(count):
+        weights = [rng.randint(0, 9) for _ in range(n)]
+        weights[rng.randrange(n)] += rng.randint(1, 9)
+        forms.append((weights, sum(weights)))
+    return forms
+
+
 def _checked(space, forms):
     return [validate_capacity(space, form=form) for form in forms]
 
@@ -45,7 +63,7 @@ def _space_of(space, caps):
 
 def _batch_space_of(us):
     """The space's tables handed over as one batch, under the same names."""
-    return UncertaintySpace.of_tables(us.base, us.names, *us.tables)
+    return UncertaintySpace.of_tables(us.base, us.names, *us.batch)
 
 
 def _act(rng, space):
@@ -68,7 +86,7 @@ def test_xi_on_dense_tables_matches_integral_form_per_capacity(seed, n, count):
     rng = random.Random(seed)
     space = make_space([f"p{i}" for i in range(n)])
     us = _space_of(space, _checked(space, _tables(rng, n, count)))
-    assert us.tables is not None
+    assert us.batch is not None
     batch = _batch_space_of(us)
     acts = [_act(rng, space), constant_act(space, Fraction(rng.randint(-5, 5), 3)),
             constant_act(space, 0), Act(space, (0,) * n)]
@@ -106,7 +124,96 @@ def test_a_space_mixing_tables_and_masses_takes_each_capacitys_kernel(seed, n):
         masses.append(additive_capacity(space, [Fraction(w, total) for w in weights]))
     caps = tables[:3] + masses + tables[3:]
     us = _space_of(space, caps)
-    assert us.tables is None
+    assert us.batch is None
     for f in (_act(rng, space), constant_act(space, 2), Act(space, (0,) * n)):
         assert xi(us, f).values == _per_capacity(us, f)
         assert xi(us, f).values == tuple(choquet_sum(cap.value, f) for _, cap in us.capacities)
+    _assert_per_capacity(us, _act(rng, space))
+
+
+def _assert_per_capacity(us, f):
+    """xi of a space with no batch calls choquet_integral once per capacity."""
+    calls = []
+
+    def spy(cap, act):
+        calls.append(cap)
+        return choquet_integral(cap, act)
+
+    real = uncertainty.choquet_integral
+    uncertainty.choquet_integral = spy
+    try:
+        got = xi(us, f)
+    finally:
+        uncertainty.choquet_integral = real
+    assert calls == [cap for _, cap in us.capacities]
+    assert got.values == tuple(map(choquet_integral, calls, [f] * len(calls)))
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_xi_on_mass_vectors_matches_integral_form_per_capacity(seed, n, count):
+    rng = random.Random(seed)
+    space = make_space([f"p{i}" for i in range(n)])
+    caps = [additive_capacity(space, form=form) for form in _masses(rng, n, count)]
+    us = _space_of(space, caps)
+    keys, den = us.batch
+    assert len(keys) == n * len(us.names)
+    assert den == math.lcm(*(cap.exact_form[1] for _, cap in us.capacities))
+    for f in (_act(rng, space), constant_act(space, Fraction(-4, 7)), Act(space, (0,) * n)):
+        got = xi(us, f)
+        assert got.values == _per_capacity(us, f)
+        assert got.values == tuple(choquet_sum(cap.value, f) for _, cap in us.capacities)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_a_one_point_base_has_strides_two_and_one(seed, dense):
+    # on one point there is one capacity of each kind, so K = 1 as well
+    rng = random.Random(seed)
+    space = make_space(["p"])
+    if dense:
+        caps = _checked(space, _tables(rng, 1, 1))
+    else:
+        caps = [additive_capacity(space, form=form) for form in _masses(rng, 1, 1)]
+    us = _space_of(space, caps)
+    keys, den = us.batch
+    assert len(keys) == (2 if dense else 1)
+    f = _act(rng, space)
+    assert xi(us, f).values == _per_capacity(us, f) == f.values
+    if dense:
+        assert xi(_batch_space_of(us), f).exact_form == xi(us, f).exact_form
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_mu_over_additive_dense_tables_matches_its_defining_table(seed, n, count):
+    rng = random.Random(seed)
+    space = make_space([f"p{i}" for i in range(n)])
+    caps = [validate_capacity(space, [additive_capacity(space, form=form).value(mask)
+                                      for mask in space.all_masks()])
+            for form in _masses(rng, n, count)]
+    us = _space_of(space, caps)
+    assert us.is_additive and len(us.batch[0]) == len(us.names) << n
+    weights, _ = _masses(rng, len(us.names), 1)[0]
+    for v in (additive_capacity(us.capacity_space, form=(weights, sum(weights))),
+              additive_capacity(us.capacity_space, form=([0] * (len(weights) - 1) + [1], 1))):
+        got = mu(us, v)
+        want = [choquet_sum(v.value, epsilon(us, mask)) for mask in space.all_masks()]
+        assert [got.value(mask) for mask in space.all_masks()] == want
+        assert got.exact_form is not None
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_a_space_holding_a_float_has_no_batch(seed, n):
+    rng = random.Random(seed)
+    space = make_space([f"p{i}" for i in range(n)])
+    weights = [rng.random() + 0.01 for _ in range(n)]
+    floats = additive_capacity(space, [w / sum(weights) for w in weights])
+    exact = [additive_capacity(space, form=form) for form in _masses(rng, n, 3)]
+    us = _space_of(space, [floats, *exact])
+    assert us.capacities[0][1] is floats and floats.exact_form is None
+    assert us.batch is None
+    _assert_per_capacity(us, _act(rng, space))

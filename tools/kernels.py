@@ -15,6 +15,9 @@ the median time and the SHA-256 of a text form of its output:
 - one step ``xi_chain(seq, f, 0, 1)`` of the bet on blue for each of X, Y
   (N = 300) and Z (N = 1000), the benchmark's urn commands, the urn rebuilt
   the same way;
+- the next step ``xi_chain(seq, g, 1, 2)`` for X and Y (N = 300), g being
+  the first step's output: their weight layer, one mass vector over the
+  2N+1 capacities, with that layer rebuilt from its capacity before each run;
 - ``validate_capacity`` on the 16-point full table that
   ``benchmarks/spacegen.py`` writes for seed 1, given as its exact form;
 - ``load_space_file`` on that generator's seed 1 dense and additive texts,
@@ -74,6 +77,10 @@ DIGESTS = {
         "a57c60ffd6eed742127f0eea59b3cc34f5e9e6a8fafbcf3fec9805f9bef4de1e",
     "xi_chain 0->1 Z":
         "66cfbf34d4805273b378832e1cab8331eba25b61130734661bffb93c5b1f113b",
+    "xi_chain 1->2 X":
+        "9c83cfe3156a30327318ad6b6473d1fc5af2f6c409f68b4b1ee1b10330875ca4",
+    "xi_chain 1->2 Y":
+        "74574012086248ec735aeb482917510bb46747eb23e78fcda245b8bf17aa92c2",
     "validate_capacity 16 points":
         "4ccbec1740ba98b4f2fa1e5306a409458bf4cffb3ac2c36ec03fd8e7d49d85d3",
     "load_space_file dense":
@@ -93,7 +100,13 @@ def _space_text(us: UncertaintySpace) -> str:
 
 def _fresh(us: UncertaintySpace) -> UncertaintySpace:
     # the urn's batch in a new space, so no capacity built on demand carries over
-    return UncertaintySpace.of_tables(us.base, us.names, *us.tables)
+    return UncertaintySpace.of_tables(us.base, us.names, *us.batch)
+
+
+def _fresh_weights(seq: USequence) -> USequence:
+    # the weight layer in a new space, so its batch is joined in the timed call
+    urn, weights, *rest = seq.levels
+    return USequence((urn, UncertaintySpace(weights.base, weights.capacities), *rest))
 
 
 def _bets(space) -> list:
@@ -132,7 +145,7 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
             no_args, lambda params=params: build_urn_space(params), _space_text)
     out["build_urn_space N=1000 batch"] = (
         no_args, lambda: build_urn_space(UrnParams(1000, 2, U1)),
-        lambda us: _form_text(*us.tables))
+        lambda us: _form_text(*us.batch))
     out["xi Z urn, four bets"] = (
         lambda: (_fresh(z_urn),), lambda us: [xi(us, f) for f in z_bets],
         lambda acts: "\n".join(map(act_text, acts)))
@@ -141,6 +154,11 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         out[f"xi_chain 0->1 {variant}"] = (
             lambda seq=seq: (USequence((_fresh(seq.levels[0]), *seq.levels[1:])),),
             lambda s, blue=blue: xi_chain(s, blue, 0, 1), act_text)
+    for variant in "XY":
+        seq, blue = seqs[variant], _bets(seqs[variant].base_space())[1]
+        out[f"xi_chain 1->2 {variant}"] = (
+            lambda seq=seq, blue=blue: (_fresh_weights(seq), xi_chain(seq, blue, 0, 1)),
+            lambda s, act: xi_chain(s, act, 1, 2), act_text)
     out["validate_capacity 16 points"] = (
         no_args, lambda: validate_capacity(space16, form=form16),
         lambda cap: _form_text(*cap.exact_form))
