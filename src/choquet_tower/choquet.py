@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import Act, Capacity, FiniteSpace, Frozen, Number, Value, _require_same_space
 
@@ -87,56 +87,44 @@ def choquet_sum(value_of: Callable[[int], Number], f: Act) -> Number:
     return total
 
 
-def integral_form(u: Capacity, f: Act) -> Optional[tuple[int, int]]:
-    """The integral as an integer numerator over the product of the
-    denominators of u's and f's exact forms, unreduced; None without both.
-
-    A dense table is looked up at each cumulative level set of the act's
-    chain; a mass vector, whose telescoping sum is the mass-weighted sum of
-    the act's values, takes one dot product.  This is the kernel of
-    ``choquet_integral``; ``xi`` integrates a space's batch of tables or of
-    mass vectors all at once, and the tests check it against this.
-    """
-    form = u.exact_form
-    act = f.exact_form if form is not None else None
-    if act is None:
-        return None
-    nums, cap_den = form
-    if u._masses is not None:
-        return sum(map(mul, act[0], nums)), act[1] * cap_den
-    cums, steps, act_den = f.exact_chain
-    return sum(map(mul, steps, map(nums.__getitem__, cums))), act_den * cap_den
-
-
 def choquet_integral(u: Capacity, f: Act) -> Number:
     """The Choquet integral of an act against a capacity.
 
     Reduces to the u-weighted sum of values when u is additive, and to
-    u(A) on the indicator act of A.  With exact forms it is one Fraction
-    of ``integral_form``.  Otherwise (floats, or too coprime denominators)
-    a table goes to ``choquet_sum`` through ``u.value``, and a mass vector
-    is walked down the act's chain point by point into a running
-    cumulative mass, so additive capacities of any size integrate in
-    linear time.
+    u(A) on the indicator act of A.  One dispatch on u's stored form, and
+    on whether u and f both have exact forms.  A mass vector, whose
+    telescoping sum is the mass-weighted sum of the act's values, takes one
+    dot product with the act's numerators; without exact forms (floats, or
+    too coprime denominators) it is walked down the act's chain point by
+    point into a running cumulative mass, so additive capacities of any
+    size integrate in linear time.  A dense table is looked up at each
+    cumulative level set of the act's exact chain; without exact forms it
+    goes to ``choquet_sum`` through ``u.value``.  An exact integral is one
+    Fraction of integer sums over the product of the two denominators.
+    ``xi`` integrates a space's whole batch of dense tables at once.
     """
     _require_same_space(u.space, f.space)
-    exact = integral_form(u, f)
-    if exact is not None:
-        return Fraction(*exact)
-    if u._masses is None:
+    form = u.exact_form
+    act = f.exact_form if form is not None else None
+    if u._masses is not None:
+        if act is not None:
+            return Fraction(sum(map(mul, act[0], form[0])), act[1] * form[1])
+        total = level = 0
+        blocks = f.chain_blocks
+        for idx, (mask, value) in enumerate(blocks):
+            while mask:
+                low = mask & -mask
+                level += u.value(low)
+                mask ^= low
+            nxt = blocks[idx + 1][1] if idx + 1 < len(blocks) else 0
+            step = value - nxt
+            if step != 0:
+                total += step * level
+        return total
+    if act is None:
         return choquet_sum(u.value, f)
-    total = level = 0
-    blocks = f.chain_blocks
-    for idx, (mask, value) in enumerate(blocks):
-        while mask:
-            low = mask & -mask
-            level += u.value(low)
-            mask ^= low
-        nxt = blocks[idx + 1][1] if idx + 1 < len(blocks) else 0
-        step = value - nxt
-        if step != 0:
-            total += step * level
-    return total
+    cums, steps, act_den = f.exact_chain
+    return Fraction(sum(map(mul, steps, map(form[0].__getitem__, cums))), act_den * form[1])
 
 
 def are_comonotonic(f: Act, g: Act) -> bool:

@@ -24,6 +24,8 @@ from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
 from .uncertainty import UncertaintySpace
 
 ACT_NAMES = ("f1", "f2", "f3", "f4")
+#: the urn's points: a red, a blue and a yellow ball
+URN_POINTS = ("R", "B", "Y")
 #: each variant's top layer, the scalar one with a closed form; layer 1 is
 #: the capacity-indexed profile
 TOP_LAYER = {"X": 2, "Y": 2, "Z": 3}
@@ -85,7 +87,7 @@ def build_urn_space(params: UrnParams) -> UncertaintySpace:
     ``UncertaintySpace.of_tables``, which checks the batch as one and builds
     a capacity only when one is asked for.
     """
-    space = make_space(["R", "B", "Y"])
+    space = make_space(URN_POINTS)
     two_n = 2 * params.big_n
     names = tuple(f"u{k}" for k in range(two_n + 1))
     if isinstance(params.alpha, int):
@@ -187,12 +189,14 @@ def closed_form_values(variant: str, params: UrnParams,
     """Top-layer values of the four bets by direct summation.
 
     Only a variant's scalar top layer (``TOP_LAYER``) has a closed form; it is
-    the utility anchor times the weighted means of the distorted odds.  The
-    weights are made afresh, one at a time, and the two weighted sums are
-    accumulated as they come, so no list of 2N+1 weights is held beside the
-    sequence's.  With a whole alpha each mean is one Fraction of integer
-    sums: weight numerators times k^alpha over the weight denominator times
-    (2N)^alpha.
+    the utility anchor times the weighted mean of the distorted odds.  Every
+    variant's weights are symmetric, w_k = w_{2N-k}, so the mean of
+    ((2N-k)/2N)^alpha, the bet on yellow's, equals that of (k/2N)^alpha,
+    the bet on blue's, and one mean serves both.  The weights are made
+    afresh, one at a time, and the weighted sum is accumulated as they come,
+    so no list of 2N+1 weights is held beside the sequence's.  With a whole
+    alpha the mean is one Fraction of integer sums: weight numerators times
+    k^alpha over the weight denominator times (2N)^alpha.
     """
     if TOP_LAYER.get(variant) != layer:
         raise ValueError(f"no closed form for variant {variant} at layer {layer}")
@@ -201,24 +205,16 @@ def closed_form_values(variant: str, params: UrnParams,
     nums, den = _weight_numerators(variant, two_n)
     alpha = params.alpha
     if isinstance(alpha, int):
-        up = down = 0
-        for k, weight in enumerate(nums):
-            up += weight * k ** alpha
-            down += weight * (two_n - k) ** alpha
-        scale = den * two_n ** alpha
-        mean_up, mean_down = Fraction(up, scale), Fraction(down, scale)
+        mean = Fraction(sum(weight * k ** alpha for k, weight in enumerate(nums)),
+                        den * two_n ** alpha)
     else:
-        mean_up = mean_down = 0
-        for k, weight in enumerate(nums):
-            w = Fraction(weight, den)
-            mean_up += w * params.ratio_power(k)
-            mean_down += w * params.ratio_power(two_n - k)
+        mean = sum(weight / den * params.ratio_power(k) for k, weight in enumerate(nums))
     third = Fraction(1, 3)
     return {
         "f1": u1 * third,
-        "f2": u1 * 2 * third * mean_up,
+        "f2": u1 * 2 * third * mean,
         "f3": u1 * 2 * third,
-        "f4": u1 * (third + 2 * third * mean_down),
+        "f4": u1 * (third + 2 * third * mean),
     }
 
 
@@ -317,7 +313,7 @@ def paradox_demo(params: UrnParams) -> ParadoxReport:
     modal way.
     """
     report = ellsberg_report("X", params, 2)
-    space = build_urn_space(params).base
+    space = make_space(URN_POINTS)
     acts = standard_acts(space)
     rb = space.subset(["R", "B"])
     zero = Act(space, (0, 0, 0))

@@ -5,8 +5,8 @@ and Choquet expectation turn acts on the base into acts on the capacities.
 The evaluation act is built from the capacities' values.  When every
 capacity has an exact form and all are dense tables, or all mass vectors,
 the space holds their numerators as one ``batch`` over one denominator:
-``xi`` integrates an exact act against the whole batch at once, and ``mu``
-in ``category`` reads its singleton rows from it.
+``xi`` integrates an exact act against a batch of dense tables at once, and
+``mu`` in ``category`` reads its singleton rows from a batch of either kind.
 """
 
 from __future__ import annotations
@@ -144,8 +144,10 @@ class UncertaintySpace(Frozen):
         """Every capacity's stored numerators joined end to end in capacity
         order, over the lcm of their denominators: 2**n a dense table, n a
         mass vector, so the length says which kind the batch holds.  None
-        when the capacities mix the kinds or one has no exact form.  A space
-        built by ``of_tables`` holds its own batch; one built from
+        when the capacities mix the kinds or one has no exact form.  ``mu``
+        reads either kind; ``xi`` reads a batch of dense tables only, as a
+        mass vector's integral is one dot product in ``choquet_integral``.
+        A space built by ``of_tables`` holds its own batch; one built from
         capacities joins theirs on first use."""
         caps = [cap for _, cap in self.capacities]
         if not all(cap._den for cap in caps) or len({cap._table is None for cap in caps}) > 1:
@@ -166,28 +168,25 @@ def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
 def xi(us: UncertaintySpace, f: Act) -> Act:
     """Choquet expectation act: each capacity reports its integral of f.
 
-    An exact act on a space with a ``batch`` is integrated against every
-    capacity at once, over the batch's denominator times the act's: a batch
-    of dense tables takes each step of the act's exact chain times the
-    batch's column of that step's level set, ``keys[cum::2**n]``, summed
-    over the chain; a batch of mass vectors takes each row of n numerators
-    times the act's numerators.  Otherwise each value is ``choquet_integral``.
+    An exact act on a space whose ``batch`` holds dense tables is
+    integrated against every table at once, over the batch's denominator
+    times the act's: each step of the act's exact chain times the batch's
+    column of that step's level set, ``keys[cum::2**n]``, summed over the
+    chain.  Otherwise (mass vectors, mixed kinds, floats) each value is
+    ``choquet_integral``.
     """
     _require_same_space(f.space, us.base)
-    if f.exact_form is None or us.batch is None:
+    n = len(us.base)
+    batch = us.batch if f.exact_form is not None else None
+    if batch is None or len(batch[0]) != len(us.names) << n:
         return Act(us.capacity_space,
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))
-    keys, den = us.batch
-    n = len(us.base)
-    if len(keys) == n * len(us.names):
-        act, act_den = f.exact_form
-        nums = (sum(map(mul, keys[start:start + n], act)) for start in range(0, len(keys), n))
-    else:
-        cums, steps, act_den = f.exact_chain
-        # one lazy sum over the chain, so only the numerators are kept
-        nums = repeat(0, len(us.names))
-        for cum, step in zip(cums, steps):
-            nums = map(add, nums, map(mul, keys[cum::1 << n], repeat(step)))
+    keys, den = batch
+    cums, steps, act_den = f.exact_chain
+    # one lazy sum over the chain, so only the numerators are kept
+    nums = repeat(0, len(us.names))
+    for cum, step in zip(cums, steps):
+        nums = map(add, nums, map(mul, keys[cum::1 << n], repeat(step)))
     return Act(us.capacity_space, form=(list(nums), act_den * den))
 
 

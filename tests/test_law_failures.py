@@ -6,9 +6,11 @@ message as its ``first_failure``: the fixed leading text of the message,
 before any drawn value it quotes.  Together the cases reach every line of
 ``laws`` that returns a failure message.  A kernel that raises inside a
 trial is that trial's failure, named by the exception's type and message,
-while an error raised as a suite is set up stays exit 1.  For the urn, a
-shifted closed form is the verdict "disagrees with the closed form" and
-exits 2 on both the alpha = 1 and the alpha > 1 branch.
+while an error raised as a suite is set up stays exit 1.  The exact branch
+of ``choquet_integral`` for one stored form, halved, fails a law suite, and
+for mass vectors the urn's closed-form check too.  For the urn, a shifted
+closed form is the verdict "disagrees with the closed form" and exits 2 on
+both the alpha = 1 and the alpha > 1 branch.
 """
 
 import json
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from choquet_tower import choquet, ellsberg, laws
+from choquet_tower import category, choquet, cli, ellsberg, hierarchy, laws, uncertainty
 from choquet_tower.category import MapWitness
 from choquet_tower.cli import main
 from choquet_tower.core import Act, additive_capacity
@@ -209,22 +211,53 @@ def test_a_trial_that_raises_is_one_failure(args, kernel, monkeypatch, capsys):
     assert failed[0]["first_failure"] == "ZeroDivisionError: kernel fault"
 
 
-def test_a_halved_dense_integral_fails_retraction_with_exit_3(monkeypatch, capsys):
-    # the dense branch of integral_form with its denominator doubled: the
-    # descents built without mu are no longer normalized
-    real = choquet.integral_form
+def _halve_exact(monkeypatch, masses: bool) -> None:
+    # choquet_integral with its exact branch for one stored form halved,
+    # under every name the package holds it by
+    real = choquet.choquet_integral
 
     def halved(u, f):
         out = real(u, f)
-        if out is None or u._masses is not None:
-            return out
-        return out[0], 2 * out[1]
+        exact = u.exact_form is not None and f.exact_form is not None
+        return out / 2 if exact and (u._masses is not None) == masses else out
 
-    monkeypatch.setattr(choquet, "integral_form", halved)
+    for module in (category, choquet, cli, hierarchy, laws, uncertainty):
+        monkeypatch.setattr(module, "choquet_integral", halved)
+
+
+def test_a_halved_dense_integral_fails_retraction_with_exit_3(monkeypatch, capsys):
+    # the dense exact branch halved: the descents built without mu are no
+    # longer normalized
+    _halve_exact(monkeypatch, masses=False)
     code, by_law = _run(capsys, ["laws", "retraction", "--seed", "7"])
     assert code == 3
     assert by_law["monotone-composition"]["first_failure"].startswith(
         "NormalizationError: need table(empty)=0 and table(full)=1")
+
+
+@pytest.mark.parametrize("suite, law, start", [
+    ("choquet", "additive-linearity", "additive capacity does not reduce to the weighted sum"),
+    ("dirac", "integral-evaluates", "I under point mass at "),
+    ("retraction", "monotone-composition", "NormalizationError: need table(empty)=0"),
+])
+def test_a_halved_mass_integral_fails_the_law_suites_with_exit_3(suite, law, start,
+                                                                 monkeypatch, capsys):
+    _halve_exact(monkeypatch, masses=True)
+    code, by_law = _run(capsys, ["laws", suite, "--seed", "7"])
+    assert code == 3
+    assert by_law[law]["first_failure"].startswith(start)
+
+
+@pytest.mark.parametrize("variant", ["X", "Y"])
+def test_a_halved_mass_integral_disagrees_with_the_urn_closed_form(variant, monkeypatch,
+                                                                   capsys):
+    # X's and Y's weight layer is one mass vector, integrated by that branch
+    _halve_exact(monkeypatch, masses=True)
+    code = main(["ellsberg", "--variant", variant, "--big-n", "300", "--alpha", "2",
+                 "--u1", "0.6", "--layer", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["verdict"] == "disagrees with the closed form"
 
 
 def test_a_subtraction_that_adds_fails_monotonicity_with_exit_3(monkeypatch, capsys):

@@ -7,7 +7,8 @@ forms and binomial layer moved to integer numerators, so any change in a
 printed digit, a value's formatting or an error line fails here.  They
 cover the README commands, layer-1 CSV for X and Y, the float backend,
 non-whole exponents (float tables), whole exponents 1 to 3, Z at layer 1,
-the three benchmark ``urn`` commands and two input errors.
+the three benchmark ``urn`` commands, Y at alpha 1.5 and X and Y in floats at
+N = 200 to 300, and two input errors.
 """
 
 import contextlib
@@ -68,6 +69,17 @@ PINNED = [
      EMPTY),
     ("--variant Z --big-n 1000 --alpha 2 --u1 0.6 --layer 3",
      0, "a6bf387bf7c96f556413a116b3ee898a8276edbf701b3d49e6385d7d16f35544",
+     EMPTY),
+    # moderate N off the exact path: float tables with the Fraction-mass
+    # walk of layer 2, and exact tables against float acts
+    ("--variant Y --big-n 200 --alpha 1.5 --u1 0.6 --layer 2",
+     0, "f6104be612a036e03cc429022a57f606f9a7f9a396e387ea0ecbc49e384fa5c4",
+     EMPTY),
+    ("--variant X --big-n 300 --alpha 2 --u1 0.6 --layer 2 --backend float",
+     0, "f2a41ca2b724956f31b9ecd117ef0e892ecffdcf954e360cc6d682350447eda8",
+     EMPTY),
+    ("--variant Y --big-n 300 --alpha 2 --u1 0.6 --layer 2 --backend float",
+     0, "03025e376efd4b9a8c7bdd33d03a310c76b3174dbf7e535c1aace661ac948a92",
      EMPTY),
     ("--variant X --big-n 4 --alpha 1001 --u1 0.6 --layer 2",
      1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

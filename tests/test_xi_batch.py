@@ -1,16 +1,16 @@
 """``xi`` integrates an act against a space's whole ``batch`` at once.
 
-The oracle is the one-capacity kernel, ``integral_form``, per capacity: its
-numerator over its own denominator, and the telescoping sum ``choquet_sum``.
-The batched path must agree on spaces of many dense tables with mixed
-denominators, whose ``batch`` joins them over their lcm, and on the same
-tables handed over as one batch (``UncertaintySpace.of_tables``); on spaces
-of mass vectors with mixed denominators; on a one-point base, where a table
-has 2 entries and a mass vector 1, and on a single capacity; on the constant
-and all-zero acts.  ``mu`` over a batch of additive dense tables reads their
-singleton entries and must agree with its defining table.  A space mixing
-tables and masses, or holding a float, has no batch and integrates each
-capacity with ``choquet_integral``.
+The oracle is the definition, the telescoping sum ``choquet_sum`` against
+each capacity's ``value``.  The batched path must agree on spaces of many
+dense tables with mixed denominators, whose ``batch`` joins them over their
+lcm, and on the same tables handed over as one batch
+(``UncertaintySpace.of_tables``); on a one-point base, where a table has 2
+entries and a mass vector 1, and on a single capacity; on the constant and
+all-zero acts.  A space of mass vectors with mixed denominators has a batch,
+which ``mu`` reads, but ``xi`` integrates each of its capacities with
+``choquet_integral``, as it does on a space mixing tables and masses, or
+holding a float, which has no batch.  ``mu`` over a batch of additive dense
+tables reads their singleton entries and must agree with its defining table.
 """
 
 import math
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from choquet_tower import uncertainty
 from choquet_tower.category import mu
-from choquet_tower.choquet import choquet_integral, choquet_sum, integral_form
+from choquet_tower.choquet import choquet_integral, choquet_sum
 from choquet_tower.core import (Act, additive_capacity, constant_act, make_space,
                                 validate_capacity)
 from choquet_tower.uncertainty import UncertaintySpace, epsilon, xi
@@ -72,17 +72,13 @@ def _act(rng, space):
 
 
 def _per_capacity(us, f):
-    values = []
-    for _, cap in us.capacities:
-        num, den = integral_form(cap, f)
-        values.append(Fraction(num, den))
-    return tuple(values)
+    return tuple(choquet_sum(cap.value, f) for _, cap in us.capacities)
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=6),
        st.integers(min_value=8, max_value=60))
 @settings(max_examples=80, deadline=None)
-def test_xi_on_dense_tables_matches_integral_form_per_capacity(seed, n, count):
+def test_xi_on_dense_tables_matches_choquet_sum_per_capacity(seed, n, count):
     rng = random.Random(seed)
     space = make_space([f"p{i}" for i in range(n)])
     us = _space_of(space, _checked(space, _tables(rng, n, count)))
@@ -93,7 +89,6 @@ def test_xi_on_dense_tables_matches_integral_form_per_capacity(seed, n, count):
     for f in acts:
         got = xi(us, f)
         assert got.values == _per_capacity(us, f)
-        assert got.values == tuple(choquet_sum(cap.value, f) for _, cap in us.capacities)
         assert xi(batch, f).exact_form == got.exact_form
 
 
@@ -127,12 +122,12 @@ def test_a_space_mixing_tables_and_masses_takes_each_capacitys_kernel(seed, n):
     assert us.batch is None
     for f in (_act(rng, space), constant_act(space, 2), Act(space, (0,) * n)):
         assert xi(us, f).values == _per_capacity(us, f)
-        assert xi(us, f).values == tuple(choquet_sum(cap.value, f) for _, cap in us.capacities)
     _assert_per_capacity(us, _act(rng, space))
 
 
 def _assert_per_capacity(us, f):
-    """xi of a space with no batch calls choquet_integral once per capacity."""
+    """xi of a space with no batch of dense tables calls choquet_integral
+    once per capacity."""
     calls = []
 
     def spy(cap, act):
@@ -152,7 +147,7 @@ def _assert_per_capacity(us, f):
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=7),
        st.integers(min_value=1, max_value=12))
 @settings(max_examples=80, deadline=None)
-def test_xi_on_mass_vectors_matches_integral_form_per_capacity(seed, n, count):
+def test_xi_on_mass_vectors_matches_choquet_sum_per_capacity(seed, n, count):
     rng = random.Random(seed)
     space = make_space([f"p{i}" for i in range(n)])
     caps = [additive_capacity(space, form=form) for form in _masses(rng, n, count)]
@@ -161,9 +156,8 @@ def test_xi_on_mass_vectors_matches_integral_form_per_capacity(seed, n, count):
     assert len(keys) == n * len(us.names)
     assert den == math.lcm(*(cap.exact_form[1] for _, cap in us.capacities))
     for f in (_act(rng, space), constant_act(space, Fraction(-4, 7)), Act(space, (0,) * n)):
-        got = xi(us, f)
-        assert got.values == _per_capacity(us, f)
-        assert got.values == tuple(choquet_sum(cap.value, f) for _, cap in us.capacities)
+        assert xi(us, f).values == _per_capacity(us, f)
+    _assert_per_capacity(us, _act(rng, space))
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.booleans())

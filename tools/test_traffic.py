@@ -19,18 +19,17 @@ def _function(module, name):
 def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrature():
     missed, failures = traffic.unrun(["urn"], seed=1)
     assert failures == []
-    xi = _function(uncertainty, "xi")
     # xi integrates the act against all of the urn's tables at once
-    loop = next(node for node in ast.walk(xi) if isinstance(node, ast.For))
+    loop = next(node for node in ast.walk(_function(uncertainty, "xi"))
+                if isinstance(node, ast.For))
     assert loop.body[0].lineno not in missed["uncertainty.py"]
-    # and each weight layer of X and Y, one mass vector, as a row of its
-    # batch, not through the mass-vector return of integral_form
-    rows = next(node for node in ast.walk(xi)
-                if isinstance(node, ast.If) and "len(keys)" in ast.unparse(node.test))
-    assert not {line.lineno for line in rows.body} & set(missed["uncertainty.py"])
-    mass_branch = next(node for node in ast.walk(_function(choquet, "integral_form"))
+    # and each weight layer of X and Y, one mass vector, by the exact mass
+    # branch of choquet_integral: one dot product
+    mass_branch = next(node for node in ast.walk(_function(choquet, "choquet_integral"))
                        if isinstance(node, ast.If) and "_masses" in ast.unparse(node.test))
-    assert mass_branch.body[0].lineno in missed["choquet.py"]
+    exact = mass_branch.body[0]
+    assert "act is not None" in ast.unparse(exact.test)
+    assert exact.body[0].lineno not in missed["choquet.py"]
     quadrature = traffic.executable_lines(hierarchy._gauss_legendre_01.__code__)
     assert quadrature and quadrature <= set(missed["hierarchy.py"])
 
