@@ -63,8 +63,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def format_number(x: Number, backend: str) -> str:
+    """A result as report text, exact in the rational backend.  An exact
+    one may have more digits than the interpreter turns into text by
+    default (thousands at alpha = 1000), so that limit is lifted only while
+    it is written; flags and space files are parsed under it."""
     if backend == "rational" and is_exact(x):
-        return str(Fraction(x))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(Fraction(x))
+        finally:
+            sys.set_int_max_str_digits(limit)
     return f"{float(x):.12g}"
 
 

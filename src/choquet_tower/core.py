@@ -331,8 +331,11 @@ class Act(Value, Frozen):
 
     An act is built from its values or from ``form`` = (numerators,
     denominator), checked by ``_checked_form``.  It derives the other on
-    first use: the form by ``_exact_form``, the values as Fractions.  Sums,
-    differences and exact multiples of acts with forms stay on integers.
+    first use: the form by ``_exact_form``, the values as Fractions.  A list
+    of numerators that the check leaves reduced is kept as given, not
+    copied, as ``Capacity`` keeps its list: the caller hands it over and
+    does not change it afterwards.  Sums, differences and exact multiples of
+    acts with forms stay on integers.
     """
 
     _value = ("space", "values")
@@ -343,7 +346,9 @@ class Act(Value, Frozen):
             raise TypeError("give an act's values or its exact form, not both")
         if form is not None:
             nums, den = _checked_form(form, len(space))
-            self.__dict__.update(space=space, exact_form=(list(nums), den))
+            if type(nums) is not list:
+                nums = list(nums)
+            self.__dict__.update(space=space, exact_form=(nums, den))
             return
         if len(values) != len(space):
             raise SpaceMismatchError(

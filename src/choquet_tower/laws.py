@@ -18,7 +18,7 @@ from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
                        substitution_check)
 from .choquet import chain_act, choquet_integral, choquet_sum
 from .core import (Act, Capacity, FiniteSpace, Frozen, PointMap, _cover_slices,
-                   additive_capacity, pushforward, validate_capacity)
+                   additive_capacity, indicator, pushforward, validate_capacity)
 from .ellsberg import UrnParams, build_sequence, standard_acts
 from .tower import (GridTower, ProjectiveVector, build_tower, iota, project,
                     projective_consistency)
@@ -216,6 +216,10 @@ def run_choquet_suite(seed: int = 7, trials: int = 500,
             return f"(g + h) - g != h on {space.points}"
         if choquet_integral(u, f) < choquet_integral(u, g):
             return f"I(f) < I(g) for f >= g on {space.points}"
+        # the dense table integrates the indicator of h's support to its value
+        support = sum(1 << i for i, v in enumerate(h.exact_form[0]) if v > 0)
+        if choquet_integral(u, indicator(space, support)) != u.value(support):
+            return f"I(1_A) != u(A) on {space.points}"
         return None
 
     def comonotonic_additivity(rng):

@@ -67,18 +67,21 @@ class UncertaintySpace(Frozen):
     A space is built from (name, capacity) pairs, or by ``of_tables`` from
     dense tables given as one batch, which is all the space keeps: its
     capacities, ``capacity`` and ``name_of`` are built from the batch on
-    first use.  Every check acts before the space is returned.
+    first use.  A space of one capacity from pairs has nothing to separate,
+    so its index for ``name_of`` is built on first use too.  Every check
+    acts before the space is returned.
     """
 
     def __init__(self, base: FiniteSpace, capacities: tuple[tuple[str, Capacity], ...]):
         names = _name_space([name for name, _ in capacities])
         for name, cap in capacities:
             _require_same_space(cap.space, base)
-        index, pair = _name_index(capacities)
-        if pair is not None:
-            raise _duplicate(pair)
-        self.__dict__.update(base=base, capacities=capacities, _capacity_space=names,
-                             _name_of=index)
+        if len(capacities) > 1:
+            index, pair = _name_index(capacities)
+            if pair is not None:
+                raise _duplicate(pair)
+            self.__dict__["_name_of"] = index
+        self.__dict__.update(base=base, capacities=capacities, _capacity_space=names)
 
     @classmethod
     def of_tables(cls, base: FiniteSpace, names: tuple[str, ...],
@@ -88,18 +91,23 @@ class UncertaintySpace(Frozen):
 
         The batch is checked by ``validate_tables``.  Over one denominator
         two tables are the same set function exactly when their rows are
-        equal, so the tables are distinct when their rows, read across the
-        columns ``keys[m::2**n]``, are; only a batch with a repeat builds
-        its capacities, to name the first pair as the constructor does.
+        equal.  A column ``keys[m::2**n]`` whose entries are pairwise
+        distinct proves every row distinct, so separation is decided on the
+        first such column (for the urn, the column of B); the end columns
+        hold 0 and ``den`` in every checked table and are not read.  Only
+        when no column separates are the rows compared as tuples, and only
+        a batch with a repeat builds its capacities, to name the first pair
+        as the constructor does.
         """
         keys, den = validate_tables(base, keys, den)
         names_space = _name_space(names)
-        size = 1 << len(base)
-        if len(keys) != len(names) * size:
-            raise ValueError(f"{len(names)} capacity names for "
+        size, count = 1 << len(base), len(names)
+        if len(keys) != count * size:
+            raise ValueError(f"{count} capacity names for "
                              f"{len(keys) // size} tables")
-        if len(set(zip(*(keys[m::size] for m in range(size))))) != len(names):
-            raise _duplicate(_name_index(zip(names, table_capacities(base, keys, den)))[1])
+        if not any(len(set(keys[m::size])) == count for m in range(1, size - 1)):
+            if len(set(zip(*(keys[m::size] for m in range(size))))) != count:
+                raise _duplicate(_name_index(zip(names, table_capacities(base, keys, den)))[1])
         us = cls.__new__(cls)
         us.__dict__.update(base=base, _capacity_space=names_space, batch=(keys, den))
         return us
@@ -169,11 +177,16 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
     """Choquet expectation act: each capacity reports its integral of f.
 
     An exact act on a space whose ``batch`` holds dense tables is
-    integrated against every table at once, over the batch's denominator
-    times the act's: each step of the act's exact chain times the batch's
-    column of that step's level set, ``keys[cum::2**n]``, summed over the
-    chain.  Otherwise (mass vectors, mixed kinds, floats) each value is
-    ``choquet_integral``.
+    integrated against every table at once: each step of the act's exact
+    chain times the batch's column of that step's level set,
+    ``keys[cum::2**n]``, summed over the chain, starting from the first
+    step's column.  The steps and the denominator, the batch's times the
+    act's, are first divided by their gcd g, so a step that becomes 1 takes
+    its column as it stands (each of the urn's bets has one such step), and
+    the act's door divides the numerators only by a factor g left, as that
+    of a constant column.  The zero act, whose chain is empty, integrates
+    to zeros over 1.  Otherwise (mass vectors, mixed kinds, floats) each
+    value is ``choquet_integral``.
     """
     _require_same_space(f.space, us.base)
     n = len(us.base)
@@ -183,11 +196,18 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))
     keys, den = batch
     cums, steps, act_den = f.exact_chain
+    if not steps:
+        return Act(us.capacity_space, form=([0] * len(us.names), 1))
+    g = math.gcd(act_den * den, *steps)
     # one lazy sum over the chain, so only the numerators are kept
-    nums = repeat(0, len(us.names))
+    nums = None
     for cum, step in zip(cums, steps):
-        nums = map(add, nums, map(mul, keys[cum::1 << n], repeat(step)))
-    return Act(us.capacity_space, form=(list(nums), act_den * den))
+        column = keys[cum::1 << n]
+        if step != g:
+            column = map(mul, column, repeat(step // g))
+        nums = column if nums is None else map(add, nums, column)
+    return Act(us.capacity_space,
+               form=(nums if type(nums) is list else list(nums), act_den * den // g))
 
 
 class GTransform(Frozen):

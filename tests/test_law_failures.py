@@ -7,8 +7,9 @@ before any drawn value it quotes.  Together the cases reach every line of
 ``laws`` that returns a failure message.  A kernel that raises inside a
 trial is that trial's failure, named by the exception's type and message,
 while an error raised as a suite is set up stays exit 1.  The exact branch
-of ``choquet_integral`` for one stored form, halved, fails a law suite, and
-for mass vectors the urn's closed-form check too.  For the urn, a shifted
+of ``choquet_integral`` for one stored form, halved, fails a law suite
+(for dense tables ``choquet`` and ``retraction``), and for mass vectors the
+urn's closed-form check too.  For the urn, a shifted
 closed form is the verdict "disagrees with the closed form" and exits 2 on
 both the alpha = 1 and the alpha > 1 branch.
 """
@@ -233,6 +234,15 @@ def test_a_halved_dense_integral_fails_retraction_with_exit_3(monkeypatch, capsy
     assert code == 3
     assert by_law["monotone-composition"]["first_failure"].startswith(
         "NormalizationError: need table(empty)=0 and table(full)=1")
+
+
+def test_a_halved_dense_integral_fails_choquet_monotonicity_with_exit_3(monkeypatch, capsys):
+    # the indicator of the drawn h's support no longer integrates to its value
+    _halve_exact(monkeypatch, masses=False)
+    code, by_law = _run(capsys, ["laws", "choquet", "--seed", "7"])
+    assert code == 3
+    assert by_law["monotonicity"]["first_failure"].startswith("I(1_A) != u(A) on ")
+    assert [name for name, law in by_law.items() if law["failures"]] == ["monotonicity"]
 
 
 @pytest.mark.parametrize("suite, law, start", [

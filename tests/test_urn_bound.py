@@ -3,10 +3,12 @@
 Each of ``--big-n`` and ``--alpha`` has its own bound, but together they
 could ask for unbounded work: ``build_sequence`` refuses a variant whose
 ``UrnParams.work`` exceeds ``MAX_URN_WORK``, and the CLI prints one error
-line and exits 1.
+line and exits 1.  An urn the budget admits prints its report, however many
+digits its exact values hold.
 """
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -18,8 +20,8 @@ from choquet_tower.ellsberg import MAX_URN_WORK, UrnParams, build_sequence, para
 
 U1 = Fraction(3, 5)
 #: per variant and alpha, the largest N the budget admits; each ran in
-#: 2.9-6.8 s on a 2-CPU container under Python 3.11 (a whole alpha 4.2-5.5 s,
-#: alpha 1.5 2.9-6.8 s)
+#: 2.7-5.7 s, in process on a 2-CPU container under Python 3.11 (a whole
+#: alpha 2.7-3.8 s, peak RSS 54-335 MB; alpha 1.5 4.1-5.7 s, 33-153 MB)
 LARGEST = {("X", 2): 422534, ("X", 1000): 12042, ("X", 1.5): 19999,
            ("Y", 2): 28408, ("Y", 1000): 4134, ("Y", 1.5): 3515,
            ("Z", 2): 422534, ("Z", 1000): 12042, ("Z", 1.5): 19999}
@@ -88,3 +90,27 @@ def test_x_and_z_at_n_5000_run(variant, layer, capsys):
     assert main(["ellsberg", "--variant", variant, "--big-n", "5000", "--alpha", "2",
                  "--u1", "0.6", "--layer", layer]) == 0
     assert '"verdict": "supports modal preference"' in capsys.readouterr().out
+
+
+
+@pytest.mark.parametrize("layer,fmt", [("2", "json"), ("1", "csv")])
+def test_an_admitted_urn_prints_results_longer_than_the_digit_limit(layer, fmt, capsys):
+    # at alpha = 1000 an exact value has more digits than the interpreter
+    # converts to text by default: 6^1000 has 779, above 640, the least
+    # limit it accepts
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["ellsberg", "--variant", "X", "--big-n", "3", "--alpha", "1000",
+                     "--u1", "0.6", "--layer", layer, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert sys.get_int_max_str_digits() == 640
+        # a flag is still parsed under the limit
+        with pytest.raises(SystemExit) as exit_:
+            main(["ellsberg", "--variant", "X", "--big-n", "9" * 700, "--alpha", "2",
+                  "--u1", "0.6", "--layer", "2"])
+        assert exit_.value.code == 1 and "invalid int value" in capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and err == ""
+    assert max(map(len, out.replace(",", "\n").split("\n"))) > 779

@@ -6,8 +6,11 @@ dense tables with mixed denominators, whose ``batch`` joins them over their
 lcm, and on the same tables handed over as one batch
 (``UncertaintySpace.of_tables``); on a one-point base, where a table has 2
 entries and a mass vector 1, and on a single capacity; on the constant and
-all-zero acts.  A space of mass vectors with mixed denominators has a batch,
-which ``mu`` reads, but ``xi`` integrates each of its capacities with
+all-zero acts, the last with an empty chain.  The steps of a chain are
+divided by their gcd with the result's denominator before any column is
+multiplied, so the form must be the door's reduction of the unreduced sum,
+also when the steps share factors with the denominator.  A space of mass
+vectors with mixed denominators has a batch, which ``mu`` reads, but ``xi`` integrates each of its capacities with
 ``choquet_integral``, as it does on a space mixing tables and masses, or
 holding a float, which has no batch.  ``mu`` over a batch of additive dense
 tables reads their singleton entries and must agree with its defining table.
@@ -20,7 +23,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choquet_tower import uncertainty
+from choquet_tower import core, uncertainty
 from choquet_tower.category import mu
 from choquet_tower.choquet import choquet_integral, choquet_sum
 from choquet_tower.core import (Act, additive_capacity, constant_act, make_space,
@@ -92,6 +95,55 @@ def test_xi_on_dense_tables_matches_choquet_sum_per_capacity(seed, n, count):
         assert xi(batch, f).exact_form == got.exact_form
 
 
+def _unreduced(us, f):
+    """xi's form before any reduction: every step of f's chain times its
+    column of the batch, over the batch's denominator times f's."""
+    keys, den = us.batch
+    cums, steps, act_den = f.exact_chain
+    size = 1 << len(us.base)
+    nums = [sum(step * keys[(k << len(us.base)) + cum] for cum, step in zip(cums, steps))
+            for k in range(len(keys) // size)]
+    return nums, act_den * den
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=5),
+       st.integers(min_value=2, max_value=30))
+@settings(max_examples=80, deadline=None)
+def test_steps_sharing_factors_with_the_denominator_reduce_as_the_door_does(seed, n, count):
+    # every numerator of the act a multiple of a factor of the batch's
+    # denominator times the act's, so the chain's steps share it too
+    rng = random.Random(seed)
+    space = make_space([f"p{i}" for i in range(n)])
+    us = _batch_space_of(_space_of(space, _checked(space, _tables(rng, n, count))))
+    den = us.batch[1]
+    act_den = rng.choice([1, 2, 3, 4, 6, 12])
+    factor = rng.choice([d for d in range(1, 13) if den * act_den % d == 0])
+    for _ in range(4):
+        nums = [factor * rng.randint(-6, 6) for _ in range(n)]
+        f = Act(space, form=(nums, act_den))
+        got = xi(us, f)
+        want = core._reduced(*_unreduced(us, f))
+        assert got.exact_form == (list(want[0]), want[1])
+        assert got.values == _per_capacity(us, f)
+
+
+def test_steps_that_reduce_to_one_take_their_columns_as_they_stand(monkeypatch):
+    # (6/5, 3/5, 0) has the steps 3 and 3 over 5; with the batch over 3 the
+    # gcd is 3, so both columns are added unmultiplied, over 5
+    space = make_space(["a", "b", "c"])
+    tables = [[0, 1, 1, 2, 1, 2, 2, 3], [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 0, 1, 1, 3]]
+    us = UncertaintySpace.of_tables(space, ("x", "y", "z"),
+                                    [x for t in tables for x in t], 3)
+    f = Act(space, (Fraction(6, 5), Fraction(3, 5), 0))
+    assert f.exact_chain == ((1, 3), (3, 3), 5)
+    products = []
+    monkeypatch.setattr(uncertainty, "mul", lambda a, b: products.append(a) or a * b)
+    got = xi(us, f)
+    assert products == []
+    assert got.exact_form == ([3, 1, 2], 5)
+    assert got.values == _per_capacity(us, f)
+
+
 def test_the_constant_and_zero_acts_integrate_to_themselves():
     rng = random.Random(5)
     space = make_space(["a", "b", "c"])
@@ -100,9 +152,21 @@ def test_the_constant_and_zero_acts_integrate_to_themselves():
     for built in (us, _batch_space_of(us)):
         count = len(built.names)
         assert xi(built, constant_act(space, Fraction(7, 3))).values == (Fraction(7, 3),) * count
-        zero = xi(built, Act(space, (0, 0, 0)))
-        assert zero.values == (0,) * count
-        assert zero.exact_form[0] == [0] * count
+        for zero in (Act(space, (0, 0, 0)), Act(space, form=([0, 0, 0], 7))):
+            assert zero.exact_chain == ((), (), 1)
+            got = xi(built, zero)
+            assert got.values == (0,) * count
+            assert got.exact_form == ([0] * count, 1)
+
+
+def test_an_act_keeps_the_list_form_it_is_given():
+    space = make_space(["a", "b", "c"])
+    nums = [3, -1, 4]
+    assert Act(space, form=(nums, 5)).exact_form[0] is nums
+    # a form the door reduces, or a tuple, is stored as a new list
+    assert Act(space, form=([6, -2, 8], 10)).exact_form == ([3, -1, 4], 5)
+    tuple_form = Act(space, form=((3, -1, 4), 5)).exact_form
+    assert type(tuple_form[0]) is list and tuple_form == ([3, -1, 4], 5)
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=5))
