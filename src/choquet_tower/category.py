@@ -159,26 +159,25 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     integral of the evaluation act of A under v.  Additive v over additive
     capacities yields an additive result, computed in mass space as
     w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base,
-    skipping zero weights.  With exact weights and a ``us.batch`` it runs on
-    integer numerators: capacity j's row is ``keys[j*n:(j+1)*n]`` in a batch
-    of mass vectors, the singleton entries ``keys[j*2**n + 2**i]`` in one of
-    dense tables.  Otherwise the result is that defining table, checked by
-    ``validate_capacity``, which derives its exact form from the values.
+    skipping zero weights: the unit laws average point masses over levels
+    of up to 1540 points.  With exact weights and a ``us.batch`` it runs on
+    integer numerators, point i's column of singleton entries being
+    ``columns[i]`` in a batch of mass vectors and ``columns[1 << i]`` in one
+    of dense tables.  Otherwise the result is that defining table, checked
+    by ``validate_capacity``, which derives its exact form from the values.
     """
     _require_same_space(v.space, us.capacity_space)
     if v.is_additive and us.is_additive:
         n = len(us.base)
         if v.exact_form and us.batch:
-            (keys, den), weights = us.batch, v._singleton_keys()
-            size = len(keys) // len(us.names)
+            (columns, den), weights = us.batch, v._singleton_keys()
+            if len(columns) != n:
+                columns = [columns[1 << i] for i in range(n)]
         else:
-            keys = [m for _, cap in us.capacities for m in cap.singleton_masses()]
-            den, size, weights = None, n, v.singleton_masses()
-        singles = range(n) if size == n else [1 << i for i in range(n)]
-        sums = [0] * n
-        for start, weight in zip(range(0, len(keys), size), weights):
-            if weight:
-                sums = [s + weight * keys[start + i] for s, i in zip(sums, singles)]
+            columns = list(zip(*(cap.singleton_masses() for _, cap in us.capacities)))
+            den, weights = None, v.singleton_masses()
+        terms = [(j, w) for j, w in enumerate(weights) if w]
+        sums = [sum(w * column[j] for j, w in terms) for column in columns]
         if den:
             return additive_capacity(us.base, form=(sums, den * v._den))
         return additive_capacity(us.base, sums)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -43,6 +44,8 @@ class RunConfig(Frozen):
                  format: str = "json", out: Optional[str] = None):
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(tolerance):
+            raise ValueError("tolerance must be finite")
         if trials < 1:
             raise ValueError("trials must be at least 1")
         self.__dict__.update(command=command, seed=seed, trials=trials,

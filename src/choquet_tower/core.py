@@ -20,7 +20,7 @@ import re
 import struct
 from functools import cache
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, attrgetter, gt, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -41,10 +41,6 @@ MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 #: most characters of a value's text that an error message quotes
 ECHO_CHARS = 40
-#: most table entries ``_packed_monotone`` packs into one int, unless one
-#: table is longer: the ints it holds at once stay near 1 MB for a batch of
-#: any length, and runs of 2**12 or 2**14 measured no faster
-PACK_ENTRIES = 1 << 16
 
 
 class EmptySpaceError(ValueError):
@@ -334,8 +330,10 @@ class Act(Value, Frozen):
     first use: the form by ``_exact_form``, the values as Fractions.  A list
     of numerators that the check leaves reduced is kept as given, not
     copied, as ``Capacity`` keeps its list: the caller hands it over and
-    does not change it afterwards.  Sums, differences and exact multiples of
-    acts with forms stay on integers.
+    does not change it afterwards.  So an act that ``xi`` builds from one
+    column of a space's batch as it stands shares that column's list;
+    neither the act nor the space changes it.  Sums, differences and exact
+    multiples of acts with forms stay on integers.
     """
 
     _value = ("space", "values")
@@ -694,18 +692,16 @@ def _table_is_additive(keys: Sequence, tol: float) -> bool:
 
 
 @cache
-def _cover_slices(n: int, tables: int = 1) -> tuple[tuple[int, slice, slice], ...]:
-    """Slice pairs that together pair every mask lacking point i with the
-    mask adding it, point by point: (i, lo, hi), over ``tables`` tables of
-    2**n entries joined end to end.
+def _cover_slices(n: int) -> tuple[tuple[int, slice, slice], ...]:
+    """Slice pairs of a table's 2**n masks that together pair every mask
+    lacking point i with the mask adding it, point by point: (i, lo, hi).
 
     Within a pair, masks ascend.  A point with few masks per run of 2h
     (h = 2**i) strides over whole runs, one pair per offset; one with long
     runs takes one pair per run, so no point needs more than sqrt(2**n)
-    pairs a table.  Every stride 2h divides a table's length, so no pair
-    joins masks of two tables.  The plan is built once per shape.
+    pairs.  The plan is built once per n.
     """
-    size = tables << n
+    size = 1 << n
     pairs = []
     for i in range(n):
         h = 1 << i
@@ -719,61 +715,54 @@ def _cover_slices(n: int, tables: int = 1) -> tuple[tuple[int, slice, slice], ..
 
 
 def _packed_monotone(n: int, keys: Sequence) -> bool:
-    """True if no entry of ``keys`` exceeds the entry at its index with a
-    point added, decided in whole-table integer passes; False if one may,
-    or if the keys are not all ints in [0, 2**31).
+    """True if no entry of a table of 2**n ``keys`` exceeds the entry at its
+    mask with a point added, decided in whole-table integer passes; False if
+    one may, or if the keys are not all ints in [0, 2**31).
 
-    The keys (tables of 2**n entries joined end to end) are taken
-    ``PACK_ENTRIES`` at a time, or a table at a time where tables are
-    longer.  Each run is packed into one int, a signed field of w bytes an
-    entry, the narrowest that holds the run; a key in range leaves its
-    field's top (guard) bit clear.  For point i the run shifted down by
-    2**i fields, plus a guard bit in every field, less the run, holds
-    2**(8w-1) + above - below in each field and never borrows, so a
-    cleared guard bit at an index lacking i is a decrease.  The per-point
-    patterns of those guard bits are built per run: kept for 16 points
-    they would hold about 2 MB.
+    The table is packed into one int, a signed field of w bytes an entry,
+    the narrowest that holds it; a key in range leaves its field's top
+    (guard) bit clear.  For point i the table shifted down by 2**i fields,
+    plus a guard bit in every field, less the table, holds
+    2**(8w-1) + above - below in each field and never borrows, so a cleared
+    guard bit at a mask lacking i is a decrease.  The per-point patterns of
+    those guard bits are built per call: kept for 16 points they would hold
+    about 2 MB.
     """
-    step = max(1 << n, PACK_ENTRIES)
-    for start in range(0, len(keys), step):
-        run = keys[start:start + step]
-        # 8-byte fields measured slower than the sweep; ``struct`` is loaded
-        # at start-up, where ``array`` would add a module
-        for code, width in (("h", 2), ("i", 4)):
-            try:
-                packed = struct.pack(f"<{len(run)}{code}", *run)
-                break
-            except struct.error:
-                continue  # a key out of range, a float or a Fraction
-        else:
+    # 8-byte fields measured slower than the sweep; ``struct`` is loaded
+    # at start-up, where ``array`` would add a module
+    for code, width in (("h", 2), ("i", 4)):
+        try:
+            packed = struct.pack(f"<{len(keys)}{code}", *keys)
+            break
+        except struct.error:
+            continue  # a key out of range, a float or a Fraction
+    else:
+        return False
+    table = int.from_bytes(packed, "little")
+    guard, zero = bytes(width - 1) + b"\x80", bytes(width)
+    guards = int.from_bytes(guard * len(keys), "little")
+    if table & guards:
+        return False  # a negative key
+    below = guards - table
+    for i in range(n):
+        h = 1 << i
+        lacking = int.from_bytes((guard * h + zero * h) * (len(keys) >> i + 1), "little")
+        if (table >> 8 * width * h) + below & lacking != lacking:
             return False
-        table = int.from_bytes(packed, "little")
-        guard, zero = bytes(width - 1) + b"\x80", bytes(width)
-        guards = int.from_bytes(guard * len(run), "little")
-        if table & guards:
-            return False  # a negative key
-        below = guards - table
-        for i in range(n):
-            h = 1 << i
-            lacking = int.from_bytes((guard * h + zero * h) * (len(run) >> i + 1), "little")
-            if (table >> 8 * width * h) + below & lacking != lacking:
-                return False
     return True
 
 
 def _first_decrease(n: int, keys: Sequence, tol: float) -> Optional[tuple[int, int]]:
-    """The first pair (index, point i) in that order whose entry exceeds,
-    beyond ``tol``, the entry at index | 1 << i, or None: the one
-    monotonicity sweep.  ``keys`` may join tables of 2**n entries end to
-    end; cover pairs suffice, and never pair entries of two tables.  Exact
-    int keys that ``_packed_monotone`` finds monotone skip the sweep; any
-    other keys, and a table it flags, are swept, so the witness is the
-    sweep's."""
+    """The first pair (mask, point i) in that order whose entry in a table of
+    2**n ``keys`` exceeds, beyond ``tol``, the entry at mask | 1 << i, or
+    None: the one monotonicity sweep, over cover pairs alone.  Exact int
+    keys that ``_packed_monotone`` finds monotone skip the sweep; any other
+    keys, and a table it flags, are swept, so the witness is the sweep's."""
     if tol == 0 and _packed_monotone(n, keys):
         return None
     first = None
     masks = range(len(keys))
-    for i, lo, hi in _cover_slices(n, len(keys) >> n):
+    for i, lo, hi in _cover_slices(n):
         below, above = keys[lo], keys[hi]
         # a C-speed scan skips monotone slices: a 16-point table checks in 27 ms, not 33-38
         if not any(map(gt, below, above)):
@@ -849,17 +838,15 @@ def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence, None] 
     capacities given by their masses go through ``additive_capacity``
     instead.  A caller that holds the table's exact form hands it over as
     ``form`` = (numerators, denominator) in mask order, in place of the
-    table: a batch of one for ``validate_tables``, which keeps the list.
-    Either way what the capacity stores goes through the normalization and
-    monotonicity checks.
+    table: ``_checked_form`` checks and reduces it, and the capacity keeps
+    a list it leaves reduced.  Either way what the capacity stores goes
+    through the normalization and monotonicity checks of ``_checked_table``.
     """
     check_dense_size(space)
     if (table is None) == (form is None):
         raise TypeError("give a capacity's table or its exact form, not both")
     if form is not None:
-        nums, den = form
-        _check_count(nums, 1 << len(space))
-        return table_capacities(space, *validate_tables(space, nums, den))[0]
+        return _checked_table(space, *_checked_form(form, 1 << len(space)))
     full = space.full_mask
     if isinstance(table, Mapping):
         dense: list = [None] * (full + 1)
@@ -875,45 +862,49 @@ def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence, None] 
     return _checked_table(space, table)
 
 
-def validate_tables(space: FiniteSpace, keys: Sequence[int], den: int
-                    ) -> tuple[Sequence[int], int]:
+def validate_tables(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
+                    ) -> tuple[Sequence[Sequence[int]], int]:
     """Check dense tables on one space as one batch, and return the batch.
 
-    The batch is one list of int numerators over one denominator: table k
-    is ``keys[k << n:(k + 1) << n]`` in mask order (n points), so
-    ``keys[m::2**n]`` is the column of mask m.  It is checked in whole-batch
-    passes: the length is a multiple of 2**n, every numerator an int (one
-    type scan), ``den`` a nonzero int, every table's first entry 0 and its
-    last ``den``, and one ``_first_decrease`` call covers the whole list.
-    The list is returned as given, or negated with a negative ``den``, so
-    the denominator returned is positive.  A batch that fails goes through
-    the one-table path (``_checked_form``, then the checks of
-    ``_checked_table``) a table at a time, so it raises what its first bad
-    table raises alone.
+    The batch is stored as its mask columns over one denominator:
+    ``columns[m][k]`` is table k's int numerator on mask m, so a table is a
+    row, ``[c[k] for c in columns]``.  The columns are checked as a whole:
+    there are 2**n of them, all of one length; one type scan finds only
+    ints; ``den`` is a nonzero int; the empty set's column is all 0 and the
+    full set's all ``den``; and for each slice pair of ``_cover_slices``
+    one C-speed pass over the joined columns of either slice finds no
+    decrease, at most n * sqrt(2**n) passes for any number of tables.  The
+    columns are returned as given, or negated with a negative ``den``, so
+    the denominator returned is positive.  A batch that fails is checked
+    again a row at a time on the one-table path (``_checked_form``, then
+    ``_checked_table``), so it raises what its first bad table raises
+    alone; a row whose columns end early is short, so a ragged or missing
+    column is a count error.
     """
     check_dense_size(space)
     n = len(space)
-    size, count = 1 << n, len(keys) >> n
-    whole = (len(keys) == count << n and type(den) is int and den != 0
-             and set(map(type, keys)) <= {int})
+    count = len(columns[0]) if columns else 0
+    whole = (len(columns) == 1 << n and all(len(c) == count for c in columns)
+             and type(den) is int and den != 0
+             and set(map(type, chain.from_iterable(columns))) <= {int})
     if whole and den < 0:
-        keys, den = [-k for k in keys], -den
-    if not (whole and keys[::size].count(0) == count
-            and keys[size - 1::size].count(den) == count
-            and _first_decrease(n, keys, 0) is None):
-        for start in range(0, len(keys), size):
-            _checked_table(space, *_checked_form((keys[start:start + size], den), size))
-    return keys, den
+        columns, den = [[-x for x in c] for c in columns], -den
+    if not (whole and columns[0].count(0) == count and columns[-1].count(den) == count
+            and not any(any(map(gt, chain.from_iterable(columns[lo]),
+                                chain.from_iterable(columns[hi])))
+                        for _, lo, hi in _cover_slices(n))):
+        for k in range(max(map(len, columns), default=0)):
+            row = [c[k] for c in columns if k < len(c)]
+            _checked_table(space, *_checked_form((row, den), 1 << n))
+    return columns, den
 
 
-def table_capacities(space: FiniteSpace, keys: Sequence[int], den: int) -> list[Capacity]:
+def table_capacities(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
+                     ) -> list[Capacity]:
     """The capacities of a batch that ``validate_tables`` returned, one per
-    table, each on its own form reduced as ``_checked_form`` reduces it; a
-    batch of one keeps its list."""
-    size = 1 << len(space)
-    tables = ([keys] if len(keys) == size
-              else (keys[s:s + size] for s in range(0, len(keys), size)))
-    return [Capacity(space, table=nums, den=d) for nums, d in map(_reduced, tables, repeat(den))]
+    row, each on its own form reduced as ``_checked_form`` reduces it."""
+    return [Capacity(space, table=nums, den=d)
+            for nums, d in map(_reduced, zip(*columns), repeat(den))]
 
 
 def _checked_table(space: FiniteSpace, stored: Sequence, den: Optional[int] = None,

@@ -82,10 +82,9 @@ def build_urn_space(params: UrnParams) -> UncertaintySpace:
     With a whole alpha every table is exact, with integer numerators over
     D = 3H, where H = (2N)^alpha / 2 is whole: in mask order R, B, RB, Y, RY,
     BY they are H, k^alpha, H + k^alpha, (2N-k)^alpha, H + (2N-k)^alpha and
-    2H.  The 2N+1 tables are written as one batch, the column of mask m in
-    ``keys[m::8]`` filled by one slice assignment, and handed over D to
-    ``UncertaintySpace.of_tables``, which checks the batch as one and builds
-    a capacity only when one is asked for.
+    2H.  The 2N+1 tables are written as one batch, a list per mask column,
+    and handed over D to ``UncertaintySpace.of_tables``, which checks the
+    batch as one and builds a capacity only when one is asked for.
     """
     space = make_space(URN_POINTS)
     two_n = 2 * params.big_n
@@ -95,11 +94,9 @@ def build_urn_space(params: UrnParams) -> UncertaintySpace:
         powers = [k ** params.alpha for k in range(two_n + 1)]
         plus = [h + p for p in powers]
         count = len(names)
-        keys = [0] * (8 * count)
-        keys[1::8], keys[6::8], keys[7::8] = [h] * count, [2 * h] * count, [3 * h] * count
-        keys[2::8], keys[3::8] = powers, plus
-        keys[4::8], keys[5::8] = powers[::-1], plus[::-1]
-        return UncertaintySpace.of_tables(space, names, keys, 3 * h)
+        columns = [[0] * count, [h] * count, powers, plus,
+                   powers[::-1], plus[::-1], [2 * h] * count, [3 * h] * count]
+        return UncertaintySpace.of_tables(space, names, columns, 3 * h)
     third = Fraction(1, 3)
     caps = []
     for k in range(two_n + 1):

@@ -11,9 +11,9 @@ against the canonical bitstrings in mask order, a run of keys at a time
 when the file lists them in that order and one lookup a key otherwise, and
 keys and coverage are checked before any value is parsed.  Each distinct
 value is then parsed once, and the exact form of the distinct values is
-derived once; the table goes to ``validate_capacity`` as numerators over
-that denominator, or, with no form, keeps its values and goes through the
-same checks.
+derived once; the table is built as its numerators over that denominator,
+already reduced, or, with no form, keeps its values; either goes through
+the normalization and monotonicity checks of ``core._checked_table``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from typing import Callable, Union
 
 from . import core
 from .core import (Act, Capacity, FiniteSpace, Frozen, Number, SpaceMismatchError,
-                   additive_capacity, check_dense_size, make_space, parse_number,
-                   validate_capacity)
+                   additive_capacity, check_dense_size, make_space, parse_number)
 
 
 class SpaceFile(Frozen):
@@ -148,10 +147,10 @@ def _full_capacity(space: FiniteSpace, raw: dict,
         return core._checked_table(space, list(map(parsed.__getitem__, keys)),
                                    derive=False)
     # numerators over the lcm of the reduced denominators share no factor
-    # with it, so this is the form the table's own values would derive
+    # with it, so this is the form the table's own values would derive:
+    # ints, one per subset, reduced, which no door need check again
     numerator = dict(zip(parsed, form[0]))
-    return validate_capacity(space, form=(list(map(numerator.__getitem__, keys)),
-                                          form[1]))
+    return core._checked_table(space, list(map(numerator.__getitem__, keys)), form[1])
 
 
 def _object(value, what: str) -> dict:

@@ -4,9 +4,10 @@ The capacity list is itself a finite point set one level up, so evaluation
 and Choquet expectation turn acts on the base into acts on the capacities.
 The evaluation act is built from the capacities' values.  When every
 capacity has an exact form and all are dense tables, or all mass vectors,
-the space holds their numerators as one ``batch`` over one denominator:
-``xi`` integrates an exact act against a batch of dense tables at once, and
-``mu`` in ``category`` reads its singleton rows from a batch of either kind.
+the space holds their numerators as one ``batch`` of columns over one
+denominator: ``xi`` integrates an exact act against a batch of dense tables
+at once, and ``mu`` in ``category`` reads its singleton columns from a
+batch of either kind.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from operator import add, mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
-from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, FiniteSpace,
-                   Frozen, Number, Subset, _mask_of, _require_same_space, once,
-                   table_capacities, validate_tables)
+from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, EmptySpaceError,
+                   FiniteSpace, Frozen, Number, Subset, _mask_of, _require_same_space,
+                   once, table_capacities, validate_tables)
 
 
 def _name_index(capacities: Iterable[tuple[str, Capacity]]
@@ -38,12 +39,14 @@ def _duplicate(pair: tuple[str, str]) -> DuplicateLabelError:
 
 
 def _name_space(names: Sequence[str]) -> FiniteSpace:
-    # the capacity names as the point set one level up
-    if not names:
-        raise ValueError("an uncertainty space needs at least one capacity")
-    if len(set(names)) != len(names):
-        raise DuplicateLabelError("capacity names must be unique")
-    return FiniteSpace(tuple(names))
+    # the capacity names as the point set one level up, whose own check
+    # refuses no names or a repeated one
+    try:
+        return FiniteSpace(tuple(names))
+    except EmptySpaceError:
+        raise ValueError("an uncertainty space needs at least one capacity") from None
+    except DuplicateLabelError:
+        raise DuplicateLabelError("capacity names must be unique") from None
 
 
 def check_separated(capacities: Union["UncertaintySpace",
@@ -65,9 +68,9 @@ class UncertaintySpace(Frozen):
     """A finite space plus a named, non-empty list of distinct capacities.
 
     A space is built from (name, capacity) pairs, or by ``of_tables`` from
-    dense tables given as one batch, which is all the space keeps: its
-    capacities, ``capacity`` and ``name_of`` are built from the batch on
-    first use.  A space of one capacity from pairs has nothing to separate,
+    dense tables given as one batch of columns, which is all the space
+    keeps: its capacities, ``capacity`` and ``name_of`` are built from the
+    batch on first use.  A space of one capacity from pairs has nothing to separate,
     so its index for ``name_of`` is built on first use too.  Every check
     acts before the space is returned.
     """
@@ -85,31 +88,31 @@ class UncertaintySpace(Frozen):
 
     @classmethod
     def of_tables(cls, base: FiniteSpace, names: tuple[str, ...],
-                  keys: Sequence[int], den: int) -> "UncertaintySpace":
-        """The space of one named capacity per dense table of a batch: int
-        numerators in mask order, joined end to end, over one denominator.
+                  columns: Sequence[Sequence[int]], den: int) -> "UncertaintySpace":
+        """The space of one named capacity per dense table of a batch, given
+        as its mask columns over one denominator: ``columns[m][k]`` is table
+        k's int numerator on mask m.
 
         The batch is checked by ``validate_tables``.  Over one denominator
         two tables are the same set function exactly when their rows are
-        equal.  A column ``keys[m::2**n]`` whose entries are pairwise
-        distinct proves every row distinct, so separation is decided on the
-        first such column (for the urn, the column of B); the end columns
-        hold 0 and ``den`` in every checked table and are not read.  Only
-        when no column separates are the rows compared as tuples, and only
-        a batch with a repeat builds its capacities, to name the first pair
-        as the constructor does.
+        equal.  A column whose entries are pairwise distinct proves every
+        row distinct, so separation is decided on the first such column
+        (for the urn, the column of B); the end columns hold 0 and ``den``
+        in every checked table and are not read.  Only when no column
+        separates are the rows ``zip(*columns)`` compared, and only a batch
+        with a repeat builds its capacities, to name the first pair as the
+        constructor does.
         """
-        keys, den = validate_tables(base, keys, den)
+        columns, den = validate_tables(base, columns, den)
         names_space = _name_space(names)
-        size, count = 1 << len(base), len(names)
-        if len(keys) != count * size:
-            raise ValueError(f"{count} capacity names for "
-                             f"{len(keys) // size} tables")
-        if not any(len(set(keys[m::size])) == count for m in range(1, size - 1)):
-            if len(set(zip(*(keys[m::size] for m in range(size))))) != count:
-                raise _duplicate(_name_index(zip(names, table_capacities(base, keys, den)))[1])
+        count, tables = len(names), len(columns[0]) if columns else 0
+        if tables != count:
+            raise ValueError(f"{count} capacity names for {tables} tables")
+        if not any(len(set(columns[m])) == count for m in range(1, len(columns) - 1)):
+            if len(set(zip(*columns))) != count:
+                raise _duplicate(_name_index(zip(names, table_capacities(base, columns, den)))[1])
         us = cls.__new__(cls)
-        us.__dict__.update(base=base, _capacity_space=names_space, batch=(keys, den))
+        us.__dict__.update(base=base, _capacity_space=names_space, batch=(columns, den))
         return us
 
     @property
@@ -148,23 +151,23 @@ class UncertaintySpace(Frozen):
         return all(cap.is_additive for _, cap in self.capacities)
 
     @once
-    def batch(self) -> Optional[tuple[list[int], int]]:
-        """Every capacity's stored numerators joined end to end in capacity
-        order, over the lcm of their denominators: 2**n a dense table, n a
-        mass vector, so the length says which kind the batch holds.  None
-        when the capacities mix the kinds or one has no exact form.  ``mu``
-        reads either kind; ``xi`` reads a batch of dense tables only, as a
-        mass vector's integral is one dot product in ``choquet_integral``.
-        A space built by ``of_tables`` holds its own batch; one built from
-        capacities joins theirs on first use."""
+    def batch(self) -> Optional[tuple[list[Sequence[int]], int]]:
+        """Every capacity's stored numerators as columns over the lcm of
+        their denominators: ``columns[j][k]`` is capacity k's numerator at
+        entry j, one column per mask of dense tables (2**n) or per point of
+        mass vectors (n), so the count says which kind the batch holds.
+        None when the capacities mix the kinds or one has no exact form.
+        ``mu`` reads either kind; ``xi`` reads a batch of dense tables only,
+        as a mass vector's integral is one dot product in
+        ``choquet_integral``.  A space built by ``of_tables`` holds its own
+        batch; one built from capacities derives theirs on first use."""
         caps = [cap for _, cap in self.capacities]
         if not all(cap._den for cap in caps) or len({cap._table is None for cap in caps}) > 1:
             return None
         den = math.lcm(*(cap._den for cap in caps))
-        keys: list[int] = []
-        for nums, d in (cap.exact_form for cap in caps):
-            keys += nums if d == den else [n * (den // d) for n in nums]
-        return keys, den
+        rows = [nums if d == den else [n * (den // d) for n in nums]
+                for nums, d in (cap.exact_form for cap in caps)]
+        return list(zip(*rows)), den
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
@@ -179,22 +182,22 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
     An exact act on a space whose ``batch`` holds dense tables is
     integrated against every table at once: each step of the act's exact
     chain times the batch's column of that step's level set,
-    ``keys[cum::2**n]``, summed over the chain, starting from the first
-    step's column.  The steps and the denominator, the batch's times the
-    act's, are first divided by their gcd g, so a step that becomes 1 takes
-    its column as it stands (each of the urn's bets has one such step), and
-    the act's door divides the numerators only by a factor g left, as that
-    of a constant column.  The zero act, whose chain is empty, integrates
+    ``columns[cum]``, summed over the chain, starting from the first step's
+    column.  The steps and the denominator, the batch's times the act's,
+    are first divided by their gcd g, so a step that becomes 1 takes its
+    column as it stands (each of the urn's bets has one such step), and the
+    act's door divides the numerators only by a factor g left, as that of
+    a constant column.  An act whose form is one list column as it stands
+    keeps the batch's list.  The zero act, whose chain is empty, integrates
     to zeros over 1.  Otherwise (mass vectors, mixed kinds, floats) each
     value is ``choquet_integral``.
     """
     _require_same_space(f.space, us.base)
-    n = len(us.base)
     batch = us.batch if f.exact_form is not None else None
-    if batch is None or len(batch[0]) != len(us.names) << n:
+    if batch is None or len(batch[0]) != 1 << len(us.base):
         return Act(us.capacity_space,
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))
-    keys, den = batch
+    columns, den = batch
     cums, steps, act_den = f.exact_chain
     if not steps:
         return Act(us.capacity_space, form=([0] * len(us.names), 1))
@@ -202,7 +205,7 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
     # one lazy sum over the chain, so only the numerators are kept
     nums = None
     for cum, step in zip(cums, steps):
-        column = keys[cum::1 << n]
+        column = columns[cum]
         if step != g:
             column = map(mul, column, repeat(step // g))
         nums = column if nums is None else map(add, nums, column)

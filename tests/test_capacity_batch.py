@@ -1,11 +1,12 @@
-"""``validate_tables`` checks a batch of dense tables over one denominator
-as one.
+"""``validate_tables`` checks a batch of dense tables, stored as its mask
+columns over one denominator, as one.
 
-Its oracle is the per-table loop it replaced: each table of the batch
-through ``validate_capacity(space, form=…)`` in turn, which raises for the
-first bad table.  A good batch must build equal capacities with equal forms
-and hashes; a bad one must raise that table's error class, message and
-witness.
+Its oracle is the per-table loop on the batch's rows: row k of the columns
+(``[c[k] for c in columns]``, short where a column ends early) through
+``validate_capacity(space, form=…)`` in turn, which raises for the first
+bad table.  A good batch must build equal capacities with equal forms and
+hashes; a bad one, also one with a ragged, missing or extra column, must
+raise that table's error class, message and witness.
 """
 
 import math
@@ -21,8 +22,10 @@ from choquet_tower.core import (MonotonicityError, make_space, table_capacities,
                                 validate_capacity, validate_tables)
 from choquet_tower.ellsberg import UrnParams, build_urn_space
 
-#: defects of one table of a batch
+#: defects of one table of a batch ("count" makes its mask's column ragged)
 BAD_KINDS = ("decrease", "empty", "full", "count", "float", "bool")
+#: defects of the batch's columns as a whole
+BAD_COLUMNS = ("short", "long", "missing", "extra")
 #: defects of the batch's one denominator
 BAD_DENS = ("float-den", "zero-den", "negative-den")
 
@@ -69,8 +72,6 @@ def _broken(rng, nums, den, kind):
         nums[0] += 1
     elif kind == "full":
         nums[-1] += 1
-    elif kind == "count":
-        nums = nums[:-1] if rng.random() < 0.5 else nums + [den]
     elif kind == "float":
         nums[rng.randrange(size)] = 0.5
     elif kind == "bool":
@@ -94,18 +95,39 @@ def _outcome(build):
         return None, (type(err), str(err), getattr(err, "witness", None))
 
 
-def _per_table(space, keys, den):
-    size = 1 << len(space)
-    return [validate_capacity(space, form=(keys[s:s + size], den))
-            for s in range(0, len(keys), size)]
+def _rows(columns):
+    """The batch's tables: row k holds each column's entry k, and is short
+    where a column ends before it."""
+    return [[c[k] for c in columns if k < len(c)]
+            for k in range(max(map(len, columns), default=0))]
 
 
-def _batch(space, keys, den):
-    return table_capacities(space, *validate_tables(space, keys, den))
+def _per_table(space, columns, den):
+    return [validate_capacity(space, form=(row, den)) for row in _rows(columns)]
 
 
-def _joined(tables):
-    return [x for nums in tables for x in nums]
+def _batch(space, columns, den):
+    return table_capacities(space, *validate_tables(space, columns, den))
+
+
+def _columns(tables):
+    return [list(column) for column in zip(*tables)]
+
+
+def _ragged(rng, columns, den, kind):
+    """The columns with an entry dropped from or added to one column, or a
+    column dropped or added."""
+    columns = [list(c) for c in columns]
+    m = rng.randrange(len(columns))
+    if kind == "short":
+        del columns[m][rng.randrange(len(columns[m]))]
+    elif kind == "long":
+        columns[m].insert(rng.randrange(len(columns[m]) + 1), rng.choice([0, den]))
+    elif kind == "missing":
+        del columns[m]
+    else:
+        columns.insert(m, list(columns[m]))
+    return columns
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
@@ -115,9 +137,9 @@ def test_a_good_batch_builds_what_the_per_table_loop_builds(seed, n, count):
     rng = random.Random(seed)
     space = _space(n)
     tables, den = _monotone_batch(rng, n, count)
-    keys = _joined(tables)
-    caps = _batch(space, keys, den)
-    oracle = _per_table(space, keys, den)
+    columns = _columns(tables)
+    caps = _batch(space, columns, den)
+    oracle = _per_table(space, columns, den)
     assert len(caps) == count
     for cap, want in zip(caps, oracle):
         assert cap.exact_form == want.exact_form
@@ -137,20 +159,43 @@ def test_a_bad_batch_raises_what_its_first_bad_table_raises(seed, n, count, kind
     tables, den = _monotone_batch(rng, n, count)
     if kind in BAD_DENS:
         tables, den = _broken_den(tables, den, kind)
-    else:
+    elif kind != "count":
         where = rng.randrange(count)
         tables[where] = _broken(rng, tables[where], den, kind)
         if rng.random() < 0.3 and where + 1 < count:
             # a later table bad in another way must not mask the first one
             later = rng.randrange(where + 1, count)
-            tables[later] = _broken(rng, tables[later], den, rng.choice(BAD_KINDS))
-    keys = _joined(tables)
-    _, error = _outcome(lambda: _batch(space, keys, den))
-    _, want = _outcome(lambda: _per_table(space, keys, den))
+            tables[later] = _broken(rng, tables[later], den,
+                                    rng.choice([k for k in BAD_KINDS if k != "count"]))
+    columns = _columns(tables)
+    if kind == "count":
+        columns = _ragged(rng, columns, den, rng.choice(("short", "long")))
+    _, error = _outcome(lambda: _batch(space, columns, den))
+    _, want = _outcome(lambda: _per_table(space, columns, den))
     event(f"{kind}: {want[0].__name__ if want else None}")
     assert error == want
     if kind in ("empty", "full", "count", "float", "bool", "float-den", "zero-den"):
         assert error is not None
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=40), st.sampled_from(("good",) + BAD_COLUMNS))
+@settings(max_examples=150, deadline=None)
+def test_columns_accept_or_refuse_what_the_one_table_path_does(seed, n, count, kind):
+    # the one-table path reads the rows, so a ragged, missing or extra
+    # column is a count error in the first row it leaves short or long
+    rng = random.Random(seed)
+    space = _space(n)
+    tables, den = _monotone_batch(rng, n, count)
+    columns = _columns(tables)
+    if kind != "good":
+        columns = _ragged(rng, columns, den, kind)
+    got = _outcome(lambda: _batch(space, columns, den))
+    want = _outcome(lambda: _per_table(space, columns, den))
+    event(f"{kind}: {want[1][0].__name__ if want[1] else None}")
+    assert (got[1], got[0] and [c.exact_form for c in got[0]]) == (
+        want[1], want[0] and [c.exact_form for c in want[0]])
+    assert (got[1] is None) == (kind == "good")
 
 
 def test_a_decrease_reports_its_own_table_mask_and_values():
@@ -158,26 +203,24 @@ def test_a_decrease_reports_its_own_table_mask_and_values():
     good = [0, 1, 1, 2]
     bad = [0, 4, 1, 2]
     with pytest.raises(MonotonicityError) as err:
-        validate_tables(space, good + good + bad + good, 2)
+        validate_tables(space, _columns([good, good, bad, good]), 2)
     assert err.value.witness == (1, 3)
     assert str(err.value) == "capacity decreases from ('p0',) (2) to ('p0', 'p1') (1)"
 
 
 def test_an_empty_batch_builds_nothing():
-    assert _batch(_space(2), [], 1) == []
+    assert _batch(_space(2), [[], [], [], []], 1) == []
 
 
-def test_the_urn_is_checked_in_one_batch_and_one_sweep(monkeypatch):
-    calls = {"batch": [], "sweep": 0, "single": 0}
-    batch, sweep = uncertainty.validate_tables, core._first_decrease
+def test_the_urn_is_checked_in_one_column_pass(monkeypatch):
+    # the whole-batch passes decide the urn: no table goes down the
+    # one-table path, and the per-table sweep is never reached
+    calls = {"batch": [], "single": 0}
+    batch = uncertainty.validate_tables
 
-    def counted_batch(space, keys, den):
-        calls["batch"].append(len(keys) >> len(space))
-        return batch(space, keys, den)
-
-    def counted_sweep(*args):
-        calls["sweep"] += 1
-        return sweep(*args)
+    def counted_batch(space, columns, den):
+        calls["batch"].append((len(columns), len(columns[0])))
+        return batch(space, columns, den)
 
     def single(*args, **kwargs):
         calls["single"] += 1
@@ -187,7 +230,7 @@ def test_the_urn_is_checked_in_one_batch_and_one_sweep(monkeypatch):
     monkeypatch.setattr(ellsberg, "validate_capacity", single)
     monkeypatch.setattr(core, "_checked_table", single)
     monkeypatch.setattr(core, "_checked_form", single)
-    monkeypatch.setattr(core, "_first_decrease", counted_sweep)
+    monkeypatch.setattr(core, "_first_decrease", single)
     urn = build_urn_space(UrnParams(300, 2, Fraction(3, 5)))
     assert len(urn.capacities) == 601
-    assert calls == {"batch": [601], "sweep": 1, "single": 0}
+    assert calls == {"batch": [(8, 601)], "single": 0}

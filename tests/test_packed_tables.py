@@ -5,14 +5,13 @@ mask order against the per-key lookup they skip.
 The sweep alone is ``_first_decrease`` with the detector switched off; it
 names the least (mask, point) witness and stays the oracle.  The detector
 may only skip the sweep: it answers True exactly for int tables in
-[0, 2**31) that the sweep finds monotone, however it splits them into runs.
+[0, 2**31) that the sweep finds monotone.
 """
 
 import json
 import random
 import re
 from fractions import Fraction
-from itertools import chain
 from unittest import mock
 
 import pytest
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 from choquet_tower import core, spacefile
 from choquet_tower.cli import main
 from choquet_tower.core import make_space
-from choquet_tower.ellsberg import UrnParams, build_urn_space
 from choquet_tower.spacefile import load_space_file
 
 #: field bounds of the detector's packings, and values just around them
@@ -49,9 +47,9 @@ def _monotone(rng, n, offset):
 
 @st.composite
 def batches(draw):
-    """1-5 tables on 1-8 points joined end to end, each from an offset at or
-    around a packing bound, some with one entry raised above a cover or
-    turned into a Fraction or a float."""
+    """1-5 tables on 1-8 points, each from an offset at or around a packing
+    bound, some with one entry raised above a cover or turned into a
+    Fraction or a float."""
     n = draw(st.integers(1, 8))
     rng = random.Random(draw(st.integers(0, 2**32)))
     # half the batches hold ints in range alone, so that most of them pack
@@ -59,7 +57,7 @@ def batches(draw):
         kinds, offsets = ("plain", "decrease"), PACKABLE
     else:
         kinds, offsets = ("plain", "plain", "decrease", "fraction", "float"), OFFSETS
-    keys = []
+    tables = []
     for _ in range(draw(st.integers(1, 5))):
         table = _monotone(rng, n, draw(st.sampled_from(offsets)))
         kind = draw(st.sampled_from(kinds))
@@ -72,18 +70,18 @@ def batches(draw):
             table[mask] = Fraction(table[mask])
         elif kind == "float":
             table[mask] = float(table[mask])
-        keys += table
-    return n, keys
+        tables.append(table)
+    return n, tables
 
 
 @settings(max_examples=300, deadline=None)
-@given(batches(), st.sampled_from([8, 64, core.PACK_ENTRIES]))
-def test_the_detector_agrees_with_the_sweep(case, pack):
-    n, keys = case
-    swept = _sweep(n, keys)
-    packable = all(type(k) is int and 0 <= k < 1 << 31 for k in keys)
-    event(f"packable={packable} monotone={swept is None}")
-    with mock.patch.object(core, "PACK_ENTRIES", pack):
+@given(batches())
+def test_the_detector_agrees_with_the_sweep(case):
+    n, tables = case
+    for keys in tables:
+        swept = _sweep(n, keys)
+        packable = all(type(k) is int and 0 <= k < 1 << 31 for k in keys)
+        event(f"packable={packable} monotone={swept is None}")
         assert core._packed_monotone(n, keys) == (packable and swept is None)
         assert core._first_decrease(n, keys, 0) == swept
 
@@ -105,12 +103,6 @@ def test_keys_past_the_widest_field_go_to_the_sweep(top):
     assert not core._packed_monotone(1, keys)
     assert core._first_decrease(1, keys, 0) is None
     assert core._first_decrease(1, keys[::-1], 0) == (0, 0)
-
-
-def test_the_urn_batch_is_decided_by_the_detector():
-    urn = build_urn_space(UrnParams(300, 2, Fraction(3, 5)))
-    keys = list(chain.from_iterable(cap._table for _, cap in urn.capacities))
-    assert core._packed_monotone(3, keys)
 
 
 # -- space-file keys in mask order ---------------------------------------------

@@ -227,6 +227,9 @@ def test_laws_read_flags_at_their_defaults_change_nothing(args, capsys):
     ["laws", "monad", "--depth", "9"],
     ["laws", "choquet", "--trials", "0"],
     ["counterexample", "monad", "--beta", "2", "--tolerance", "0"],
+    ["counterexample", "monad", "--beta", "2.5", "--backend", "float", "--tolerance", "nan"],
+    ["counterexample", "monad", "--beta", "2.5", "--backend", "float", "--tolerance", "inf"],
+    ["counterexample", "monad", "--beta", "2.5", "--backend", "float", "--tolerance", "1e400"],
     ["laws", "retraction", "--space-size", "1"],
     ["laws", "monad", "--grid", "0"],
     ["laws", "retraction", "--grid", "0"],

@@ -1,7 +1,8 @@
-"""An uncertainty space built from one batch of dense tables
-(``UncertaintySpace.of_tables``) against one built from checked capacities.
+"""An uncertainty space built from one batch of dense tables, given as its
+mask columns (``UncertaintySpace.of_tables``), against one built from
+checked capacities.
 
-The oracle is the one-table path: each table of the batch through
+The oracle is the one-table path: each row of the batch through
 ``_checked_form`` and ``_checked_table`` in turn, then the constructor,
 which checks names and separation on the capacities.  The two must raise
 the same error, message and witness, or build the same named capacities,
@@ -9,7 +10,8 @@ also for batches in which every column repeats an entry, so that
 separation is decided on the rows and not on one column.
 The urn is built as a batch and must build no capacity of its own unless
 one is read; read, its capacities and names are those of the urn built from
-Fraction tables.  Building it allocates little beyond the batch it keeps.
+Fraction tables, and its columns and integrals those of the urn built from
+its capacities.  Building it allocates little beyond the batch it keeps.
 """
 
 import random
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 
 from choquet_tower import core
 from choquet_tower.core import Capacity, _checked_form, make_space, validate_capacity
-from choquet_tower.ellsberg import UrnParams, build_urn_space, ellsberg_report
-from choquet_tower.uncertainty import UncertaintySpace
+from choquet_tower.ellsberg import (UrnParams, build_urn_space, ellsberg_report,
+                                    standard_acts)
+from choquet_tower.uncertainty import UncertaintySpace, xi
 
 KINDS = ("good", "duplicate", "zero-den", "negative-den", "negated", "float",
          "fraction", "length")
@@ -44,40 +47,51 @@ def _monotone_table(rng, n, den):
     return nums
 
 
+def _columns(tables):
+    return [list(column) for column in zip(*tables)]
+
+
+def _rows(columns):
+    # row k holds each column's entry k, and is short where a column ends
+    return [[c[k] for c in columns if k < len(c)]
+            for k in range(max(map(len, columns), default=0))]
+
+
 def _batch(rng, n, count, kind):
-    """Names, joined numerators and denominator of a batch with one defect
-    of the given kind ("good" and "negated" have none)."""
+    """Names, mask columns and denominator of a batch with one defect of
+    the given kind ("good" and "negated" have none)."""
     size = 1 << n
     den = rng.choice([1, 2, 6, 12, 35])
     tables = [_monotone_table(rng, n, den) for _ in range(count)]
     if kind == "duplicate" and count > 1:
         first = rng.randrange(count - 1)
         tables[rng.randrange(first + 1, count)] = list(tables[first])
-    keys = [x for nums in tables for x in nums]
-    where = rng.randrange(len(keys))
+    columns = _columns(tables)
+    column = columns[rng.randrange(size)]
+    where = rng.randrange(count)
     if kind == "zero-den":
         den = 0
     elif kind == "negative-den":
         den = -den
     elif kind == "negated":
-        keys, den = [-x for x in keys], -den
+        columns, den = [[-x for x in c] for c in columns], -den
     elif kind == "float":
-        keys[where] = float(keys[where]) if rng.random() < 0.5 else 0.5
+        column[where] = float(column[where]) if rng.random() < 0.5 else 0.5
     elif kind == "fraction":
-        keys[where] = Fraction(keys[where]) if rng.random() < 0.5 else Fraction(1, 2)
+        column[where] = Fraction(column[where]) if rng.random() < 0.5 else Fraction(1, 2)
     elif kind == "length":
         if rng.random() < 0.5:
-            del keys[where]
+            del column[where]
         else:
-            keys.insert(where, rng.choice([0, den]))
-    names = tuple(f"c{i}" for i in range(-(-len(keys) // size)))
-    return names, keys, den
+            column.insert(where, rng.choice([0, den]))
+    names = tuple(f"c{i}" for i in range(max(map(len, columns))))
+    return names, columns, den
 
 
-def _one_table_path(space, names, keys, den):
+def _one_table_path(space, names, columns, den):
     size = 1 << len(space)
-    caps = [core._checked_table(space, *_checked_form((keys[s:s + size], den), size))
-            for s in range(0, len(keys), size)]
+    caps = [core._checked_table(space, *_checked_form((row, den), size))
+            for row in _rows(columns)]
     return UncertaintySpace(space, tuple(zip(names, caps)))
 
 
@@ -97,9 +111,10 @@ def _outcome(build):
 def test_a_batch_builds_or_refuses_what_the_one_table_path_does(seed, n, count, kind):
     rng = random.Random(seed)
     space = _space(n)
-    names, keys, den = _batch(rng, n, count, kind)
-    got = _outcome(lambda: UncertaintySpace.of_tables(space, names, list(keys), den))
-    want = _outcome(lambda: _one_table_path(space, names, keys, den))
+    names, columns, den = _batch(rng, n, count, kind)
+    got = _outcome(lambda: UncertaintySpace.of_tables(space, names,
+                                                      [list(c) for c in columns], den))
+    want = _outcome(lambda: _one_table_path(space, names, columns, den))
     event(f"{kind}: {want[0] if want[0] == 'space' else want[1].__name__}")
     assert got == want
     if kind in ("zero-den", "negative-den", "float", "fraction", "length"):
@@ -128,11 +143,11 @@ def test_rows_are_compared_when_no_column_separates(seed, n, count, repeat):
     if repeat:
         first = rng.randrange(len(tables))
         tables.insert(rng.randrange(first + 1, len(tables) + 1), tables[first])
-    keys = [x for nums in tables for x in nums]
-    assert all(len(set(keys[m::size])) < len(tables) for m in range(size))
+    columns = _columns(tables)
+    assert all(len(set(column)) < len(tables) for column in columns)
     names = tuple(f"c{i}" for i in range(len(tables)))
-    got = _outcome(lambda: UncertaintySpace.of_tables(space, names, list(keys), 2))
-    want = _outcome(lambda: _one_table_path(space, names, keys, 2))
+    got = _outcome(lambda: UncertaintySpace.of_tables(space, names, columns, 2))
+    want = _outcome(lambda: _one_table_path(space, names, columns, 2))
     event(f"{len(tables)} tables: {want[0] if want[0] == 'space' else want[1].__name__}")
     assert got == want
     assert got[0] == ("error" if repeat else "space")
@@ -144,16 +159,18 @@ def test_a_repeated_table_names_the_first_pair():
     space = _space(2)
     a, b = [0, 1, 1, 2], [0, 0, 1, 2]
     with pytest.raises(core.DuplicateLabelError) as err:
-        UncertaintySpace.of_tables(space, ("x", "y", "z", "w"), a + b + b + a, 2)
+        UncertaintySpace.of_tables(space, ("x", "y", "z", "w"), _columns([a, b, b, a]), 2)
     assert str(err.value) == "capacities 'y' and 'z' have identical tables"
 
 
 def test_names_must_match_the_tables():
     space = _space(1)
     with pytest.raises(ValueError, match="2 capacity names for 3 tables"):
-        UncertaintySpace.of_tables(space, ("x", "y"), [0, 2, 0, 2, 0, 2], 2)
+        UncertaintySpace.of_tables(space, ("x", "y"), [[0, 0, 0], [2, 2, 2]], 2)
     with pytest.raises(core.DuplicateLabelError, match="capacity names must be unique"):
-        UncertaintySpace.of_tables(space, ("x", "x"), [0, 2, 0, 2], 2)
+        UncertaintySpace.of_tables(space, ("x", "x"), [[0, 0], [2, 2]], 2)
+    with pytest.raises(ValueError, match="^an uncertainty space needs at least one capacity$"):
+        UncertaintySpace.of_tables(space, (), [[], []], 2)
 
 
 # -- the urn ------------------------------------------------------------------
@@ -207,9 +224,25 @@ def test_a_batch_built_urn_reads_as_the_urn_built_from_fraction_tables(big_n, al
     assert urn.name_of(validate_capacity(space, (0, 0, 0, 0, 0, 0, 0, 1))) is None
 
 
+@pytest.mark.parametrize("big_n, alpha", [(1, 1), (3, 2), (20, 3)])
+def test_an_urn_built_from_columns_equals_the_urn_built_from_capacities(big_n, alpha):
+    urn = build_urn_space(UrnParams(big_n, alpha, Fraction(1, 2)))
+    caps = tuple((name, validate_capacity(urn.base, form=(list(row), urn.batch[1])))
+                 for name, row in zip(urn.names, zip(*urn.batch[0])))
+    oracle = UncertaintySpace(urn.base, caps)
+    # the columns the oracle derives from its capacities, each reduced alone,
+    # over the lcm of their denominators
+    assert ([list(c) for c in oracle.batch[0]], oracle.batch[1]) == urn.batch
+    assert urn.capacities == oracle.capacities
+    for f in standard_acts(urn.base).values():
+        for act in (f, f.scale(Fraction(3, 5))):
+            assert xi(urn, act) == xi(oracle, act)
+            assert xi(urn, act).exact_form == xi(oracle, act).exact_form
+
+
 def test_building_the_urn_allocates_little_beyond_what_it_keeps():
     # at N = 20000 the 40001 tables hold about 9.7 MB; separating them on the
-    # B column takes about 3.6 MB more at the peak, one tuple per table 9.3 MB
+    # B column takes about 2.6 MB more at the peak, one tuple per table 9.3 MB
     params = UrnParams(20000, 2, Fraction(3, 5))
     tracemalloc.start()
     try:
@@ -217,7 +250,7 @@ def test_building_the_urn_allocates_little_beyond_what_it_keeps():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(urn.batch[0]) == 8 * 40001
+    assert [len(column) for column in urn.batch[0]] == [40001] * 8
     assert peak - held < 6_000_000
 
 

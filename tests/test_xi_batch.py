@@ -2,18 +2,20 @@
 
 The oracle is the definition, the telescoping sum ``choquet_sum`` against
 each capacity's ``value``.  The batched path must agree on spaces of many
-dense tables with mixed denominators, whose ``batch`` joins them over their
-lcm, and on the same tables handed over as one batch
-(``UncertaintySpace.of_tables``); on a one-point base, where a table has 2
-entries and a mass vector 1, and on a single capacity; on the constant and
-all-zero acts, the last with an empty chain.  The steps of a chain are
+dense tables with mixed denominators, whose ``batch`` holds their mask
+columns over their lcm, and on the same columns handed over as one batch
+(``UncertaintySpace.of_tables``); on a one-point base, where a batch of
+tables has 2 columns and one of mass vectors 1, and on a single capacity;
+on the constant and all-zero acts, the last with an empty chain.  A result
+that is one column as it stands keeps the batch's list.  The steps of a chain are
 divided by their gcd with the result's denominator before any column is
 multiplied, so the form must be the door's reduction of the unreduced sum,
 also when the steps share factors with the denominator.  A space of mass
 vectors with mixed denominators has a batch, which ``mu`` reads, but ``xi`` integrates each of its capacities with
 ``choquet_integral``, as it does on a space mixing tables and masses, or
 holding a float, which has no batch.  ``mu`` over a batch of additive dense
-tables reads their singleton entries and must agree with its defining table.
+tables reads their singleton columns and must agree with its defining
+table, also for point-mass weights over columns handed over as one batch.
 """
 
 import math
@@ -98,11 +100,10 @@ def test_xi_on_dense_tables_matches_choquet_sum_per_capacity(seed, n, count):
 def _unreduced(us, f):
     """xi's form before any reduction: every step of f's chain times its
     column of the batch, over the batch's denominator times f's."""
-    keys, den = us.batch
+    columns, den = us.batch
     cums, steps, act_den = f.exact_chain
-    size = 1 << len(us.base)
-    nums = [sum(step * keys[(k << len(us.base)) + cum] for cum, step in zip(cums, steps))
-            for k in range(len(keys) // size)]
+    nums = [sum(step * columns[cum][k] for cum, step in zip(cums, steps))
+            for k in range(len(us.names))]
     return nums, act_den * den
 
 
@@ -133,7 +134,7 @@ def test_steps_that_reduce_to_one_take_their_columns_as_they_stand(monkeypatch):
     space = make_space(["a", "b", "c"])
     tables = [[0, 1, 1, 2, 1, 2, 2, 3], [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 0, 1, 1, 3]]
     us = UncertaintySpace.of_tables(space, ("x", "y", "z"),
-                                    [x for t in tables for x in t], 3)
+                                    [list(column) for column in zip(*tables)], 3)
     f = Act(space, (Fraction(6, 5), Fraction(3, 5), 0))
     assert f.exact_chain == ((1, 3), (3, 3), 5)
     products = []
@@ -141,6 +142,20 @@ def test_steps_that_reduce_to_one_take_their_columns_as_they_stand(monkeypatch):
     got = xi(us, f)
     assert products == []
     assert got.exact_form == ([3, 1, 2], 5)
+    assert got.values == _per_capacity(us, f)
+
+
+def test_a_result_that_is_one_column_keeps_the_batchs_list():
+    # the bet on b alone has one step, 1, over 1: its result is the column of
+    # {b}, which the act's door leaves reduced and keeps without a copy
+    space = make_space(["a", "b", "c"])
+    tables = [[0, 1, 1, 2, 1, 2, 2, 3], [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 0, 1, 1, 3]]
+    us = UncertaintySpace.of_tables(space, ("x", "y", "z"),
+                                    [list(column) for column in zip(*tables)], 3)
+    f = Act(space, (0, 1, 0))
+    got = xi(us, f)
+    assert got.exact_form[0] is us.batch[0][2]
+    assert got.exact_form == ([1, 1, 0], 3)
     assert got.values == _per_capacity(us, f)
 
 
@@ -216,8 +231,8 @@ def test_xi_on_mass_vectors_matches_choquet_sum_per_capacity(seed, n, count):
     space = make_space([f"p{i}" for i in range(n)])
     caps = [additive_capacity(space, form=form) for form in _masses(rng, n, count)]
     us = _space_of(space, caps)
-    keys, den = us.batch
-    assert len(keys) == n * len(us.names)
+    columns, den = us.batch
+    assert [len(column) for column in columns] == [len(us.names)] * n
     assert den == math.lcm(*(cap.exact_form[1] for _, cap in us.capacities))
     for f in (_act(rng, space), constant_act(space, Fraction(-4, 7)), Act(space, (0,) * n)):
         assert xi(us, f).values == _per_capacity(us, f)
@@ -235,8 +250,8 @@ def test_a_one_point_base_has_strides_two_and_one(seed, dense):
     else:
         caps = [additive_capacity(space, form=form) for form in _masses(rng, 1, 1)]
     us = _space_of(space, caps)
-    keys, den = us.batch
-    assert len(keys) == (2 if dense else 1)
+    columns, den = us.batch
+    assert len(columns) == (2 if dense else 1)
     f = _act(rng, space)
     assert xi(us, f).values == _per_capacity(us, f) == f.values
     if dense:
@@ -253,7 +268,7 @@ def test_mu_over_additive_dense_tables_matches_its_defining_table(seed, n, count
                                       for mask in space.all_masks()])
             for form in _masses(rng, n, count)]
     us = _space_of(space, caps)
-    assert us.is_additive and len(us.batch[0]) == len(us.names) << n
+    assert us.is_additive and len(us.batch[0]) == 1 << n
     weights, _ = _masses(rng, len(us.names), 1)[0]
     for v in (additive_capacity(us.capacity_space, form=(weights, sum(weights))),
               additive_capacity(us.capacity_space, form=([0] * (len(weights) - 1) + [1], 1))):
@@ -261,6 +276,32 @@ def test_mu_over_additive_dense_tables_matches_its_defining_table(seed, n, count
         want = [choquet_sum(v.value, epsilon(us, mask)) for mask in space.all_masks()]
         assert [got.value(mask) for mask in space.all_masks()] == want
         assert got.exact_form is not None
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_mu_over_a_column_batch_with_point_mass_weights_matches_its_defining_table(
+        seed, n, count, dense):
+    # a point mass on capacity j averages down to capacity j itself, read
+    # from the singleton columns of a batch of dense tables or mass vectors
+    rng = random.Random(seed)
+    space = make_space([f"p{i}" for i in range(n)])
+    masses = [additive_capacity(space, form=form) for form in _masses(rng, n, count)]
+    if dense:
+        tables = [validate_capacity(space, [cap.value(mask) for mask in space.all_masks()])
+                  for cap in masses]
+        us = _batch_space_of(_space_of(space, tables))
+    else:
+        us = _space_of(space, masses)
+    assert len(us.batch[0]) == (1 << n if dense else n)
+    size = len(us.names)
+    for j, (_, cap) in enumerate(us.capacities):
+        v = additive_capacity(us.capacity_space, form=([0] * j + [1] + [0] * (size - j - 1), 1))
+        got = mu(us, v)
+        want = [choquet_sum(v.value, epsilon(us, mask)) for mask in space.all_masks()]
+        assert [got.value(mask) for mask in space.all_masks()] == want
+        assert got == cap and got.exact_form is not None
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=4))

@@ -8,7 +8,8 @@ the median time and the SHA-256 of a text form of its output:
 - ``build_urn_space`` at N = 300 and N = 1000 (alpha 2), every capacity's
   reduced exact form, read after the timed call;
 - ``build_urn_space`` at N = 1000 with no capacity read: the batch of
-  tables it checked, its numerators and denominator;
+  tables it checked, its numerators table by table (the rows of its mask
+  columns) and denominator;
 - ``xi`` of the four bets (times u1 = 3/5) over the Z urn at N = 1000, the
   four result forms, with the urn rebuilt from its batch before each run,
   so no capacity built on demand carries over;
@@ -40,6 +41,7 @@ import platform
 import statistics
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from time import perf_counter
 from typing import Callable
@@ -104,7 +106,7 @@ def _fresh(us: UncertaintySpace) -> UncertaintySpace:
 
 
 def _fresh_weights(seq: USequence) -> USequence:
-    # the weight layer in a new space, so its batch is joined in the timed call
+    # the weight layer in a new space, so its batch is derived in the timed call
     urn, weights, *rest = seq.levels
     return USequence((urn, UncertaintySpace(weights.base, weights.capacities), *rest))
 
@@ -145,7 +147,7 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
             no_args, lambda params=params: build_urn_space(params), _space_text)
     out["build_urn_space N=1000 batch"] = (
         no_args, lambda: build_urn_space(UrnParams(1000, 2, U1)),
-        lambda us: _form_text(*us.batch))
+        lambda us: _form_text(chain.from_iterable(zip(*us.batch[0])), us.batch[1]))
     out["xi Z urn, four bets"] = (
         lambda: (_fresh(z_urn),), lambda us: [xi(us, f) for f in z_bets],
         lambda acts: "\n".join(map(act_text, acts)))

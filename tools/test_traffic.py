@@ -6,8 +6,9 @@
 import ast
 from pathlib import Path
 
+import pytest
 import traffic
-from choquet_tower import choquet, hierarchy, uncertainty
+from choquet_tower import choquet, core, hierarchy, uncertainty
 
 
 def _function(module, name):
@@ -16,9 +17,16 @@ def _function(module, name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrature():
+@pytest.fixture(scope="module")
+def urn_missed():
     missed, failures = traffic.unrun(["urn"], seed=1)
     assert failures == []
+    return missed
+
+
+def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrature(
+        urn_missed):
+    missed = urn_missed
     # of_tables separates the urn's tables on one column, never on the rows
     rows = next(node for node in ast.walk(_function(uncertainty, "of_tables"))
                 if isinstance(node, ast.If) and "any(" in ast.unparse(node.test))
@@ -26,10 +34,13 @@ def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrat
     assert rows.lineno not in missed["uncertainty.py"]
     assert rows.body[0].lineno in missed["uncertainty.py"]
     # xi integrates the act against all of the urn's tables at once, and each
-    # bet's step, over the gcd, is 1: its column is taken as it stands
-    loop = next(node for node in ast.walk(_function(uncertainty, "xi"))
-                if isinstance(node, ast.For))
+    # bet's step, over the gcd, is 1: its column is read as it stands, with
+    # no slice anywhere in xi
+    xi = _function(uncertainty, "xi")
+    assert not any(isinstance(node, ast.Slice) for node in ast.walk(xi))
+    loop = next(node for node in ast.walk(xi) if isinstance(node, ast.For))
     column, scale = loop.body[:2]
+    assert ast.unparse(column) == "column = columns[cum]"
     assert "map(mul" in ast.unparse(scale.body[0])
     assert column.lineno not in missed["uncertainty.py"]
     assert scale.body[0].lineno in missed["uncertainty.py"]
@@ -42,6 +53,32 @@ def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrat
     assert exact.body[0].lineno not in missed["choquet.py"]
     quadrature = traffic.executable_lines(hierarchy._gauss_legendre_01.__code__)
     assert quadrature and quadrature <= set(missed["hierarchy.py"])
+
+
+def _check_lines(missed, function):
+    return traffic.executable_lines(function.__code__) - set(missed["core.py"])
+
+
+def test_the_urn_is_checked_in_the_column_pass_and_never_table_by_table(urn_missed):
+    # validate_tables runs its whole-batch passes over the urn's columns and
+    # never falls back to the one-table path; no table reaches the sweep
+    check = next(node for node in ast.walk(_function(core, "validate_tables"))
+                 if isinstance(node, ast.If) and "_cover_slices" in ast.unparse(node.test))
+    column_pass = next(node for node in ast.walk(check.test)
+                       if isinstance(node, ast.GeneratorExp))
+    fallback = check.body[0]
+    assert "_checked_table" in ast.unparse(fallback)
+    assert column_pass.lineno not in urn_missed["core.py"]
+    assert fallback.lineno in urn_missed["core.py"]
+    assert not _check_lines(urn_missed, core._first_decrease)
+    assert not _check_lines(urn_missed, core._checked_table)
+
+
+def test_the_spacefile_workload_still_sweeps_its_tables():
+    missed, failures = traffic.unrun(["spacefile"], seed=1)
+    assert failures == []
+    assert _check_lines(missed, core._first_decrease)
+    assert _check_lines(missed, core._checked_table)
 
 
 def test_a_range_spans_missed_executable_lines_only():
