@@ -262,19 +262,20 @@ def monad_counterexample(beta: Number) -> MonadCounterexample:
 
 def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
               source: USequence, target: USequence, g: GTransform,
-              depth: int, *, seed: int = 0) -> MapWitness:
+              *, seed: int = 0) -> MapWitness:
     """Level-wise maps commuting with the transformed expectation chain.
 
     ``phi[k]`` maps level-k points; for k >= 1 the level-k points are the
     level-(k-1) capacity names, and an image may be a capacity object when
     the target level is a parameterized family; an image given by name must
-    name a capacity of the target level.  The commuting identity is checked
-    on every indicator act plus seeded random acts.
+    name a capacity of the target level.  Each of the ``len(phi) - 1``
+    levels whose capacities ``phi[k + 1]`` maps is checked: the commuting
+    identity must hold on every indicator act plus seeded random acts.
     """
-    if depth < 2 or len(phi) < depth:
+    if len(phi) < 2:
         raise ValueError("need at least two levels of maps")
     rng = random.Random(seed)
-    for n in range(depth - 1):
+    for n in range(len(phi) - 1):
         src = source.levels[n] if n < len(source.levels) else TERMINAL
         tgt = target.levels[n] if n < len(target.levels) else TERMINAL
         if isinstance(src, FamilyLevel):

@@ -142,8 +142,7 @@ def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
             power *= b - a
         return additive_capacity(base, form=(nums, denom))
 
-    return FamilyLevel(base=base, family=member, weight="lebesgue",
-                       binomial_n=two_n)
+    return FamilyLevel(base=base, family=member, binomial_n=two_n)
 
 
 def build_sequence(variant: str, params: UrnParams) -> USequence:

@@ -2,7 +2,7 @@
 
 Each level's points are the previous level's capacities.  A sequence is a
 finite prefix that may close with the one-point terminal space or with a
-parameterized capacity family integrated against a weight on [0, 1].
+parameterized capacity family integrated against Lebesgue measure on [0, 1].
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ class UtilityFunction(Frozen):
 
 
 class FamilyLevel(Frozen):
-    """A [0,1]-parameterized family of additive capacities plus a weight on p.
+    """A [0,1]-parameterized family of additive capacities, p weighed by
+    Lebesgue measure.
 
-    Closes a sequence: the family occupies one level and the weight measure
+    Closes a sequence: the family occupies one level and the measure on p
     the next, so a value function jumps two layers when it crosses this
     entry.  ``binomial_n`` tags families whose member masses are binomial
     coefficients in p (degree-n polynomials), unlocking the exact
@@ -79,12 +80,8 @@ class FamilyLevel(Frozen):
     """
 
     def __init__(self, base: FiniteSpace, family: Callable[[Number], Capacity],
-                 weight: Union[str, tuple[tuple[Number, Number], ...]] = "lebesgue",
                  binomial_n: Optional[int] = None):
-        if weight != "lebesgue" and not isinstance(weight, tuple):
-            raise ValueError("weight must be 'lebesgue' or ((p, mass), ...)")
-        self.__dict__.update(base=base, family=family, weight=weight,
-                             binomial_n=binomial_n)
+        self.__dict__.update(base=base, family=family, binomial_n=binomial_n)
 
     def member(self, p: Number) -> Capacity:
         """The family's capacity at p, checked to be additive on the base."""
@@ -126,24 +123,21 @@ def integrate_family(level: FamilyLevel,
                      phi: Optional[Callable[[Number], Number]] = None,
                      *,
                      act: Optional[Act] = None) -> Number:
-    """Integrate a functional of the family against its weight over p.
+    """Integrate a functional of the family over p in [0, 1] under
+    Lebesgue measure.
 
     Exactly one of ``phi`` (p maps to a number) and ``act`` may be given.
     With ``act`` the integrand is the Choquet integral of the act under the
-    p-th member; for a binomial family under Lebesgue weight that integrand
-    is linear in the member masses, each of which integrates to
-    1/(binomial_n + 1), so the result is the exact mean of the act's values,
-    summed on its integer numerators when it has an exact form.
+    p-th member; for a binomial family that integrand is linear in the
+    member masses, each of which integrates to 1/(binomial_n + 1), so the
+    result is the exact mean of the act's values, summed on its integer
+    numerators when it has an exact form.
     The generic path uses Gauss-Legendre with enough nodes to be exact on
     polynomials of the family's degree, and one refinement doubling as a
     cross-check.
     """
     if (phi is None) == (act is None):
         raise ValueError("give exactly one of phi/act")
-
-    if isinstance(level.weight, tuple):
-        evaluate = (lambda p: choquet_integral(level.member(p), act)) if act else phi
-        return sum(w * evaluate(p) for p, w in level.weight)
 
     if act is not None:
         _require_same_space(act.space, level.base)

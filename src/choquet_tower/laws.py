@@ -191,10 +191,9 @@ def distinct_space(space: FiniteSpace, capacities: Iterable[Capacity],
         (f"{prefix}{i}", cap) for i, cap in enumerate(dict.fromkeys(capacities))))
 
 
-def rand_uncertainty_space(rng: random.Random, space: FiniteSpace,
-                           max_caps: int = 3) -> UncertaintySpace:
+def rand_uncertainty_space(rng: random.Random, space: FiniteSpace) -> UncertaintySpace:
     caps: dict = {}
-    want = 1 + _below(rng.getrandbits, max_caps)
+    want = 1 + _below(rng.getrandbits, 3)
     tries = 0
     while len(caps) < want and tries < 30:
         caps.setdefault(rand_capacity(rng, space))
@@ -205,10 +204,9 @@ def rand_uncertainty_space(rng: random.Random, space: FiniteSpace,
 # ---------------------------------------------------------------------------
 # suites
 
-def run_choquet_suite(seed: int = 7, trials: int = 500,
-                      max_points: int = 6) -> SuiteReport:
+def run_choquet_suite(seed: int = 7, trials: int = 500) -> SuiteReport:
     def monotonicity(rng):
-        space = rand_space(rng, max_points)
+        space = rand_space(rng)
         u = rand_capacity(rng, space)
         g, h = rand_act(rng, space), rand_nonneg_act(rng, space)
         f = g + h
@@ -223,7 +221,7 @@ def run_choquet_suite(seed: int = 7, trials: int = 500,
         return None
 
     def comonotonic_additivity(rng):
-        space = rand_space(rng, max_points)
+        space = rand_space(rng)
         u = rand_capacity(rng, space)
         f, g = rand_comonotonic_pair(rng, space)
         if choquet_integral(u, f + g) != choquet_integral(u, f) + choquet_integral(u, g):
@@ -231,7 +229,7 @@ def run_choquet_suite(seed: int = 7, trials: int = 500,
         return None
 
     def positive_homogeneity(rng):
-        space = rand_space(rng, max_points)
+        space = rand_space(rng)
         u = rand_capacity(rng, space)
         f = rand_act(rng, space)
         lam = Fraction(1 + _below(rng.getrandbits, 12), 1 + _below(rng.getrandbits, 12))
@@ -240,7 +238,7 @@ def run_choquet_suite(seed: int = 7, trials: int = 500,
         return None
 
     def additive_linearity(rng):
-        space = rand_space(rng, max_points)
+        space = rand_space(rng)
         u = rand_additive(rng, space)
         f, g = rand_act(rng, space), rand_act(rng, space)
         a, b = rand_fraction(rng), rand_fraction(rng)
@@ -264,10 +262,9 @@ def run_choquet_suite(seed: int = 7, trials: int = 500,
     ))
 
 
-def run_dirac_suite(seed: int = 7, trials: int = 200,
-                    max_points: int = 5) -> SuiteReport:
+def run_dirac_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
     def table_identity(rng):
-        space = rand_space(rng, max_points)
+        space = rand_space(rng, 5)
         for p in space.points:
             eta = dirac(space, p)
             for mask in space.all_masks():
@@ -276,7 +273,7 @@ def run_dirac_suite(seed: int = 7, trials: int = 200,
         return None
 
     def evaluation(rng):
-        space = rand_space(rng, max_points)
+        space = rand_space(rng, 5)
         f = rand_act(rng, space)
         p = space.points[_below(rng.getrandbits, len(space))]
         if choquet_integral(dirac(space, p), f) != f.at(p):
@@ -284,8 +281,8 @@ def run_dirac_suite(seed: int = 7, trials: int = 200,
         return None
 
     def naturality(rng):
-        domain = rand_space(rng, max_points)
-        codomain = rand_space(rng, max_points)
+        domain = rand_space(rng, 5)
+        codomain = rand_space(rng, 5)
         h = rand_point_map(rng, domain, codomain)
         p = domain.points[_below(rng.getrandbits, len(domain))]
         if pushforward(dirac(domain, p), h) != dirac(codomain, h(p)):
@@ -481,26 +478,22 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
                                           for _, cap in urn.capacities):
                 return f"xi disagrees with choquet_sum on the act {f.values}"
         phi = _urn_maps(urn, {"vu": "vu"})
-        if not is_ug_map(phi, seq_x, seq_x, g_lin, depth=3,
-                         seed=_below(rng.getrandbits, 100)):
+        if not is_ug_map(phi, seq_x, seq_x, g_lin, seed=_below(rng.getrandbits, 100)):
             return "identity maps failed under the linear transform"
-        if not is_ug_map(phi, seq_x, seq_x, g_ent, depth=3,
-                         seed=_below(rng.getrandbits, 100)):
+        if not is_ug_map(phi, seq_x, seq_x, g_ent, seed=_below(rng.getrandbits, 100)):
             return "identity maps failed under the entropic transform"
         return None
 
     def inclusion(rng):
         phi = _urn_maps(urn, {"vb": family.member(Fraction(1, 2))})
-        if not is_ug_map(phi, seq_y, seq_z, g_lin, depth=3,
-                         seed=_below(rng.getrandbits, 100)):
+        if not is_ug_map(phi, seq_y, seq_z, g_lin, seed=_below(rng.getrandbits, 100)):
             return "binomial midpoint inclusion failed"
         return None
 
     def composition(rng):
         composed = compose_ug_maps(_urn_maps(urn, {"vb": "vb"}),
                                    _urn_maps(urn, {"vb": family.member(Fraction(1, 2))}))
-        if not is_ug_map(composed, seq_y, seq_z, g_lin, depth=3,
-                         seed=_below(rng.getrandbits, 100)):
+        if not is_ug_map(composed, seq_y, seq_z, g_lin, seed=_below(rng.getrandbits, 100)):
             return "composition of passing maps failed"
         return None
 

@@ -19,10 +19,9 @@ the normalization and monotonicity checks of ``core._checked_table``.
 from __future__ import annotations
 
 import json
-from itertools import repeat
-from operator import add
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from . import core
 from .core import (Act, Capacity, FiniteSpace, Frozen, Number, SpaceMismatchError,
@@ -54,30 +53,21 @@ def _number_parser(backend: str) -> Callable[[object], Number]:
     return number
 
 
-def _mask_from_bitstring(n: int, key: str) -> int:
+def _mask_from_bitstring(n: int, key: object) -> int:
     # n is the number of points; the leftmost character is the first point
-    if len(key) != n or key.strip("01"):
+    if not isinstance(key, str) or len(key) != n or key.strip("01"):
         raise ValueError(f"subset key {core._echo(repr(key))} must be a {n}-character "
                          "bitstring")
     return int(key[::-1], 2)
 
 
-def _bitstrings(bits: int) -> list[str]:
-    # every bitstring of this length in mask order, leftmost character = bit 0
-    keys = [""]
-    for _ in range(bits):
-        keys = [k + "0" for k in keys] + [k + "1" for k in keys]
-    return keys
+def _canonical_runs(n: int) -> Iterator[str]:
+    """The 2**n canonical bitstrings in mask order, leftmost character = bit
+    0, as runs of 2**(n//2) keys, each followed by a comma.
 
-
-def _in_mask_order(keys: list, n: int) -> bool:
-    """Whether ``keys`` are the 2**n canonical bitstrings in mask order.
-
-    Runs of 2**(n//2) keys, joined each followed by a comma, are compared
-    with the canonical run.  Within a run the low columns cycle and the high
-    ones are constant, so one template serves every run: its low columns are
-    written once by strided slices, its high ones once per run.  A run
-    holds as many commas as keys, so a match leaves no key another length.
+    Within a run the low columns cycle and the high ones are constant, so
+    one template serves every run: its low columns are written once by
+    strided slices, its high ones once per run.
     """
     low = n // 2
     size, width = 1 << low, n + 1
@@ -85,37 +75,38 @@ def _in_mask_order(keys: list, n: int) -> bool:
     for c in range(low):
         run[c::width] = (b"0" * (1 << c) + b"1" * (1 << c)) * (size >> c + 1)
     ones, zeros = b"1" * size, b"0" * size
-    for high, start in enumerate(range(0, len(keys), size)):
+    for high in range(1 << n - low):
         for c in range(low, n):
             run[c::width] = ones if high >> c - low & 1 else zeros
-        try:
-            joined = ",".join(keys[start:start + size])
-        except TypeError:
-            return False  # a key of a decoded dict that is not a string
-        if joined + "," != run.decode():
-            return False
-    return True
+        yield run.decode()
 
 
 def _table_entries(raw: dict, n: int) -> list:
     """The values of a full table in mask order, its keys checked.
 
-    An object whose 2**n keys come in mask order, as ``json.dumps`` writes
-    a table built in that order, gives its values as they stand.  Otherwise
-    each canonical key is looked up, built as a low half joined to a high
-    half so that no list of all 2**n keys is held.  When the object has
-    2**n keys and every lookup hits, its keys are exactly the canonical
+    Both passes read the canonical keys from ``_canonical_runs``, a run at
+    a time, so no list of all 2**n keys is held.  An object of 2**n keys is
+    first compared with the runs: its keys, a run's worth at a time, joined
+    each followed by a comma.  A run holds as many commas as keys, so a
+    match leaves no key another length, and the object's values, in mask
+    order as ``json.dumps`` writes a table built in that order, are given
+    as they stand.  Otherwise each canonical key of each run is looked up.
+    When every lookup hits, the object's keys are exactly the canonical
     ones.  Otherwise the first bad key in file order is named, and with
     none the table misses a subset.
     """
     if len(raw) == 1 << n:
-        if _in_mask_order(list(raw), n):
-            return list(raw.values())
-        lows = _bitstrings(n // 2)
+        keys = iter(raw)
+        try:
+            if all(",".join(islice(keys, 1 << n // 2)) + "," == run
+                   for run in _canonical_runs(n)):
+                return list(raw.values())
+        except TypeError:
+            pass  # a key of a decoded dict that is not a string
         entries: list = []
         try:
-            for high in _bitstrings(n - n // 2):
-                entries += map(raw.__getitem__, map(add, lows, repeat(high)))
+            for run in _canonical_runs(n):
+                entries += map(raw.__getitem__, run[:-1].split(","))
             return entries
         except KeyError:
             pass

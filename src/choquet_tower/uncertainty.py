@@ -18,9 +18,9 @@ from operator import add, mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
-from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, EmptySpaceError,
-                   FiniteSpace, Frozen, Number, Subset, _mask_of, _require_same_space,
-                   once, table_capacities, validate_tables)
+from .core import (MAX_DENSE_POINTS, VALUE_TOL, Act, Capacity, DuplicateLabelError,
+                   EmptySpaceError, FiniteSpace, Frozen, Number, Subset, _mask_of,
+                   _require_same_space, once, table_capacities, validate_tables)
 
 
 def _name_index(capacities: Iterable[tuple[str, Capacity]]
@@ -190,10 +190,13 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
     a constant column.  An act whose form is one list column as it stands
     keeps the batch's list.  The zero act, whose chain is empty, integrates
     to zeros over 1.  Otherwise (mass vectors, mixed kinds, floats) each
-    value is ``choquet_integral``.
+    value is ``choquet_integral``.  A batch of dense tables has a column
+    per mask, so past ``MAX_DENSE_POINTS`` none can exist, and there the
+    batch is not derived: it could only hold mass vectors.
     """
     _require_same_space(f.space, us.base)
-    batch = us.batch if f.exact_form is not None else None
+    dense = f.exact_form is not None and len(us.base) <= MAX_DENSE_POINTS
+    batch = us.batch if dense else None
     if batch is None or len(batch[0]) != 1 << len(us.base):
         return Act(us.capacity_space,
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))

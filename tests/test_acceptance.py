@@ -122,7 +122,7 @@ def test_criterion_04_beta_collapse():
 
 def test_criterion_05_choquet_law_suite():
     with _Timer() as t:
-        report = run_choquet_suite(seed=7, trials=500, max_points=6)
+        report = run_choquet_suite(seed=7, trials=500)
         assert report.passed, report.to_dict()
         assert all(law.trials == 500 for law in report.laws)
         assert {law.name for law in report.laws} == {

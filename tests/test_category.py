@@ -174,7 +174,7 @@ class TestMu:
 
     def test_unit_law_point_mass_over_capacities(self):
         rng = random.Random(3)
-        us = rand_uncertainty_space(rng, FiniteSpace(("a", "b", "c")), max_caps=3)
+        us = rand_uncertainty_space(rng, FiniteSpace(("a", "b", "c")))
         for name, cap in us.capacities:
             eta = dirac(us.capacity_space, name)
             assert mu(us, eta).equals(cap, tol=0.0)
@@ -191,8 +191,7 @@ class TestMu:
     def test_naturality(self):
         for seed in range(20):
             rng = random.Random(seed)
-            source = rand_uncertainty_space(rng, FiniteSpace(("a", "b", "c")),
-                                            max_caps=3)
+            source = rand_uncertainty_space(rng, FiniteSpace(("a", "b", "c")))
             cod = FiniteSpace(("x", "y"))
             h = rand_point_map(rng, source.base, cod)
             images = {}
@@ -292,8 +291,8 @@ class TestUgMaps:
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
                {"vu": "vu"}]
-        assert is_ug_map(phi, seq, seq, GTransform.linear(1), depth=3).verdict
-        assert is_ug_map(phi, seq, seq, GTransform.entropic(1.0), depth=3).verdict
+        assert is_ug_map(phi, seq, seq, GTransform.linear(1)).verdict
+        assert is_ug_map(phi, seq, seq, GTransform.entropic(1.0)).verdict
 
     def test_binomial_inclusion_at_midpoint(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
@@ -304,7 +303,7 @@ class TestUgMaps:
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
                {"vb": family.family(Fraction(1, 2))}]
-        assert is_ug_map(phi, seq_y, seq_z, GTransform.linear(1), depth=3).verdict
+        assert is_ug_map(phi, seq_y, seq_z, GTransform.linear(1)).verdict
 
     def test_wrong_target_detected(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
@@ -315,7 +314,7 @@ class TestUgMaps:
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
                {"vb": family.family(Fraction(1, 4))}]
-        witness = is_ug_map(phi, seq_y, seq_z, GTransform.linear(1), depth=3)
+        witness = is_ug_map(phi, seq_y, seq_z, GTransform.linear(1))
         assert not witness.verdict
 
     @pytest.mark.parametrize("variant", ["X", "Z"])
@@ -328,7 +327,7 @@ class TestUgMaps:
                {"vb": "vb"}]  # X names its weighting "vu"; Z's family has no names
         with pytest.raises(ValueError, match="no capacity named 'vb'"):
             is_ug_map(phi, seq_y, build_sequence(variant, params),
-                      GTransform.linear(1), depth=3)
+                      GTransform.linear(1))
 
     def test_composition(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
@@ -343,8 +342,7 @@ class TestUgMaps:
                 {name: name for name, _ in urn.capacities},
                 {"vb": family.family(Fraction(1, 2))}]
         composed = compose_ug_maps(ident, incl)
-        assert is_ug_map(composed, seq_y, seq_z, GTransform.linear(1),
-                         depth=3).verdict
+        assert is_ug_map(composed, seq_y, seq_z, GTransform.linear(1)).verdict
 
 
 class TestAssociativityWitness:

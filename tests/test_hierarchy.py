@@ -157,16 +157,7 @@ class TestIntegrateFamily:
                                 lambda p: choquet_integral(level.family(p), act))
         assert abs(exact - quad) < 1e-9
 
-    def test_discrete_weight(self):
-        base = self.family().base
-        level = FamilyLevel(base=base, family=self.family().family,
-                            weight=((Fraction(1, 2), Fraction(1)),),
-                            binomial_n=2)
-        act = Act(base, (Fraction(0), Fraction(1), Fraction(0)))
-        assert integrate_family(level, act=act) == Fraction(1, 2)
-
-    @pytest.mark.parametrize("weight", ["lebesgue", ((Fraction(3, 10), Fraction(1)),)])
-    def test_non_additive_member_is_caught_when_integrated(self, weight):
+    def test_non_additive_member_is_caught_when_integrated(self):
         base = FiniteSpace(("a", "b"))
 
         def member(p):  # additive except near p = 0.3
@@ -174,7 +165,7 @@ class TestIntegrateFamily:
                 return Capacity(base, table=(0, 0, 0, 1))
             return Capacity(base, masses=(p, 1 - p))
 
-        level = FamilyLevel(base=base, family=member, weight=weight)
+        level = FamilyLevel(base=base, family=member)
         with pytest.raises(ValueError, match="not additive"):
             integrate_family(level, act=Act(base, (Fraction(1), Fraction(0))))
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from choquet_tower import core, spacefile
+from choquet_tower import core
 from choquet_tower.cli import main
 from choquet_tower.core import make_space
 from choquet_tower.spacefile import load_space_file
@@ -123,16 +123,53 @@ def _table(n):
     return [Fraction(bin(m).count("1"), n) for m in range(1 << n)]
 
 
+class _NoLookups(dict):
+    """A decoded table that fails any lookup of one of its keys."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"looked up {key!r}")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-def test_keys_in_mask_order_skip_the_lookup_pass(n, monkeypatch):
+def test_keys_in_mask_order_skip_the_lookup_pass(n):
     values = {_key(n, m): str(v) for m, v in enumerate(_table(n))}
     shuffled = list(values.items())
     random.Random(n).shuffle(shuffled)
     looked_up = load_space_file(_document(n, dict(shuffled))).capacities["u"]
-    monkeypatch.setattr(spacefile, "_bitstrings", None)
-    in_order = load_space_file(_document(n, values)).capacities["u"]
+    doc = json.loads(_document(n, values))
+    doc["capacities"]["u"]["values"] = _NoLookups(values)
+    in_order = load_space_file(doc).capacities["u"]
     assert in_order == looked_up
     assert in_order.exact_form == looked_up.exact_form
+    # the same table out of order does reach the lookups
+    doc["capacities"]["u"]["values"] = _NoLookups(shuffled)
+    with pytest.raises(AssertionError, match="^looked up "):
+        load_space_file(doc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_keys_in_reverse_mask_order_load_the_table_in_order(n):
+    values = {_key(n, m): str(v) for m, v in enumerate(_table(n))}
+    reverse = dict(reversed(values.items()))
+    in_order = load_space_file(_document(n, values)).capacities["u"]
+    reversed_ = load_space_file(_document(n, reverse)).capacities["u"]
+    assert reversed_ == in_order
+    assert reversed_.exact_form == in_order.exact_form
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_key_holding_a_comma_among_2n_keys_is_named(n, tmp_path, capsys):
+    keys = [_key(n, m) for m in range(1 << n)]
+    # the first two keys merged into one, beside an empty key: their run
+    # reads as the canonical one with a comma too many
+    keys[0], keys[1] = keys[0] + "," + keys[1], ""
+    path = tmp_path / "table.json"
+    path.write_text(_document(n, dict(zip(keys, map(str, _table(n))))))
+    message = f"subset key {keys[0]!r} must be a {n}-character bitstring"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_space_file(str(path))
+    assert main(["choquet", str(path), "u", "f"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -180,7 +217,9 @@ def test_an_in_order_decrease_names_the_sweeps_witness():
     assert str(err.value) == str(oracle.value)
 
 
-def test_a_decoded_key_that_is_not_a_string_fails_as_before():
-    doc = {"points": ["a"], "capacities": {"u": {"values": {"0": "0", 1: "1"}}}}
-    with pytest.raises(TypeError, match="^object of type 'int' has no len\\(\\)$"):
+@pytest.mark.parametrize("values", [{"0": "0", 1: "1"}, {"0": "0", 1: "1", "1": "1"}],
+                         ids=["2n-keys", "more-keys"])
+def test_a_decoded_key_that_is_not_a_string_is_named(values):
+    doc = {"points": ["a"], "capacities": {"u": {"values": values}}}
+    with pytest.raises(ValueError, match="^subset key 1 must be a 1-character bitstring$"):
         load_space_file(doc)

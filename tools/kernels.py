@@ -106,7 +106,7 @@ def _fresh(us: UncertaintySpace) -> UncertaintySpace:
 
 
 def _fresh_weights(seq: USequence) -> USequence:
-    # the weight layer in a new space, so its batch is derived in the timed call
+    # the weight layer in a new space, so nothing derived on first use carries over
     urn, weights, *rest = seq.levels
     return USequence((urn, UncertaintySpace(weights.base, weights.capacities), *rest))
 

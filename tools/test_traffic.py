@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 import traffic
-from choquet_tower import choquet, core, hierarchy, uncertainty
+from choquet_tower import choquet, core, hierarchy, spacefile, uncertainty
 
 
 def _function(module, name):
@@ -55,6 +55,13 @@ def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrat
     assert quadrature and quadrature <= set(missed["hierarchy.py"])
 
 
+def test_the_urn_workload_never_derives_a_batch(urn_missed):
+    # the urn's tables come as a batch, and xi leaves the weight layer of X
+    # and Y, one mass vector past MAX_DENSE_POINTS points, without one
+    body = traffic.executable_lines(uncertainty.UncertaintySpace.batch.fn.__code__)
+    assert body and body <= set(urn_missed["uncertainty.py"])
+
+
 def _check_lines(missed, function):
     return traffic.executable_lines(function.__code__) - set(missed["core.py"])
 
@@ -74,11 +81,30 @@ def test_the_urn_is_checked_in_the_column_pass_and_never_table_by_table(urn_miss
     assert not _check_lines(urn_missed, core._checked_table)
 
 
-def test_the_spacefile_workload_still_sweeps_its_tables():
+@pytest.fixture(scope="module")
+def spacefile_missed():
     missed, failures = traffic.unrun(["spacefile"], seed=1)
     assert failures == []
-    assert _check_lines(missed, core._first_decrease)
-    assert _check_lines(missed, core._checked_table)
+    return missed
+
+
+def test_the_spacefile_workload_still_sweeps_its_tables(spacefile_missed):
+    assert _check_lines(spacefile_missed, core._first_decrease)
+    assert _check_lines(spacefile_missed, core._checked_table)
+
+
+def test_the_spacefile_workload_confirms_its_keys_by_the_runs_alone(spacefile_missed):
+    # its tables list their keys in mask order: the run comparison accepts
+    # them, and no canonical key is looked up
+    entries = _function(spacefile, "_table_entries")
+    accept = next(node for node in ast.walk(entries)
+                  if isinstance(node, ast.If) and "_canonical_runs" in ast.unparse(node.test))
+    lookup = next(node for node in ast.walk(entries) if isinstance(node, ast.For)
+                  and "_canonical_runs" in ast.unparse(node.iter))
+    assert "raw.values()" in ast.unparse(accept.body[0])
+    assert "__getitem__" in ast.unparse(lookup.body[0])
+    assert accept.body[0].lineno not in spacefile_missed["spacefile.py"]
+    assert lookup.body[0].lineno in spacefile_missed["spacefile.py"]
 
 
 def test_a_range_spans_missed_executable_lines_only():
