@@ -829,24 +829,17 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
     return nums, den
 
 
-def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence, None] = None,
-                      *, form: Optional[tuple[Sequence[int], int]] = None) -> Capacity:
+def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence]) -> Capacity:
     """Check and build a capacity from a dense table.
 
     The table must cover every subset: a mapping whose keys are Subset
     objects or bitmask ints, or a sequence in mask order.  Additive
     capacities given by their masses go through ``additive_capacity``
-    instead.  A caller that holds the table's exact form hands it over as
-    ``form`` = (numerators, denominator) in mask order, in place of the
-    table: ``_checked_form`` checks and reduces it, and the capacity keeps
-    a list it leaves reduced.  Either way what the capacity stores goes
-    through the normalization and monotonicity checks of ``_checked_table``.
+    instead, and tables held as exact forms through ``validate_tables``.
+    What the capacity stores goes through the normalization and
+    monotonicity checks of ``_checked_table``.
     """
     check_dense_size(space)
-    if (table is None) == (form is None):
-        raise TypeError("give a capacity's table or its exact form, not both")
-    if form is not None:
-        return _checked_table(space, *_checked_form(form, 1 << len(space)))
     full = space.full_mask
     if isinstance(table, Mapping):
         dense: list = [None] * (full + 1)
@@ -926,10 +919,10 @@ def additive_capacity(space: FiniteSpace,
     """Check and build an additive capacity from its singleton masses.
 
     Masses come as a mapping by point label or as a sequence in point
-    order; none may be negative and they must sum to 1.  As in
-    ``validate_capacity``, a caller holding their exact form hands it over
-    as ``form`` in place of the masses, and the capacity built from either
-    goes through the same checks.
+    order; none may be negative and they must sum to 1.  A caller holding
+    their exact form hands it over as ``form`` = (numerators, denominator)
+    in place of the masses, checked and reduced by ``_checked_form``, and
+    the capacity built from either goes through the same checks.
     """
     if (masses is None) == (form is None):
         raise TypeError("give a capacity's masses or their exact form, not both")

@@ -16,9 +16,8 @@ from itertools import accumulate, repeat
 from typing import Iterable
 
 from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, _echo,
-                   additive_capacity, exponent, indicator, is_exact,
-                   make_space, validate_capacity,
-                   values_close)
+                   additive_capacity, exponent, indicator, make_space,
+                   validate_capacity, values_close)
 from .hierarchy import (TERMINAL, FamilyLevel, USequence, UtilityFunction,
                         conditional_act, value_function)
 from .uncertainty import UncertaintySpace
@@ -118,29 +117,17 @@ def standard_acts(space: FiniteSpace) -> dict[str, Act]:
 
 
 def binomial_family(urn: UncertaintySpace, big_n: int) -> FamilyLevel:
-    """p maps to the binomial(2N, p) weighting of the u_k."""
+    """p maps to the binomial(2N, p) weighting of the u_k, built on demand
+    from the masses C(2N, k) p^k (1-p)^(2N-k) in p's own arithmetic (an
+    exact p's reduced form is derived by ``additive_capacity``, which also
+    refuses the negative masses of a p outside [0, 1])."""
     two_n = 2 * big_n
     base = urn.capacity_space
 
     def member(p: Number) -> Capacity:
-        # through the checked door, which refuses the negative masses of a p outside [0, 1]
-        if not is_exact(p):
-            q = 1.0 - p
-            masses = tuple(math.comb(two_n, k) * p ** k * q ** (two_n - k)
-                           for k in range(two_n + 1))
-            return additive_capacity(base, masses)
-        # p = a/b: mass k is C(2N, k) a^k (b-a)^(2N-k) over b^(2N), built
-        # with k descending so no list of big powers is kept
-        p = Fraction(p)
-        a, b = p.numerator, p.denominator
-        denom = b ** two_n
-        nums = [None] * (two_n + 1)
-        coef = power = 1  # C(2N, k) and (b-a)^(2N-k)
-        for k in range(two_n, -1, -1):
-            nums[k] = coef * a ** k * power
-            coef = coef * k // (two_n - k + 1)
-            power *= b - a
-        return additive_capacity(base, form=(nums, denom))
+        q = 1 - p
+        return additive_capacity(base, [math.comb(two_n, k) * p ** k * q ** (two_n - k)
+                                        for k in range(two_n + 1)])
 
     return FamilyLevel(base=base, family=member, binomial_n=two_n)
 

@@ -207,7 +207,6 @@ def xi_chain(seq: USequence, f: Act, m: int, n: int) -> Act:
                     raise LayerError(
                         "the family layer itself is not materializable; "
                         "integrate to the weight layer instead")
-                _require_same_space(act.space, level.base)
                 value = integrate_family(level, act=act)
                 act = Act(level.weight_space, (value,))
             elif level is TERMINAL:
@@ -217,8 +216,6 @@ def xi_chain(seq: USequence, f: Act, m: int, n: int) -> Act:
             else:
                 act = xi(level, act)
         layer += width
-    if layer < n:
-        raise LayerError(f"layer {n} is beyond the stored sequence")
     return act
 
 

@@ -84,10 +84,10 @@ def _below(bits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8,
-                  denom: int = 6) -> Fraction:
+def rand_fraction(rng: random.Random) -> Fraction:
+    # a numerator in [-8, 8] over a denominator in 1..6
     bits = rng.getrandbits
-    return Fraction(lo + _below(bits, hi - lo + 1), 1 + _below(bits, denom))
+    return Fraction(_below(bits, 17) - 8, 1 + _below(bits, 6))
 
 
 @cache

@@ -21,7 +21,7 @@ from choquet_tower import core
 from choquet_tower.category import mu
 from choquet_tower.choquet import choquet_sum
 from choquet_tower.core import (Act, Capacity, FiniteSpace, SpaceMismatchError,
-                                additive_capacity, is_exact, validate_capacity,
+                                additive_capacity, is_exact, validate_tables,
                                 values_close)
 from choquet_tower.ellsberg import UrnParams, build_urn_space
 from choquet_tower.uncertainty import UncertaintySpace, epsilon, xi
@@ -170,8 +170,9 @@ BAD_FORMS = [
 @pytest.mark.parametrize("make,error", BAD_FORMS)
 def test_act_form_errors_mirror_the_capacity_doors(make, error):
     space = _space(3)
+    nums, den = make(8)
     with pytest.raises(error):
-        validate_capacity(space, form=make(8))
+        validate_tables(space, [[x] for x in nums], den)
     with pytest.raises(error):
         additive_capacity(space, form=make(3))
     with pytest.raises(error):
@@ -215,17 +216,22 @@ def test_dense_mu_matches_its_defining_table(seed, additive_caps):
         if additive_caps and sum(w):
             caps.append(additive_capacity(base, form=(w, sum(w))))
         elif not additive_caps:
-            caps.append(validate_capacity(base, form=_monotone_form(rng, len(base))))
+            caps.append(_checked_table(base, _monotone_form(rng, len(base))))
     caps = list(dict.fromkeys(caps))
     if len(caps) < 2:
         return
     us = UncertaintySpace(base, tuple((f"c{i}", c) for i, c in enumerate(caps)))
-    v = validate_capacity(us.capacity_space, form=_monotone_form(rng, len(caps)))
+    v = _checked_table(us.capacity_space, _monotone_form(rng, len(caps)))
     event("dense" if not (v.is_additive and us.is_additive) else "masses")
     got = mu(us, v)
     want = [choquet_sum(v.value, epsilon(us, mask)) for mask in base.all_masks()]
     assert [got.value(m) for m in base.all_masks()] == want
     assert got.exact_form is not None
+
+
+def _checked_table(space: FiniteSpace, form: tuple[list[int], int]) -> Capacity:
+    # the one-table form check, as a batch that fails runs it row by row
+    return core._checked_table(space, *core._checked_form(form, 1 << len(space)))
 
 
 def _monotone_form(rng: random.Random, n: int) -> tuple[list[int], int]:

@@ -3,10 +3,11 @@ columns over one denominator, as one.
 
 Its oracle is the per-table loop on the batch's rows: row k of the columns
 (``[c[k] for c in columns]``, short where a column ends early) through
-``validate_capacity(space, form=…)`` in turn, which raises for the first
-bad table.  A good batch must build equal capacities with equal forms and
-hashes; a bad one, also one with a ragged, missing or extra column, must
-raise that table's error class, message and witness.
+the one-table form check, ``_checked_table(*_checked_form(…))``, in turn,
+which raises for the first bad table.  A good batch must build equal
+capacities with equal forms and hashes; a bad one, also one with a
+ragged, missing or extra column, must raise that table's error class,
+message and witness.
 """
 
 import math
@@ -103,7 +104,9 @@ def _rows(columns):
 
 
 def _per_table(space, columns, den):
-    return [validate_capacity(space, form=(row, den)) for row in _rows(columns)]
+    size = 1 << len(space)
+    return [core._checked_table(space, *core._checked_form((row, den), size))
+            for row in _rows(columns)]
 
 
 def _batch(space, columns, den):

@@ -58,6 +58,13 @@ class TestUncMaps:
         assert v.value(mask) == 0
         assert source.capacity(u_name).value(h.preimage_mask(mask)) > 0
 
+    def test_an_unmatched_pushforward_is_the_measure_preservation_witness(self):
+        target = dirac_space()
+        uniform = additive_capacity(target.base, [Fraction(1, 2)] * 2)
+        source = UncertaintySpace(target.base, (("uni", uniform),))
+        witness = is_mp_unc_map(identity_map(target.base), source, target)
+        assert not witness.verdict and witness.failure == ("uni", None)
+
     def test_unique_map_to_terminal_is_measure_preserving(self):
         from choquet_tower.hierarchy import terminal_space
 
@@ -162,6 +169,26 @@ class TestEmbDiracConditions:
             names, (("v", additive_capacity(names, [Fraction(1, 3)] * 3)),))
         with pytest.raises(ValueError):
             emb_dirac_conditions(urn, second)
+
+    @pytest.mark.parametrize("first, failure", [("da", ("db", ("v", 2, 1))),
+                                                ("db", ("da", ("v", 3, 1)))])
+    def test_a_point_mass_second_order_fails_the_other_point(self, first, failure):
+        # v sits on one point mass: on A = {a} it charges no w with w(A) = 0
+        # when it sits on da (condition 2 fails for db, which charges b), and
+        # none with w(A) = 1 when it sits on db (condition 3 fails for da)
+        source = dirac_space()
+        names = source.capacity_space
+        second = UncertaintySpace(names, (("v", dirac(names, first)),))
+        report = emb_dirac_conditions(source, second)
+        assert not report.verdict
+        assert report.failures == dict([failure])
+        assert report.chosen == {first: "v", failure[0]: None}
+
+    def test_requires_a_second_order_space_over_the_capacity_list(self):
+        foreign = make_space(["x", "y"])
+        second = UncertaintySpace(foreign, (("v", dirac(foreign, "x")),))
+        with pytest.raises(ValueError, match="must live over the capacity list"):
+            emb_dirac_conditions(dirac_space(), second)
 
 
 class TestMu:
@@ -328,6 +355,19 @@ class TestUgMaps:
         with pytest.raises(ValueError, match="no capacity named 'vb'"):
             is_ug_map(phi, seq_y, build_sequence(variant, params),
                       GTransform.linear(1))
+
+    @pytest.mark.parametrize("levels, fragment", [
+        (1, "need at least two levels of maps"),
+        (3, "family levels are not supported on the source side"),
+    ], ids=["one map", "family source"])
+    def test_refuses_maps_it_cannot_check(self, levels, fragment):
+        # the identity on Z: its urn level commutes, so a third map reaches
+        # the family level
+        seq = build_sequence("Z", UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5)))
+        urn = seq.levels[0]
+        phi = [{p: p for p in urn.base.points}, {name: name for name in urn.names}, {}]
+        with pytest.raises(ValueError, match=fragment):
+            is_ug_map(phi[:levels], seq, seq, GTransform.linear(1))
 
     def test_composition(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))

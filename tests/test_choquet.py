@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choquet_tower.choquet import (NotComonotonicError, are_comonotonic,
-                                   chain_act, choquet_integral, choquet_sum,
+from choquet_tower.choquet import (ChainDecomposition, NotComonotonicError,
+                                   are_comonotonic, chain_act, choquet_integral, choquet_sum,
                                    common_chain, decompose,
                                    upper_level_distribution)
 from choquet_tower.core import (Act, Capacity, FiniteSpace, additive_capacity,
@@ -251,3 +251,14 @@ def test_mass_path_matches_telescoping_sum(data):
     got = choquet_integral(u, f)
     want = choquet_sum(u.value, f)
     assert got == want and is_exact(got) == is_exact(want)
+
+
+@pytest.mark.parametrize("blocks, fragment", [
+    (((0b011, 2), (0b110, 1)), "blocks must be non-empty and disjoint"),
+    (((0b011, 2), (0, 1), (0b100, 0)), "blocks must be non-empty and disjoint"),
+    (((0b001, 1), (0b110, 2)), "block values must be non-increasing"),
+    (((0b001, 2), (0b010, 1)), "blocks must cover the space"),
+], ids=["overlapping", "empty", "increasing", "not covering"])
+def test_a_chain_refuses_blocks_that_do_not_partition_the_space_in_order(blocks, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        ChainDecomposition(make_space(["R", "B", "Y"]), blocks)

@@ -1,3 +1,5 @@
+import math
+import re
 import time
 from fractions import Fraction
 
@@ -326,3 +328,48 @@ def test_pushforward_keeps_additivity(data):
     h = PointMap(space, cod, {p: ("x" if i % 2 else "y")
                               for i, p in enumerate(space.points)})
     assert pushforward(u, h).is_additive
+
+
+TWO = make_space(["a", "b"])
+#: a monotone table on TWO whose four values are all different
+QUARTERS = validate_capacity(TWO, [0, Fraction(1, 4), Fraction(1, 2), 1])
+
+INPUT_CHECKS = {
+    "index unknown label": (lambda: TWO.index("z"), SpaceMismatchError,
+                            "point 'z' is not in"),
+    "subset mask beyond space": (lambda: TWO.subset_of_mask(4), SpaceMismatchError,
+                                 "0x4 has bits beyond the space"),
+    "act wrong count": (lambda: Act(TWO, (1,)), SpaceMismatchError,
+                        "act has 1 values for 2 points"),
+    "act infinite value": (lambda: Act(TWO, (1.0, math.inf)), ValueError,
+                           "act values must be finite, got inf"),
+    "act nan value": (lambda: Act(TWO, (math.nan, 1.0)), ValueError,
+                      "act values must be finite, got nan"),
+    "map image outside codomain": (
+        lambda: PointMap(TWO, make_space(["x"]), {"a": "x", "b": "y"}),
+        SpaceMismatchError, "map sends 'b' outside the codomain: 'y'"),
+    "capacity table and masses": (
+        lambda: Capacity(TWO, table=[0, 0, 0, 1], masses=[0, 1]), ValueError,
+        "exactly one of table/masses must be given"),
+    "capacity neither": (lambda: Capacity(TWO), ValueError,
+                         "exactly one of table/masses must be given"),
+    "table sequence too short": (lambda: validate_capacity(TWO, [0, 0, 1]),
+                                 SpaceMismatchError, "table does not cover every subset"),
+    "table sequence too long": (lambda: validate_capacity(TWO, [0, 0, 0, 1, 1]),
+                                SpaceMismatchError, "table does not cover every subset"),
+    "distortion decreasing": (
+        lambda: distort(QUARTERS, {0: 0, Fraction(1, 4): Fraction(3, 4),
+                                   Fraction(1, 2): Fraction(1, 4), 1: 1}.__getitem__),
+        MonotonicityError, "distortion decreases: 3/4 > 1/4"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_an_input_check_refuses_with_its_message(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_capacities_on_different_spaces_are_never_equal():
+    other = make_space(["a", "c"])
+    assert not QUARTERS.equals(validate_capacity(other, list(map(QUARTERS.value, range(4)))))

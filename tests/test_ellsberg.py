@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,16 @@ from choquet_tower.core import MonotonicityError
 from choquet_tower.ellsberg import (UrnParams, binomial_family, build_sequence,
                                     build_urn_space, closed_form_values,
                                     ellsberg_report, paradox_demo)
+
+
+#: the refusal of each p outside [0, 1] at N = 2, by repr of p
+NEGATIVE_MASS = {
+    "Fraction(3, 2)": "negative mass -3/4 at 'u1'",
+    "-0.5": "negative mass -6.75 at 'u1'",
+    "1.5": "negative mass -0.75 at 'u1'",
+    "2": "negative mass -8 at 'u1'",
+    "Fraction(-1, 3)": "negative mass -256/81 at 'u1'",
+}
 
 
 class TestUrnParams:
@@ -76,11 +87,46 @@ class TestBuildSequence:
         family.member(Fraction(1, 2))
         assert len(built) == 1
 
-    @pytest.mark.parametrize("p", [Fraction(3, 2), -0.5, 1.5])
+    @pytest.mark.parametrize("p", [Fraction(3, 2), -0.5, 1.5, 2, Fraction(-1, 3)])
     def test_family_refuses_a_parameter_outside_the_unit_interval(self, p):
         family = binomial_family(build_urn_space(UrnParams(2, 2, Fraction(1, 2))), 2)
-        with pytest.raises(MonotonicityError, match="negative mass"):
+        with pytest.raises(MonotonicityError) as err:
             family.member(p)
+        # the first negative mass, in p's own arithmetic
+        assert str(err.value) == NEGATIVE_MASS[repr(p)] and err.value.witness == (0, 2)
+
+
+def integer_member(two_n, p):
+    """The binomial(2N, p) masses of an exact p = a/b on integers alone, by
+    the binomial theorem: C(2N, k) a^k (b-a)^(2N-k) over b^(2N), brought to
+    lowest terms by one gcd."""
+    p = Fraction(p)
+    a, b = p.numerator, p.denominator
+    nums = [math.comb(two_n, k) * a ** k * (b - a) ** (two_n - k) for k in range(two_n + 1)]
+    g = math.gcd(b ** two_n, *nums)
+    return [n // g for n in nums], b ** two_n // g
+
+
+class TestBinomialMember:
+    @pytest.mark.parametrize("big_n", range(1, 13))
+    def test_an_exact_member_has_the_integer_builders_form(self, big_n):
+        family = binomial_family(build_urn_space(UrnParams(big_n, 1, Fraction(1, 2))), big_n)
+        for p in (0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), 1):
+            assert family.member(p).exact_form == integer_member(2 * big_n, p)
+
+    @pytest.mark.parametrize("p, masses", [
+        (0.3, ["0x1.ebb98c7e2823fp-3", "0x1.a57a786c2267fp-2", "0x1.0ef34d6a161e5p-2",
+               "0x1.35a858793dd97p-4", "0x1.096bb98c7e282p-7"]),
+        (0.5, ["0x1.0000000000000p-4", "0x1.0000000000000p-2", "0x1.8000000000000p-2",
+               "0x1.0000000000000p-2", "0x1.0000000000000p-4"]),
+        (0.9, ["0x1.a36e2eb1c4326p-14", "0x1.d7dbf487fcb8dp-9", "0x1.8e219652bd3c0p-5",
+               "0x1.2a9930be0ded2p-2", "0x1.4fec56d5cfaadp-1"]),
+    ])
+    def test_a_float_member_keeps_its_float_masses_bit_for_bit(self, p, masses):
+        family = binomial_family(build_urn_space(UrnParams(2, 1, Fraction(1, 2))), 2)
+        member = family.member(p)
+        assert member.exact_form is None
+        assert [m.hex() for m in member.singleton_masses()] == masses
 
 
 class TestEllsbergReport:
@@ -145,6 +191,17 @@ class TestEllsbergReport:
             ellsberg_report("X", params, 3)
         with pytest.raises(ValueError):
             ellsberg_report("Z", params, 2)
+
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda params: closed_form_values("X", params, 3),
+         "no closed form for variant X at layer 3"),
+        (lambda params: closed_form_values("Z", params, 2),
+         "no closed form for variant Z at layer 2"),
+        (lambda params: ellsberg_report("Q", params, 2), "unknown variant 'Q'"),
+    ], ids=["closed form X at 3", "closed form Z at 2", "report of variant Q"])
+    def test_refuses_what_it_has_no_value_for(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call(UrnParams(big_n=1, alpha=1, u1=Fraction(3, 5)))
 
     def test_closed_forms_agree_for_float_exponent(self):
         params = UrnParams(big_n=2, alpha=1.7, u1=0.6)

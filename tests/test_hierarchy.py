@@ -238,3 +238,32 @@ class TestUSequenceValidation:
         ))
         with pytest.raises(ValueError):
             USequence((level0, TERMINAL))
+
+
+FAMILY = TestIntegrateFamily.family()
+
+INPUT_CHECKS = {
+    "family integrand phi and act": (
+        lambda: integrate_family(FAMILY, lambda p: 1.0, act=Act(FAMILY.base, (1, 2, 3))),
+        ValueError, "give exactly one of phi/act"),
+    "family integrand neither": (lambda: integrate_family(FAMILY), ValueError,
+                                 "give exactly one of phi/act"),
+    "sequence starting terminal": (lambda: USequence((TERMINAL,)), ValueError,
+                                   "a sequence starts with a concrete uncertainty space"),
+    "empty sequence": (lambda: USequence(()), ValueError,
+                       "a sequence starts with a concrete uncertainty space"),
+    "level after a family": (
+        lambda: USequence(build_sequence("Z", UrnParams(1, 1, Fraction(1, 2))).levels[:2] * 2),
+        ValueError, "a family level closes the sequence"),
+    "level after the terminal": (lambda: USequence(toy_sequence().levels * 2), ValueError,
+                                 "levels after the terminal space stay terminal"),
+    "many-point act at the terminal": (
+        lambda: xi_chain(toy_sequence(), Act(make_space(["x", "y"]), (1, 2)), 2, 3),
+        LayerError, "terminal level expects a one-point act"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_an_input_check_refuses_with_its_message(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

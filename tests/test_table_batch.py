@@ -227,7 +227,9 @@ def test_a_batch_built_urn_reads_as_the_urn_built_from_fraction_tables(big_n, al
 @pytest.mark.parametrize("big_n, alpha", [(1, 1), (3, 2), (20, 3)])
 def test_an_urn_built_from_columns_equals_the_urn_built_from_capacities(big_n, alpha):
     urn = build_urn_space(UrnParams(big_n, alpha, Fraction(1, 2)))
-    caps = tuple((name, validate_capacity(urn.base, form=(list(row), urn.batch[1])))
+    # each row through the one-table form check
+    den = urn.batch[1]
+    caps = tuple((name, core._checked_table(urn.base, *_checked_form((list(row), den), 8)))
                  for name, row in zip(urn.names, zip(*urn.batch[0])))
     oracle = UncertaintySpace(urn.base, caps)
     # the columns the oracle derives from its capacities, each reduced alone,

@@ -189,6 +189,12 @@ class TestProjectiveConsistency:
         with pytest.raises(ValueError):
             ProjectiveVector(tower, (cap, cap))
 
+    @pytest.mark.parametrize("length", [0, 4], ids=["empty", "past the depth"])
+    def test_a_vector_longer_than_the_tower_or_empty_is_rejected(self, tower, length):
+        u1 = dirac(tower.base, tower.base.points[0])
+        with pytest.raises(ValueError, match="vector length must fit the tower depth"):
+            ProjectiveVector(tower, (u1,) * length)
+
 
 def test_averaging_keeps_additivity(tower):
     rng = random.Random(21)

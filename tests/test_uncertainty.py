@@ -136,6 +136,17 @@ def test_gtransform_rejects_non_inverse():
         GTransform(lambda t: t + 1, lambda s: s + 1)
 
 
+@pytest.mark.parametrize("make, parameter, fragment", [
+    (GTransform.linear, 0, "linear transform needs a positive slope"),
+    (GTransform.linear, Fraction(-1, 2), "linear transform needs a positive slope"),
+    (GTransform.entropic, 0.0, "entropic transform needs lambda > 0"),
+    (GTransform.entropic, -1.0, "entropic transform needs lambda > 0"),
+], ids=["linear 0", "linear negative", "entropic 0", "entropic negative"])
+def test_gtransform_needs_a_positive_parameter(make, parameter, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make(parameter)
+
+
 def test_xi_contracts_sup_norm():
     us, f, g = comono_example()
     for act in (f, g, f - g.scale(Fraction(5, 2))):

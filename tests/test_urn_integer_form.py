@@ -1,5 +1,5 @@
 """The urn family on integer numerators, against the Fraction arithmetic it
-replaces, and the checked form entry of the two capacity constructors.
+replaces, and the checked form entries for tables and masses.
 
 For a whole exponent ``build_urn_space`` hands its tables over as one
 batch of integer numerators over 3 (2N)^alpha / 2,
@@ -8,6 +8,7 @@ binomial layer of ``integrate_family`` sums the act's numerators.  The
 oracles below are the Fraction loops those paths replace.
 """
 
+import inspect
 import math
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from choquet_tower import core
 from choquet_tower.core import (Act, Capacity, MonotonicityError,
                                 NormalizationError, SpaceMismatchError,
                                 additive_capacity, is_exact, make_space,
-                                validate_capacity)
+                                table_capacities, validate_capacity, validate_tables)
 from choquet_tower.ellsberg import (UrnParams, _weight_numerators, binomial_family,
                                     build_sequence, build_urn_space,
                                     closed_form_values, standard_acts)
@@ -191,8 +192,9 @@ def fractions(nums, den):
 
 
 def table_by_form(space, nums, den):
-    """``validate_capacity`` given a form in place of the values."""
-    return validate_capacity(space, form=(nums, den))
+    """A table's form through the form door for tables, ``validate_tables``
+    given it as a one-row batch, and the capacity of that row."""
+    return table_capacities(space, *validate_tables(space, [[n] for n in nums], den))[0]
 
 
 def raised(call):
@@ -273,17 +275,13 @@ def test_form_entry_refuses_a_decrease_with_the_same_witness():
 
 
 def test_form_entry_refuses_values_that_differ_from_it():
-    # one stored form: values beside a form are refused, equal or not, and
-    # so is a call with neither
-    for values in ([0, Fraction(1, 4), Fraction(1, 3), 1], [0, 0.25, 0.5, 1], VALUES):
-        with pytest.raises(TypeError):
-            validate_capacity(SPACE, values, form=(NUMS, DEN))
+    # one stored form: masses beside a form are refused, equal or not, and
+    # so is a call with neither; a table's door takes its values alone
     with pytest.raises(TypeError):
         additive_capacity(SPACE, [Fraction(1, 3), Fraction(2, 3)], form=([2, 1], 3))
     with pytest.raises(TypeError):
-        validate_capacity(SPACE)
-    with pytest.raises(TypeError):
         additive_capacity(SPACE)
+    assert list(inspect.signature(validate_capacity).parameters) == ["space", "table"]
 
 
 @st.composite

@@ -58,7 +58,9 @@ def _masses(rng, n, count):
 
 
 def _checked(space, forms):
-    return [validate_capacity(space, form=form) for form in forms]
+    # each table through the one-table form check
+    return [core._checked_table(space, *core._checked_form(form, 1 << len(space)))
+            for form in forms]
 
 
 def _space_of(space, caps):

@@ -1,4 +1,4 @@
-"""Time the urn's and the space files' kernels one layer at a time.
+"""Time the urn's, the space files' and the towers' kernels one layer at a time.
 
     python3 tools/kernels.py
 
@@ -19,11 +19,21 @@ the median time and the SHA-256 of a text form of its output:
 - the next step ``xi_chain(seq, g, 1, 2)`` for X and Y (N = 300), g being
   the first step's output: their weight layer, one mass vector over the
   2N+1 capacities, with that layer rebuilt from its capacity before each run;
-- ``validate_capacity`` on the 16-point full table that
-  ``benchmarks/spacegen.py`` writes for seed 1, given as its exact form;
+- ``core._checked_table``, the one-table check that ``spacefile`` runs, on
+  the 16-point full table that ``benchmarks/spacegen.py`` writes for seed
+  1, given as its exact form;
 - ``load_space_file`` on that generator's seed 1 dense and additive texts,
   the JSON decoding included: the loaded capacity's exact form and its
-  integral of the act ``f``.
+  integral of the act ``f``;
+- ``build_tower`` over a 2-point base on the 1/3 grid, 3 levels deep, every
+  level's capacities by name and reduced exact form;
+- ``mu`` on that tower's top view (level 2's 20 points carrying level 3's
+  1540 capacities) of the point mass at its middle point and of an
+  additive weight drawn by ``laws.rand_additive`` from seed 1, the averaged
+  capacity's exact form; the weight is rebuilt before each run, but the
+  view is built, and its batch derived, once, as the laws reuse a tower's
+  views;
+- ``laws.rand_capacity`` on 6 points from seed 1, the table's exact form.
 
 A digest that differs from ``DIGESTS`` is printed as FAIL and the script
 exits 1: a kernel whose output changes is a broken kernel, not a faster one.
@@ -38,6 +48,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import sys
 from fractions import Fraction
@@ -51,12 +62,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import spacegen  # noqa: E402  benchmarks/spacegen.py, read only
 
+from choquet_tower import core  # noqa: E402
+from choquet_tower.category import dirac, mu  # noqa: E402
 from choquet_tower.choquet import choquet_integral  # noqa: E402
-from choquet_tower.core import make_space, validate_capacity  # noqa: E402
+from choquet_tower.core import make_space  # noqa: E402
 from choquet_tower.ellsberg import (UrnParams, build_sequence,  # noqa: E402
                                     build_urn_space, standard_acts)
 from choquet_tower.hierarchy import USequence, xi_chain  # noqa: E402
+from choquet_tower.laws import rand_additive, rand_capacity  # noqa: E402
 from choquet_tower.spacefile import load_space_file  # noqa: E402
+from choquet_tower.tower import build_tower  # noqa: E402
 from choquet_tower.uncertainty import UncertaintySpace, xi  # noqa: E402
 
 U1 = Fraction(3, 5)
@@ -83,12 +98,20 @@ DIGESTS = {
         "9c83cfe3156a30327318ad6b6473d1fc5af2f6c409f68b4b1ee1b10330875ca4",
     "xi_chain 1->2 Y":
         "74574012086248ec735aeb482917510bb46747eb23e78fcda245b8bf17aa92c2",
-    "validate_capacity 16 points":
+    "spacefile _checked_table 16 points":
         "4ccbec1740ba98b4f2fa1e5306a409458bf4cffb3ac2c36ec03fd8e7d49d85d3",
     "load_space_file dense":
         "60e1f7bf97ed10dfc0d6489522d05a2ab0db55a2ec6015c6ec042842da81f3e5",
     "load_space_file additive":
         "ae7af1ad1d29b1cf9701b422c69fa597617f5cb26f40f10ef73a817df97460a8",
+    "build_tower base 2, grid 3, depth 3":
+        "209130ad1fbac6ce2b97ae0b1ad996120cd90df13250275a748a25cd1fe36556",
+    "mu top view, point mass":
+        "a62d7c6dde4a154ed1e5b57a5a9a3122eb9ed5fbfa14ffc6ff8e6e9ae66b0095",
+    "mu top view, drawn weight":
+        "cec27d398f0b4ec3db27e53c7289f7977d6a71339a7a20d941b243766d3c91c0",
+    "rand_capacity 6 points":
+        "157d750f494490cd906ab8f1dc53a780c298fe2b65d2a71c485236e4ea68a2d1",
 }
 
 
@@ -120,6 +143,11 @@ def _loaded_text(loaded, name: str) -> str:
     return f"{_form_text(*cap.exact_form)}\n{choquet_integral(cap, loaded.acts['f'])}"
 
 
+def _tower_text(tower) -> str:
+    return "\n".join(f"{name} {_form_text(*cap.exact_form)}"
+                     for view in tower.views for name, cap in view.capacities)
+
+
 def _spacegen_form() -> tuple:
     doc = json.loads(spacegen.generate(1)["dense"].text)
     n = len(doc["points"])
@@ -138,7 +166,7 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
     seqs = {v: build_sequence(v, UrnParams(1000 if v == "Z" else 300, 2, U1)) for v in "XYZ"}
     space16, form16 = _spacegen_form()
     no_args = lambda: ()  # noqa: E731
-    act_text = lambda act: _form_text(*act.exact_form)  # noqa: E731
+    form_text = lambda x: _form_text(*x.exact_form)  # noqa: E731
 
     out = {}
     for big_n in (300, 1000):
@@ -150,24 +178,34 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         lambda us: _form_text(chain.from_iterable(zip(*us.batch[0])), us.batch[1]))
     out["xi Z urn, four bets"] = (
         lambda: (_fresh(z_urn),), lambda us: [xi(us, f) for f in z_bets],
-        lambda acts: "\n".join(map(act_text, acts)))
+        lambda acts: "\n".join(map(form_text, acts)))
     for variant, seq in seqs.items():
         blue = _bets(seq.base_space())[1]
         out[f"xi_chain 0->1 {variant}"] = (
             lambda seq=seq: (USequence((_fresh(seq.levels[0]), *seq.levels[1:])),),
-            lambda s, blue=blue: xi_chain(s, blue, 0, 1), act_text)
+            lambda s, blue=blue: xi_chain(s, blue, 0, 1), form_text)
     for variant in "XY":
         seq, blue = seqs[variant], _bets(seqs[variant].base_space())[1]
         out[f"xi_chain 1->2 {variant}"] = (
             lambda seq=seq, blue=blue: (_fresh_weights(seq), xi_chain(seq, blue, 0, 1)),
-            lambda s, act: xi_chain(s, act, 1, 2), act_text)
-    out["validate_capacity 16 points"] = (
-        no_args, lambda: validate_capacity(space16, form=form16),
-        lambda cap: _form_text(*cap.exact_form))
+            lambda s, act: xi_chain(s, act, 1, 2), form_text)
+    out["spacefile _checked_table 16 points"] = (
+        no_args, lambda: core._checked_table(space16, *form16), form_text)
     for kind, case in spacegen.generate(1).items():
         out[f"load_space_file {kind}"] = (
             no_args, lambda text=case.text: load_space_file(text),
             lambda loaded, name=case.capacity: _loaded_text(loaded, name))
+    out["build_tower base 2, grid 3, depth 3"] = (
+        no_args, lambda: build_tower(make_space(["a", "b"]), 3, 3), _tower_text)
+    top = build_tower(make_space(["a", "b"]), 3, 3).views[-1]
+    top.batch  # noqa: B018  derived here, as the laws' later mu calls find it
+    weights, space6 = top.capacity_space, make_space(["a", "b", "c", "d", "e", "f"])
+    out["mu top view, point mass"] = (
+        lambda: (top, dirac(weights, weights.points[len(weights) // 2])), mu, form_text)
+    out["mu top view, drawn weight"] = (
+        lambda: (top, rand_additive(random.Random(1), weights)), mu, form_text)
+    out["rand_capacity 6 points"] = (
+        lambda: (random.Random(1), space6), rand_capacity, form_text)
     return out
 
 
@@ -195,7 +233,7 @@ def main(repeat: int = REPEAT) -> int:
     for name, (seconds, digest) in measure(repeat).items():
         ok = DIGESTS.get(name) == digest
         failed |= not ok
-        print(f"{name:30s} {seconds * 1000:9.3f} ms  sha256 {digest[:16]}"
+        print(f"{name:36s} {seconds * 1000:9.3f} ms  sha256 {digest[:16]}"
               + ("" if ok else "  FAIL"))
     return 1 if failed else 0
 

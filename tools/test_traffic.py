@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 import traffic
-from choquet_tower import choquet, core, hierarchy, spacefile, uncertainty
+from choquet_tower import choquet, core, ellsberg, hierarchy, spacefile, uncertainty
 
 
 def _function(module, name):
@@ -60,6 +60,17 @@ def test_the_urn_workload_never_derives_a_batch(urn_missed):
     # and Y, one mass vector past MAX_DENSE_POINTS points, without one
     body = traffic.executable_lines(uncertainty.UncertaintySpace.batch.fn.__code__)
     assert body and body <= set(urn_missed["uncertainty.py"])
+
+
+def test_the_urn_workload_builds_no_binomial_member(urn_missed):
+    # variant Z builds its family, but integrates it on the act's numerators
+    # and never asks for a member
+    family = traffic.executable_lines(ellsberg.binomial_family.__code__)
+    member = next(code for code in ellsberg.binomial_family.__code__.co_consts
+                  if getattr(code, "co_name", None) == "member")
+    body = traffic.executable_lines(member)
+    assert body and body <= set(urn_missed["ellsberg.py"])
+    assert family - body and not (family - body) & set(urn_missed["ellsberg.py"])
 
 
 def _check_lines(missed, function):
