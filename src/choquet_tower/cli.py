@@ -54,9 +54,7 @@ class RunConfig(Frozen):
 
     def to_dict(self) -> dict:
         """The fields by name, in constructor order."""
-        return {"command": self.command, "seed": self.seed, "trials": self.trials,
-                "backend": self.backend, "tolerance": self.tolerance,
-                "format": self.format, "out": self.out}
+        return dict(vars(self))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,9 +170,13 @@ def cmd_laws(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    config = RunConfig(command=f"counterexample {args.which}",
-                       backend=args.backend, tolerance=args.tolerance,
-                       out=args.out)
+    given = {flag: getattr(args, flag) for flag in ("beta", "backend", "tolerance")
+             if getattr(args, flag) is not None}
+    if args.which == "comonotonic" and given:
+        raise ValueError("counterexample comonotonic does not read "
+                         + ", ".join(f"--{flag}" for flag in given))
+    config = RunConfig(command=f"counterexample {args.which}", out=args.out,
+                       **{flag: value for flag, value in given.items() if flag != "beta"})
     if args.which == "comonotonic":
         space = FiniteSpace(("A1", "A2", "A3"))
         us = UncertaintySpace(space, (
@@ -203,14 +205,14 @@ def cmd_counterexample(args) -> int:
 
     if args.beta is None:
         raise ValueError("counterexample monad requires --beta")
-    result = monad_counterexample(parse_number(args.beta, args.backend))
+    result = monad_counterexample(parse_number(args.beta, config.backend))
     payload = {
         "config": config.to_dict(),
-        "beta": format_number(result.beta, args.backend),
-        "average_then_integrate": format_number(result.lhs, args.backend),
-        "integrate_expectations": format_number(result.rhs, args.backend),
-        "difference": format_number(result.difference, args.backend),
-        "difference_formula": format_number(result.difference_formula, args.backend),
+        "beta": format_number(result.beta, config.backend),
+        "average_then_integrate": format_number(result.lhs, config.backend),
+        "integrate_expectations": format_number(result.rhs, config.backend),
+        "difference": format_number(result.difference, config.backend),
+        "difference_formula": format_number(result.difference_formula, config.backend),
         "printed_count": result.printed_count,
         "actual_count": result.actual_count,
     }
@@ -266,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="reproduce a counterexample")
     p.add_argument("which", choices=("comonotonic", "monad"))
-    p.add_argument("--beta", default=None)
-    p.add_argument("--backend", choices=BACKENDS, default="rational")
-    p.add_argument("--tolerance", type=float, default=VALUE_TOL)
+    # None marks a flag left out: comonotonic reads none of the three
+    p.add_argument("--beta")
+    p.add_argument("--backend", choices=BACKENDS)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_counterexample)
 

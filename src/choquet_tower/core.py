@@ -804,17 +804,13 @@ def _checked_form(form: tuple[Sequence[int], int], size: int) -> tuple[Sequence[
     ``_exact_form`` would derive.
     """
     nums, den = form
-    _check_count(nums, size)
+    if len(nums) != size:
+        raise SpaceMismatchError(f"exact form has {len(nums)} numerators, need {size}")
     if type(den) is not int or not set(map(type, nums)) <= {int}:
         raise TypeError("an exact form holds int numerators over an int denominator")
     if den == 0:
         raise ZeroDivisionError("exact form with denominator 0")
     return _reduced(nums, den)
-
-
-def _check_count(nums: Sequence, size: int) -> None:
-    if len(nums) != size:
-        raise SpaceMismatchError(f"exact form has {len(nums)} numerators, need {size}")
 
 
 def _reduced(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:

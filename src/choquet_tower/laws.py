@@ -51,8 +51,7 @@ class SuiteReport(Frozen):
             "suite": self.suite,
             "seed": self.seed,
             "passed": self.passed,
-            "laws": [{"name": l.name, "trials": l.trials, "failures": l.failures,
-                      "first_failure": l.first_failure} for l in self.laws],
+            "laws": [dict(vars(law)) for law in self.laws],
         }
 
 
@@ -302,7 +301,7 @@ def _unit_laws(tower: GridTower, level: int) -> Optional[str]:
     lift = PointMap(view.base, view.capacity_space,
                     {p: tower.find_name(level + 1, dirac(view.base, p))
                      for p in view.base.points})
-    for name, cap in tower.levels[level + 1].capacities:
+    for name, cap in view.capacities:
         back = mu(view, dirac(view.capacity_space, name))
         if back != cap:
             return f"averaging a point mass at {name} is not the identity"
@@ -331,14 +330,14 @@ def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
                 return problem
         return None
 
-    level2 = tower.levels[2]
+    level2 = tower.space_at(2)
     averaged = iota(tower, 2, 1).values()
     # the evaluation act of each base subset over the averaged level-2 points
-    evaluations = [Act(level2.space, tuple(cap.value(mask) for cap in averaged))
+    evaluations = [Act(level2, tuple(cap.value(mask) for cap in averaged))
                    for mask in tower.base.all_masks()]
 
     def associativity(rng):
-        w = rand_additive(rng, level2.space)
+        w = rand_additive(rng, level2)
         left = mu(tower.view(0), mu(tower.view(1), w))
         table = [choquet_sum(w.value, act) for act in evaluations]
         for mask in tower.base.all_masks():
@@ -390,7 +389,7 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
     def retraction(rng):
         for n in range(1, tower.depth + 1):
             for m in range(n, tower.depth + 1):
-                for name, cap in tower.levels[n].capacities:
+                for name, cap in tower.view(n - 1).capacities:
                     lifted = project(tower, cap, n, m)
                     if tower.find_name(m, lifted) is None:
                         return f"lift of {name} to level {m} left the grid"
@@ -405,7 +404,7 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
                        for view in tower.views[:-1]]
         descents = {}
         for l in range(2, tower.depth + 1):
-            for name, cap in tower.levels[l].capacities:
+            for name, cap in tower.view(l - 1).capacities:
                 for n in range(l - 1, 0, -1):
                     cap = validate_capacity(tower.space_at(n - 1), [
                         choquet_integral(cap, act) for act in evaluations[n - 1]])
@@ -416,7 +415,7 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
                    if l >= m >= n or l <= m <= n]
         for l, m, n in triples:
             # a descent may leave the grid; the next descent carries it on
-            for name, cap in tower.levels[l].capacities:
+            for name, cap in tower.view(l - 1).capacities:
                 composed = project(tower, project(tower, cap, l, m), m, n)
                 direct = descents[l, n, name] if l > n else project(tower, cap, l, n)
                 if composed != direct:
@@ -424,7 +423,7 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
         return None
 
     def consistency_detector(rng):
-        name, cap = tower.levels[1].capacities[0]
+        name, cap = tower.view(0).capacities[0]
         lifted = dirac(tower.space_at(1), name)
         ok, idx = projective_consistency(ProjectiveVector(tower, (cap, lifted)))
         if not ok:

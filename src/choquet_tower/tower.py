@@ -30,35 +30,21 @@ def _grid_compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-class TowerLevel(Frozen):
-    """One tower level: its point set, and its points as capacities on the
-    level below (None at the base)."""
-
-    def __init__(self, space: FiniteSpace,
-                 capacities: Optional[tuple[tuple[str, Capacity], ...]]):
-        self.__dict__.update(space=space, capacities=capacities)
-
-
 class GridTower(Frozen):
-    """Base space plus enumerated grid-additive capacity levels.
-
-    ``views[k]`` is level k as an uncertainty space carrying level k+1's
-    capacities; its capacity space is level k+1's point set itself.
+    """Base space plus enumerated grid-additive capacity levels, stored only
+    as views: ``views[k]`` is level k as an uncertainty space whose
+    capacities and capacity space are level k+1's points and point set.
     """
 
-    def __init__(self, base: FiniteSpace, grid: int, levels: tuple[TowerLevel, ...],
-                 views: tuple[UncertaintySpace, ...]):
-        self.__dict__.update(base=base, grid=grid, levels=levels, views=views)
+    def __init__(self, base: FiniteSpace, grid: int, views: tuple[UncertaintySpace, ...]):
+        self.__dict__.update(base=base, grid=grid, views=views)
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self.views)
 
     def space_at(self, level: int) -> FiniteSpace:
-        return self.levels[level].space
-
-    def capacity_at(self, level: int, name: str) -> Capacity:
-        return self.view(level - 1).capacity(name)
+        return self.base if level == 0 else self.view(level - 1).capacity_space
 
     def view(self, level: int) -> UncertaintySpace:
         """Level `level` as an uncertainty space carrying level+1's points."""
@@ -78,7 +64,6 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
                          f"got grid {grid}, depth {depth}")
     if len(base) > 3 or grid > 4 or depth > 4:
         raise TowerSizeError("tower guards: base <= 3 points, grid <= 4, depth <= 4")
-    levels = [TowerLevel(base, None)]
     views = []
     current = base
     for _ in range(depth):
@@ -92,8 +77,7 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
                                                  form=(list(numerators), grid))))
         views.append(UncertaintySpace(current, tuple(caps)))
         current = views[-1].capacity_space
-        levels.append(TowerLevel(current, views[-1].capacities))
-    return GridTower(base, grid, tuple(levels), tuple(views))
+    return GridTower(base, grid, tuple(views))
 
 
 def project(tower: GridTower, cap: Capacity, m_from: int, n_to: int) -> Capacity:
@@ -120,7 +104,7 @@ def iota(tower: GridTower, m_from: int, n_to: int) -> dict[str, Capacity]:
     if not 1 <= m_from <= tower.depth or not 1 <= n_to <= tower.depth:
         raise ValueError(f"levels must lie in 1..{tower.depth}")
     return {name: project(tower, cap, m_from, n_to)
-            for name, cap in tower.levels[m_from].capacities}
+            for name, cap in tower.view(m_from - 1).capacities}
 
 
 class ProjectiveVector(Frozen):

@@ -65,7 +65,8 @@ def check_separated(capacities: Union["UncertaintySpace",
 
 
 class UncertaintySpace(Frozen):
-    """A finite space plus a named, non-empty list of distinct capacities.
+    """A finite space plus a named, non-empty list of distinct capacities,
+    whose names are ``capacity_space``, the point set one level up.
 
     A space is built from (name, capacity) pairs, or by ``of_tables`` from
     dense tables given as one batch of columns, which is all the space
@@ -84,7 +85,7 @@ class UncertaintySpace(Frozen):
             if pair is not None:
                 raise _duplicate(pair)
             self.__dict__["_name_of"] = index
-        self.__dict__.update(base=base, capacities=capacities, _capacity_space=names)
+        self.__dict__.update(base=base, capacities=capacities, capacity_space=names)
 
     @classmethod
     def of_tables(cls, base: FiniteSpace, names: tuple[str, ...],
@@ -112,17 +113,12 @@ class UncertaintySpace(Frozen):
             if len(set(zip(*columns))) != count:
                 raise _duplicate(_name_index(zip(names, table_capacities(base, columns, den)))[1])
         us = cls.__new__(cls)
-        us.__dict__.update(base=base, _capacity_space=names_space, batch=(columns, den))
+        us.__dict__.update(base=base, capacity_space=names_space, batch=(columns, den))
         return us
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._capacity_space.points
-
-    @property
-    def capacity_space(self) -> FiniteSpace:
-        """The capacity list viewed as the point set one level up."""
-        return self._capacity_space
+        return self.capacity_space.points
 
     @once
     def capacities(self) -> tuple[tuple[str, Capacity], ...]:

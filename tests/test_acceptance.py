@@ -175,16 +175,16 @@ def test_criterion_08_monad_laws():
         tower = build_tower(FiniteSpace(("a", "b")), 2, 3)
         for level in range(tower.depth):
             assert _unit_laws(tower, level) is None
-        level2 = tower.levels[2]
+        view1 = tower.view(1)
         averaged = {name: mu(tower.view(0), cap)
-                    for name, cap in level2.capacities}
+                    for name, cap in view1.capacities}
         rng = random.Random(7)
         for _ in range(200):
-            w = rand_additive(rng, level2.space)
+            w = rand_additive(rng, view1.capacity_space)
             left = mu(tower.view(0), mu(tower.view(1), w))
             for mask in tower.base.all_masks():
-                act = Act(level2.space, tuple(averaged[name].value(mask)
-                                              for name in level2.space.points))
+                act = Act(view1.capacity_space, tuple(averaged[name].value(mask)
+                                                      for name in view1.names))
                 assert left.value(mask) == choquet_integral(w, act)
         flat = monad_counterexample(1)
         assert flat.difference == 0
@@ -208,7 +208,7 @@ def test_criterion_10_projection_tower():
         for n in range(1, tower.depth + 1):
             for m in range(n, tower.depth + 1):
                 up, down = iota(tower, n, m), iota(tower, m, n)
-                for name, cap in tower.levels[n].capacities:
+                for name, cap in tower.view(n - 1).capacities:
                     lifted = tower.find_name(m, up[name])
                     assert down[lifted].equals(cap, tol=0.0)
         for l, m, n in [(3, 2, 1), (1, 2, 3), (3, 3, 1), (1, 1, 3), (2, 2, 2)]:
@@ -225,7 +225,7 @@ def test_criterion_10_projection_tower():
                     mid_name = tower.find_name(m, mid)
                     assert iota(tower, m, n)[mid_name].equals(direct[name],
                                                               tol=0.0)
-        name, cap = tower.levels[1].capacities[0]
+        name, cap = tower.view(0).capacities[0]
         lifted = dirac(tower.space_at(1), name)
         assert projective_consistency(
             ProjectiveVector(tower, (cap, lifted))) == (True, None)

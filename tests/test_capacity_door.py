@@ -58,7 +58,7 @@ def test_point_masses_and_grid_capacities_keep_their_values():
     masses = dirac(space, "b").singleton_masses()
     assert masses == (0, 1, 0) and {type(m) for m in masses} == {Fraction}
     t = build_tower(FiniteSpace(("a", "b")), 4, 2)
-    for name, cap in t.levels[2].capacities:
+    for name, cap in t.view(1).capacities:
         nums = [int(c) for c in name.split("-")]
         masses = cap.singleton_masses()
         assert masses == tuple(Fraction(c, 4) for c in nums)

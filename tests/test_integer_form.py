@@ -351,12 +351,16 @@ def test_validation_still_refuses_foreign_keys():
     assert validate_capacity(space, by_subset) == validate_capacity(space, by_mask)
 
 
-@pytest.mark.parametrize("grid", [2, 3])
+@pytest.mark.parametrize("grid", [1, 2, 3])
 def test_tower_views_share_the_level_spaces(grid):
-    tower = build_tower(FiniteSpace(("a", "b")), grid, 3)
-    for k in range(tower.depth):
-        assert tower.view(k).base is tower.levels[k].space
-        assert tower.view(k).capacity_space is tower.levels[k + 1].space
+    # depth 1 is a tower of one view
+    for depth in (1, 2, 3):
+        tower = build_tower(FiniteSpace(("a", "b")), grid, depth)
+        assert tower.depth == len(tower.views) == depth
+        assert tower.space_at(0) is tower.base
+        for k in range(tower.depth):
+            assert tower.view(k).base is tower.space_at(k)
+            assert tower.view(k).capacity_space is tower.space_at(k + 1)
 
 
 # -- cost guard -----------------------------------------------------------------

@@ -84,7 +84,7 @@ def _wrong_descent(real):
         out = real(tower, cap, m, n)
         if m <= n:
             return out
-        return next(c for _, c in tower.levels[n].capacities if c != out)
+        return next(c for _, c in tower.view(n - 1).capacities if c != out)
     return project
 
 

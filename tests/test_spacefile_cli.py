@@ -206,6 +206,37 @@ def test_laws_flag_the_suite_does_not_read_exits_one(args, unread, capsys):
         f"error: the {args[1]} suite does not read {unread}"]
 
 
+@pytest.mark.parametrize("flags,unread", [
+    (["--beta", "2"], "--beta"),
+    (["--backend", "rational"], "--backend"),
+    (["--backend", "float"], "--backend"),
+    (["--tolerance", "0.5"], "--tolerance"),
+    (["--tolerance", "0.5", "--backend", "float", "--beta", "2"],
+     "--beta, --backend, --tolerance"),
+])
+def test_counterexample_comonotonic_refuses_the_flags_it_does_not_read(flags, unread,
+                                                                       capsys):
+    assert main(["counterexample", "comonotonic", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: counterexample comonotonic does not read {unread}"]
+
+
+def test_counterexample_monad_reads_backend_and_tolerance(capsys):
+    monad = ["counterexample", "monad", "--beta", "2"]
+    assert main(monad) == 0
+    plain = capsys.readouterr().out
+    assert main(monad + ["--backend", "rational", "--tolerance", "1e-9"]) == 0
+    assert capsys.readouterr().out == plain
+    config = json.loads(plain)["config"]
+    assert (config["backend"], config["tolerance"]) == ("rational", 1e-9)
+    assert main(monad + ["--backend", "float", "--tolerance", "1e-6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["config"]["backend"], out["config"]["tolerance"]) == ("float", 1e-6)
+    assert out["difference"] == "0.444444444444"
+
+
 @pytest.mark.parametrize("args", [
     ["laws", "monad", "--trials", "500", "--grid", "2", "--space-size", "2",
      "--depth", "3"],

@@ -18,17 +18,17 @@ def tower():
 
 class TestBuildTower:
     def test_level_sizes(self, tower):
-        assert [len(level.space) for level in tower.levels] == [2, 3, 6, 21]
+        assert [len(tower.space_at(k)) for k in range(tower.depth + 1)] == [2, 3, 6, 21]
 
     def test_first_level_masses(self, tower):
-        masses = [cap.singleton_masses() for _, cap in tower.levels[1].capacities]
+        masses = [cap.singleton_masses() for _, cap in tower.view(0).capacities]
         assert masses == [(Fraction(0), Fraction(1)),
                           (Fraction(1, 2), Fraction(1, 2)),
                           (Fraction(1), Fraction(0))]
 
     def test_unit_grid_gives_point_masses(self):
         t = build_tower(FiniteSpace(("a", "b", "c")), 1, 2)
-        level1 = [cap for _, cap in t.levels[1].capacities]
+        level1 = [cap for _, cap in t.view(0).capacities]
         assert len(level1) == 3
         assert all(any(cap.equals(dirac(t.base, p), tol=0.0)
                        for p in t.base.points) for cap in level1)
@@ -51,7 +51,7 @@ class TestBuildTower:
         # beyond the dense-table cap; averaging stays in mass space
         big = build_tower(FiniteSpace(("a", "b")), 3, 3)
         assert len(big.space_at(3)) == 1540
-        for name, cap in big.levels[3].capacities[::97]:
+        for name, cap in big.view(2).capacities[::97]:
             averaged = mu(big.view(2), dirac(big.space_at(3), name))
             assert averaged._masses is not None
             assert averaged.equals(cap, tol=0.0)
@@ -60,7 +60,7 @@ class TestBuildTower:
 
 def _linear_name(tower, level, cap):
     """The find_name oracle: the first grid capacity equal to cap, by scan."""
-    return next((name for name, grid_cap in tower.levels[level].capacities
+    return next((name for name, grid_cap in tower.view(level - 1).capacities
                  if grid_cap == cap), None)
 
 
@@ -84,7 +84,6 @@ class TestViews:
     def test_views_are_built_once(self, tower):
         for k in range(tower.depth):
             assert tower.view(k) is tower.view(k)
-            assert tower.view(k).capacities is tower.levels[k + 1].capacities
         with pytest.raises(IndexError):
             tower.view(tower.depth)
         with pytest.raises(IndexError):
@@ -93,7 +92,7 @@ class TestViews:
     def test_find_name_matches_a_linear_scan(self, tower):
         rng = random.Random(3)
         for level in range(1, tower.depth + 1):
-            grid_caps = [cap for _, cap in tower.levels[level].capacities]
+            grid_caps = [cap for _, cap in tower.view(level - 1).capacities]
             hits = misses = 0
             for cap in _candidates(rng, tower, level, grid_caps):
                 expected = _linear_name(tower, level, cap)
@@ -101,13 +100,13 @@ class TestViews:
                 hits += expected is not None
                 misses += expected is None
             assert hits >= len(grid_caps) and misses > 0
-            for name, cap in tower.levels[level].capacities:
-                assert tower.capacity_at(level, name) is cap
+            for name, cap in tower.view(level - 1).capacities:
+                assert tower.view(level - 1).capacity(name) is cap
 
     def test_find_name_on_a_sample_of_the_large_level(self):
         big = build_tower(FiniteSpace(("a", "b")), 3, 3)
         rng = random.Random(8)
-        sample = [cap for _, cap in rng.sample(big.levels[3].capacities, 25)]
+        sample = [cap for _, cap in rng.sample(big.view(2).capacities, 25)]
         for cap in _candidates(rng, big, 3, sample):
             assert big.find_name(3, cap) == _linear_name(big, 3, cap)
 
@@ -116,7 +115,7 @@ class TestIota:
     def test_identity(self, tower):
         for level in (1, 2, 3):
             mapped = iota(tower, level, level)
-            for name, cap in tower.levels[level].capacities:
+            for name, cap in tower.view(level - 1).capacities:
                 assert mapped[name] is cap
 
     def test_retraction(self, tower):
@@ -124,7 +123,7 @@ class TestIota:
             for m in range(n, 4):
                 up = iota(tower, n, m)
                 down = iota(tower, m, n)
-                for name, cap in tower.levels[n].capacities:
+                for name, cap in tower.view(n - 1).capacities:
                     lifted = tower.find_name(m, up[name])
                     assert lifted is not None
                     assert down[lifted].equals(cap, tol=0.0)
@@ -160,7 +159,7 @@ class TestIota:
 
 class TestProjectiveConsistency:
     def test_point_mass_chain(self, tower):
-        name, cap = tower.levels[1].capacities[1]
+        name, cap = tower.view(0).capacities[1]
         vec = ProjectiveVector(tower, (cap, dirac(tower.space_at(1), name)))
         assert projective_consistency(vec) == (True, None)
 
@@ -175,7 +174,7 @@ class TestProjectiveConsistency:
         assert projective_consistency(vec) == (True, None)
 
     def test_perturbation_flagged(self, tower):
-        name, cap = tower.levels[1].capacities[0]
+        name, cap = tower.view(0).capacities[0]
         lifted = dirac(tower.space_at(1), name)
         table = {mask: cap.value(mask) for mask in tower.base.all_masks()}
         bump = Fraction(1, tower.grid)
@@ -185,7 +184,7 @@ class TestProjectiveConsistency:
         assert projective_consistency(vec) == (False, 1)
 
     def test_misaligned_vector_rejected(self, tower):
-        name, cap = tower.levels[1].capacities[0]
+        name, cap = tower.view(0).capacities[0]
         with pytest.raises(ValueError):
             ProjectiveVector(tower, (cap, cap))
 

@@ -20,21 +20,21 @@ def _oracle(t, name, m, n):
     averaging the grid capacity down, or lifting the point mass of its
     name up and looking the lift up on the grid."""
     if m >= n:
-        cap = t.capacity_at(m, name)
+        cap = t.view(m - 1).capacity(name)
         for k in range(m, n, -1):
             cap = mu(t.view(k - 2), cap)
         return cap
     for k in range(m, n):
         name = t.find_name(k + 1, dirac(t.space_at(k), name))
         assert name is not None
-    return t.capacity_at(n, name)
+    return t.view(n - 1).capacity(name)
 
 
 def test_iota_is_the_projection_for_every_pair_of_levels(tower):
     for m in range(1, tower.depth + 1):
         for n in range(1, tower.depth + 1):
             mapped = iota(tower, m, n)
-            points = tower.levels[m].capacities
+            points = tower.view(m - 1).capacities
             assert list(mapped) == [name for name, _ in points]
             # the largest level is sampled for the oracle, not walked whole
             for name, cap in points[::max(1, len(points) // 60)]:
@@ -47,11 +47,11 @@ def test_composition_law_meets_a_descent_off_the_grid():
     t = build_tower(FiniteSpace(("a", "b")), 2, 3)
     off_grid = [(l, m, n, name)
                 for l in range(1, 4) for m in range(1, l) for n in range(1, m)
-                for name, cap in t.levels[l].capacities
+                for name, cap in t.view(l - 1).capacities
                 if t.find_name(m, project(t, cap, l, m)) is None]
     assert off_grid
     for l, m, n, name in off_grid:
-        cap = t.capacity_at(l, name)
+        cap = t.view(l - 1).capacity(name)
         assert (project(t, project(t, cap, l, m), m, n)
                 == project(t, cap, l, n) == _oracle(t, name, l, n))
 

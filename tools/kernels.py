@@ -33,6 +33,10 @@ the median time and the SHA-256 of a text form of its output:
   capacity's exact form; the weight is rebuilt before each run, but the
   view is built, and its batch derived, once, as the laws reuse a tower's
   views;
+- ``iota`` on that tower from level 3 to level 1 (each of the 1540 points
+  averaged down twice) and from level 1 to level 3 (each of the 4 points
+  lifted as point masses), every image's name and exact form: the reads
+  the retraction suite makes through the tower's views;
 - ``laws.rand_capacity`` on 6 points from seed 1, the table's exact form.
 
 A digest that differs from ``DIGESTS`` is printed as FAIL and the script
@@ -71,7 +75,7 @@ from choquet_tower.ellsberg import (UrnParams, build_sequence,  # noqa: E402
 from choquet_tower.hierarchy import USequence, xi_chain  # noqa: E402
 from choquet_tower.laws import rand_additive, rand_capacity  # noqa: E402
 from choquet_tower.spacefile import load_space_file  # noqa: E402
-from choquet_tower.tower import build_tower  # noqa: E402
+from choquet_tower.tower import build_tower, iota  # noqa: E402
 from choquet_tower.uncertainty import UncertaintySpace, xi  # noqa: E402
 
 U1 = Fraction(3, 5)
@@ -110,6 +114,10 @@ DIGESTS = {
         "a62d7c6dde4a154ed1e5b57a5a9a3122eb9ed5fbfa14ffc6ff8e6e9ae66b0095",
     "mu top view, drawn weight":
         "cec27d398f0b4ec3db27e53c7289f7977d6a71339a7a20d941b243766d3c91c0",
+    "iota 3->1":
+        "54deea8f4e4abebcb490e1403828d79f8a6ce245b9d857d8d65eee93a9f49d9d",
+    "iota 1->3":
+        "5e483e3e1d19d3e4168c02946d34f715687af0bcf74c9828c8b1258966d7dc67",
     "rand_capacity 6 points":
         "157d750f494490cd906ab8f1dc53a780c298fe2b65d2a71c485236e4ea68a2d1",
 }
@@ -146,6 +154,10 @@ def _loaded_text(loaded, name: str) -> str:
 def _tower_text(tower) -> str:
     return "\n".join(f"{name} {_form_text(*cap.exact_form)}"
                      for view in tower.views for name, cap in view.capacities)
+
+
+def _images_text(images: dict) -> str:
+    return "\n".join(f"{name} {_form_text(*cap.exact_form)}" for name, cap in images.items())
 
 
 def _spacegen_form() -> tuple:
@@ -197,13 +209,16 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
             lambda loaded, name=case.capacity: _loaded_text(loaded, name))
     out["build_tower base 2, grid 3, depth 3"] = (
         no_args, lambda: build_tower(make_space(["a", "b"]), 3, 3), _tower_text)
-    top = build_tower(make_space(["a", "b"]), 3, 3).views[-1]
+    tower = build_tower(make_space(["a", "b"]), 3, 3)
+    top = tower.views[-1]
     top.batch  # noqa: B018  derived here, as the laws' later mu calls find it
     weights, space6 = top.capacity_space, make_space(["a", "b", "c", "d", "e", "f"])
     out["mu top view, point mass"] = (
         lambda: (top, dirac(weights, weights.points[len(weights) // 2])), mu, form_text)
     out["mu top view, drawn weight"] = (
         lambda: (top, rand_additive(random.Random(1), weights)), mu, form_text)
+    for m, n in ((3, 1), (1, 3)):
+        out[f"iota {m}->{n}"] = (lambda m=m, n=n: (tower, m, n), iota, _images_text)
     out["rand_capacity 6 points"] = (
         lambda: (random.Random(1), space6), rand_capacity, form_text)
     return out
