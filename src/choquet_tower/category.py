@@ -160,19 +160,18 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     capacities yields an additive result, computed in mass space as
     w_i = sum_j v_j * c_j({i}) without enumerating subsets of the base,
     skipping zero weights: the unit laws average point masses over levels
-    of up to 1540 points.  With exact weights and a ``us.batch`` it runs on
-    integer numerators, point i's column of singleton entries being
-    ``columns[i]`` in a batch of mass vectors and ``columns[1 << i]`` in one
-    of dense tables.  Otherwise the result is that defining table, checked
-    by ``validate_capacity``, which derives its exact form from the values.
+    of up to 1540 points.  With exact weights and a ``us.batch`` of mass
+    vectors it runs on integer numerators, point i's column being
+    ``columns[i]``; other additive capacities average their singleton
+    values, whose result is stored in the same reduced form.  Otherwise the
+    result is that defining table, checked by ``validate_capacity``, which
+    derives its exact form from the values.
     """
     _require_same_space(v.space, us.capacity_space)
     if v.is_additive and us.is_additive:
         n = len(us.base)
-        if v.exact_form and us.batch:
+        if v.exact_form and us.batch and len(us.batch[0]) == n:
             (columns, den), weights = us.batch, v._singleton_keys()
-            if len(columns) != n:
-                columns = [columns[1 << i] for i in range(n)]
         else:
             columns = list(zip(*(cap.singleton_masses() for _, cap in us.capacities)))
             den, weights = None, v.singleton_masses()

@@ -15,6 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 from typing import Optional
 
 from . import laws
@@ -232,7 +233,7 @@ def _named(kind: str, named: dict, name: str):
 
 
 def cmd_choquet(args) -> int:
-    loaded = load_space_file(args.space_file, backend=args.backend)
+    loaded = load_space_file(Path(args.space_file), backend=args.backend)
     value = choquet_integral(_named("capacity", loaded.capacities, args.capacity),
                              _named("act", loaded.acts, args.act))
     _emit(format_number(value, args.backend) + "\n", args.out)

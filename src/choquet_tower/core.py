@@ -21,7 +21,7 @@ import struct
 from functools import cache
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, gt, sub
+from operator import add, attrgetter, gt, ne, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Number = Union[int, Fraction, float]
@@ -778,21 +778,6 @@ def _first_decrease(n: int, keys: Sequence, tol: float) -> Optional[tuple[int, i
     return first
 
 
-def _check_monotone(space: FiniteSpace, value: Callable[[int], Number],
-                    keys: Sequence, tol: float) -> None:
-    # the first failing cover pair is itself a witness; ``value`` gives the
-    # values the message prints
-    first = _first_decrease(len(space), keys, tol)
-    if first is not None:
-        mask, i = first
-        above = mask | 1 << i
-        raise MonotonicityError(
-            mask, above,
-            f"capacity decreases from {space.labels(mask)}"
-            f" ({value(mask)}) to {space.labels(above)}"
-            f" ({value(above)})")
-
-
 def _checked_form(form: tuple[Sequence[int], int], size: int) -> tuple[Sequence[int], int]:
     """An exact form handed to a checked constructor, as ``_exact_form``
     would derive it.
@@ -899,13 +884,25 @@ def table_capacities(space: FiniteSpace, columns: Sequence[Sequence[int]], den: 
 def _checked_table(space: FiniteSpace, stored: Sequence, den: Optional[int] = None,
                    derive: bool = True) -> Capacity:
     """Build a dense table as ``Capacity`` does, then run the normalization
-    and monotonicity checks on what it stores."""
+    and monotonicity checks on what it stores, the first decreasing cover
+    pair of ``_first_decrease`` being the witness.  A float table then
+    refuses a NaN entry, the one value unequal to itself, which no check
+    catches (an infinite one fails a check, unless a NaN hides it)."""
     cap = Capacity(space, table=stored, den=den, derive=derive)
     keys, tol = cap._keys()
     if not (_close(keys[0], 0, tol) and _close(keys[-1], cap._den or 1, tol)):
         raise NormalizationError(f"need table(empty)=0 and table(full)=1, got "
                                  f"{cap.value(0)} and {cap.value(space.full_mask)}")
-    _check_monotone(space, cap.value, keys, tol)
+    first = _first_decrease(len(space), keys, tol)
+    if first is not None:
+        mask, i = first
+        above = mask | 1 << i
+        raise MonotonicityError(mask, above, f"capacity decreases from {space.labels(mask)}"
+                                f" ({cap.value(mask)}) to {space.labels(above)}"
+                                f" ({cap.value(above)})")
+    if tol and any(map(ne, keys, keys)):
+        mask = list(map(ne, keys, keys)).index(True)
+        raise ValueError(f"capacity value on {space.labels(mask)} is {keys[mask]}, not finite")
     return cap
 
 

@@ -78,32 +78,32 @@ class UrnParams(Frozen):
 def build_urn_space(params: UrnParams) -> UncertaintySpace:
     """The urn with one capacity u_k per hypothetical blue count k = 0..2N.
 
-    With a whole alpha every table is exact, with integer numerators over
-    D = 3H, where H = (2N)^alpha / 2 is whole: in mask order R, B, RB, Y, RY,
-    BY they are H, k^alpha, H + k^alpha, (2N-k)^alpha, H + (2N-k)^alpha and
-    2H.  The 2N+1 tables are written as one batch, a list per mask column,
-    and handed over D to ``UncertaintySpace.of_tables``, which checks the
-    batch as one and builds a capacity only when one is asked for.
+    Every table is one row of a batch written as a list per mask column: in
+    mask order R, B, RB, Y, RY, BY it holds h, b_k, h + b_k, b_(2N-k),
+    h + b_(2N-k) and 2h, over 3h.  A whole alpha gives integer numerators,
+    h = (2N)^alpha / 2 and b_k = k^alpha, and the batch goes to
+    ``UncertaintySpace.of_tables``, which checks it as one and builds a
+    capacity only when one is asked for.  Otherwise h = 1/3 over 1, b_k is
+    2h (k / 2N)^alpha in floats, and ``validate_capacity`` checks each row.
     """
     space = make_space(URN_POINTS)
     two_n = 2 * params.big_n
-    names = tuple(f"u{k}" for k in range(two_n + 1))
-    if isinstance(params.alpha, int):
+    count = two_n + 1
+    names = tuple(f"u{k}" for k in range(count))
+    whole = isinstance(params.alpha, int)
+    if whole:
         h = two_n ** params.alpha // 2
-        powers = [k ** params.alpha for k in range(two_n + 1)]
-        plus = [h + p for p in powers]
-        count = len(names)
-        columns = [[0] * count, [h] * count, powers, plus,
-                   powers[::-1], plus[::-1], [2 * h] * count, [3 * h] * count]
-        return UncertaintySpace.of_tables(space, names, columns, 3 * h)
-    third = Fraction(1, 3)
-    caps = []
-    for k in range(two_n + 1):
-        blue = 2 * third * params.ratio_power(k)
-        yellow = 2 * third * params.ratio_power(two_n - k)
-        table = (0, third, blue, third + blue, yellow, third + yellow, 2 * third, 1)
-        caps.append(validate_capacity(space, table))
-    return UncertaintySpace(space, tuple(zip(names, caps)))
+        powers, den = [k ** params.alpha for k in range(count)], 3 * h
+    else:
+        h, den = Fraction(1, 3), 1
+        powers = [2 * h * params.ratio_power(k) for k in range(count)]
+    plus = [h + p for p in powers]
+    columns = [[0] * count, [h] * count, powers, plus,
+               powers[::-1], plus[::-1], [2 * h] * count, [den] * count]
+    if whole:
+        return UncertaintySpace.of_tables(space, names, columns, den)
+    return UncertaintySpace(space, tuple(zip(names, (validate_capacity(space, row)
+                                                     for row in zip(*columns)))))
 
 
 def standard_acts(space: FiniteSpace) -> dict[str, Act]:

@@ -6,8 +6,8 @@ The evaluation act is built from the capacities' values.  When every
 capacity has an exact form and all are dense tables, or all mass vectors,
 the space holds their numerators as one ``batch`` of columns over one
 denominator: ``xi`` integrates an exact act against a batch of dense tables
-at once, and ``mu`` in ``category`` reads its singleton columns from a
-batch of either kind.
+at once, and ``mu`` in ``category`` reads its columns from a batch of mass
+vectors.
 """
 
 from __future__ import annotations
@@ -70,10 +70,11 @@ class UncertaintySpace(Frozen):
 
     A space is built from (name, capacity) pairs, or by ``of_tables`` from
     dense tables given as one batch of columns, which is all the space
-    keeps: its capacities, ``capacity`` and ``name_of`` are built from the
-    batch on first use.  A space of one capacity from pairs has nothing to separate,
-    so its index for ``name_of`` is built on first use too.  Every check
-    acts before the space is returned.
+    keeps: its capacities and the index for ``name_of`` are built from the
+    batch on first use, as is the index of a space of one capacity from
+    pairs, which has nothing to separate.  ``capacity`` finds a name at its
+    position in ``capacity_space``.  Every check acts before the space is
+    returned.
     """
 
     def __init__(self, base: FiniteSpace, capacities: tuple[tuple[str, Capacity], ...]):
@@ -127,15 +128,11 @@ class UncertaintySpace(Frozen):
         return tuple(zip(self.names, table_capacities(self.base, *self.batch)))
 
     @once
-    def _by_name(self) -> dict:
-        return dict(self.capacities)
-
-    @once
     def _name_of(self) -> dict:
         return _name_index(self.capacities)[0]
 
     def capacity(self, name: str) -> Capacity:
-        return self._by_name[name]
+        return self.capacities[self.capacity_space._index[name]][1]
 
     def name_of(self, cap: Capacity) -> Optional[str]:
         """The name of the capacity equal to `cap` as a set function, if any."""
@@ -153,8 +150,8 @@ class UncertaintySpace(Frozen):
         entry j, one column per mask of dense tables (2**n) or per point of
         mass vectors (n), so the count says which kind the batch holds.
         None when the capacities mix the kinds or one has no exact form.
-        ``mu`` reads either kind; ``xi`` reads a batch of dense tables only,
-        as a mass vector's integral is one dot product in
+        ``mu`` reads a batch of mass vectors only, and ``xi`` one of dense
+        tables only, as a mass vector's integral is one dot product in
         ``choquet_integral``.  A space built by ``of_tables`` holds its own
         batch; one built from capacities derives theirs on first use."""
         caps = [cap for _, cap in self.capacities]

@@ -65,19 +65,32 @@ def test_a_function_local_import_is_seen():
     assert list(_imports(source)) == [(1, "math"), (4, "numpy.polynomial.legendre")]
 
 
-def test_building_the_parser_loads_neither_module():
+def _loaded_by(code: str) -> set:
+    """The modules a fresh interpreter loads to run ``code``."""
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
-             "import choquet_tower.cli as cli\n"
-             "cli.build_parser()\n"
+             f"{code}\n"
              "print(sorted(set(sys.modules) - before))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    loaded = set(ast.literal_eval(out))
+    return set(ast.literal_eval(out))
+
+
+def test_building_the_parser_loads_neither_module():
+    loaded = _loaded_by("import choquet_tower.cli as cli\ncli.build_parser()")
     assert "choquet_tower.cli" in loaded
     assert not loaded & SLOW_IMPORTS
+
+
+@pytest.mark.parametrize("code, ours", [
+    ("import choquet_tower", {"choquet_tower"}),
+    ("import choquet_tower.core", {"choquet_tower", "choquet_tower.core"}),
+])
+def test_the_package_root_imports_no_module_of_its_own(code, ours):
+    # each public name has one import path, from its own module
+    assert {name for name in _loaded_by(code) if name.split(".")[0] == "choquet_tower"} == ours
 
 
 def _instances() -> list:

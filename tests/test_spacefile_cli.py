@@ -355,6 +355,24 @@ def test_missing_name_lists_the_file_names(space_path, capacity, act, message,
     assert _one_error_line(capsys) == f"error: {message}"
 
 
+def test_choquet_reads_a_file_whose_name_starts_with_a_brace(tmp_path, monkeypatch,
+                                                              capsys):
+    # the command's argument is always a path, though the library reads a
+    # string starting with "{" as JSON text
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{x}.json").write_text(json.dumps({
+        "points": ["a", "b"],
+        "capacities": {"u": {"mode": "singletons-additive",
+                             "values": {"a": "1/2", "b": "1/2"}}},
+        "acts": {"f": ["1", "0"]}}))
+    assert main(["choquet", "{x}.json", "u", "f"]) == 0
+    assert capsys.readouterr().out == "1/2\n"
+    for name in ("{y}.json", "y.json"):
+        assert main(["choquet", name, "u", "f"]) == 1
+        assert _one_error_line(capsys) == (
+            f"error: [Errno 2] No such file or directory: {name!r}")
+
+
 def test_json_numbers_parse_exactly():
     loaded = load_space_file({
         "points": ["a", "b"],

@@ -36,6 +36,16 @@ class TestEpsilon:
         assert act.values == (0, Fraction(1, 3), Fraction(2, 3))
 
 
+def test_capacity_by_name():
+    us, _, _ = comono_example()
+    assert us.capacity("u2") is us.capacities[1][1]
+    urn = build_urn_space(UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5)))
+    assert urn.capacity("u2") is urn.capacities[2][1]
+    for space in (us, urn):
+        with pytest.raises(KeyError):
+            space.capacity("nope")
+
+
 class TestXi:
     def test_indicators_give_evaluation(self):
         us, _, _ = comono_example()

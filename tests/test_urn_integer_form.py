@@ -179,6 +179,25 @@ def test_non_whole_exponents_keep_the_float_path(alpha):
                           list(oracle_closed_form(variant, params).values()))
 
 
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(7, 3)])
+def test_float_urn_takes_one_power_per_count(monkeypatch, alpha):
+    # the yellow entries are the blue column reversed, so each k's power is
+    # taken once, and each table holds the values, of the same types, that
+    # the per-k eight-tuple (0, 1/3, blue, 1/3 + blue, yellow, ..., 2/3, 1) holds
+    params = UrnParams(big_n=5, alpha=alpha, u1=Fraction(3, 5))
+    tables = oracle_tables(params)
+    calls = []
+    power = UrnParams.ratio_power
+    monkeypatch.setattr(UrnParams, "ratio_power",
+                        lambda self, k: calls.append(k) or power(self, k))
+    urn = build_urn_space(params)
+    assert sorted(calls) == list(range(2 * params.big_n + 1))
+    assert len(urn.capacities) == len(tables)
+    for (_, cap), table in zip(urn.capacities, tables):
+        assert list(cap._table) == table
+        assert list(map(type, cap._table)) == list(map(type, table))
+
+
 # -- the checked form entry ----------------------------------------------------
 
 SPACE = make_space(["a", "b"])
@@ -410,6 +429,20 @@ def test_mu_hands_its_sums_to_the_form_entry(monkeypatch):
     assert same_values(averaged.singleton_masses(), want)
     assert all(map(is_exact, averaged.singleton_masses()))
     assert averaged.exact_form == derive(want)
+
+
+def test_mu_over_dense_tables_stores_the_form_of_the_mass_batch():
+    # a dense additive space averages its singleton values, and stores the
+    # same reduced form as the integer sums over a batch of mass vectors
+    us, v = _second_order()
+    tables = [list(cap._subset_keys()) for _, cap in us.capacities]
+    den = math.lcm(*(cap.exact_form[1] for _, cap in us.capacities))
+    columns = [[n * (den // cap.exact_form[1]) for n in row]
+               for row, (_, cap) in zip(tables, us.capacities)]
+    dense = UncertaintySpace.of_tables(us.base, us.names, list(zip(*columns)), den)
+    assert len(dense.batch[0]) == 8 and len(us.batch[0]) == 3
+    assert mu(dense, v).exact_form == mu(us, v).exact_form
+    assert mu(dense, v)._masses is not None
 
 
 def test_mu_result_is_still_checked():

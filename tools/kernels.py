@@ -10,6 +10,9 @@ the median time and the SHA-256 of a text form of its output:
 - ``build_urn_space`` at N = 1000 with no capacity read: the batch of
   tables it checked, its numerators table by table (the rows of its mask
   columns) and denominator;
+- ``build_urn_space`` at N = 1000 and alpha 3/2, whose 2001 float tables
+  are checked one at a time: every capacity's values in mask order, as
+  their reprs, so a value's type is pinned too;
 - ``xi`` of the four bets (times u1 = 3/5) over the Z urn at N = 1000, the
   four result forms, with the urn rebuilt from its batch before each run,
   so no capacity built on demand carries over;
@@ -89,6 +92,8 @@ DIGESTS = {
         "f15a0287e9aa728b99d3e4c766a8004807dd50d0a8d8ce0c6f12d130371f5cf4",
     "build_urn_space N=1000 batch":
         "6e23b9a70222d12722663c5fbba1a4feea8c2b87a0af095bc17fa03dcf62df74",
+    "build_urn_space alpha 3/2, N=1000":
+        "f77da36321ba83868579f43503d16f7b9508206a17f2d1ec202cd4883a89c660",
     "xi Z urn, four bets":
         "d42df4d930b61f6b14a398c51a88d27e41fb6b6c5d366c8beee8541fcf07b66f",
     # X and Y share the urn at N = 300, so their first steps agree
@@ -129,6 +134,11 @@ def _form_text(nums, den) -> str:
 
 def _space_text(us: UncertaintySpace) -> str:
     return "\n".join(f"{name} {_form_text(*cap.exact_form)}" for name, cap in us.capacities)
+
+
+def _values_text(us: UncertaintySpace) -> str:
+    return "\n".join(f"{name} " + ",".join(repr(cap.value(mask)) for mask in us.base.all_masks())
+                     for name, cap in us.capacities)
 
 
 def _fresh(us: UncertaintySpace) -> UncertaintySpace:
@@ -188,6 +198,8 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
     out["build_urn_space N=1000 batch"] = (
         no_args, lambda: build_urn_space(UrnParams(1000, 2, U1)),
         lambda us: _form_text(chain.from_iterable(zip(*us.batch[0])), us.batch[1]))
+    out["build_urn_space alpha 3/2, N=1000"] = (
+        no_args, lambda: build_urn_space(UrnParams(1000, Fraction(3, 2), U1)), _values_text)
     out["xi Z urn, four bets"] = (
         lambda: (_fresh(z_urn),), lambda us: [xi(us, f) for f in z_bets],
         lambda acts: "\n".join(map(form_text, acts)))
