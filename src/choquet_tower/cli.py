@@ -32,6 +32,8 @@ EXIT_USAGE = 1
 EXIT_VERDICT = 2
 EXIT_LAW = 3
 BACKENDS = ("rational", "float")
+#: the most trials a law suite runs: 10 000 take ``laws choquet``, the slowest, 4-5 s
+MAX_TRIALS = 10_000
 
 
 class RunConfig(Frozen):
@@ -49,6 +51,8 @@ class RunConfig(Frozen):
             raise ValueError("tolerance must be finite")
         if trials < 1:
             raise ValueError("trials must be at least 1")
+        if trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}")
         self.__dict__.update(command=command, seed=seed, trials=trials,
                              backend=backend, tolerance=tolerance, format=format,
                              out=out)
@@ -68,7 +72,8 @@ def format_number(x: Number, backend: str) -> str:
     """A result as report text, exact in the rational backend.  An exact
     one may have more digits than the interpreter turns into text by
     default (thousands at alpha = 1000), so that limit is lifted only while
-    it is written; flags and space files are parsed under it."""
+    it is written; flags and space files are parsed under it.  A float
+    result that is not finite (a step that overflowed) is refused."""
     if backend == "rational" and is_exact(x):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
@@ -76,7 +81,10 @@ def format_number(x: Number, backend: str) -> str:
             return str(Fraction(x))
         finally:
             sys.set_int_max_str_digits(limit)
-    return f"{float(x):.12g}"
+    value = float(x)
+    if not math.isfinite(value):
+        raise ValueError(f"the result is {value}, not a finite float")
+    return f"{value:.12g}"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -290,7 +298,8 @@ def main(argv=None) -> int:
     """Run one subcommand; bad flags, inputs and sizes exit 1 with one line.
 
     An exact result too large to print in the float backend is an
-    ``OverflowError`` and exits 1 the same way.
+    ``OverflowError``, and a float result that is not finite a
+    ``ValueError``; both exit 1 the same way.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -271,17 +271,6 @@ class FiniteSpace(Value, Frozen):
     def subset(self, labels: Iterable[str]) -> "Subset":
         return Subset(self, self.mask(labels))
 
-    def subset_of_mask(self, mask: int) -> "Subset":
-        return Subset(self, mask)
-
-    @property
-    def empty(self) -> "Subset":
-        return Subset(self, 0)
-
-    @property
-    def full(self) -> "Subset":
-        return Subset(self, self.full_mask)
-
     def all_masks(self) -> range:
         check_dense_size(self)
         return range(1 << len(self.points))
@@ -452,10 +441,11 @@ def indicator(space: FiniteSpace, subset: Union[Subset, int]) -> Act:
 
 
 class PointMap(Value, Frozen):
-    """A total map between the points of two finite spaces; maps compare
-    by domain, codomain and mapping, and are unhashable, as their mapping is."""
+    """A total map between the points of two finite spaces, stored as the
+    codomain index of each domain point (``images``), never as the caller's
+    mapping; maps compare by domain, codomain and images, and are unhashable."""
 
-    _value = ("domain", "codomain", "mapping")
+    _value = ("domain", "codomain", "images")
     __hash__ = None
 
     def __init__(self, domain: FiniteSpace, codomain: FiniteSpace,
@@ -463,19 +453,24 @@ class PointMap(Value, Frozen):
         missing = [p for p in domain.points if p not in mapping]
         if missing:
             raise SpaceMismatchError(f"map is not total, missing {missing}")
+        index = codomain._index
         for src, dst in mapping.items():
             domain.index(src)
-            if dst not in codomain.points:
+            if dst not in index:
                 raise SpaceMismatchError(f"map sends {src!r} outside the codomain: {dst!r}")
-        self.__dict__.update(domain=domain, codomain=codomain, mapping=mapping)
+        images = tuple(index[mapping[p]] for p in domain.points)
+        self.__dict__.update(domain=domain, codomain=codomain, images=images)
+
+    @property
+    def mapping(self) -> dict[str, str]:
+        return {p: self(p) for p in self.domain.points}
 
     def __call__(self, label: str) -> str:
-        return self.mapping[label]
+        return self.codomain.points[self.images[self.domain.index(label)]]
 
     def preimage_mask(self, mask_in_codomain: int) -> int:
         m = 0
-        for i, p in enumerate(self.domain.points):
-            j = self.codomain.index(self.mapping[p])
+        for i, j in enumerate(self.images):
             if mask_in_codomain >> j & 1:
                 m |= 1 << i
         return m
@@ -484,8 +479,8 @@ class PointMap(Value, Frozen):
         """The preimage of every codomain mask, in mask order."""
         check_dense_size(self.codomain)
         of_point = [0] * len(self.codomain)
-        for i, p in enumerate(self.domain.points):
-            of_point[self.codomain.index(self.mapping[p])] |= 1 << i
+        for i, j in enumerate(self.images):
+            of_point[j] |= 1 << i
         masks = [0]
         for m in of_point:
             masks += [q | m for q in masks]
@@ -494,8 +489,9 @@ class PointMap(Value, Frozen):
     def then(self, after: "PointMap") -> "PointMap":
         """Composition: first self, then `after`."""
         _require_same_space(self.codomain, after.domain)
-        return PointMap(self.domain, after.codomain,
-                        {p: after.mapping[self.mapping[p]] for p in self.domain.points})
+        points = after.codomain.points
+        return PointMap(self.domain, after.codomain, {
+            p: points[after.images[j]] for p, j in zip(self.domain.points, self.images)})
 
 
 def identity_map(space: FiniteSpace) -> PointMap:
@@ -505,7 +501,7 @@ def identity_map(space: FiniteSpace) -> PointMap:
 def precompose_act(f: Act, h: PointMap) -> Act:
     """Pull an act on the codomain back along h: returns f of h."""
     _require_same_space(f.space, h.codomain)
-    return Act(h.domain, tuple(f.at(h.mapping[p]) for p in h.domain.points))
+    return Act(h.domain, tuple(map(f.values.__getitem__, h.images)))
 
 
 class Capacity(Frozen):
@@ -810,28 +806,18 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
     return nums, den
 
 
-def validate_capacity(space: FiniteSpace, table: Union[Mapping, Sequence]) -> Capacity:
-    """Check and build a capacity from a dense table.
-
-    The table must cover every subset: a mapping whose keys are Subset
-    objects or bitmask ints, or a sequence in mask order.  Additive
-    capacities given by their masses go through ``additive_capacity``
-    instead, and tables held as exact forms through ``validate_tables``.
-    What the capacity stores goes through the normalization and
-    monotonicity checks of ``_checked_table``.
+def validate_capacity(space: FiniteSpace, table: Sequence) -> Capacity:
+    """Check and build a capacity from a dense table: a sequence in mask
+    order, one value per subset, never a mapping.  Additive capacities
+    given by their masses go through ``additive_capacity`` instead, and
+    tables held as exact forms through ``validate_tables``.  What the
+    capacity stores goes through the normalization and monotonicity checks
+    of ``_checked_table``.
     """
     check_dense_size(space)
-    full = space.full_mask
     if isinstance(table, Mapping):
-        dense: list = [None] * (full + 1)
-        for key, val in table.items():
-            # an int key in range is a mask already; any other key is checked
-            dense[key if type(key) is int and 0 <= key <= full
-                  else _mask_of(space, key)] = val
-        if any(v is None for v in dense):
-            raise SpaceMismatchError("table does not cover every subset")
-        table = dense
-    elif len(table) != full + 1:
+        raise TypeError("a dense table is a sequence in mask order, not a mapping")
+    if len(table) != space.full_mask + 1:
         raise SpaceMismatchError("table does not cover every subset")
     return _checked_table(space, table)
 
@@ -976,7 +962,7 @@ def pushforward(u: Capacity, h: PointMap) -> Capacity:
     target = h.codomain
     if u._masses is not None:
         out = [0] * len(target)
-        for p, m in zip(u.space.points, u._masses):
-            out[target.index(h.mapping[p])] += m
+        for j, m in zip(h.images, u._masses):
+            out[j] += m
         return Capacity(target, masses=out, den=u._den)
     return Capacity(target, table=[u._table[m] for m in h.preimage_masks()], den=u._den)

@@ -274,9 +274,14 @@ def run_dirac_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
     def evaluation(rng):
         space = rand_space(rng, 5)
         f = rand_act(rng, space)
-        p = space.points[_below(rng.getrandbits, len(space))]
+        k = _below(rng.getrandbits, len(space))
+        p = space.points[k]
         if choquet_integral(dirac(space, p), f) != f.at(p):
             return f"I under point mass at {p} is not evaluation"
+        # the same point mass as a dense 0/1 table takes the dense branch
+        table = validate_capacity(space, [m >> k & 1 for m in space.all_masks()])
+        if choquet_integral(table, f) != f.at(p):
+            return f"I under the dense point mass at {p} is not evaluation"
         return None
 
     def naturality(rng):
@@ -430,13 +435,12 @@ def run_retraction_suite(grid: int = 2, depth: int = 3,
             return f"point-mass chain flagged inconsistent at {idx}"
         # move the first point's value by a grid step; a raise lifts every
         # superset to at least the new value so the table stays monotone
-        tweaked = {mask: cap.value(mask) for mask in tower.base.all_masks()}
+        tweaked = [cap.value(mask) for mask in tower.base.all_masks()]
         step = Fraction(1, tower.grid)
         if tweaked[1] + step <= 1:
             bumped = tweaked[1] + step
-            for mask in tweaked:
-                if mask & 1:
-                    tweaked[mask] = max(tweaked[mask], bumped)
+            # the odd masks are those holding the first point
+            tweaked[1::2] = [max(v, bumped) for v in tweaked[1::2]]
         else:
             tweaked[1] -= step
         perturbed = validate_capacity(tower.base, tweaked)

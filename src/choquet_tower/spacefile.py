@@ -152,20 +152,18 @@ def _object(value, what: str) -> dict:
 
 def load_space_file(source: Union[str, Path, dict],
                     backend: str = "rational") -> SpaceFile:
-    """Parse a space file from a path, JSON text, or already-decoded dict.
+    """Parse a space file from an already-decoded dict, or read it from a
+    path (a ``str`` or ``Path``), never from JSON text.
 
-    A string whose first non-blank character is ``{`` is JSON text (a space
-    file is always a JSON object); any other string, like a ``Path``, names
-    a file to read.  JSON nested too deeply for the decoder is a
-    ValueError, as any other malformed file.
+    JSON nested too deeply for the decoder is a ValueError, as any other
+    malformed file.
     """
     if isinstance(source, dict):
         doc = source
     else:
-        if not (isinstance(source, str) and source.lstrip().startswith("{")):
-            source = Path(source).read_text()
+        text = Path(source).read_text()
         try:
-            doc = json.loads(source)
+            doc = json.loads(text)
         except RecursionError:
             raise ValueError("a space file nests too deeply") from None
 

@@ -229,7 +229,7 @@ def test_criterion_10_projection_tower():
         lifted = dirac(tower.space_at(1), name)
         assert projective_consistency(
             ProjectiveVector(tower, (cap, lifted))) == (True, None)
-        table = {mask: cap.value(mask) for mask in tower.base.all_masks()}
+        table = [cap.value(mask) for mask in tower.base.all_masks()]
         bump = Fraction(1, 2)
         table[1] = table[1] + bump if table[1] + bump <= 1 else table[1] - bump
         perturbed = validate_capacity(tower.base, table)

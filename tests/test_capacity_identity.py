@@ -32,7 +32,7 @@ def _space(n: int) -> FiniteSpace:
 
 
 def _dense(cap: Capacity) -> Capacity:
-    return validate_capacity(cap.space, {m: cap.value(m) for m in cap.space.all_masks()})
+    return validate_capacity(cap.space, [cap.value(m) for m in cap.space.all_masks()])
 
 
 def _assert_hash_follows_equality(a: Capacity, b: Capacity) -> None:
@@ -138,7 +138,7 @@ class TestNameIndex:
     def test_is_additive_needs_every_capacity_additive(self):
         space = _space(2)
         u = additive_capacity(space, [Fraction(1, 4), Fraction(3, 4)])
-        upper = validate_capacity(space, {0: 0, 1: Fraction(1, 2), 2: Fraction(1, 2), 3: 1})
-        lower = validate_capacity(space, {0: 0, 1: 0, 2: 0, 3: 1})
+        upper = validate_capacity(space, [0, Fraction(1, 2), Fraction(1, 2), 1])
+        lower = validate_capacity(space, [0, 0, 0, 1])
         assert UncertaintySpace(space, (("u", u), ("d", _dense(upper)))).is_additive
         assert not UncertaintySpace(space, (("u", u), ("l", lower))).is_additive

@@ -426,8 +426,7 @@ def test_mass_path_mu_matches_dense_definition(data):
     us, v = data
     averaged = mu(us, v)
     assert averaged._masses is not None
-    dense = validate_capacity(us.base, {
-        mask: choquet_sum(v.value, epsilon(us, mask))
-        for mask in us.base.all_masks()})
+    dense = validate_capacity(us.base, [choquet_sum(v.value, epsilon(us, mask))
+                                        for mask in us.base.all_masks()])
     assert averaged.equals(dense, tol=0.0)
     assert averaged == dense and hash(averaged) == hash(dense)

@@ -82,7 +82,7 @@ class TestUpperLevelDistribution:
 class TestChoquetIntegral:
     def test_indicator_recovers_capacity(self):
         space = make_space(["a", "b", "c"])
-        table = {m: Fraction(0) for m in space.all_masks()}
+        table = [Fraction(0) for m in space.all_masks()]
         for m in space.all_masks():
             table[m] = Fraction(m.bit_count(), 3) ** 2 if m else Fraction(0)
         table[space.full_mask] = Fraction(1)
@@ -107,7 +107,7 @@ class TestChoquetIntegral:
         space = make_space(["a", "b", "c"])
         table = [0, 0.2, 0.3, 0.6, 0.1, 0.5, 0.4, 1.0]
         table[0b110] = 0.6  # keep the table monotone
-        u = validate_capacity(space, dict(enumerate(table)))
+        u = validate_capacity(space, table)
         for values in [(2.5, -1.0, 0.5), (-0.75, -2.0, 3.0), (1.0, 1.0, -1.5)]:
             act = Act(space, values)
             exact = choquet_integral(u, act)
@@ -115,7 +115,7 @@ class TestChoquetIntegral:
 
     def test_tie_break_independent_of_permutation(self):
         space = make_space(["a", "b", "c", "d"])
-        table = {m: Fraction(min(m.bit_count(), 3), 3) for m in space.all_masks()}
+        table = [Fraction(min(m.bit_count(), 3), 3) for m in space.all_masks()]
         u = validate_capacity(space, table)
         base = (Fraction(2), Fraction(2), Fraction(-1), Fraction(2))
         results = {choquet_integral(u, Act(space, perm))
@@ -162,7 +162,7 @@ class TestCommonChain:
 
 def test_nonadditive_capacity_is_not_linear():
     space = make_space(["a", "b"])
-    table = {0: Fraction(0), 1: Fraction(1, 10), 2: Fraction(1, 10), 3: Fraction(1)}
+    table = [Fraction(0), Fraction(1, 10), Fraction(1, 10), Fraction(1)]
     u = validate_capacity(space, table)
     one_a = indicator(space, space.subset(["a"]))
     one_b = indicator(space, space.subset(["b"]))

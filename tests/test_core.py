@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choquet_tower import laws
 from choquet_tower.choquet import choquet_integral
 from choquet_tower.core import (MAX_EXACT_EXPONENT, Act, Capacity,
                                 DuplicateLabelError, EmptySpaceError,
                                 EndpointError, FiniteSpace,
                                 MonotonicityError, NormalizationError,
-                                PointMap, SpaceMismatchError,
+                                PointMap, SpaceMismatchError, Subset,
                                 TooManyPointsError, additive_capacity,
                                 distort, exponent, identity_map, indicator,
                                 make_space, precompose_act, pushforward,
@@ -24,7 +26,8 @@ def thirds(space):
 
 
 def full_table(space, values_by_labels):
-    return {space.mask(labels): v for labels, v in values_by_labels.items()}
+    by_mask = {space.mask(labels): v for labels, v in values_by_labels.items()}
+    return [by_mask[m] for m in space.all_masks()]
 
 
 class TestMakeSpace:
@@ -53,8 +56,8 @@ class TestMakeSpace:
 class TestIndicator:
     def test_empty_and_full(self):
         space = make_space(["R", "B", "Y"])
-        assert indicator(space, space.empty).values == (0, 0, 0)
-        assert indicator(space, space.full).values == (1, 1, 1)
+        assert indicator(space, Subset(space, 0)).values == (0, 0, 0)
+        assert indicator(space, Subset(space, space.full_mask)).values == (1, 1, 1)
 
     def test_single_point(self):
         space = make_space(["R", "B", "Y"])
@@ -86,7 +89,7 @@ class TestPrecompose:
         cod = make_space(["x", "y"])
         h = PointMap(dom, cod, {"a": "x", "b": "y", "c": "x"})
         pulled = precompose_act(indicator(cod, cod.subset(["x"])), h)
-        assert pulled == indicator(dom, dom.subset_of_mask(h.preimage_mask(
+        assert pulled == indicator(dom, Subset(dom, h.preimage_mask(
             cod.mask(["x"]))))
         assert pulled.values == (1, 0, 1)
 
@@ -95,6 +98,44 @@ class TestPrecompose:
         cod = make_space(["x"])
         with pytest.raises(SpaceMismatchError):
             PointMap(dom, cod, {"a": "x"})
+
+
+class TestPointMap:
+    def test_a_later_change_to_the_callers_dict_changes_nothing(self):
+        dom, cod = make_space(["a", "b"]), make_space(["x", "y"])
+        given = {"a": "x", "b": "y"}
+        h = PointMap(dom, cod, given)
+        given["a"] = "nowhere"
+        given["b"] = "x"
+        assert h("a") == "x" and h("b") == "y"
+        assert h.mapping == {"a": "x", "b": "y"}
+        assert h == PointMap(dom, cod, {"b": "y", "a": "x"})
+
+    def test_drawn_maps_agree_with_the_per_label_definition(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            dom, cod, end = (laws.rand_space(rng, 5) for _ in range(3))
+            # the labels each map draws, read again from a copy of its stream
+            state = rng.getstate()
+            h, g = laws.rand_point_map(rng, dom, cod), laws.rand_point_map(rng, cod, end)
+            rng.setstate(state)
+            to = {p: cod.points[rng.randrange(len(cod))] for p in dom.points}
+            after = {q: end.points[rng.randrange(len(end))] for q in cod.points}
+            assert h.mapping == to and list(h.mapping) == list(dom.points)
+
+            def preimage(mask):
+                return sum(1 << i for i, p in enumerate(dom.points)
+                           if mask >> cod.points.index(to[p]) & 1)
+
+            assert h.preimage_masks() == [preimage(m) for m in cod.all_masks()]
+            assert all(h.preimage_mask(m) == preimage(m) for m in cod.all_masks())
+            for u in (laws.rand_capacity(rng, dom), laws.rand_additive(rng, dom)):
+                pushed = pushforward(u, h)
+                assert [pushed.value(m) for m in cod.all_masks()] == [
+                    u.value(preimage(m)) for m in cod.all_masks()]
+            f = laws.rand_act(rng, cod)
+            assert precompose_act(f, h).values == tuple(f.at(to[p]) for p in dom.points)
+            assert h.then(g).mapping == {p: after[to[p]] for p in dom.points}
 
 
 class TestValidateCapacity:
@@ -114,7 +155,7 @@ class TestValidateCapacity:
 
     def test_monotonicity_witness(self):
         space = make_space(["a", "b", "c"])
-        table = {mask: Fraction(1) for mask in space.all_masks()}
+        table = [Fraction(1) for mask in space.all_masks()]
         table[0] = Fraction(0)
         table[space.mask(["a"])] = Fraction(6, 10)
         table[space.mask(["a", "b"])] = Fraction(5, 10)
@@ -127,7 +168,7 @@ class TestValidateCapacity:
         # its 12-point subsets; the failing cover pair is reported without
         # a scan over all subset pairs
         space = make_space([f"p{i}" for i in range(14)])
-        table = {mask: Fraction(mask.bit_count(), 14) for mask in space.all_masks()}
+        table = [Fraction(mask.bit_count(), 14) for mask in space.all_masks()]
         table[space.full_mask >> 1] = Fraction(11, 14)
         start = time.perf_counter()
         with pytest.raises(MonotonicityError) as err:
@@ -140,7 +181,7 @@ class TestValidateCapacity:
     def test_incomplete_table_rejected(self):
         space = make_space(["a", "b"])
         with pytest.raises(SpaceMismatchError):
-            validate_capacity(space, {0: 0, 3: 1})
+            validate_capacity(space, [0, 1])
 
 
 class TestExponent:
@@ -337,7 +378,7 @@ QUARTERS = validate_capacity(TWO, [0, Fraction(1, 4), Fraction(1, 2), 1])
 INPUT_CHECKS = {
     "index unknown label": (lambda: TWO.index("z"), SpaceMismatchError,
                             "point 'z' is not in"),
-    "subset mask beyond space": (lambda: TWO.subset_of_mask(4), SpaceMismatchError,
+    "subset mask beyond space": (lambda: Subset(TWO, 4), SpaceMismatchError,
                                  "0x4 has bits beyond the space"),
     "act wrong count": (lambda: Act(TWO, (1,)), SpaceMismatchError,
                         "act has 1 values for 2 points"),

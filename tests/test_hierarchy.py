@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from choquet_tower.core import Act, Capacity, FiniteSpace, additive_capacity, \
+from choquet_tower.core import Act, Capacity, FiniteSpace, Subset, additive_capacity, \
     indicator, make_space
 from choquet_tower.ellsberg import UrnParams, build_sequence, standard_acts
 from choquet_tower.hierarchy import (TERMINAL, FamilyLevel, LayerError,
@@ -29,8 +29,8 @@ def toy_sequence():
 class TestTerminalSpace:
     def test_evaluation(self):
         term = terminal_space()
-        assert epsilon(term, term.base.full).values == (1,)
-        assert epsilon(term, term.base.empty).values == (0,)
+        assert epsilon(term, Subset(term.base, term.base.full_mask)).values == (1,)
+        assert epsilon(term, Subset(term.base, 0)).values == (0,)
 
     def test_any_act_passes_through(self):
         term = terminal_space()
@@ -108,8 +108,8 @@ class TestConditionalAct:
         space = make_space(["a", "b"])
         f = Act(space, (Fraction(1), Fraction(2)))
         g = Act(space, (Fraction(3), Fraction(4)))
-        assert conditional_act(space.full, f, g) == f
-        assert conditional_act(space.empty, f, g) == g
+        assert conditional_act(Subset(space, space.full_mask), f, g) == f
+        assert conditional_act(Subset(space, 0), f, g) == g
 
     def test_urn_identity(self):
         space = make_space(["R", "B", "Y"])

@@ -245,6 +245,18 @@ def test_a_halved_dense_integral_fails_choquet_monotonicity_with_exit_3(monkeypa
     assert [name for name, law in by_law.items() if law["failures"]] == ["monotonicity"]
 
 
+def test_a_halved_dense_integral_fails_dirac_with_exit_3(monkeypatch, capsys):
+    # the drawn point mass, written as a dense 0/1 table, no longer evaluates
+    _halve_exact(monkeypatch, masses=False)
+    code, by_law = _run(capsys, ["laws", "dirac", "--seed", "7"])
+    assert code == 3
+    law = by_law["integral-evaluates"]
+    assert law["first_failure"].startswith("I under the dense point mass at ")
+    assert law["failures"] > law["trials"] // 2
+    assert [name for name, law in by_law.items() if law["failures"]] == [
+        "integral-evaluates"]
+
+
 @pytest.mark.parametrize("suite, law, start", [
     ("choquet", "additive-linearity", "additive capacity does not reduce to the weighted sum"),
     ("dirac", "integral-evaluates", "I under point mass at "),

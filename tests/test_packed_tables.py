@@ -113,9 +113,10 @@ def _key(n, mask):
 
 
 def _document(n, values):
-    return json.dumps({"points": [f"p{i}" for i in range(n)],
-                       "capacities": {"u": {"mode": "full", "values": values}},
-                       "acts": {"f": [str(i) for i in range(n)]}})
+    """A space file of one full table, as JSON decoding gives it."""
+    return json.loads(json.dumps({"points": [f"p{i}" for i in range(n)],
+                                  "capacities": {"u": {"mode": "full", "values": values}},
+                                  "acts": {"f": [str(i) for i in range(n)]}}))
 
 
 def _table(n):
@@ -136,7 +137,7 @@ def test_keys_in_mask_order_skip_the_lookup_pass(n):
     shuffled = list(values.items())
     random.Random(n).shuffle(shuffled)
     looked_up = load_space_file(_document(n, dict(shuffled))).capacities["u"]
-    doc = json.loads(_document(n, values))
+    doc = _document(n, values)
     doc["capacities"]["u"]["values"] = _NoLookups(values)
     in_order = load_space_file(doc).capacities["u"]
     assert in_order == looked_up
@@ -164,7 +165,7 @@ def test_a_key_holding_a_comma_among_2n_keys_is_named(n, tmp_path, capsys):
     # reads as the canonical one with a comma too many
     keys[0], keys[1] = keys[0] + "," + keys[1], ""
     path = tmp_path / "table.json"
-    path.write_text(_document(n, dict(zip(keys, map(str, _table(n))))))
+    path.write_text(json.dumps(_document(n, dict(zip(keys, map(str, _table(n)))))))
     message = f"subset key {keys[0]!r} must be a {n}-character bitstring"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_space_file(str(path))
@@ -180,7 +181,7 @@ def test_keys_of_wrong_lengths_that_join_to_the_canonical_run_are_refused(n, tmp
     keys[1], keys[2] = keys[1][:-1], keys[1][-1] + keys[2]
     assert "".join(keys) == "".join(_key(n, m) for m in range(1 << n))
     path = tmp_path / "table.json"
-    path.write_text(_document(n, dict(zip(keys, map(str, _table(n))))))
+    path.write_text(json.dumps(_document(n, dict(zip(keys, map(str, _table(n)))))))
     message = f"subset key {keys[1]!r} must be a {n}-character bitstring"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_space_file(str(path))

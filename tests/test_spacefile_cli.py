@@ -37,13 +37,28 @@ class TestSpaceFile:
         assert loaded.capacities["w"](loaded.space.subset(["A1"])) == Fraction(1, 10)
         assert loaded.acts["f"].values == (11, 1, 0)
 
-    def test_long_json_text(self):
-        doc = dict(EXAMPLE, acts={f"f{i}": [str(i), "1", "0"] for i in range(400)})
-        text = json.dumps(doc)
-        assert len(text) > 5000
-        loaded = load_space_file(text)
-        assert len(loaded.acts) == 400
-        assert choquet_integral(loaded.capacities["u1"], loaded.acts["f11"]) == 4
+    def test_a_string_is_a_path_never_json_text(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError):
+            load_space_file(json.dumps(EXAMPLE))
+        # a relative name starting with "{" is a file name like any other
+        (tmp_path / "{odd}.json").write_text(json.dumps(EXAMPLE))
+        loaded = load_space_file("{odd}.json")
+        assert choquet_integral(loaded.capacities["u1"], loaded.acts["f"]) == 4
+
+    def test_a_float_result_that_overflows_exits_one(self, tmp_path, capsys):
+        # the step 1e308 - (-1e308) overflows in floats; exactly, the result is 0
+        doc = {"points": ["a", "b"], "acts": {"f": [1e308, -1e308]},
+               "capacities": {"u": {"mode": "full", "values": {
+                   "00": 0, "10": 0.5, "01": 0.5, "11": 1}}}}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["choquet", str(path), "u", "f", "--backend", "float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the result is inf, not a finite float\n"
+        assert main(["choquet", str(path), "u", "f"]) == 0
+        assert capsys.readouterr().out == "0\n"
 
     def test_bitstring_orientation(self):
         doc = {"points": ["R", "B"], "capacities": {

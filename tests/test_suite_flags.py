@@ -2,6 +2,8 @@
 signature when the command line is imported; ``main`` parses every call
 with the one parser ``build_parser`` makes per process."""
 
+import pytest
+
 from choquet_tower import cli, laws
 from choquet_tower.cli import main
 
@@ -32,3 +34,14 @@ def test_main_parses_every_call_with_one_parser(monkeypatch, capsys):
     assert main(argv) == 0
     assert outputs == [capsys.readouterr().out] * 2
     assert len(parsers) == 3 and parsers[2] is not parsers[0]
+
+
+@pytest.mark.parametrize("suite", ["choquet", "dirac", "monad", "substitution", "unc-maps"])
+def test_trials_past_the_cap_exit_one_before_any_trial(suite, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(laws.SUITES, suite, lambda **flags: ran.append(flags))
+    assert main(["laws", suite, "--trials", str(cli.MAX_TRIALS + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and ran == []
+    assert captured.err == f"error: trials must be at most {cli.MAX_TRIALS}\n"
+    assert cli.RunConfig(f"laws {suite}", trials=cli.MAX_TRIALS).trials == cli.MAX_TRIALS

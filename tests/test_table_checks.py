@@ -7,7 +7,6 @@ every cover pair in (mask, point) order, and every mask split off its
 lowest point.  They must agree on the verdict and on the witness.
 """
 
-import json
 import random
 from fractions import Fraction
 
@@ -228,7 +227,7 @@ def test_validation_cost_does_not_grow_with_the_table(fraction_ops):
     # one comparison per cover pair would be 524 288 on 16 points
     space = make_space([f"p{i}" for i in range(POINTS)])
     for table in _sixteen_point_tables():
-        u = validate_capacity(space, dict(enumerate(table)))
+        u = validate_capacity(space, table)
         u.is_additive
     assert fraction_ops["ops"] <= 16
 
@@ -238,12 +237,12 @@ def test_space_file_parses_each_string_once(fraction_ops):
     points = [f"p{i}" for i in range(POINTS)]
     values = {format(m, f"0{POINTS}b")[::-1]: str(v) for m, v in enumerate(additive)}
     act = [str(Fraction(i - 8, 3)) for i in range(POINTS)]
-    text = json.dumps({"points": points,
-                       "capacities": {"a": {"mode": "full", "values": values}},
-                       "acts": {"f": act}})
+    doc = {"points": points,
+           "capacities": {"a": {"mode": "full", "values": values}},
+           "acts": {"f": act}}
     distinct = len(set(values.values()) | set(act))
     fraction_ops["parsed"] = fraction_ops["ops"] = 0
-    loaded = load_space_file(text)
+    loaded = load_space_file(doc)
     assert loaded.capacities["a"].is_additive
     # under two hundred distinct strings among 65 552 values
     assert fraction_ops["parsed"] == distinct < 200

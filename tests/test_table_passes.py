@@ -46,17 +46,21 @@ def _raw(value: Fraction, rng: random.Random):
     return rng.choice(forms)
 
 
-def _document(n: int, values: dict) -> str:
-    return json.dumps({"points": [f"p{i}" for i in range(n)],
-                       "capacities": {"u": {"mode": "full", "values": values}},
-                       "acts": {"f": ["1"] * n}})
+def _document(n: int, values: dict) -> dict:
+    """A space file of one full table, as JSON decoding gives it: the value
+    types a space file really holds."""
+    return json.loads(json.dumps({"points": [f"p{i}" for i in range(n)],
+                                  "capacities": {"u": {"mode": "full", "values": values}},
+                                  "acts": {"f": ["1"] * n}}))
 
 
 def _per_entry(n: int, values: dict, backend: str):
     """The definition: each key and each value on its own, in file order."""
     space = make_space([f"p{i}" for i in range(n)])
-    return validate_capacity(space, {_mask_from_bitstring(n, k): parse_number(v, backend)
-                                     for k, v in values.items()})
+    table = [None] * (1 << n)
+    for k, v in values.items():
+        table[_mask_from_bitstring(n, k)] = parse_number(v, backend)
+    return validate_capacity(space, table)
 
 
 def _shuffled_table(n: int, table: list[Fraction], rng: random.Random) -> dict:
@@ -74,10 +78,9 @@ POOL = [Fraction(k, d) for d in (2, 3, 4, 5, 8, 10) for k in range(1, d)]
 def test_passes_equal_the_per_entry_definition(n, seed, backend):
     rng = random.Random(1000 * n + seed)
     values = _shuffled_table(n, _monotone_table(n, POOL, rng), rng)
-    # JSON decoding gives the value types a space file really holds
-    decoded = json.loads(_document(n, values))["capacities"]["u"]["values"]
-    loaded = load_space_file(_document(n, values), backend=backend).capacities["u"]
-    expected = _per_entry(n, decoded, backend)
+    doc = _document(n, values)
+    loaded = load_space_file(doc, backend=backend).capacities["u"]
+    expected = _per_entry(n, doc["capacities"]["u"]["values"], backend)
     assert loaded == expected
     assert loaded.exact_form == expected.exact_form
     assert (loaded.exact_form is None) == (backend == "float")
@@ -132,7 +135,8 @@ def _one_error_line(capsys) -> str:
 
 def _exits_one(values, message, tmp_path, capsys, backend="rational"):
     path = tmp_path / "table.json"
-    path.write_text(_document(3, values) if isinstance(values, dict) else values)
+    path.write_text(json.dumps(_document(3, values)) if isinstance(values, dict)
+                    else values)
     with pytest.raises(ValueError) as exc:
         load_space_file(str(path), backend=backend)
     assert str(exc.value) == message

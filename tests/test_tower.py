@@ -70,7 +70,7 @@ def _candidates(rng, tower, level, grid_caps):
     for cap in grid_caps:
         yield cap
         if len(space) <= 8:
-            yield validate_capacity(space, {m: cap.value(m) for m in space.all_masks()})
+            yield validate_capacity(space, [cap.value(m) for m in space.all_masks()])
     for _ in range(len(grid_caps)):
         a, b = rng.choice(grid_caps), rng.choice(grid_caps)
         yield Capacity(space, masses=tuple((x + y) / 2 for x, y in
@@ -176,7 +176,7 @@ class TestProjectiveConsistency:
     def test_perturbation_flagged(self, tower):
         name, cap = tower.view(0).capacities[0]
         lifted = dirac(tower.space_at(1), name)
-        table = {mask: cap.value(mask) for mask in tower.base.all_masks()}
+        table = [cap.value(mask) for mask in tower.base.all_masks()]
         bump = Fraction(1, tower.grid)
         table[1] = table[1] + bump if table[1] + bump <= 1 else table[1] - bump
         perturbed = validate_capacity(tower.base, table)

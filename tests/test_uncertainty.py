@@ -5,7 +5,7 @@ import pytest
 
 from choquet_tower.category import dirac
 from choquet_tower.choquet import are_comonotonic
-from choquet_tower.core import (Act, DuplicateLabelError, indicator,
+from choquet_tower.core import (Act, DuplicateLabelError, Subset, indicator,
                                 additive_capacity, make_space,
                                 validate_capacity)
 from choquet_tower.ellsberg import UrnParams, build_urn_space
@@ -27,8 +27,8 @@ def comono_example():
 class TestEpsilon:
     def test_full_and_empty(self):
         us, _, _ = comono_example()
-        assert epsilon(us, us.base.full).values == (1, 1)
-        assert epsilon(us, us.base.empty).values == (0, 0)
+        assert epsilon(us, Subset(us.base, us.base.full_mask)).values == (1, 1)
+        assert epsilon(us, Subset(us.base, 0)).values == (0, 0)
 
     def test_urn_blue_odds(self):
         urn = build_urn_space(UrnParams(big_n=1, alpha=1, u1=Fraction(3, 5)))
@@ -85,8 +85,7 @@ class TestXiG:
 
     def test_entropic_formula(self):
         space = make_space(["a", "b"])
-        table = {0: Fraction(0), 1: Fraction(6, 10), 2: Fraction(1, 10),
-                 3: Fraction(1)}
+        table = [Fraction(0), Fraction(6, 10), Fraction(1, 10), Fraction(1)]
         u = validate_capacity(space, table)
         us = UncertaintySpace(space, (("u", u),))
         out = xi_g(us, Act(space, (0, 1)), GTransform.entropic(1.0))
@@ -128,8 +127,7 @@ class TestCheckSeparated:
     def test_repeated_capacity_found(self):
         space = make_space(["a", "b"])
         u = additive_capacity(space, [Fraction(1, 2), Fraction(1, 2)])
-        v = validate_capacity(space, {0: 0, 1: Fraction(1, 2),
-                                      2: Fraction(1, 2), 3: 1})
+        v = validate_capacity(space, [0, Fraction(1, 2), Fraction(1, 2), 1])
         ok, witness = check_separated([("u", u), ("v", v)])
         assert not ok and witness == ("u", "v")
         with pytest.raises(DuplicateLabelError):

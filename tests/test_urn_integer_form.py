@@ -233,7 +233,7 @@ def assert_same_refusal(form_call, value_call, kind):
 
 def test_form_entry_refuses_a_wrong_length():
     assert_same_refusal(lambda: table_by_form(SPACE, NUMS[:3], DEN),
-                        lambda: validate_capacity(SPACE, dict(enumerate(VALUES[:3]))),
+                        lambda: validate_capacity(SPACE, VALUES[:3]),
                         SpaceMismatchError)
     assert_same_refusal(lambda: additive_capacity(SPACE, form=([1, 1, 1], 3)),
                         lambda: additive_capacity(SPACE, fractions([1, 1, 1], 3)),
@@ -330,7 +330,7 @@ def test_form_entry_agrees_with_the_value_entry(case):
     space = make_space([f"p{i}" for i in range(n)])
     values = fractions(nums, den)
     by_form = raised(lambda: table_by_form(space, nums, den))
-    by_values = raised(lambda: validate_capacity(space, dict(enumerate(values))))
+    by_values = raised(lambda: validate_capacity(space, values))
     if by_values is None:
         assert by_form is None
         u, v = validate_capacity(space, values), table_by_form(space, nums, den)

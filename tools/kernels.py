@@ -217,7 +217,7 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         no_args, lambda: core._checked_table(space16, *form16), form_text)
     for kind, case in spacegen.generate(1).items():
         out[f"load_space_file {kind}"] = (
-            no_args, lambda text=case.text: load_space_file(text),
+            no_args, lambda text=case.text: load_space_file(json.loads(text)),
             lambda loaded, name=case.capacity: _loaded_text(loaded, name))
     out["build_tower base 2, grid 3, depth 3"] = (
         no_args, lambda: build_tower(make_space(["a", "b"]), 3, 3), _tower_text)
