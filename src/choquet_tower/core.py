@@ -859,11 +859,35 @@ def validate_tables(space: FiniteSpace, columns: Sequence[Sequence[int]], den: i
     return columns, den
 
 
-def table_capacities(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
+def validate_masses(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
+                    ) -> tuple[Sequence[Sequence[int]], int]:
+    """Check mass vectors on one space as one batch, and return the batch,
+    as ``validate_tables`` checks tables: ``columns[i][k]`` is vector k's
+    int numerator at point i.  Whole-column passes find n columns of one
+    length, ints only, a nonzero int ``den`` (returned positive, a negative
+    one negating every numerator), no negative entry and each row summing
+    to ``den``.  A batch that fails is checked again a row at a time through
+    ``additive_capacity``, so it raises what its first bad row raises alone.
+    """
+    count = len(columns[0]) if columns else 0
+    whole = (len(columns) == len(space) and all(len(c) == count for c in columns)
+             and type(den) is int and den != 0
+             and set(map(type, chain.from_iterable(columns))) <= {int})
+    if whole and den < 0:
+        columns, den = [[-x for x in c] for c in columns], -den
+    if not (whole and min(chain.from_iterable(columns), default=0) >= 0
+            and set(map(sum, zip(*columns))) <= {den}):
+        for k in range(max(map(len, columns), default=0)):
+            additive_capacity(space, form=([c[k] for c in columns if k < len(c)], den))
+    return columns, den
+
+
+def batch_capacities(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
                      ) -> list[Capacity]:
-    """The capacities of a batch that ``validate_tables`` returned, one per
-    row, each on its own form reduced as ``_checked_form`` reduces it."""
-    return [Capacity(space, table=nums, den=d)
+    """The rows of a checked batch as capacities, each on its form reduced as
+    ``_checked_form`` reduces it: mass vectors with a column per point, else tables."""
+    kind = "masses" if len(columns) == len(space) else "table"
+    return [Capacity(space, **{kind: nums}, den=d)
             for nums, d in map(_reduced, zip(*columns), repeat(den))]
 
 

@@ -82,7 +82,7 @@ def build_urn_space(params: UrnParams) -> UncertaintySpace:
     mask order R, B, RB, Y, RY, BY it holds h, b_k, h + b_k, b_(2N-k),
     h + b_(2N-k) and 2h, over 3h.  A whole alpha gives integer numerators,
     h = (2N)^alpha / 2 and b_k = k^alpha, and the batch goes to
-    ``UncertaintySpace.of_tables``, which checks it as one and builds a
+    ``UncertaintySpace.of_columns``, which checks it as one and builds a
     capacity only when one is asked for.  Otherwise h = 1/3 over 1, b_k is
     2h (k / 2N)^alpha in floats, and ``validate_capacity`` checks each row.
     """
@@ -101,7 +101,7 @@ def build_urn_space(params: UrnParams) -> UncertaintySpace:
     columns = [[0] * count, [h] * count, powers, plus,
                powers[::-1], plus[::-1], [2 * h] * count, [den] * count]
     if whole:
-        return UncertaintySpace.of_tables(space, names, columns, den)
+        return UncertaintySpace.of_columns(space, names, columns, den)
     return UncertaintySpace(space, tuple(zip(names, (validate_capacity(space, row)
                                                      for row in zip(*columns)))))
 

@@ -1,9 +1,10 @@
 """Finite truncation of the iterated-uncertainty tower over a small base.
 
 Level n+1 enumerates every additive capacity on level n whose singleton
-masses lie on the grid {0, 1/m, ..., 1}.  Point masses stay on the grid, so
-the unit map climbs the tower; averaging descends but may leave the grid,
-which the law checks tolerate by comparing exact tables rather than names.
+masses lie on the grid {0, 1/m, ..., 1}, one checked batch of mass columns
+over m.  Point masses stay on the grid, so the unit map climbs the tower;
+averaging descends but may leave the grid, which the law checks tolerate by
+comparing exact tables rather than names.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from typing import Iterator, Optional
 
 from .category import dirac, mu
-from .core import Capacity, FiniteSpace, Frozen, additive_capacity
+from .core import Capacity, FiniteSpace, Frozen
 from .uncertainty import UncertaintySpace
 
 
@@ -48,8 +49,8 @@ class GridTower(Frozen):
 
     def view(self, level: int) -> UncertaintySpace:
         """Level `level` as an uncertainty space carrying level+1's points."""
-        if level < 0:
-            raise IndexError(f"tower levels start at 0, got {level}")
+        if not 0 <= level < self.depth:
+            raise IndexError(f"views lie in 0..{self.depth - 1}, not {level} (level {level + 1})")
         return self.views[level]
 
     def find_name(self, level: int, cap: Capacity) -> Optional[str]:
@@ -58,7 +59,9 @@ class GridTower(Frozen):
 
 
 def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
-    """Enumerate `depth` capacity levels over the base on a 1/grid mass grid."""
+    """Enumerate `depth` capacity levels over the base on a 1/grid mass grid,
+    each a batch for ``UncertaintySpace.of_columns``: a column per point of
+    the level below, a row per composition named by its numerators."""
     if grid < 1 or depth < 1:
         raise ValueError(f"a tower needs grid >= 1 and depth >= 1, "
                          f"got grid {grid}, depth {depth}")
@@ -70,12 +73,10 @@ def build_tower(base: FiniteSpace, grid: int, depth: int) -> GridTower:
         size = math.comb(len(current) + grid - 1, grid)
         if size > 5000:
             raise TowerSizeError(f"level would have {size} points")
-        caps = []
-        for numerators in _grid_compositions(len(current), grid):
-            name = "-".join(str(c) for c in numerators)
-            caps.append((name, additive_capacity(current,
-                                                 form=(list(numerators), grid))))
-        views.append(UncertaintySpace(current, tuple(caps)))
+        compositions = list(_grid_compositions(len(current), grid))
+        names = tuple("-".join(map(str, c)) for c in compositions)
+        views.append(UncertaintySpace.of_columns(
+            current, names, [list(column) for column in zip(*compositions)], grid))
         current = views[-1].capacity_space
     return GridTower(base, grid, tuple(views))
 

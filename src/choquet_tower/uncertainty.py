@@ -2,12 +2,12 @@
 
 The capacity list is itself a finite point set one level up, so evaluation
 and Choquet expectation turn acts on the base into acts on the capacities.
-The evaluation act is built from the capacities' values.  When every
-capacity has an exact form and all are dense tables, or all mass vectors,
-the space holds their numerators as one ``batch`` of columns over one
-denominator: ``xi`` integrates an exact act against a batch of dense tables
-at once, and ``mu`` in ``category`` reads its columns from a batch of mass
-vectors.
+The evaluation act is built from the capacities' values.  A space built
+from one batch of integer columns over one denominator, dense tables or
+mass vectors, keeps it as its ``batch``: ``xi`` integrates an exact act
+against a batch of dense tables at once, and ``mu`` in ``category`` reads
+its columns from a batch of mass vectors.  A space built from capacities
+has no batch.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from operator import add, mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .choquet import choquet_integral
-from .core import (MAX_DENSE_POINTS, VALUE_TOL, Act, Capacity, DuplicateLabelError,
-                   EmptySpaceError, FiniteSpace, Frozen, Number, Subset, _mask_of,
-                   _require_same_space, once, table_capacities, validate_tables)
+from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, EmptySpaceError,
+                   FiniteSpace, Frozen, Number, Subset, _mask_of, _require_same_space,
+                   batch_capacities, once, validate_masses, validate_tables)
 
 
 def _name_index(capacities: Iterable[tuple[str, Capacity]]
@@ -68,8 +68,8 @@ class UncertaintySpace(Frozen):
     """A finite space plus a named, non-empty list of distinct capacities,
     whose names are ``capacity_space``, the point set one level up.
 
-    A space is built from (name, capacity) pairs, or by ``of_tables`` from
-    dense tables given as one batch of columns, which is all the space
+    A space is built from (name, capacity) pairs, and has no ``batch``, or
+    by ``of_columns`` from one batch of columns, which is all the space
     keeps: its capacities and the index for ``name_of`` are built from the
     batch on first use, as is the index of a space of one capacity from
     pairs, which has nothing to separate.  ``capacity`` finds a name at its
@@ -86,33 +86,32 @@ class UncertaintySpace(Frozen):
             if pair is not None:
                 raise _duplicate(pair)
             self.__dict__["_name_of"] = index
-        self.__dict__.update(base=base, capacities=capacities, capacity_space=names)
+        self.__dict__.update(base=base, capacities=capacities, capacity_space=names, batch=None)
 
     @classmethod
-    def of_tables(cls, base: FiniteSpace, names: tuple[str, ...],
-                  columns: Sequence[Sequence[int]], den: int) -> "UncertaintySpace":
-        """The space of one named capacity per dense table of a batch, given
-        as its mask columns over one denominator: ``columns[m][k]`` is table
-        k's int numerator on mask m.
-
-        The batch is checked by ``validate_tables``.  Over one denominator
-        two tables are the same set function exactly when their rows are
-        equal.  A column whose entries are pairwise distinct proves every
-        row distinct, so separation is decided on the first such column
-        (for the urn, the column of B); the end columns hold 0 and ``den``
-        in every checked table and are not read.  Only when no column
-        separates are the rows ``zip(*columns)`` compared, and only a batch
-        with a repeat builds its capacities, to name the first pair as the
-        constructor does.
+    def of_columns(cls, base: FiniteSpace, names: tuple[str, ...],
+                   columns: Sequence[Sequence[int]], den: int) -> "UncertaintySpace":
+        """The space of one named capacity per row of a batch of columns over
+        one denominator, ``columns[j][k]`` being row k's int numerator at
+        entry j: mass vectors with a column per point, checked by
+        ``validate_masses``, else dense tables with a column per mask,
+        checked by ``validate_tables``.  The names are counted against the
+        rows, the longest column's length, before any column pass.  Rows
+        over one denominator are equal set functions exactly when equal, so
+        a column of pairwise distinct entries (for the urn, that of B)
+        separates them; only when none does are the rows ``zip(*columns)``
+        compared, and only a repeat builds the capacities, to name the first
+        pair as the constructor does.
         """
-        columns, den = validate_tables(base, columns, den)
         names_space = _name_space(names)
-        count, tables = len(names), len(columns[0]) if columns else 0
-        if tables != count:
-            raise ValueError(f"{count} capacity names for {tables} tables")
-        if not any(len(set(columns[m])) == count for m in range(1, len(columns) - 1)):
+        count, rows = len(names), max(map(len, columns), default=0)
+        if rows != count:
+            raise ValueError(f"{count} capacity names for {rows} rows")
+        validate = validate_masses if len(columns) == len(base) else validate_tables
+        columns, den = validate(base, columns, den)
+        if not any(len(set(column)) == count for column in columns):
             if len(set(zip(*columns))) != count:
-                raise _duplicate(_name_index(zip(names, table_capacities(base, columns, den)))[1])
+                raise _duplicate(_name_index(zip(names, batch_capacities(base, columns, den)))[1])
         us = cls.__new__(cls)
         us.__dict__.update(base=base, capacity_space=names_space, batch=(columns, den))
         return us
@@ -123,9 +122,8 @@ class UncertaintySpace(Frozen):
 
     @once
     def capacities(self) -> tuple[tuple[str, Capacity], ...]:
-        """The named capacities of a space built by ``of_tables``, built from
-        its batch on first use."""
-        return tuple(zip(self.names, table_capacities(self.base, *self.batch)))
+        """Built from the batch on first use in a space built by ``of_columns``."""
+        return tuple(zip(self.names, batch_capacities(self.base, *self.batch)))
 
     @once
     def _name_of(self) -> dict:
@@ -142,25 +140,6 @@ class UncertaintySpace(Frozen):
     def is_additive(self) -> bool:
         """True when every capacity is additive; decided on first use only."""
         return all(cap.is_additive for _, cap in self.capacities)
-
-    @once
-    def batch(self) -> Optional[tuple[list[Sequence[int]], int]]:
-        """Every capacity's stored numerators as columns over the lcm of
-        their denominators: ``columns[j][k]`` is capacity k's numerator at
-        entry j, one column per mask of dense tables (2**n) or per point of
-        mass vectors (n), so the count says which kind the batch holds.
-        None when the capacities mix the kinds or one has no exact form.
-        ``mu`` reads a batch of mass vectors only, and ``xi`` one of dense
-        tables only, as a mass vector's integral is one dot product in
-        ``choquet_integral``.  A space built by ``of_tables`` holds its own
-        batch; one built from capacities derives theirs on first use."""
-        caps = [cap for _, cap in self.capacities]
-        if not all(cap._den for cap in caps) or len({cap._table is None for cap in caps}) > 1:
-            return None
-        den = math.lcm(*(cap._den for cap in caps))
-        rows = [nums if d == den else [n * (den // d) for n in nums]
-                for nums, d in (cap.exact_form for cap in caps)]
-        return list(zip(*rows)), den
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
@@ -182,18 +161,14 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
     act's door divides the numerators only by a factor g left, as that of
     a constant column.  An act whose form is one list column as it stands
     keeps the batch's list.  The zero act, whose chain is empty, integrates
-    to zeros over 1.  Otherwise (mass vectors, mixed kinds, floats) each
-    value is ``choquet_integral``.  A batch of dense tables has a column
-    per mask, so past ``MAX_DENSE_POINTS`` none can exist, and there the
-    batch is not derived: it could only hold mass vectors.
+    to zeros over 1.  Otherwise (no batch, a batch of mass vectors, an act
+    holding a float) each value is ``choquet_integral``.
     """
     _require_same_space(f.space, us.base)
-    dense = f.exact_form is not None and len(us.base) <= MAX_DENSE_POINTS
-    batch = us.batch if dense else None
-    if batch is None or len(batch[0]) != 1 << len(us.base):
+    if us.batch is None or len(us.batch[0]) != 1 << len(us.base) or f.exact_form is None:
         return Act(us.capacity_space,
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))
-    columns, den = batch
+    columns, den = us.batch
     cums, steps, act_den = f.exact_chain
     if not steps:
         return Act(us.capacity_space, form=([0] * len(us.names), 1))

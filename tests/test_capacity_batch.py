@@ -19,7 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from choquet_tower import core, ellsberg, uncertainty
-from choquet_tower.core import (MonotonicityError, make_space, table_capacities,
+from choquet_tower.core import (MonotonicityError, batch_capacities, make_space,
                                 validate_capacity, validate_tables)
 from choquet_tower.ellsberg import UrnParams, build_urn_space
 
@@ -110,7 +110,7 @@ def _per_table(space, columns, den):
 
 
 def _batch(space, columns, den):
-    return table_capacities(space, *validate_tables(space, columns, den))
+    return batch_capacities(space, *validate_tables(space, columns, den))
 
 
 def _columns(tables):

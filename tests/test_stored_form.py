@@ -16,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from choquet_tower.core import (Capacity, FiniteSpace, additive_capacity,
-                                is_exact, table_capacities, validate_capacity,
+                                batch_capacities, is_exact, validate_capacity,
                                 validate_tables)
 
 #: primes between 1000 and 1300, one per value of a four-point table
@@ -92,7 +92,7 @@ def _builds(space, shape, values):
         den = math.lcm(*(Fraction(v).denominator for v in values))
         nums = [int(v * den) for v in values]
         if shape == "table":
-            yield "form", table_capacities(
+            yield "form", batch_capacities(
                 space, *validate_tables(space, [[x] for x in nums], den))[0]
         else:
             yield "form", additive_capacity(space, form=(nums, den))

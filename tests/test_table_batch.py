@@ -1,5 +1,5 @@
 """An uncertainty space built from one batch of dense tables, given as its
-mask columns (``UncertaintySpace.of_tables``), against one built from
+mask columns (``UncertaintySpace.of_columns``), against one built from
 checked capacities.
 
 The oracle is the one-table path: each row of the batch through
@@ -10,8 +10,9 @@ also for batches in which every column repeats an entry, so that
 separation is decided on the rows and not on one column.
 The urn is built as a batch and must build no capacity of its own unless
 one is read; read, its capacities and names are those of the urn built from
-Fraction tables, and its columns and integrals those of the urn built from
-its capacities.  Building it allocates little beyond the batch it keeps.
+Fraction tables, and its integrals those of the urn built from its
+capacities, which integrates each one alone.  Building it allocates little
+beyond the batch it keeps.
 """
 
 import random
@@ -112,8 +113,8 @@ def test_a_batch_builds_or_refuses_what_the_one_table_path_does(seed, n, count, 
     rng = random.Random(seed)
     space = _space(n)
     names, columns, den = _batch(rng, n, count, kind)
-    got = _outcome(lambda: UncertaintySpace.of_tables(space, names,
-                                                      [list(c) for c in columns], den))
+    got = _outcome(lambda: UncertaintySpace.of_columns(space, names,
+                                                       [list(c) for c in columns], den))
     want = _outcome(lambda: _one_table_path(space, names, columns, den))
     event(f"{kind}: {want[0] if want[0] == 'space' else want[1].__name__}")
     assert got == want
@@ -146,7 +147,7 @@ def test_rows_are_compared_when_no_column_separates(seed, n, count, repeat):
     columns = _columns(tables)
     assert all(len(set(column)) < len(tables) for column in columns)
     names = tuple(f"c{i}" for i in range(len(tables)))
-    got = _outcome(lambda: UncertaintySpace.of_tables(space, names, columns, 2))
+    got = _outcome(lambda: UncertaintySpace.of_columns(space, names, columns, 2))
     want = _outcome(lambda: _one_table_path(space, names, columns, 2))
     event(f"{len(tables)} tables: {want[0] if want[0] == 'space' else want[1].__name__}")
     assert got == want
@@ -159,18 +160,18 @@ def test_a_repeated_table_names_the_first_pair():
     space = _space(2)
     a, b = [0, 1, 1, 2], [0, 0, 1, 2]
     with pytest.raises(core.DuplicateLabelError) as err:
-        UncertaintySpace.of_tables(space, ("x", "y", "z", "w"), _columns([a, b, b, a]), 2)
+        UncertaintySpace.of_columns(space, ("x", "y", "z", "w"), _columns([a, b, b, a]), 2)
     assert str(err.value) == "capacities 'y' and 'z' have identical tables"
 
 
 def test_names_must_match_the_tables():
     space = _space(1)
-    with pytest.raises(ValueError, match="2 capacity names for 3 tables"):
-        UncertaintySpace.of_tables(space, ("x", "y"), [[0, 0, 0], [2, 2, 2]], 2)
+    with pytest.raises(ValueError, match="2 capacity names for 3 rows"):
+        UncertaintySpace.of_columns(space, ("x", "y"), [[0, 0, 0], [2, 2, 2]], 2)
     with pytest.raises(core.DuplicateLabelError, match="capacity names must be unique"):
-        UncertaintySpace.of_tables(space, ("x", "x"), [[0, 0], [2, 2]], 2)
+        UncertaintySpace.of_columns(space, ("x", "x"), [[0, 0], [2, 2]], 2)
     with pytest.raises(ValueError, match="^an uncertainty space needs at least one capacity$"):
-        UncertaintySpace.of_tables(space, (), [[], []], 2)
+        UncertaintySpace.of_columns(space, (), [[], []], 2)
 
 
 # -- the urn ------------------------------------------------------------------
@@ -232,9 +233,7 @@ def test_an_urn_built_from_columns_equals_the_urn_built_from_capacities(big_n, a
     caps = tuple((name, core._checked_table(urn.base, *_checked_form((list(row), den), 8)))
                  for name, row in zip(urn.names, zip(*urn.batch[0])))
     oracle = UncertaintySpace(urn.base, caps)
-    # the columns the oracle derives from its capacities, each reduced alone,
-    # over the lcm of their denominators
-    assert ([list(c) for c in oracle.batch[0]], oracle.batch[1]) == urn.batch
+    assert oracle.batch is None
     assert urn.capacities == oracle.capacities
     for f in standard_acts(urn.base).values():
         for act in (f, f.scale(Fraction(3, 5))):

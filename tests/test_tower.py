@@ -84,10 +84,20 @@ class TestViews:
     def test_views_are_built_once(self, tower):
         for k in range(tower.depth):
             assert tower.view(k) is tower.view(k)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^views lie in 0\.\.2, not 3 \(level 4\)$"):
             tower.view(tower.depth)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^views lie in 0\.\.2, not -1 \(level 0\)$"):
             tower.view(-1)
+
+    def test_a_level_outside_the_tower_names_the_range_and_the_level(self, tower):
+        # space_at and find_name reach level k through view k - 1, whose
+        # one range check names the level they were given
+        with pytest.raises(IndexError, match=r"^views lie in 0\.\.2, not 3 \(level 4\)$"):
+            tower.space_at(tower.depth + 1)
+        point = tower.view(0).capacities[0][1]
+        with pytest.raises(IndexError, match=r"^views lie in 0\.\.2, not -1 \(level 0\)$"):
+            tower.find_name(0, point)
+        assert tower.space_at(tower.depth) is tower.view(tower.depth - 1).capacity_space
 
     def test_find_name_matches_a_linear_scan(self, tower):
         rng = random.Random(3)

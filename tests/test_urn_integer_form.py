@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from choquet_tower import core
 from choquet_tower.core import (Act, Capacity, MonotonicityError,
                                 NormalizationError, SpaceMismatchError,
-                                additive_capacity, is_exact, make_space,
-                                table_capacities, validate_capacity, validate_tables)
+                                additive_capacity, batch_capacities, is_exact,
+                                make_space, validate_capacity, validate_tables)
 from choquet_tower.ellsberg import (UrnParams, _weight_numerators, binomial_family,
                                     build_sequence, build_urn_space,
                                     closed_form_values, standard_acts)
@@ -213,7 +213,7 @@ def fractions(nums, den):
 def table_by_form(space, nums, den):
     """A table's form through the form door for tables, ``validate_tables``
     given it as a one-row batch, and the capacity of that row."""
-    return table_capacities(space, *validate_tables(space, [[n] for n in nums], den))[0]
+    return batch_capacities(space, *validate_tables(space, [[n] for n in nums], den))[0]
 
 
 def raised(call):
@@ -408,8 +408,9 @@ def _second_order():
     rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)],
             [Fraction(1, 5), 0, Fraction(4, 5)],
             [0, 1, 0]]
-    us = UncertaintySpace(base, tuple((f"c{j}", additive_capacity(base, row))
-                                      for j, row in enumerate(rows)))
+    # the rows as one batch of mass columns over 30
+    columns = [[int(30 * m) for m in column] for column in zip(*rows)]
+    us = UncertaintySpace.of_columns(base, ("c0", "c1", "c2"), columns, 30)
     v = additive_capacity(us.capacity_space, fractions([1, 2, 4], 7))
     return us, v
 
@@ -439,7 +440,7 @@ def test_mu_over_dense_tables_stores_the_form_of_the_mass_batch():
     den = math.lcm(*(cap.exact_form[1] for _, cap in us.capacities))
     columns = [[n * (den // cap.exact_form[1]) for n in row]
                for row, (_, cap) in zip(tables, us.capacities)]
-    dense = UncertaintySpace.of_tables(us.base, us.names, list(zip(*columns)), den)
+    dense = UncertaintySpace.of_columns(us.base, us.names, list(zip(*columns)), den)
     assert len(dense.batch[0]) == 8 and len(us.batch[0]) == 3
     assert mu(dense, v).exact_form == mu(us, v).exact_form
     assert mu(dense, v)._masses is not None

@@ -1,21 +1,21 @@
 """``xi`` integrates an act against a space's whole ``batch`` at once.
 
 The oracle is the definition, the telescoping sum ``choquet_sum`` against
-each capacity's ``value``.  The batched path must agree on spaces of many
-dense tables with mixed denominators, whose ``batch`` holds their mask
-columns over their lcm, and on the same columns handed over as one batch
-(``UncertaintySpace.of_tables``); on a one-point base, where a batch of
-tables has 2 columns and one of mass vectors 1, and on a single capacity;
-on the constant and all-zero acts, the last with an empty chain.  A result
-that is one column as it stands keeps the batch's list.  The steps of a chain are
-divided by their gcd with the result's denominator before any column is
-multiplied, so the form must be the door's reduction of the unreduced sum,
-also when the steps share factors with the denominator.  A space of mass
-vectors with mixed denominators has a batch, which ``mu`` reads, but ``xi`` integrates each of its capacities with
-``choquet_integral``, as it does on a space mixing tables and masses, or
-holding a float, which has no batch.  ``mu`` over a batch of additive dense
-tables reads their singleton columns and must agree with its defining
-table, also for point-mass weights over columns handed over as one batch.
+each capacity's ``value``.  The batched path must agree on many dense
+tables with mixed denominators handed over as one batch of mask columns
+over their lcm (``UncertaintySpace.of_columns``), and with the same
+capacities given as pairs, which keep no batch; on a one-point base, where
+a batch of tables has 2 columns and one of mass vectors 1, and on a single
+capacity; on the constant and all-zero acts, the last with an empty chain.
+A result that is one column as it stands keeps the batch's list.  The
+steps of a chain are divided by their gcd with the result's denominator
+before any column is multiplied, so the form must be the door's reduction
+of the unreduced sum, also when the steps share factors with the
+denominator.  On a batch of mass vectors, which ``mu`` reads, ``xi``
+integrates each capacity with ``choquet_integral``, as it does on a space
+of pairs, mixing tables and masses or holding a float.  ``mu`` over a
+batch of additive dense tables reads their singleton columns and must
+agree with its defining table, also for point-mass weights.
 """
 
 import math
@@ -69,8 +69,12 @@ def _space_of(space, caps):
 
 
 def _batch_space_of(us):
-    """The space's tables handed over as one batch, under the same names."""
-    return UncertaintySpace.of_tables(us.base, us.names, *us.batch)
+    """The space's capacities handed over as one batch, under the same
+    names: their numerators as columns over the lcm of their denominators."""
+    forms = [cap.exact_form for _, cap in us.capacities]
+    den = math.lcm(*(d for _, d in forms))
+    rows = [[n * (den // d) for n in nums] for nums, d in forms]
+    return UncertaintySpace.of_columns(us.base, us.names, [list(c) for c in zip(*rows)], den)
 
 
 def _act(rng, space):
@@ -89,7 +93,7 @@ def test_xi_on_dense_tables_matches_choquet_sum_per_capacity(seed, n, count):
     rng = random.Random(seed)
     space = make_space([f"p{i}" for i in range(n)])
     us = _space_of(space, _checked(space, _tables(rng, n, count)))
-    assert us.batch is not None
+    assert us.batch is None
     batch = _batch_space_of(us)
     acts = [_act(rng, space), constant_act(space, Fraction(rng.randint(-5, 5), 3)),
             constant_act(space, 0), Act(space, (0,) * n)]
@@ -135,8 +139,8 @@ def test_steps_that_reduce_to_one_take_their_columns_as_they_stand(monkeypatch):
     # gcd is 3, so both columns are added unmultiplied, over 5
     space = make_space(["a", "b", "c"])
     tables = [[0, 1, 1, 2, 1, 2, 2, 3], [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 0, 1, 1, 3]]
-    us = UncertaintySpace.of_tables(space, ("x", "y", "z"),
-                                    [list(column) for column in zip(*tables)], 3)
+    us = UncertaintySpace.of_columns(space, ("x", "y", "z"),
+                                     [list(column) for column in zip(*tables)], 3)
     f = Act(space, (Fraction(6, 5), Fraction(3, 5), 0))
     assert f.exact_chain == ((1, 3), (3, 3), 5)
     products = []
@@ -152,8 +156,8 @@ def test_a_result_that_is_one_column_keeps_the_batchs_list():
     # {b}, which the act's door leaves reduced and keeps without a copy
     space = make_space(["a", "b", "c"])
     tables = [[0, 1, 1, 2, 1, 2, 2, 3], [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 0, 1, 1, 3]]
-    us = UncertaintySpace.of_tables(space, ("x", "y", "z"),
-                                    [list(column) for column in zip(*tables)], 3)
+    us = UncertaintySpace.of_columns(space, ("x", "y", "z"),
+                                     [list(column) for column in zip(*tables)], 3)
     f = Act(space, (0, 1, 0))
     got = xi(us, f)
     assert got.exact_form[0] is us.batch[0][2]
@@ -232,10 +236,9 @@ def test_xi_on_mass_vectors_matches_choquet_sum_per_capacity(seed, n, count):
     rng = random.Random(seed)
     space = make_space([f"p{i}" for i in range(n)])
     caps = [additive_capacity(space, form=form) for form in _masses(rng, n, count)]
-    us = _space_of(space, caps)
+    us = _batch_space_of(_space_of(space, caps))
     columns, den = us.batch
     assert [len(column) for column in columns] == [len(us.names)] * n
-    assert den == math.lcm(*(cap.exact_form[1] for _, cap in us.capacities))
     for f in (_act(rng, space), constant_act(space, Fraction(-4, 7)), Act(space, (0,) * n)):
         assert xi(us, f).values == _per_capacity(us, f)
     _assert_per_capacity(us, _act(rng, space))
@@ -252,12 +255,11 @@ def test_a_one_point_base_has_strides_two_and_one(seed, dense):
     else:
         caps = [additive_capacity(space, form=form) for form in _masses(rng, 1, 1)]
     us = _space_of(space, caps)
-    columns, den = us.batch
-    assert len(columns) == (2 if dense else 1)
+    batch = _batch_space_of(us)
+    assert len(batch.batch[0]) == (2 if dense else 1)
     f = _act(rng, space)
     assert xi(us, f).values == _per_capacity(us, f) == f.values
-    if dense:
-        assert xi(_batch_space_of(us), f).exact_form == xi(us, f).exact_form
+    assert xi(batch, f).exact_form == xi(us, f).exact_form
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
@@ -269,7 +271,7 @@ def test_mu_over_additive_dense_tables_matches_its_defining_table(seed, n, count
     caps = [validate_capacity(space, [additive_capacity(space, form=form).value(mask)
                                       for mask in space.all_masks()])
             for form in _masses(rng, n, count)]
-    us = _space_of(space, caps)
+    us = _batch_space_of(_space_of(space, caps))
     assert us.is_additive and len(us.batch[0]) == 1 << n
     weights, _ = _masses(rng, len(us.names), 1)[0]
     for v in (additive_capacity(us.capacity_space, form=(weights, sum(weights))),
@@ -295,7 +297,7 @@ def test_mu_over_a_column_batch_with_point_mass_weights_matches_its_defining_tab
                   for cap in masses]
         us = _batch_space_of(_space_of(space, tables))
     else:
-        us = _space_of(space, masses)
+        us = _batch_space_of(_space_of(space, masses))
     assert len(us.batch[0]) == (1 << n if dense else n)
     size = len(us.names)
     for j, (_, cap) in enumerate(us.capacities):

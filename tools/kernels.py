@@ -29,13 +29,14 @@ the median time and the SHA-256 of a text form of its output:
   the JSON decoding included: the loaded capacity's exact form and its
   integral of the act ``f``;
 - ``build_tower`` over a 2-point base on the 1/3 grid, 3 levels deep, every
-  level's capacities by name and reduced exact form;
+  level's capacities by name and reduced exact form, read after the timed
+  call, as each level is stored as its batch of mass columns;
 - ``mu`` on that tower's top view (level 2's 20 points carrying level 3's
   1540 capacities) of the point mass at its middle point and of an
   additive weight drawn by ``laws.rand_additive`` from seed 1, the averaged
   capacity's exact form; the weight is rebuilt before each run, but the
-  view is built, and its batch derived, once, as the laws reuse a tower's
-  views;
+  view is built once, and its capacities on the first run, as the laws
+  reuse a tower's views;
 - ``iota`` on that tower from level 3 to level 1 (each of the 1540 points
   averaged down twice) and from level 1 to level 3 (each of the 4 points
   lifted as point masses), every image's name and exact form: the reads
@@ -143,7 +144,7 @@ def _values_text(us: UncertaintySpace) -> str:
 
 def _fresh(us: UncertaintySpace) -> UncertaintySpace:
     # the urn's batch in a new space, so no capacity built on demand carries over
-    return UncertaintySpace.of_tables(us.base, us.names, *us.batch)
+    return UncertaintySpace.of_columns(us.base, us.names, *us.batch)
 
 
 def _fresh_weights(seq: USequence) -> USequence:
@@ -223,7 +224,6 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         no_args, lambda: build_tower(make_space(["a", "b"]), 3, 3), _tower_text)
     tower = build_tower(make_space(["a", "b"]), 3, 3)
     top = tower.views[-1]
-    top.batch  # noqa: B018  derived here, as the laws' later mu calls find it
     weights, space6 = top.capacity_space, make_space(["a", "b", "c", "d", "e", "f"])
     out["mu top view, point mass"] = (
         lambda: (top, dirac(weights, weights.points[len(weights) // 2])), mu, form_text)

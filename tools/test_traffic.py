@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 import traffic
-from choquet_tower import choquet, core, ellsberg, hierarchy, spacefile, uncertainty
+from choquet_tower import category, choquet, core, ellsberg, hierarchy, spacefile, uncertainty
 
 
 def _function(module, name):
@@ -27,8 +27,8 @@ def urn_missed():
 def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrature(
         urn_missed):
     missed = urn_missed
-    # of_tables separates the urn's tables on one column, never on the rows
-    rows = next(node for node in ast.walk(_function(uncertainty, "of_tables"))
+    # of_columns separates the urn's tables on one column, never on the rows
+    rows = next(node for node in ast.walk(_function(uncertainty, "of_columns"))
                 if isinstance(node, ast.If) and "any(" in ast.unparse(node.test))
     assert "zip(" in ast.unparse(rows.body[0].test)
     assert rows.lineno not in missed["uncertainty.py"]
@@ -55,11 +55,17 @@ def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrat
     assert quadrature and quadrature <= set(missed["hierarchy.py"])
 
 
-def test_the_urn_workload_never_derives_a_batch(urn_missed):
-    # the urn's tables come as a batch, and xi leaves the weight layer of X
-    # and Y, one mass vector past MAX_DENSE_POINTS points, without one
-    body = traffic.executable_lines(uncertainty.UncertaintySpace.batch.fn.__code__)
-    assert body and body <= set(urn_missed["uncertainty.py"])
+def test_the_laws_workload_averages_tower_levels_on_their_stored_batch():
+    # every tower level is stored as a batch of mass columns, so each
+    # additive mu of the law suites reads the batch, and the branch that
+    # averages singleton values never runs
+    missed, failures = traffic.unrun(["laws"], seed=1)
+    assert failures == []
+    branch = next(node for node in ast.walk(_function(category, "mu"))
+                  if isinstance(node, ast.If) and "us.batch" in ast.unparse(node.test))
+    assert "singleton_masses" in ast.unparse(branch.orelse)
+    assert branch.body[0].lineno not in missed["category.py"]
+    assert all(stmt.lineno in missed["category.py"] for stmt in branch.orelse)
 
 
 def test_the_urn_workload_builds_no_binomial_member(urn_missed):
