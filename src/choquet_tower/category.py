@@ -169,8 +169,7 @@ def mu(us: UncertaintySpace, v: Capacity) -> Capacity:
     """
     _require_same_space(v.space, us.capacity_space)
     if v.is_additive and us.is_additive:
-        n = len(us.base)
-        if v.exact_form and us.batch and len(us.batch[0]) == n:
+        if v.exact_form and us.kind == "masses":
             (columns, den), weights = us.batch, v._singleton_keys()
         else:
             columns = list(zip(*(cap.singleton_masses() for _, cap in us.capacities)))

@@ -810,7 +810,7 @@ def validate_capacity(space: FiniteSpace, table: Sequence) -> Capacity:
     """Check and build a capacity from a dense table: a sequence in mask
     order, one value per subset, never a mapping.  Additive capacities
     given by their masses go through ``additive_capacity`` instead, and
-    tables held as exact forms through ``validate_tables``.  What the
+    tables held as exact forms through ``validate_batch``.  What the
     capacity stores goes through the normalization and monotonicity checks
     of ``_checked_table``.
     """
@@ -822,71 +822,66 @@ def validate_capacity(space: FiniteSpace, table: Sequence) -> Capacity:
     return _checked_table(space, table)
 
 
-def validate_tables(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
-                    ) -> tuple[Sequence[Sequence[int]], int]:
-    """Check dense tables on one space as one batch, and return the batch.
+def validate_batch(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
+                   ) -> tuple[str, Sequence[Sequence[int]], int]:
+    """Check capacities on one space as one batch, and return its kind, the
+    batch and its denominator.
 
-    The batch is stored as its mask columns over one denominator:
-    ``columns[m][k]`` is table k's int numerator on mask m, so a table is a
-    row, ``[c[k] for c in columns]``.  The columns are checked as a whole:
-    there are 2**n of them, all of one length; one type scan finds only
-    ints; ``den`` is a nonzero int; the empty set's column is all 0 and the
-    full set's all ``den``; and for each slice pair of ``_cover_slices``
-    one C-speed pass over the joined columns of either slice finds no
-    decrease, at most n * sqrt(2**n) passes for any number of tables.  The
-    columns are returned as given, or negated with a negative ``den``, so
-    the denominator returned is positive.  A batch that fails is checked
-    again a row at a time on the one-table path (``_checked_form``, then
-    ``_checked_table``), so it raises what its first bad table raises
-    alone; a row whose columns end early is short, so a ragged or missing
-    column is a count error.
+    The batch is stored as columns of int numerators over one denominator,
+    ``columns[j][k]`` being row k's numerator at entry j, so a row is
+    ``[c[k] for c in columns]``.  This is the one place that reads a kind
+    from the column count: n columns, one per point, are mass vectors
+    (kind "masses"); 2**n, one per mask, are dense tables (kind "table";
+    past ``MAX_DENSE_POINTS`` a TooManyPointsError).  Any other count is
+    refused before any pass with a SpaceMismatchError naming both counts.
+    The columns are checked as a whole: all of one length, one type scan
+    finding only ints, ``den`` a nonzero int; then for mass vectors no
+    negative entry and every row summing to ``den``, and for tables the
+    empty set's column all 0, the full set's all ``den``, and for each
+    slice pair of ``_cover_slices`` one C-speed pass over the joined columns
+    of either slice finding no decrease, at most n * sqrt(2**n) passes for
+    any number of tables.  The columns are returned as given, or negated
+    with a negative ``den``, so the denominator returned is positive.  A
+    batch that fails is checked again a row at a time through its kind's
+    one-capacity door (``additive_capacity(form=...)``, or ``_checked_form``
+    then ``_checked_table``), so it raises what its first bad row raises
+    alone; a row whose columns end early is short, a count error.
     """
-    check_dense_size(space)
     n = len(space)
-    count = len(columns[0]) if columns else 0
-    whole = (len(columns) == 1 << n and all(len(c) == count for c in columns)
-             and type(den) is int and den != 0
+    kind = "masses" if len(columns) == n else "table"
+    if kind == "table":
+        check_dense_size(space)
+        if len(columns) != 1 << n:
+            raise SpaceMismatchError(f"a batch on {n} points has {len(columns)} columns, "
+                                     f"need {n} for mass vectors or {1 << n} for tables")
+    count = len(columns[0])
+    whole = (all(len(c) == count for c in columns) and type(den) is int and den != 0
              and set(map(type, chain.from_iterable(columns))) <= {int})
     if whole and den < 0:
         columns, den = [[-x for x in c] for c in columns], -den
-    if not (whole and columns[0].count(0) == count and columns[-1].count(den) == count
-            and not any(any(map(gt, chain.from_iterable(columns[lo]),
-                                chain.from_iterable(columns[hi])))
-                        for _, lo, hi in _cover_slices(n))):
-        for k in range(max(map(len, columns), default=0)):
+    if kind == "masses":
+        whole = (whole and min(chain.from_iterable(columns), default=0) >= 0
+                 and set(map(sum, zip(*columns))) <= {den})
+    else:
+        whole = (whole and columns[0].count(0) == count and columns[-1].count(den) == count
+                 and not any(any(map(gt, chain.from_iterable(columns[lo]),
+                                     chain.from_iterable(columns[hi])))
+                             for _, lo, hi in _cover_slices(n)))
+    if not whole:
+        for k in range(max(map(len, columns))):
             row = [c[k] for c in columns if k < len(c)]
-            _checked_table(space, *_checked_form((row, den), 1 << n))
-    return columns, den
+            if kind == "masses":
+                additive_capacity(space, form=(row, den))
+            else:
+                _checked_table(space, *_checked_form((row, den), 1 << n))
+    return kind, columns, den
 
 
-def validate_masses(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
-                    ) -> tuple[Sequence[Sequence[int]], int]:
-    """Check mass vectors on one space as one batch, and return the batch,
-    as ``validate_tables`` checks tables: ``columns[i][k]`` is vector k's
-    int numerator at point i.  Whole-column passes find n columns of one
-    length, ints only, a nonzero int ``den`` (returned positive, a negative
-    one negating every numerator), no negative entry and each row summing
-    to ``den``.  A batch that fails is checked again a row at a time through
-    ``additive_capacity``, so it raises what its first bad row raises alone.
-    """
-    count = len(columns[0]) if columns else 0
-    whole = (len(columns) == len(space) and all(len(c) == count for c in columns)
-             and type(den) is int and den != 0
-             and set(map(type, chain.from_iterable(columns))) <= {int})
-    if whole and den < 0:
-        columns, den = [[-x for x in c] for c in columns], -den
-    if not (whole and min(chain.from_iterable(columns), default=0) >= 0
-            and set(map(sum, zip(*columns))) <= {den}):
-        for k in range(max(map(len, columns), default=0)):
-            additive_capacity(space, form=([c[k] for c in columns if k < len(c)], den))
-    return columns, den
-
-
-def batch_capacities(space: FiniteSpace, columns: Sequence[Sequence[int]], den: int
-                     ) -> list[Capacity]:
-    """The rows of a checked batch as capacities, each on its form reduced as
-    ``_checked_form`` reduces it: mass vectors with a column per point, else tables."""
-    kind = "masses" if len(columns) == len(space) else "table"
+def batch_capacities(space: FiniteSpace, kind: str, columns: Sequence[Sequence[int]],
+                     den: int) -> list[Capacity]:
+    """The rows of a batch checked by ``validate_batch``, of the kind it
+    returned, as capacities, each on its form reduced as ``_checked_form``
+    reduces it."""
     return [Capacity(space, **{kind: nums}, den=d)
             for nums, d in map(_reduced, zip(*columns), repeat(den))]
 

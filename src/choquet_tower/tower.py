@@ -1,10 +1,12 @@
 """Finite truncation of the iterated-uncertainty tower over a small base.
 
 Level n+1 enumerates every additive capacity on level n whose singleton
-masses lie on the grid {0, 1/m, ..., 1}, one checked batch of mass columns
-over m.  Point masses stay on the grid, so the unit map climbs the tower;
-averaging descends but may leave the grid, which the law checks tolerate by
-comparing exact tables rather than names.
+masses lie on the grid {0, 1/m, ..., 1}, one batch of mass columns over m:
+a column per point of level n, which count ``core.validate_batch`` reads
+as mass vectors, checked in whole-column passes.  Point masses stay on the
+grid, so the unit map climbs the tower; averaging descends but may leave
+the grid, which the law checks tolerate by comparing exact tables rather
+than names.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 The capacity list is itself a finite point set one level up, so evaluation
 and Choquet expectation turn acts on the base into acts on the capacities.
 The evaluation act is built from the capacities' values.  A space built
-from one batch of integer columns over one denominator, dense tables or
-mass vectors, keeps it as its ``batch``: ``xi`` integrates an exact act
-against a batch of dense tables at once, and ``mu`` in ``category`` reads
-its columns from a batch of mass vectors.  A space built from capacities
-has no batch.
+from one batch of integer columns over one denominator keeps it as its
+``batch``, checked by ``core.validate_batch``, which alone reads its
+``kind`` from the column count: n columns are mass vectors and 2**n dense
+tables.  ``xi`` integrates an exact act against a batch of dense tables at
+once, ``mu`` in ``category`` reads its columns from a batch of mass
+vectors, and a space over mass vectors is additive without building a
+capacity.  A space built from capacities has no batch and no kind.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, DuplicateLabelError, EmptySpaceError,
                    FiniteSpace, Frozen, Number, Subset, _mask_of, _require_same_space,
-                   batch_capacities, once, validate_masses, validate_tables)
+                   batch_capacities, once, validate_batch)
 
 
 def _name_index(capacities: Iterable[tuple[str, Capacity]]
@@ -68,13 +70,13 @@ class UncertaintySpace(Frozen):
     """A finite space plus a named, non-empty list of distinct capacities,
     whose names are ``capacity_space``, the point set one level up.
 
-    A space is built from (name, capacity) pairs, and has no ``batch``, or
-    by ``of_columns`` from one batch of columns, which is all the space
-    keeps: its capacities and the index for ``name_of`` are built from the
-    batch on first use, as is the index of a space of one capacity from
-    pairs, which has nothing to separate.  ``capacity`` finds a name at its
-    position in ``capacity_space``.  Every check acts before the space is
-    returned.
+    A space is built from (name, capacity) pairs, and has no ``batch`` and
+    no ``kind``, or by ``of_columns`` from one batch of columns and its
+    kind, which are all the space keeps: its capacities and the index for
+    ``name_of`` are built from the batch on first use, as is the index of a
+    space of one capacity from pairs, which has nothing to separate.
+    ``capacity`` finds a name at its position in ``capacity_space``.  Every
+    check acts before the space is returned.
     """
 
     def __init__(self, base: FiniteSpace, capacities: tuple[tuple[str, Capacity], ...]):
@@ -86,34 +88,33 @@ class UncertaintySpace(Frozen):
             if pair is not None:
                 raise _duplicate(pair)
             self.__dict__["_name_of"] = index
-        self.__dict__.update(base=base, capacities=capacities, capacity_space=names, batch=None)
+        self.__dict__.update(base=base, capacities=capacities, capacity_space=names,
+                             kind=None, batch=None)
 
     @classmethod
     def of_columns(cls, base: FiniteSpace, names: tuple[str, ...],
                    columns: Sequence[Sequence[int]], den: int) -> "UncertaintySpace":
         """The space of one named capacity per row of a batch of columns over
         one denominator, ``columns[j][k]`` being row k's int numerator at
-        entry j: mass vectors with a column per point, checked by
-        ``validate_masses``, else dense tables with a column per mask,
-        checked by ``validate_tables``.  The names are counted against the
-        rows, the longest column's length, before any column pass.  Rows
-        over one denominator are equal set functions exactly when equal, so
-        a column of pairwise distinct entries (for the urn, that of B)
-        separates them; only when none does are the rows ``zip(*columns)``
-        compared, and only a repeat builds the capacities, to name the first
-        pair as the constructor does.
+        entry j, checked by ``validate_batch``, which gives its kind.  The
+        names are counted against the rows, the longest column's length,
+        before any column pass.  Rows over one denominator are equal set
+        functions exactly when equal, so a column of pairwise distinct
+        entries (for the urn, that of B) separates them; only when none does
+        are the rows ``zip(*columns)`` compared, and only a repeat builds the
+        capacities, to name the first pair as the constructor does.
         """
         names_space = _name_space(names)
         count, rows = len(names), max(map(len, columns), default=0)
         if rows != count:
             raise ValueError(f"{count} capacity names for {rows} rows")
-        validate = validate_masses if len(columns) == len(base) else validate_tables
-        columns, den = validate(base, columns, den)
+        kind, columns, den = validate_batch(base, columns, den)
         if not any(len(set(column)) == count for column in columns):
             if len(set(zip(*columns))) != count:
-                raise _duplicate(_name_index(zip(names, batch_capacities(base, columns, den)))[1])
+                caps = batch_capacities(base, kind, columns, den)
+                raise _duplicate(_name_index(zip(names, caps))[1])
         us = cls.__new__(cls)
-        us.__dict__.update(base=base, capacity_space=names_space, batch=(columns, den))
+        us.__dict__.update(base=base, capacity_space=names_space, kind=kind, batch=(columns, den))
         return us
 
     @property
@@ -123,7 +124,7 @@ class UncertaintySpace(Frozen):
     @once
     def capacities(self) -> tuple[tuple[str, Capacity], ...]:
         """Built from the batch on first use in a space built by ``of_columns``."""
-        return tuple(zip(self.names, batch_capacities(self.base, *self.batch)))
+        return tuple(zip(self.names, batch_capacities(self.base, self.kind, *self.batch)))
 
     @once
     def _name_of(self) -> dict:
@@ -138,8 +139,9 @@ class UncertaintySpace(Frozen):
 
     @once
     def is_additive(self) -> bool:
-        """True when every capacity is additive; decided on first use only."""
-        return all(cap.is_additive for _, cap in self.capacities)
+        """True when every capacity is additive, as each of a batch of mass
+        vectors is; otherwise decided from the capacities on first use only."""
+        return self.kind == "masses" or all(cap.is_additive for _, cap in self.capacities)
 
 
 def epsilon(us: UncertaintySpace, subset: Union[Subset, int]) -> Act:
@@ -165,7 +167,7 @@ def xi(us: UncertaintySpace, f: Act) -> Act:
     holding a float) each value is ``choquet_integral``.
     """
     _require_same_space(f.space, us.base)
-    if us.batch is None or len(us.batch[0]) != 1 << len(us.base) or f.exact_form is None:
+    if us.kind != "table" or f.exact_form is None:
         return Act(us.capacity_space,
                    tuple(choquet_integral(cap, f) for _, cap in us.capacities))
     columns, den = us.batch

@@ -21,7 +21,7 @@ from choquet_tower import core
 from choquet_tower.category import mu
 from choquet_tower.choquet import choquet_sum
 from choquet_tower.core import (Act, Capacity, FiniteSpace, SpaceMismatchError,
-                                additive_capacity, is_exact, validate_tables,
+                                additive_capacity, is_exact, validate_batch,
                                 values_close)
 from choquet_tower.ellsberg import UrnParams, build_urn_space
 from choquet_tower.uncertainty import UncertaintySpace, epsilon, xi
@@ -172,7 +172,7 @@ def test_act_form_errors_mirror_the_capacity_doors(make, error):
     space = _space(3)
     nums, den = make(8)
     with pytest.raises(error):
-        validate_tables(space, [[x] for x in nums], den)
+        validate_batch(space, [[x] for x in nums], den)
     with pytest.raises(error):
         additive_capacity(space, form=make(3))
     with pytest.raises(error):

@@ -1,13 +1,14 @@
-"""``validate_tables`` checks a batch of dense tables, stored as its mask
+"""``validate_batch`` checks a batch of dense tables, stored as its mask
 columns over one denominator, as one.
 
 Its oracle is the per-table loop on the batch's rows: row k of the columns
 (``[c[k] for c in columns]``, short where a column ends early) through
 the one-table form check, ``_checked_table(*_checked_form(…))``, in turn,
 which raises for the first bad table.  A good batch must build equal
-capacities with equal forms and hashes; a bad one, also one with a
-ragged, missing or extra column, must raise that table's error class,
-message and witness.
+capacities with equal forms and hashes; a bad one, also one with a ragged
+column, must raise that table's error class, message and witness.  A
+missing or extra column leaves a count that is neither n nor 2**n, which
+the batch refuses before any row is checked.
 """
 
 import math
@@ -19,8 +20,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from choquet_tower import core, ellsberg, uncertainty
-from choquet_tower.core import (MonotonicityError, batch_capacities, make_space,
-                                validate_capacity, validate_tables)
+from choquet_tower.core import (MonotonicityError, SpaceMismatchError, additive_capacity,
+                                batch_capacities, make_space, validate_batch,
+                                validate_capacity)
 from choquet_tower.ellsberg import UrnParams, build_urn_space
 
 #: defects of one table of a batch ("count" makes its mask's column ragged)
@@ -110,7 +112,7 @@ def _per_table(space, columns, den):
 
 
 def _batch(space, columns, den):
-    return batch_capacities(space, *validate_tables(space, columns, den))
+    return batch_capacities(space, *validate_batch(space, columns, den))
 
 
 def _columns(tables):
@@ -185,8 +187,10 @@ def test_a_bad_batch_raises_what_its_first_bad_table_raises(seed, n, count, kind
        st.integers(min_value=1, max_value=40), st.sampled_from(("good",) + BAD_COLUMNS))
 @settings(max_examples=150, deadline=None)
 def test_columns_accept_or_refuse_what_the_one_table_path_does(seed, n, count, kind):
-    # the one-table path reads the rows, so a ragged, missing or extra
-    # column is a count error in the first row it leaves short or long
+    # the one-table path reads the rows, so a ragged column is a count
+    # error in the first row it leaves short or long; a missing or extra
+    # column leaves a count that is neither n nor 2**n, refused as such,
+    # except that one point's table missing a column is one mass column
     rng = random.Random(seed)
     space = _space(n)
     tables, den = _monotone_batch(rng, n, count)
@@ -194,11 +198,19 @@ def test_columns_accept_or_refuse_what_the_one_table_path_does(seed, n, count, k
     if kind != "good":
         columns = _ragged(rng, columns, den, kind)
     got = _outcome(lambda: _batch(space, columns, den))
-    want = _outcome(lambda: _per_table(space, columns, den))
+    if len(columns) == n:
+        want = _outcome(lambda: [additive_capacity(space, form=(row, den))
+                                 for row in _rows(columns)])
+    elif kind in ("missing", "extra"):
+        want = None, (SpaceMismatchError, f"a batch on {n} points has {len(columns)} "
+                      f"columns, need {n} for mass vectors or {1 << n} for tables", None)
+    else:
+        want = _outcome(lambda: _per_table(space, columns, den))
     event(f"{kind}: {want[1][0].__name__ if want[1] else None}")
     assert (got[1], got[0] and [c.exact_form for c in got[0]]) == (
         want[1], want[0] and [c.exact_form for c in want[0]])
-    assert (got[1] is None) == (kind == "good")
+    if len(columns) != n:
+        assert (got[1] is None) == (kind == "good")
 
 
 def test_a_decrease_reports_its_own_table_mask_and_values():
@@ -206,7 +218,7 @@ def test_a_decrease_reports_its_own_table_mask_and_values():
     good = [0, 1, 1, 2]
     bad = [0, 4, 1, 2]
     with pytest.raises(MonotonicityError) as err:
-        validate_tables(space, _columns([good, good, bad, good]), 2)
+        validate_batch(space, _columns([good, good, bad, good]), 2)
     assert err.value.witness == (1, 3)
     assert str(err.value) == "capacity decreases from ('p0',) (2) to ('p0', 'p1') (1)"
 
@@ -219,7 +231,7 @@ def test_the_urn_is_checked_in_one_column_pass(monkeypatch):
     # the whole-batch passes decide the urn: no table goes down the
     # one-table path, and the per-table sweep is never reached
     calls = {"batch": [], "single": 0}
-    batch = uncertainty.validate_tables
+    batch = uncertainty.validate_batch
 
     def counted_batch(space, columns, den):
         calls["batch"].append((len(columns), len(columns[0])))
@@ -229,7 +241,7 @@ def test_the_urn_is_checked_in_one_column_pass(monkeypatch):
         calls["single"] += 1
         raise AssertionError("a table was checked alone")
 
-    monkeypatch.setattr(uncertainty, "validate_tables", counted_batch)
+    monkeypatch.setattr(uncertainty, "validate_batch", counted_batch)
     monkeypatch.setattr(ellsberg, "validate_capacity", single)
     monkeypatch.setattr(core, "_checked_table", single)
     monkeypatch.setattr(core, "_checked_form", single)

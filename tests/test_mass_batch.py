@@ -1,5 +1,5 @@
 """A batch of mass vectors stored as its point columns over one denominator
-(``validate_masses``, ``UncertaintySpace.of_columns``), and the tower
+(``validate_batch``, ``UncertaintySpace.of_columns``), and the tower
 levels built as such batches.
 
 The oracle is the one-vector path: each row of the batch,
@@ -7,13 +7,17 @@ The oracle is the one-vector path: each row of the batch,
 ``additive_capacity(space, form=(row, den))`` in turn, which raises for the
 first bad row.  A good batch must build the same names and capacities with
 the same forms; a bad one must raise that row's error class, message and
-witness.  A space over a batch must refuse a repeated row as the
-constructor over (name, capacity) pairs does, and a wrong name count before
-any column pass.  ``build_tower`` writes each level as one such batch and
-calls ``additive_capacity`` for none of its points; its views must equal
-levels built point by point.  ``mu`` over every view of small towers, for
-every weight with numerators in {0, 1, 2}, must equal its defining table
-and a layer-cake sum.
+witness.  A missing column leaves a count that is neither n nor 2**n,
+which the batch refuses before any row is checked; so does any count
+other than those two, with no one-capacity door called.  A space over a
+batch must refuse a repeated row as the constructor over (name,
+capacity) pairs does, and a wrong name count before any column pass.
+``build_tower`` writes each level as one such batch and calls
+``additive_capacity`` for none of its points; its views must equal levels
+built point by point, and a view is additive by its kind, so ``mu`` of a
+point mass builds none of its capacities.  ``mu`` over every view of small
+towers, for every weight with numerators in {0, 1, 2}, must equal its
+defining table and a layer-cake sum.
 """
 
 import itertools
@@ -26,10 +30,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from choquet_tower import core, uncertainty
-from choquet_tower.category import mu
+from choquet_tower.category import dirac, mu
 from choquet_tower.choquet import choquet_integral
-from choquet_tower.core import (Capacity, DuplicateLabelError, additive_capacity,
-                                batch_capacities, make_space, validate_masses)
+from choquet_tower.core import (Capacity, DuplicateLabelError, SpaceMismatchError,
+                                TooManyPointsError, additive_capacity, batch_capacities,
+                                make_space, validate_batch)
 from choquet_tower.tower import build_tower
 from choquet_tower.uncertainty import UncertaintySpace, epsilon
 
@@ -103,6 +108,11 @@ def _forms(caps):
     return [(cap.exact_form, hash(cap)) for cap in caps]
 
 
+def _count_refusal(n, count):
+    return (f"a batch on {n} points has {count} columns, "
+            f"need {n} for mass vectors or {1 << n} for tables")
+
+
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=5),
        st.integers(min_value=1, max_value=30), st.sampled_from(KINDS))
 @settings(max_examples=300, deadline=None)
@@ -110,10 +120,13 @@ def test_a_mass_batch_builds_or_refuses_what_the_one_row_path_does(seed, n, coun
     rng = random.Random(seed)
     space = _space(n)
     columns, den = _draw(rng, n, count, kind)
-    got = _outcome(lambda: _forms(batch_capacities(space, *validate_masses(
+    got = _outcome(lambda: _forms(batch_capacities(space, *validate_batch(
         space, [list(c) for c in columns], den))))
-    want = _outcome(lambda: _forms(additive_capacity(space, form=(row, den))
-                                   for row in _rows(columns)))
+    if kind == "missing":
+        want = "error", (SpaceMismatchError, _count_refusal(n, n - 1), None)
+    else:
+        want = _outcome(lambda: _forms(additive_capacity(space, form=(row, den))
+                                       for row in _rows(columns)))
     event(f"{kind}: {want[0] if want[0] == 'built' else want[1][0].__name__}")
     assert got == want
     if kind in BAD_ROWS + BAD_BATCH and _rows(columns):
@@ -125,7 +138,7 @@ def test_a_mass_batch_builds_or_refuses_what_the_one_row_path_does(seed, n, coun
        st.sampled_from(("good", "duplicate", "negated") + BAD_ROWS))
 @settings(max_examples=200, deadline=None)
 def test_a_space_over_a_mass_batch_is_the_space_over_its_rows(seed, n, count, kind):
-    # n point columns go to validate_masses, so the space builds or refuses
+    # n point columns are mass vectors to validate_batch, so the space builds or refuses
     # what the constructor over the rows' capacities does
     rng = random.Random(seed)
     space = _space(n)
@@ -166,16 +179,50 @@ def test_a_repeated_row_names_the_pair_the_constructor_names():
 ], ids=["mass vectors", "tables"])
 def test_a_wrong_name_count_is_refused_before_any_column_pass(monkeypatch, columns):
     calls = []
-    for name in ("validate_masses", "validate_tables"):
-        real = getattr(uncertainty, name)
-        monkeypatch.setattr(uncertainty, name,
-                            lambda *args, real=real: calls.append(real) or real(*args))
+    real = uncertainty.validate_batch
+    monkeypatch.setattr(uncertainty, "validate_batch",
+                        lambda *args: calls.append(args) or real(*args))
     space = _space(2)
     with pytest.raises(ValueError, match="^2 capacity names for 3 rows$"):
         UncertaintySpace.of_columns(space, ("x", "y"), columns, 2)
     assert calls == []
     UncertaintySpace.of_columns(space, ("x", "y", "z"), columns, 2)
     assert len(calls) == 1
+
+
+def test_a_mass_batch_missing_a_column_names_both_counts():
+    space = _space(3)
+    with pytest.raises(SpaceMismatchError) as err:
+        UncertaintySpace.of_columns(space, ("x", "y"), [[1, 2], [2, 1]], 3)
+    assert str(err.value) == _count_refusal(3, 2)
+    assert "need 3 for mass vectors or 8 for tables" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_count_neither_n_nor_two_to_the_n_is_refused_before_any_row(monkeypatch, n):
+    calls = []
+
+    def door(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a row was checked alone")
+
+    for name in ("additive_capacity", "_checked_form", "_checked_table"):
+        monkeypatch.setattr(core, name, door)
+    space = _space(n)
+    counts = {0, n - 1, n + 1, (1 << n) - 1, (1 << n) + 1} - {n, 1 << n}
+    for count in sorted(counts):
+        with pytest.raises(SpaceMismatchError) as err:
+            validate_batch(space, [[0, 1, 2]] * count, 2)
+        assert str(err.value) == _count_refusal(n, count)
+    assert calls == []
+
+
+def test_a_count_other_than_n_past_the_dense_cap_is_too_many_points():
+    space = _space(core.MAX_DENSE_POINTS + 1)
+    with pytest.raises(TooManyPointsError):
+        validate_batch(space, [[1]] * (len(space) - 1), 1)
+    columns = [[0]] * (len(space) - 1) + [[1]]
+    assert validate_batch(space, columns, 1) == ("masses", columns, 1)
 
 
 # -- tower levels ----------------------------------------------------------------
@@ -257,3 +304,14 @@ def test_mu_over_every_small_tower_view_matches_its_definition():
                 assert got == [_layer_cake(v, events[mask]) for mask in masks]
     # the views whose weights are too many to enumerate: 3**10 and more
     assert len(checked) == 2 * len(TOWERS) - 4
+
+
+def test_a_point_mass_on_a_mass_batch_builds_no_capacity():
+    # a view over a batch of mass vectors is additive by its kind, so the
+    # first average of a point mass reads the batch alone
+    view = build_tower(_space(2), 3, 3).views[-1]
+    weights = view.capacity_space
+    averaged = mu(view, dirac(weights, weights.points[len(weights) // 2]))
+    assert "capacities" not in view.__dict__
+    assert view.is_additive and averaged.is_additive
+    assert averaged == view.capacity(weights.points[len(weights) // 2])

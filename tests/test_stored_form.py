@@ -4,7 +4,7 @@ Tables and mass vectors are given as ints, as Fractions over one shared
 denominator, as Fractions over denominators too coprime to share one, and
 as floats.  Built by a checked constructor, by ``Capacity`` unchecked, or
 from their exact form (``additive_capacity``'s ``form=``, a one-row batch
-of ``validate_tables`` or ``Capacity(..., den=...)``), every
+of ``validate_batch`` or ``Capacity(..., den=...)``), every
 subset's value equals the one given, prints alike and is exact alike; only
 floats and too coprime values built from values keep no exact form.
 """
@@ -16,8 +16,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from choquet_tower.core import (Capacity, FiniteSpace, additive_capacity,
-                                batch_capacities, is_exact, validate_capacity,
-                                validate_tables)
+                                batch_capacities, is_exact, validate_batch,
+                                validate_capacity)
 
 #: primes between 1000 and 1300, one per value of a four-point table
 PRIMES = [p for p in range(1001, 1300, 2)
@@ -93,7 +93,7 @@ def _builds(space, shape, values):
         nums = [int(v * den) for v in values]
         if shape == "table":
             yield "form", batch_capacities(
-                space, *validate_tables(space, [[x] for x in nums], den))[0]
+                space, *validate_batch(space, [[x] for x in nums], den))[0]
         else:
             yield "form", additive_capacity(space, form=(nums, den))
         yield "den", Capacity(space, **{shape: nums}, den=den)

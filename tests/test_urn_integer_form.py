@@ -22,7 +22,7 @@ from choquet_tower import core
 from choquet_tower.core import (Act, Capacity, MonotonicityError,
                                 NormalizationError, SpaceMismatchError,
                                 additive_capacity, batch_capacities, is_exact,
-                                make_space, validate_capacity, validate_tables)
+                                make_space, validate_batch, validate_capacity)
 from choquet_tower.ellsberg import (UrnParams, _weight_numerators, binomial_family,
                                     build_sequence, build_urn_space,
                                     closed_form_values, standard_acts)
@@ -211,9 +211,9 @@ def fractions(nums, den):
 
 
 def table_by_form(space, nums, den):
-    """A table's form through the form door for tables, ``validate_tables``
+    """A table's form through the form door for tables, ``validate_batch``
     given it as a one-row batch, and the capacity of that row."""
-    return batch_capacities(space, *validate_tables(space, [[n] for n in nums], den))[0]
+    return batch_capacities(space, *validate_batch(space, [[n] for n in nums], den))[0]
 
 
 def raised(call):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 import traffic
-from choquet_tower import category, choquet, core, ellsberg, hierarchy, spacefile, uncertainty
+from choquet_tower import (category, choquet, core, ellsberg, hierarchy, spacefile, tower,
+                           uncertainty)
 
 
 def _function(module, name):
@@ -55,14 +56,20 @@ def test_the_urn_workload_runs_xi_on_all_tables_and_the_mass_form_and_no_quadrat
     assert quadrature and quadrature <= set(missed["hierarchy.py"])
 
 
-def test_the_laws_workload_averages_tower_levels_on_their_stored_batch():
+@pytest.fixture(scope="module")
+def laws_missed():
+    missed, failures = traffic.unrun(["laws"], seed=1)
+    assert failures == []
+    return missed
+
+
+def test_the_laws_workload_averages_tower_levels_on_their_stored_batch(laws_missed):
     # every tower level is stored as a batch of mass columns, so each
     # additive mu of the law suites reads the batch, and the branch that
     # averages singleton values never runs
-    missed, failures = traffic.unrun(["laws"], seed=1)
-    assert failures == []
+    missed = laws_missed
     branch = next(node for node in ast.walk(_function(category, "mu"))
-                  if isinstance(node, ast.If) and "us.batch" in ast.unparse(node.test))
+                  if isinstance(node, ast.If) and "us.kind" in ast.unparse(node.test))
     assert "singleton_masses" in ast.unparse(branch.orelse)
     assert branch.body[0].lineno not in missed["category.py"]
     assert all(stmt.lineno in missed["category.py"] for stmt in branch.orelse)
@@ -83,19 +90,44 @@ def _check_lines(missed, function):
     return traffic.executable_lines(function.__code__) - set(missed["core.py"])
 
 
-def test_the_urn_is_checked_in_the_column_pass_and_never_table_by_table(urn_missed):
-    # validate_tables runs its whole-batch passes over the urn's columns and
-    # never falls back to the one-table path; no table reaches the sweep
-    check = next(node for node in ast.walk(_function(core, "validate_tables"))
-                 if isinstance(node, ast.If) and "_cover_slices" in ast.unparse(node.test))
-    column_pass = next(node for node in ast.walk(check.test)
-                       if isinstance(node, ast.GeneratorExp))
-    fallback = check.body[0]
+def _batch_check():
+    """validate_batch's whole-column passes, as the branch on its kind, and
+    its row-by-row fallback."""
+    check = _function(core, "validate_batch")
+    passes = next(node for node in ast.walk(check) if isinstance(node, ast.If)
+                  and "_cover_slices" in ast.unparse(node.orelse))
+    fallback = next(node for node in ast.walk(check) if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "not whole")
+    assert "zip(*columns)" in ast.unparse(passes.body)
+    assert "additive_capacity" in ast.unparse(fallback)
     assert "_checked_table" in ast.unparse(fallback)
+    return passes, fallback.body[0]
+
+
+def test_the_urn_is_checked_in_the_column_pass_and_never_table_by_table(urn_missed):
+    # validate_batch runs its whole-batch passes over the urn's columns and
+    # never falls back to the one-table path; no table reaches the sweep
+    passes, fallback = _batch_check()
+    column_pass = next(node for node in ast.walk(passes.orelse[0])
+                       if isinstance(node, ast.GeneratorExp))
     assert column_pass.lineno not in urn_missed["core.py"]
     assert fallback.lineno in urn_missed["core.py"]
     assert not _check_lines(urn_missed, core._first_decrease)
     assert not _check_lines(urn_missed, core._checked_table)
+
+
+def test_every_tower_level_is_checked_in_the_mass_pass_and_never_row_by_row(laws_missed):
+    # the law suites build their towers, whose every level validate_batch
+    # reads as mass vectors and accepts in the whole-column mass pass; no
+    # batch of theirs reaches the row-by-row fallback
+    passes, fallback = _batch_check()
+    mass_pass = next(node for node in ast.walk(passes.body[0])
+                     if isinstance(node, ast.Call) and ast.unparse(node.func) == "zip")
+    levels = next(node for node in ast.walk(_function(tower, "build_tower"))
+                  if isinstance(node, ast.Call) and "of_columns" in ast.unparse(node.func))
+    assert levels.lineno not in laws_missed["tower.py"]
+    assert mass_pass.lineno not in laws_missed["core.py"]
+    assert fallback.lineno in laws_missed["core.py"]
 
 
 @pytest.fixture(scope="module")
