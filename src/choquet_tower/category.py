@@ -18,7 +18,7 @@ from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, PointM
                    additive_capacity, exponent, indicator, precompose_act,
                    pushforward, validate_capacity, values_close,
                    _require_same_space)
-from .hierarchy import TERMINAL, FamilyLevel, USequence, terminal_space
+from .hierarchy import TERMINAL, FamilyLevel, USequence
 from .uncertainty import GTransform, UncertaintySpace, epsilon, xi
 
 
@@ -269,6 +269,8 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
     name a capacity of the target level.  Each of the ``len(phi) - 1``
     levels whose capacities ``phi[k + 1]`` maps is checked: the commuting
     identity must hold on every indicator act plus seeded random acts.
+    The source side is one ``xi`` per lifted act, pulled back along the
+    level's point map, whose entry k meets the k-th capacity's image.
     """
     if len(phi) < 2:
         raise ValueError("need at least two levels of maps")
@@ -278,8 +280,6 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
         tgt = target.levels[n] if n < len(target.levels) else TERMINAL
         if isinstance(src, FamilyLevel):
             raise ValueError("family levels are not supported on the source side")
-        src = terminal_space() if src is TERMINAL else src
-        tgt = terminal_space() if tgt is TERMINAL else tgt
         tgt_base = tgt.base
         point_map = PointMap(src.base, tgt_base, dict(phi[n]))
 
@@ -288,19 +288,19 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
             test_acts.append(Act(tgt_base, tuple(
                 Fraction(rng.randint(-8, 8), rng.randint(1, 6))
                 for _ in range(len(tgt_base)))))
+        lifted = [f.map(g.forward) if g.kind != "linear" else f for f in test_acts]
+        source_side = [xi(src, precompose_act(act, point_map)).values for act in lifted]
 
-        for u_name, u in src.capacities:
+        for k, u_name in enumerate(src.names):
             v = phi[n + 1][u_name]
             if not isinstance(v, Capacity):
                 if not isinstance(tgt, UncertaintySpace) or v not in tgt.names:
                     raise ValueError(f"no capacity named {v!r} at the target level")
                 v = tgt.capacity(v)
-            for f in test_acts:
-                lifted = f.map(g.forward) if g.kind != "linear" else f
-                lhs = choquet_integral(u, precompose_act(lifted, point_map))
-                rhs = choquet_integral(v, lifted)
-                if not values_close(lhs, rhs):
-                    return MapWitness(False, failure=(n, u_name, f.values, lhs, rhs))
+            for f, act, lhs in zip(test_acts, lifted, source_side):
+                rhs = choquet_integral(v, act)
+                if not values_close(lhs[k], rhs):
+                    return MapWitness(False, failure=(n, u_name, f.values, lhs[k], rhs))
     return MapWitness(True)
 
 

@@ -1,8 +1,9 @@
 """U-sequences: towers of uncertainty spaces and multi-layer value functions.
 
 Each level's points are the previous level's capacities.  A sequence is a
-finite prefix that may close with the one-point terminal space or with a
-parameterized capacity family integrated against Lebesgue measure on [0, 1].
+finite prefix that may close with ``TERMINAL``, the one-point terminal space
+built once, or with a parameterized capacity family integrated against
+Lebesgue measure on [0, 1], whose weight layer is one point, ``"lambda"``.
 """
 
 from __future__ import annotations
@@ -25,18 +26,10 @@ class QuadratureError(ArithmeticError):
     """Gauss-Legendre refinement failed to stabilize."""
 
 
-class _Terminal:
-    """Marker for the one-point absorbing tail of a sequence; its one
-    instance, TERMINAL, is compared by identity."""
-
-
-TERMINAL = _Terminal()
-
-
-def terminal_space() -> UncertaintySpace:
-    """The one-point space with its unique capacity."""
-    star = FiniteSpace(("*",))
-    return UncertaintySpace(star, (("*", additive_capacity(star, form=([1], 1))),))
+_STAR = FiniteSpace(("*",))
+#: the absorbing tail of a sequence: its point "*" carries its unit mass, and
+#: a sequence compares a level with it by identity
+TERMINAL = UncertaintySpace(_STAR, (("*", additive_capacity(_STAR, form=([1], 1))),))
 
 
 class UtilityFunction(Frozen):
@@ -91,12 +84,11 @@ class FamilyLevel(Frozen):
             raise ValueError(f"family member at p={p} is not additive")
         return cap
 
-    @property
-    def weight_space(self) -> FiniteSpace:
-        return FiniteSpace(("lambda",))
+    #: the one point of the Lebesgue weight layer above the family
+    weight_space = FiniteSpace(("lambda",))
 
 
-Level = Union[UncertaintySpace, FamilyLevel, _Terminal]
+Level = Union[UncertaintySpace, FamilyLevel]
 
 
 def _gauss_legendre_01(n: int) -> tuple[list[float], list[float]]:
@@ -161,22 +153,24 @@ class USequence(Frozen):
     """Finite prefix of linked uncertainty spaces, possibly closed."""
 
     def __init__(self, levels: tuple[Level, ...]):
-        if not levels or not isinstance(levels[0], UncertaintySpace):
+        if not levels or levels[0] is TERMINAL or not isinstance(levels[0], UncertaintySpace):
             raise ValueError("a sequence starts with a concrete uncertainty space")
         for cur, nxt in zip(levels, levels[1:]):
-            if isinstance(cur, UncertaintySpace):
-                if isinstance(nxt, (UncertaintySpace, FamilyLevel)):
-                    if nxt.base.points != cur.names:
-                        raise ValueError(
-                            "next level's points must be this level's capacities")
-                elif nxt is TERMINAL and len(cur.names) != 1:
-                    raise ValueError(
-                        "only a single-capacity level can close with the terminal space")
+            if cur is TERMINAL:
+                if nxt is not TERMINAL:
+                    raise ValueError("levels after the terminal space stay terminal")
             elif isinstance(cur, FamilyLevel):
                 if nxt is not TERMINAL:
                     raise ValueError("a family level closes the sequence")
-            elif cur is TERMINAL and nxt is not TERMINAL:
-                raise ValueError("levels after the terminal space stay terminal")
+            elif isinstance(cur, UncertaintySpace):
+                if nxt is TERMINAL:
+                    if len(cur.names) != 1:
+                        raise ValueError("only a single-capacity level can close "
+                                         "with the terminal space")
+                elif isinstance(nxt, (UncertaintySpace, FamilyLevel)):
+                    if nxt.base.points != cur.names:
+                        raise ValueError(
+                            "next level's points must be this level's capacities")
         self.__dict__.update(levels=levels)
 
     @property
@@ -212,7 +206,7 @@ def xi_chain(seq: USequence, f: Act, m: int, n: int) -> Act:
             elif level is TERMINAL:
                 if len(act.values) != 1:
                     raise LayerError("terminal level expects a one-point act")
-                act = Act(terminal_space().capacity_space, act.values)
+                act = Act(TERMINAL.capacity_space, act.values)
             else:
                 act = xi(level, act)
         layer += width

@@ -321,6 +321,9 @@ def _suite_tower(suite: str, grid: int, space_size: int, depth: int) -> GridTowe
     if depth < 2:
         raise ValueError(f"the {suite} suite needs a tower depth of at least 2, "
                          f"got {depth}")
+    if space_size < 1:
+        raise ValueError(f"the {suite} suite needs a space size of at least 1, "
+                         f"got {space_size}")
     return build_tower(FiniteSpace(tuple(LABELS[:space_size])), grid, depth)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choquet_tower import category
 from choquet_tower.category import (compose_ug_maps, dirac,
                                     emb_dirac_conditions, embedding_condition,
                                     is_mp_unc_map, is_ug_map, is_unc_map,
@@ -15,6 +16,7 @@ from choquet_tower.core import (Act, FiniteSpace, PointMap,
                                 additive_capacity, identity_map, indicator,
                                 make_space, pushforward, validate_capacity)
 from choquet_tower.ellsberg import UrnParams, build_sequence, build_urn_space
+from choquet_tower.hierarchy import TERMINAL, USequence
 from choquet_tower.laws import (rand_act, rand_capacity, rand_nonadditive,
                                 rand_point_map, rand_uncertainty_space)
 from choquet_tower.uncertainty import GTransform, UncertaintySpace, epsilon
@@ -66,9 +68,7 @@ class TestUncMaps:
         assert not witness.verdict and witness.failure == ("uni", None)
 
     def test_unique_map_to_terminal_is_measure_preserving(self):
-        from choquet_tower.hierarchy import terminal_space
-
-        term = terminal_space()
+        term = TERMINAL
         for seed in range(5):
             rng = random.Random(seed)
             source = rand_uncertainty_space(rng, FiniteSpace(("a", "b", "c")))
@@ -368,6 +368,47 @@ class TestUgMaps:
         phi = [{p: p for p in urn.base.points}, {name: name for name in urn.names}, {}]
         with pytest.raises(ValueError, match=fragment):
             is_ug_map(phi[:levels], seq, seq, GTransform.linear(1))
+
+    def test_the_source_side_is_one_xi_per_level_and_test_act(self, monkeypatch):
+        # each level's 2**n indicators and 50 drawn acts are integrated
+        # against all source capacities at once
+        seq = build_sequence("X", UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5)))
+        urn, weights, _ = seq.levels
+        calls = []
+        real = category.xi
+
+        def counted(us, f):
+            calls.append(us)
+            return real(us, f)
+
+        monkeypatch.setattr(category, "xi", counted)
+        phi = [{p: p for p in urn.base.points}, {name: name for name in urn.names},
+               {"vu": "vu"}]
+        assert is_ug_map(phi, seq, seq, GTransform.linear(1)).verdict
+        assert calls == [urn] * 58 + [weights] * 58
+        # past its last level a sequence is TERMINAL, whose one point is
+        # "*": a level whose one capacity is named "*" maps onto it
+        space = make_space(["a", "b"])
+        one = UncertaintySpace(space, (("*", dirac(space, "a")),))
+        calls.clear()
+        phi = [{"a": "a", "b": "b"}, {"*": "*"}, {"*": "*"}]
+        assert is_ug_map(phi, USequence((one,)), USequence((one,)),
+                         GTransform.linear(1)).verdict
+        assert calls == [one] * 54 + [TERMINAL] * 52
+
+    def test_a_failure_witness_replays_on_the_failing_capacity(self):
+        params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
+        seq_y, seq_z = build_sequence("Y", params), build_sequence("Z", params)
+        urn = seq_y.levels[0]
+        image = seq_z.levels[1].family(Fraction(1, 4))
+        phi = [{p: p for p in urn.base.points}, {name: name for name in urn.names},
+               {"vb": image}]
+        witness = is_ug_map(phi, seq_y, seq_z, GTransform.linear(1))
+        level, name, values, lhs, rhs = witness.failure
+        f = Act(seq_y.levels[level].base, values)
+        assert (level, name) == (1, "vb") and lhs != rhs
+        assert lhs == choquet_integral(seq_y.levels[1].capacity(name), f)
+        assert rhs == choquet_integral(image, f)
 
     def test_composition(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))

@@ -8,7 +8,7 @@ from choquet_tower.ellsberg import UrnParams, build_sequence, standard_acts
 from choquet_tower.hierarchy import (TERMINAL, FamilyLevel, LayerError,
                                      USequence, UtilityFunction,
                                      conditional_act, integrate_family,
-                                     terminal_space, value_function, xi_chain)
+                                     value_function, xi_chain)
 from choquet_tower.uncertainty import UncertaintySpace, epsilon, xi
 
 
@@ -28,14 +28,36 @@ def toy_sequence():
 
 class TestTerminalSpace:
     def test_evaluation(self):
-        term = terminal_space()
+        term = TERMINAL
         assert epsilon(term, Subset(term.base, term.base.full_mask)).values == (1,)
         assert epsilon(term, Subset(term.base, 0)).values == (0,)
 
     def test_any_act_passes_through(self):
-        term = terminal_space()
+        term = TERMINAL
         act = Act(term.base, (Fraction(-7, 2),))
         assert xi(term, act).values == (Fraction(-7, 2),)
+
+    def test_the_terminal_is_one_uncertainty_space(self):
+        assert isinstance(TERMINAL, UncertaintySpace)
+        assert TERMINAL.base.points == TERMINAL.names == ("*",)
+        assert TERMINAL.capacity("*").value(1) == 1
+
+    def test_the_chain_to_the_terminal_layer_lands_on_its_capacity_space(self):
+        seq = toy_sequence()
+        assert seq.levels[-1] is TERMINAL
+        act = Act(seq.base_space(), (Fraction(1), Fraction(0), Fraction(3, 2)))
+        top = xi_chain(seq, act, 0, seq.layer_count)
+        assert top.space is TERMINAL.capacity_space
+        assert top.values == xi_chain(seq, act, 0, seq.layer_count - 1).values
+
+    def test_a_family_closes_on_one_weight_space_then_the_terminal(self):
+        seq = build_sequence("Z", UrnParams(1, 2, Fraction(3, 5)))
+        family = seq.levels[1]
+        f = standard_acts(seq.base_space())["f1"]
+        weight = xi_chain(seq, f, 0, 3)
+        assert weight.space is family.weight_space is TestIntegrateFamily.family().weight_space
+        assert weight.space.points == ("lambda",)
+        assert xi_chain(seq, f, 0, 4).space is TERMINAL.capacity_space
 
 
 class TestXiChain:

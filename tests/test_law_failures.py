@@ -9,12 +9,15 @@ trial is that trial's failure, named by the exception's type and message,
 while an error raised as a suite is set up stays exit 1.  The exact branch
 of ``choquet_integral`` for one stored form, halved, fails a law suite
 (for dense tables ``choquet`` and ``retraction``), and for mass vectors the
-urn's closed-form check too.  For the urn, a shifted
+urn's closed-form check too.  ``xi``'s column pass without its step
+multiplier fails ``ug-map``, whose map law takes its source side from
+``xi``.  For the urn, a shifted
 closed form is the verdict "disagrees with the closed form" and exits 2 on
 both the alpha = 1 and the alpha > 1 branch.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -280,6 +283,32 @@ def test_a_halved_mass_integral_disagrees_with_the_urn_closed_form(variant, monk
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     assert json.loads(captured.out)["verdict"] == "disagrees with the closed form"
+
+
+def _unscaled_xi(real):
+    # xi's column pass with each step's multiplier, step // g, taken as 1
+    def xi(us, f):
+        if us.kind != "table" or f.exact_form is None or not f.exact_chain[1]:
+            return real(us, f)
+        columns, den = us.batch
+        cums, steps, act_den = f.exact_chain
+        g = math.gcd(act_den * den, *steps)
+        nums = [sum(entries) for entries in zip(*(columns[cum] for cum in cums))]
+        return Act(us.capacity_space, form=(nums, act_den * den // g))
+    return xi
+
+
+def test_a_column_pass_without_its_step_multiplier_fails_ug_map_with_exit_3(monkeypatch,
+                                                                           capsys):
+    # is_ug_map integrates its source side through xi, and the drawn acts
+    # on the urn have steps that the gcd leaves above 1
+    monkeypatch.setattr(category, "xi", _unscaled_xi(category.xi))
+    code, by_law = _run(capsys, ["laws", "ug-map", "--seed", "7"])
+    assert code == 3
+    assert {name: law["first_failure"] for name, law in by_law.items()} == {
+        "identity": "identity maps failed under the linear transform",
+        "inclusion-at-midpoint": "binomial midpoint inclusion failed",
+        "composition": "composition of passing maps failed"}
 
 
 def test_a_subtraction_that_adds_fails_monotonicity_with_exit_3(monkeypatch, capsys):

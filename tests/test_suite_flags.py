@@ -45,3 +45,17 @@ def test_trials_past_the_cap_exit_one_before_any_trial(suite, monkeypatch, capsy
     assert captured.out == "" and ran == []
     assert captured.err == f"error: trials must be at most {cli.MAX_TRIALS}\n"
     assert cli.RunConfig(f"laws {suite}", trials=cli.MAX_TRIALS).trials == cli.MAX_TRIALS
+
+
+@pytest.mark.parametrize("size", ["-7", "-6", "0"])
+def test_a_space_size_below_one_exits_one_before_the_tower_is_built(size, monkeypatch,
+                                                                    capsys):
+    # a negative size once sliced the labels from their end, so -6 and -7
+    # ran the suite on a 2- and a 1-point base and passed
+    built = []
+    monkeypatch.setattr(laws, "build_tower", lambda *args: built.append(args))
+    assert main(["laws", "monad", "--space-size", size]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == (f"error: the monad suite needs a space size of at least 1, "
+                            f"got {size}\n")

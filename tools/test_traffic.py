@@ -75,6 +75,20 @@ def test_the_laws_workload_averages_tower_levels_on_their_stored_batch(laws_miss
     assert all(stmt.lineno in missed["category.py"] for stmt in branch.orelse)
 
 
+def test_the_laws_workload_runs_xis_step_multiplier_and_its_zero_act(laws_missed):
+    # the ug-map law takes its source side on the urn from xi's column pass:
+    # the drawn acts keep a step above 1 after the gcd, so their columns are
+    # multiplied, and the indicator of the empty set is the zero act
+    xi = _function(uncertainty, "xi")
+    zero = next(node for node in ast.walk(xi)
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "not steps")
+    loop = next(node for node in ast.walk(xi) if isinstance(node, ast.For))
+    scale = loop.body[1]
+    assert "map(mul" in ast.unparse(scale.body[0])
+    assert zero.body[0].lineno not in laws_missed["uncertainty.py"]
+    assert scale.body[0].lineno not in laws_missed["uncertainty.py"]
+
+
 def test_the_urn_workload_builds_no_binomial_member(urn_missed):
     # variant Z builds its family, but integrates it on the act's numerators
     # and never asks for a member
