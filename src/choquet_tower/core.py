@@ -189,11 +189,9 @@ class once:
 class Frozen:
     """Instances refuse attribute assignment and deletion.
 
-    A constructor stores its attributes straight into ``self.__dict__``
-    (with ``object.__setattr__`` on a class with slots), past the refusal.
+    A constructor stores its attributes straight into ``self.__dict__``,
+    past the refusal.
     """
-
-    __slots__ = ()
 
     def _refuse(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -206,7 +204,6 @@ class Value:
     their class's ``_value`` names, and hash by those attributes; a class
     that sets ``__hash__ = None`` stays unhashable."""
 
-    __slots__ = ()
     _value: tuple[str, ...]
 
     def __eq__(self, other):
@@ -519,10 +516,6 @@ class Capacity(Frozen):
     caller that has found they have no form derives none again.
     """
 
-    # without slots the Z urn command at N = 1000 allocates 0.09 MB more at its peak
-    # (tracemalloc); its ru_maxrss moves less than its 0.1 MB run-to-run spread
-    __slots__ = ("space", "_table", "_masses", "_den", "_additive", "_hash")
-
     def __init__(self, space: FiniteSpace, *, table: Sequence = None,
                  masses: Sequence = None, den: Optional[int] = None,
                  derive: bool = True):
@@ -533,12 +526,8 @@ class Capacity(Frozen):
             stored, den = derive and _exact_form(stored) or (tuple(stored), None)
         elif type(stored) is not list:
             stored = list(stored)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_table", stored if masses is None else None)
-        object.__setattr__(self, "_masses", None if masses is None else stored)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_additive", True if masses is not None else None)
-        object.__setattr__(self, "_hash", None)
+        self.__dict__.update(space=space, _table=stored if masses is None else None,
+                             _masses=None if masses is None else stored, _den=den)
 
     @property
     def exact_form(self) -> Optional[tuple[list[int], int]]:
@@ -557,16 +546,14 @@ class Capacity(Frozen):
         stored = self._table if self._masses is None else self._masses
         return stored, 0 if self._den else tolerance(stored)
 
-    @property
+    @once
     def is_additive(self) -> bool:
         """True when every value is the sum of its points' singleton values.
 
         A table is scanned on first use only; most tables are integrated
         without anyone asking.
         """
-        if self._additive is None:
-            object.__setattr__(self, "_additive", _table_is_additive(*self._keys()))
-        return self._additive
+        return self._masses is not None or _table_is_additive(*self._keys())
 
     def _stored_value(self, mask: int):
         # the table entry, or the sum of the masses, lowest point first
@@ -634,13 +621,15 @@ class Capacity(Frozen):
     def __eq__(self, other):
         return isinstance(other, Capacity) and self.equals(other, tol=0.0)
 
-    def __hash__(self):
+    @once
+    def _hash(self) -> int:
         # equal set functions share singleton values in either form, hashed
-        # as correctly rounded floats: no table scan, no Fraction; computed once
-        if self._hash is None:
-            singles, den = self._singleton_keys(), self._den
-            floats = [n / den for n in singles] if den else list(map(float, singles))
-            object.__setattr__(self, "_hash", hash((self.space.points, tuple(floats))))
+        # as correctly rounded floats: no table scan, no Fraction
+        singles, den = self._singleton_keys(), self._den
+        floats = [n / den for n in singles] if den else list(map(float, singles))
+        return hash((self.space.points, tuple(floats)))
+
+    def __hash__(self):
         return self._hash
 
     def __repr__(self):

@@ -200,8 +200,8 @@ def test_values_and_form_are_each_derived_once(monkeypatch):
     assert derived == [f.values]
     # computed attributes are stored on the instance, with no lock taken
     for cls, name in ((Act, "values"), (Act, "exact_form"), (Act, "exact_chain"),
-                      (Act, "chain_blocks"), (UncertaintySpace, "is_additive"),
-                      (UncertaintySpace, "capacities")):
+                      (Act, "chain_blocks"), (Capacity, "is_additive"), (Capacity, "_hash"),
+                      (UncertaintySpace, "is_additive"), (UncertaintySpace, "capacities")):
         assert type(vars(cls)[name]) is core.once
 
 

@@ -1,11 +1,13 @@
 import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from choquet_tower.choquet import choquet_integral
 from choquet_tower.cli import main
-from choquet_tower.spacefile import load_space_file
+from choquet_tower.spacefile import MAX_SPACE_FILE_BYTES, load_space_file
 
 EXAMPLE = {
     "points": ["A1", "A2", "A3"],
@@ -403,3 +405,27 @@ def test_dense_point_cap_acts_before_parsing():
            "capacities": {"w": {"mode": "full", "values": {"0" * 21: "x"}}}}
     with pytest.raises(ValueError, match="capped at 20 points, got 21"):
         load_space_file(doc)
+
+
+def test_a_space_file_over_the_byte_bound_is_refused_before_it_is_read(tmp_path,
+                                                                       monkeypatch, capsys):
+    assert MAX_SPACE_FILE_BYTES == 50_000_000
+
+    def read_text(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} was read")
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    path = tmp_path / "big.json"
+    path.touch()
+    os.truncate(path, MAX_SPACE_FILE_BYTES + 1)  # sparse: no byte is written
+    message = (f"space files are capped at {MAX_SPACE_FILE_BYTES} bytes, "
+               f"got {MAX_SPACE_FILE_BYTES + 1}")
+    with pytest.raises(ValueError, match=message):
+        load_space_file(path)
+    assert main(["choquet", str(path), "u", "f"]) == 1
+    assert _one_error_line(capsys) == f"error: {message}"
+    # a file of exactly the bound is read, and a decoded dict is never sized
+    os.truncate(path, MAX_SPACE_FILE_BYTES)
+    with pytest.raises(AssertionError, match="big.json was read"):
+        load_space_file(path)
+    assert load_space_file(EXAMPLE).space.points == ("A1", "A2", "A3")

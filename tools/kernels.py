@@ -37,6 +37,10 @@ the median time and the SHA-256 of a text form of its output:
   capacity's exact form; the weight is rebuilt before each run, but the
   view is built once, and its capacities on the first run, as the laws
   reuse a tower's views;
+- ``name_of`` on that tower's top view, rebuilt from its batch before each
+  run: its 1540 capacities built from the batch and each looked up by
+  ``name_of``, which hashes every one, every name found and its capacity's
+  exact form;
 - ``iota`` on that tower from level 3 to level 1 (each of the 1540 points
   averaged down twice) and from level 1 to level 3 (each of the 4 points
   lifted as point masses), every image's name and exact form: the reads
@@ -120,6 +124,8 @@ DIGESTS = {
         "a62d7c6dde4a154ed1e5b57a5a9a3122eb9ed5fbfa14ffc6ff8e6e9ae66b0095",
     "mu top view, drawn weight":
         "cec27d398f0b4ec3db27e53c7289f7977d6a71339a7a20d941b243766d3c91c0",
+    "name_of top view, every capacity":
+        "e6f80b82a0dc53add6ec446eeab1d871d0d0616311018ce8f807cf4ca3239409",
     "iota 3->1":
         "54deea8f4e4abebcb490e1403828d79f8a6ce245b9d857d8d65eee93a9f49d9d",
     "iota 1->3":
@@ -229,6 +235,9 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         lambda: (top, dirac(weights, weights.points[len(weights) // 2])), mu, form_text)
     out["mu top view, drawn weight"] = (
         lambda: (top, rand_additive(random.Random(1), weights)), mu, form_text)
+    out["name_of top view, every capacity"] = (
+        lambda: (_fresh(top),),
+        lambda us: {us.name_of(cap): cap for _, cap in us.capacities}, _images_text)
     for m, n in ((3, 1), (1, 3)):
         out[f"iota {m}->{n}"] = (lambda m=m, n=n: (tower, m, n), iota, _images_text)
     out["rand_capacity 6 points"] = (
