@@ -9,10 +9,13 @@ brute-force oracle in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from itertools import compress, pairwise
+from operator import add, mul
 from typing import Callable
 
-from .core import Act, Capacity, FiniteSpace, Frozen, Number, Value, _require_same_space
+from .core import (Act, Capacity, FiniteSpace, Frozen, Number, Value, _require_same_space,
+                   point_flags)
 
 
 class NotComonotonicError(ValueError):
@@ -95,13 +98,14 @@ def choquet_integral(u: Capacity, f: Act) -> Number:
     on whether u and f both have exact forms.  A mass vector, whose
     telescoping sum is the mass-weighted sum of the act's values, takes one
     dot product with the act's numerators; without exact forms (floats, or
-    too coprime denominators) it is walked down the act's chain point by
-    point into a running cumulative mass, so additive capacities of any
-    size integrate in linear time.  A dense table is looked up at each
-    cumulative level set of the act's exact chain; without exact forms it
-    goes to ``choquet_sum`` through ``u.value``.  An exact integral is one
-    Fraction of integer sums over the product of the two denominators.
-    ``xi`` integrates a space's whole batch of dense tables at once.
+    too coprime denominators) each block of the act's chain, read by
+    ``point_flags``, adds its masses to a running cumulative mass, so
+    additive capacities of any size integrate in linear time.  A dense table
+    is looked up at each cumulative level set of the act's exact chain;
+    without exact forms it goes to ``choquet_sum`` through ``u.value``.  An
+    exact integral is one Fraction of integer sums over the product of the
+    two denominators.  ``xi`` integrates a space's whole batch of dense
+    tables at once.
     """
     _require_same_space(u.space, f.space)
     form = u.exact_form
@@ -110,16 +114,10 @@ def choquet_integral(u: Capacity, f: Act) -> Number:
         if act is not None:
             return Fraction(sum(map(mul, act[0], form[0])), act[1] * form[1])
         total = level = 0
-        blocks = f.chain_blocks
-        for idx, (mask, value) in enumerate(blocks):
-            while mask:
-                low = mask & -mask
-                level += u.value(low)
-                mask ^= low
-            nxt = blocks[idx + 1][1] if idx + 1 < len(blocks) else 0
-            step = value - nxt
-            if step != 0:
-                total += step * level
+        for (mask, value), (_, nxt) in pairwise((*f.chain_blocks, (0, 0))):
+            level = reduce(add, compress(u._masses, point_flags(mask)), level)
+            if value != nxt:
+                total += (value - nxt) * (Fraction(level, u._den) if u._den else level)
         return total
     if act is None:
         return choquet_sum(u.value, f)
@@ -160,7 +158,6 @@ def chain_act(space, blocks: tuple[tuple[int, Number], ...]) -> Act:
     """Assemble an act from (mask, value) blocks; missing points get 0."""
     out = [0] * len(space)
     for mask, value in blocks:
-        for i in range(len(space)):
-            if mask >> i & 1:
-                out[i] = value
+        for i in compress(range(len(space)), point_flags(mask)):
+            out[i] = value
     return Act(space, tuple(out))

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 import re
 import struct
-from functools import cache
+from functools import cache, reduce
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, gt, ne, sub
+from operator import add, attrgetter, gt, ne, or_, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Number = Union[int, Fraction, float]
@@ -41,6 +41,8 @@ MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 #: most characters of a value's text that an error message quotes
 ECHO_CHARS = 40
+#: a mask's binary digits, as ``bin`` writes them, to ``point_flags``' bytes
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class EmptySpaceError(ValueError):
@@ -216,6 +218,11 @@ class Value:
         return hash(attrgetter(*self._value)(self))
 
 
+def point_flags(mask: int) -> bytes:
+    """Byte i is 1 if point i is in the mask, else 0, up to its highest point."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+
+
 def check_dense_size(space: "FiniteSpace") -> None:
     """Refuse a space too large for a dense table or a walk over its subsets."""
     if len(space) > MAX_DENSE_POINTS:
@@ -263,7 +270,7 @@ class FiniteSpace(Value, Frozen):
         return m
 
     def labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
+        return tuple(compress(self.points, point_flags(mask)))
 
     def subset(self, labels: Iterable[str]) -> "Subset":
         return Subset(self, self.mask(labels))
@@ -433,8 +440,7 @@ def constant_act(space: FiniteSpace, c: Number) -> Act:
 
 def indicator(space: FiniteSpace, subset: Union[Subset, int]) -> Act:
     """The 0/1 act of a subset: 1 on its points, 0 elsewhere."""
-    mask = _mask_of(space, subset)
-    return Act(space, tuple(1 if mask >> i & 1 else 0 for i in range(len(space))))
+    return Act(space, tuple(point_flags(_mask_of(space, subset)).ljust(len(space), b"\0")))
 
 
 class PointMap(Value, Frozen):
@@ -465,21 +471,21 @@ class PointMap(Value, Frozen):
     def __call__(self, label: str) -> str:
         return self.codomain.points[self.images[self.domain.index(label)]]
 
-    def preimage_mask(self, mask_in_codomain: int) -> int:
-        m = 0
+    @once
+    def _point_preimages(self) -> list[int]:
+        of_point = [0] * len(self.codomain)
         for i, j in enumerate(self.images):
-            if mask_in_codomain >> j & 1:
-                m |= 1 << i
-        return m
+            of_point[j] |= 1 << i
+        return of_point
+
+    def preimage_mask(self, mask_in_codomain: int) -> int:
+        return reduce(or_, compress(self._point_preimages, point_flags(mask_in_codomain)), 0)
 
     def preimage_masks(self) -> list[int]:
         """The preimage of every codomain mask, in mask order."""
         check_dense_size(self.codomain)
-        of_point = [0] * len(self.codomain)
-        for i, j in enumerate(self.images):
-            of_point[j] |= 1 << i
         masks = [0]
-        for m in of_point:
+        for m in self._point_preimages:
             masks += [q | m for q in masks]
         return masks
 
@@ -556,15 +562,13 @@ class Capacity(Frozen):
         return self._masses is not None or _table_is_additive(*self._keys())
 
     def _stored_value(self, mask: int):
-        # the table entry, or the sum of the masses, lowest point first
+        # the table entry, or the masses' sum, floats uncompensated in point order
         if self._table is not None:
             return self._table[mask]
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += self._masses[low.bit_length() - 1]
-            mask ^= low
-        return total
+        if mask >> len(self._masses):  # compress would drop the bits beyond
+            raise IndexError(f"mask {mask:#x} has bits beyond the space")
+        masses = compress(self._masses, point_flags(mask))
+        return sum(masses) if self._den else reduce(add, masses, 0)
 
     def value(self, mask: int) -> Number:
         stored = self._stored_value(mask)
@@ -934,9 +938,9 @@ def additive_capacity(space: FiniteSpace,
         if not _close(keys[i], 0, tol):
             raise MonotonicityError(
                 0, 1 << i, f"negative mass {cap.value(1 << i)} at {space.points[i]!r}")
-    if not _close(sum(keys), cap._den or 1, tol):
+    if not _close(total := sum(keys), cap._den or 1, tol):
         raise NormalizationError(f"singleton masses sum to "
-                                 f"{cap.value(space.full_mask)}, not 1")
+                                 f"{Fraction(total, cap._den) if cap._den else total}, not 1")
     return cap
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 from .choquet import choquet_integral
 from .core import (VALUE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, Subset,
-                   _require_same_space, additive_capacity)
+                   _require_same_space, additive_capacity, point_flags)
 from .uncertainty import UncertaintySpace, xi
 
 
@@ -223,6 +223,5 @@ def conditional_act(subset: Subset, f: Act, g: Act) -> Act:
     """The act equal to f on the subset and to g off it."""
     _require_same_space(f.space, g.space)
     _require_same_space(f.space, subset.space)
-    return Act(f.space,
-               tuple(f.values[i] if subset.mask >> i & 1 else g.values[i]
-                     for i in range(len(f.space))))
+    flags = point_flags(subset.mask).ljust(len(f.space), b"\0")
+    return Act(f.space, tuple(a if keep else b for keep, a, b in zip(flags, f.values, g.values)))

@@ -18,6 +18,7 @@ the normalization and monotonicity checks of ``core._checked_table``.
 
 from __future__ import annotations
 
+import io
 import json
 from itertools import islice
 from pathlib import Path
@@ -28,8 +29,9 @@ from .core import (Act, Capacity, FiniteSpace, Frozen, Number, SpaceMismatchErro
                    additive_capacity, check_dense_size, make_space, parse_number)
 
 #: the largest space file read from a path, in bytes, checked by its size
-#: before it is read: a file of one 20-point full table (34 MB) loads in
-#: 1.3 s at a 256 MB peak, and each further table adds about 1.25 s and 140 MB
+#: before it is read and by the read, which stops one byte past it: a file of
+#: one 20-point full table (34 MB) loads in 1.3 s at a 256 MB peak, and each
+#: further table adds about 1.25 s and 140 MB
 MAX_SPACE_FILE_BYTES = 50_000_000
 
 
@@ -155,6 +157,21 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _read_capped(path: Path) -> str:
+    """The file's text, as ``Path.read_text`` decodes it, refused by its
+    stated size and then by the read, which stops one byte past the bound,
+    as a device or a pipe states a size of 0."""
+    capped = f"space files are capped at {MAX_SPACE_FILE_BYTES} bytes"
+    size = path.stat().st_size
+    if size > MAX_SPACE_FILE_BYTES:
+        raise ValueError(f"{capped}, got {size}")
+    with path.open("rb") as stream:
+        data = stream.read(MAX_SPACE_FILE_BYTES + 1)
+    if len(data) > MAX_SPACE_FILE_BYTES:
+        raise ValueError(f"{capped}, got more from a file that states {size}")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="locale").read()
+
+
 def load_space_file(source: Union[str, Path, dict],
                     backend: str = "rational") -> SpaceFile:
     """Parse a space file from an already-decoded dict, or read it from a
@@ -167,12 +184,7 @@ def load_space_file(source: Union[str, Path, dict],
     if isinstance(source, dict):
         doc = source
     else:
-        path = Path(source)
-        size = path.stat().st_size
-        if size > MAX_SPACE_FILE_BYTES:
-            raise ValueError(f"space files are capped at {MAX_SPACE_FILE_BYTES} bytes, "
-                             f"got {size}")
-        text = path.read_text()
+        text = _read_capped(Path(source))
         try:
             doc = json.loads(text)
         except RecursionError:

@@ -1,12 +1,18 @@
 import json
 import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import choquet_tower
+from choquet_tower import spacefile
 from choquet_tower.choquet import choquet_integral
 from choquet_tower.cli import main
+from choquet_tower.core import Capacity, NormalizationError, additive_capacity, make_space
 from choquet_tower.spacefile import MAX_SPACE_FILE_BYTES, load_space_file
 
 EXAMPLE = {
@@ -411,10 +417,10 @@ def test_a_space_file_over_the_byte_bound_is_refused_before_it_is_read(tmp_path,
                                                                        monkeypatch, capsys):
     assert MAX_SPACE_FILE_BYTES == 50_000_000
 
-    def read_text(self, *args, **kwargs):
+    def opened(self, *args, **kwargs):
         raise AssertionError(f"{self.name} was read")
 
-    monkeypatch.setattr(Path, "read_text", read_text)
+    monkeypatch.setattr(Path, "open", opened)
     path = tmp_path / "big.json"
     path.touch()
     os.truncate(path, MAX_SPACE_FILE_BYTES + 1)  # sparse: no byte is written
@@ -429,3 +435,67 @@ def test_a_space_file_over_the_byte_bound_is_refused_before_it_is_read(tmp_path,
     with pytest.raises(AssertionError, match="big.json was read"):
         load_space_file(path)
     assert load_space_file(EXAMPLE).space.points == ("A1", "A2", "A3")
+
+
+def test_a_space_file_is_decoded_as_read_text_decodes_it(tmp_path):
+    doc = dict(EXAMPLE, points=["A1", "A2", "A\u00e73"])
+    doc["capacities"] = {"u": {"mode": "singletons-additive",
+                               "values": {"A1": "1/2", "A2": "1/4", "A\u00e73": "1/4"}}}
+    path = tmp_path / "crlf.json"
+    path.write_bytes(json.dumps(doc, indent=1, ensure_ascii=False).replace("\n", "\r\n")
+                     .encode())
+    loaded, decoded = load_space_file(path), load_space_file(json.loads(path.read_text()))
+    assert loaded.space == decoded.space
+    assert loaded.capacities["u"] == decoded.capacities["u"]
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero here")
+def test_a_device_of_no_stated_size_is_read_one_byte_past_the_bound(monkeypatch, capsys):
+    monkeypatch.setattr(spacefile, "MAX_SPACE_FILE_BYTES", 10)
+    message = "space files are capped at 10 bytes, got more from a file that states 0"
+    with pytest.raises(ValueError, match=message):
+        load_space_file("/dev/zero")
+    assert main(["choquet", "/dev/zero", "u", "f"]) == 1
+    assert _one_error_line(capsys) == f"error: {message}"
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero here")
+def test_the_command_on_dev_zero_exits_1_under_a_memory_cap():
+    # the child alone runs under a 1 GB address-space cap, in which reading
+    # /dev/zero to its end would end in a MemoryError
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def capped():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    package = Path(choquet_tower.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "choquet_tower", "choquet", "/dev/zero", "u", "f"],
+                         env=env, capture_output=True, text=True, timeout=60,
+                         preexec_fn=capped)
+    assert time.perf_counter() - start < 10
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == (f"error: space files are capped at {MAX_SPACE_FILE_BYTES} bytes, "
+                          f"got more from a file that states 0\n")
+
+
+def test_an_unnormalized_mass_vector_is_named_by_its_sum_with_no_value_read(monkeypatch):
+    # the message is built from the sum the check took, not from a walk
+    # of the full mask through Capacity.value
+    def value(self, mask):
+        raise AssertionError("Capacity.value was called")
+
+    monkeypatch.setattr(Capacity, "value", value)
+    points = [f"p{i}" for i in range(200_000)]
+    doc = {"points": points,
+           "capacities": {"u": {"mode": "singletons-additive",
+                                "values": dict.fromkeys(points, "1")}}}
+    with pytest.raises(NormalizationError, match=r"^singleton masses sum to 200000, not 1$"):
+        load_space_file(doc)
+    with pytest.raises(NormalizationError, match=r"^singleton masses sum to 1.5, not 1$"):
+        additive_capacity(make_space(["a", "b"]), [0.5, 1.0])

@@ -45,7 +45,11 @@ the median time and the SHA-256 of a text form of its output:
   averaged down twice) and from level 1 to level 3 (each of the 4 points
   lifted as point masses), every image's name and exact form: the reads
   the retraction suite makes through the tower's views;
-- ``laws.rand_capacity`` on 6 points from seed 1, the table's exact form.
+- ``laws.rand_capacity`` on 6 points from seed 1, the table's exact form;
+- ``Capacity.value`` of a mass vector on n = 10, 300 and 3000 points, drawn
+  by ``laws.rand_additive`` from seed 1, at every cumulative mask of the
+  chain of an act drawn next by ``laws.rand_act``: the values, in chain
+  order.
 
 A digest that differs from ``DIGESTS`` is printed as FAIL and the script
 exits 1: a kernel whose output changes is a broken kernel, not a faster one.
@@ -64,7 +68,8 @@ import random
 import statistics
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
+from operator import or_
 from pathlib import Path
 from time import perf_counter
 from typing import Callable
@@ -81,7 +86,7 @@ from choquet_tower.core import make_space  # noqa: E402
 from choquet_tower.ellsberg import (UrnParams, build_sequence,  # noqa: E402
                                     build_urn_space, standard_acts)
 from choquet_tower.hierarchy import USequence, xi_chain  # noqa: E402
-from choquet_tower.laws import rand_additive, rand_capacity  # noqa: E402
+from choquet_tower.laws import rand_act, rand_additive, rand_capacity  # noqa: E402
 from choquet_tower.spacefile import load_space_file  # noqa: E402
 from choquet_tower.tower import build_tower, iota  # noqa: E402
 from choquet_tower.uncertainty import UncertaintySpace, xi  # noqa: E402
@@ -132,6 +137,12 @@ DIGESTS = {
         "5e483e3e1d19d3e4168c02946d34f715687af0bcf74c9828c8b1258966d7dc67",
     "rand_capacity 6 points":
         "157d750f494490cd906ab8f1dc53a780c298fe2b65d2a71c485236e4ea68a2d1",
+    "value mass vector n=10":
+        "05f1e6289ac2cc0b28b1912a5da38e414d3fbce41b347c922194cc885545f857",
+    "value mass vector n=300":
+        "6cdea638bfd6acd1dcd3b2d02c54acf2053ac43c543e33f739b147f3aa88fe1d",
+    "value mass vector n=3000":
+        "3d357cd5f58cdf161b141547a02d38fe1793dfd1fc5aeb5f85f58a235fac9710",
 }
 
 
@@ -175,6 +186,14 @@ def _tower_text(tower) -> str:
 
 def _images_text(images: dict) -> str:
     return "\n".join(f"{name} {_form_text(*cap.exact_form)}" for name, cap in images.items())
+
+
+def _value_calls(n: int) -> tuple:
+    # a drawn mass vector on n points and the cumulative masks of a drawn act
+    rng = random.Random(1)
+    space = make_space([f"p{i}" for i in range(n)])
+    u, f = rand_additive(rng, space), rand_act(rng, space)
+    return u, list(accumulate((mask for mask, _ in f.chain_blocks), or_))
 
 
 def _spacegen_form() -> tuple:
@@ -242,6 +261,11 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         out[f"iota {m}->{n}"] = (lambda m=m, n=n: (tower, m, n), iota, _images_text)
     out["rand_capacity 6 points"] = (
         lambda: (random.Random(1), space6), rand_capacity, form_text)
+    for n in (10, 300, 3000):
+        args = _value_calls(n)
+        out[f"value mass vector n={n}"] = (
+            lambda args=args: args, lambda u, masks: [u.value(m) for m in masks],
+            lambda values: ",".join(map(str, values)))
     return out
 
 
