@@ -16,16 +16,13 @@ import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import laws
-from .category import monad_counterexample
-from .choquet import are_comonotonic, choquet_integral
 from .core import (VALUE_TOL, Act, FiniteSpace, Frozen, Number, _echo,
                    additive_capacity, is_exact, parse_number, values_close)
-from .ellsberg import VARIANTS, EllsbergReport, UrnParams, ellsberg_report
-from .spacefile import load_space_file
-from .uncertainty import UncertaintySpace, xi
+
+if TYPE_CHECKING:
+    from .ellsberg import EllsbergReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,6 +122,7 @@ def _report_csv(report: EllsbergReport, config: RunConfig) -> str:
 
 
 def cmd_ellsberg(args) -> int:
+    from .ellsberg import UrnParams, ellsberg_report
     config = RunConfig(command="ellsberg", backend=args.backend,
                        format=args.format, out=args.out)
     params = UrnParams(big_n=args.big_n,
@@ -147,21 +145,18 @@ def cmd_ellsberg(args) -> int:
     return EXIT_OK
 
 
-def _parameters(fn) -> tuple[str, ...]:
-    """A function's positional parameter names, read from its code object."""
-    code = fn.__code__
-    return code.co_varnames[:code.co_argcount]
-
-
 #: defaults of the law-suite flags other than --seed and --out
 LAW_FLAG_DEFAULTS = {"trials": 500, "grid": 2, "depth": 3, "space_size": 2}
-#: the flags each suite's function takes, read on import so that a suite later
-#: wrapped as (*args, **kwargs) keeps them; any other flag is an input error
-SUITE_READS = {name: [flag for flag in _parameters(suite) if flag in LAW_FLAG_DEFAULTS]
-               for name, suite in laws.SUITES.items()}
+#: the flags each suite's function takes, in its parameter order, so that
+#: building the parser loads no suite; any other flag is an input error
+SUITE_READS = {"choquet": ["trials"], "dirac": ["trials"],
+               "monad": ["trials", "grid", "space_size", "depth"],
+               "substitution": ["trials"], "retraction": ["grid", "depth", "space_size"],
+               "ug-map": [], "unc-maps": ["trials"]}
 
 
 def cmd_laws(args) -> int:
+    from .laws import SUITES
     reads = SUITE_READS[args.suite]
     given = {flag: getattr(args, flag) for flag in LAW_FLAG_DEFAULTS
              if getattr(args, flag) is not None}
@@ -171,7 +166,7 @@ def cmd_laws(args) -> int:
     flags = {**LAW_FLAG_DEFAULTS, **given}
     config = RunConfig(command=f"laws {args.suite}", seed=args.seed,
                        trials=flags["trials"], out=args.out)
-    report = laws.SUITES[args.suite](
+    report = SUITES[args.suite](
         seed=args.seed, **{flag: flags[flag] for flag in reads})
     payload = {"config": config.to_dict(), **report.to_dict()}
     _emit(_to_json(payload), args.out)
@@ -179,6 +174,9 @@ def cmd_laws(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from .category import monad_counterexample
+    from .choquet import are_comonotonic
+    from .uncertainty import UncertaintySpace, xi
     given = {flag: getattr(args, flag) for flag in ("beta", "backend", "tolerance")
              if getattr(args, flag) is not None}
     if args.which == "comonotonic" and given:
@@ -241,6 +239,8 @@ def _named(kind: str, named: dict, name: str):
 
 
 def cmd_choquet(args) -> int:
+    from .choquet import choquet_integral
+    from .spacefile import load_space_file
     loaded = load_space_file(Path(args.space_file), backend=args.backend)
     value = choquet_integral(_named("capacity", loaded.capacities, args.capacity),
                              _named("act", loaded.acts, args.act))
@@ -251,13 +251,14 @@ def cmd_choquet(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process: it holds no state
-    between parses, and ``cmd_laws`` looks each suite up when it runs."""
+    between parses, and loads no module a subcommand runs; each ``cmd_*``
+    imports its own when it runs."""
     parser = _Parser(prog="choquet-tower",
                      description="hierarchical uncertainty computations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ellsberg", help="layered urn report")
-    p.add_argument("--variant", choices=VARIANTS, required=True)
+    p.add_argument("--variant", choices=("X", "Y", "Z"), required=True)
     p.add_argument("--big-n", dest="big_n", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--u1", required=True)
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ellsberg)
 
     p = sub.add_parser("laws", help="run a seeded law suite")
-    p.add_argument("suite", choices=sorted(laws.SUITES))
+    p.add_argument("suite", choices=sorted(SUITE_READS))
     p.add_argument("--seed", type=int, default=0)
     for flag in LAW_FLAG_DEFAULTS:  # None marks a flag left out
         p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int)

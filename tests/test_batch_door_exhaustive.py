@@ -1,4 +1,5 @@
-"""``validate_batch`` against a brute-force oracle on every small input.
+"""``validate_batch``, ``validate_capacity`` on float tables and the packed
+monotonicity detector against a brute-force oracle on every small input.
 
 Tables: on 1-3 points, every table with numerators in {0, 1, 2} over 2
 (9, 81 and 6561 tables).  Mass vectors: on 1-3 points, every vector with
@@ -15,6 +16,17 @@ oracle says, with the oracle's error class and witness; a batch of every
 accepted input must pass in the whole-column pass, with no row checked
 alone; and a refused row inserted into that batch must raise that row's
 error.
+
+Float tables: every table with values in {0, 1/2, 1} on 1-3 points, as
+floats, plain and nudged: every entry 0.4e-12 up or down by the parity of
+its subset's size (neighbours then differ by 0.8e-12, within the 1e-12 a
+float table compares within), or each entry but the two ends 0.6e-11 up or
+down (beyond it).  The oracle takes the tolerance at each comparison: the
+ends within it of 0 and 1, and no cover pair decreasing by more.  The
+packed detector ``core._packed_monotone`` takes every numerator table of
+the exact tables above, from offsets at and around its packing bounds, and
+must answer True exactly for the monotone tables whose keys all lie in
+[0, 2**31).
 """
 
 import itertools
@@ -26,7 +38,11 @@ from choquet_tower import core
 from choquet_tower.core import (MonotonicityError, NormalizationError, make_space,
                                 validate_batch, validate_capacity)
 
+from small_tables import LEVELS, decreases, every_table, is_monotone
+
 SIZES = (1, 2, 3)
+#: the tolerance float tables compare within, ``core.TABLE_TOL``
+TOL = 1e-12
 
 
 def _space(n):
@@ -35,17 +51,20 @@ def _space(n):
 
 def _table_oracle(n, nums):
     """(error class, witness) of a table over 2, or (None, None)."""
-    full = (1 << n) - 1
-    if nums[0] != 0 or nums[full] != 2:
+    if nums[0] != 0 or nums[-1] != 2:
         return NormalizationError, None
-    monotone = all(nums[small] <= nums[large]
-                   for small in range(full + 1) for large in range(full + 1)
-                   if small & large == small)
-    covers = [(mask, mask | 1 << i) for mask in range(full + 1) for i in range(n)
-              if not mask >> i & 1 and nums[mask] > nums[mask | 1 << i]]
+    covers = decreases(nums, n)
     # a decrease between any two nested subsets shows on some cover pair
-    assert monotone == (not covers)
-    return (None, None) if monotone else (MonotonicityError, covers[0])
+    assert is_monotone(nums) == (not covers)
+    return (MonotonicityError, covers[0]) if covers else (None, None)
+
+
+def _float_oracle(n, table):
+    """(error class, witness) of a float table, each comparison within TOL."""
+    if abs(table[0]) > TOL or abs(table[-1] - 1) > TOL:
+        return NormalizationError, None
+    covers = decreases(table, n, TOL)
+    return (MonotonicityError, covers[0]) if covers else (None, None)
 
 
 def _mass_oracle(n, nums):
@@ -108,3 +127,40 @@ def test_every_small_input_is_judged_as_the_oracle_judges_it(
     _no_row_alone(monkeypatch)
     columns = _columns(rows)
     assert validate_batch(space, columns, den) == (kind, columns, den)
+
+
+def _nudged(table, step, ends):
+    # each entry moved by step, up on a subset of even size and down on an
+    # odd one; the empty and the full set's entries too when ends is true
+    last = len(table) - 1
+    return [x + (step if m.bit_count() % 2 == 0 else -step)
+            if ends or 0 < m < last else x for m, x in enumerate(map(float, table))]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_every_small_float_table_is_judged_within_the_tolerance(n):
+    space, seen = _space(n), set()
+    for table in every_table(n, LEVELS):
+        for floats in (_nudged(table, 0, True), _nudged(table, 0.4e-12, True),
+                       _nudged(table, 0.6e-11, False)):
+            want = _float_oracle(n, floats)
+            assert _outcome(lambda: validate_capacity(space, floats)) == want, floats
+            seen.add(want[0] or ("within" if decreases(floats, n) else "accepted"))
+    # a refusal of each kind, and an accepted table that decreases within TOL
+    assert seen == {NormalizationError, MonotonicityError, "accepted", "within"} - (
+        {MonotonicityError, "within"} if n == 1 else set())
+
+
+#: offsets at and around the detector's two packing bounds, 2**15 and 2**31
+OFFSETS = (-1, 0, (1 << 15) - 2, (1 << 31) - 2)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_the_packed_detector_judges_every_small_table_as_the_oracle(n):
+    answers = set()
+    for offset in OFFSETS:
+        for nums in every_table(n, range(offset, offset + 3)):
+            want = all(0 <= k < 1 << 31 for k in nums) and is_monotone(nums)
+            assert core._packed_monotone(n, nums) == want, nums
+            answers.add(want)
+    assert answers == {True, False}

@@ -1,8 +1,10 @@
 """What a command pays before its work: the package's classes are plain
 immutable classes, importing the command line loads neither
-``dataclasses`` nor ``inspect``, and no module imports anything outside the
-standard library."""
+``dataclasses`` nor ``inspect``, no module imports anything outside the
+standard library or its own package by name, and each subcommand loads
+only the package modules it runs."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -13,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import choquet_tower
-from choquet_tower import laws
+from choquet_tower import ellsberg, laws
 from choquet_tower.category import EmbDiracReport, MapWitness, MonadCounterexample
 from choquet_tower.choquet import ChainDecomposition
-from choquet_tower.cli import RunConfig
+from choquet_tower.cli import LAW_FLAG_DEFAULTS, SUITE_READS, RunConfig, build_parser
 from choquet_tower.core import (Act, FiniteSpace, Frozen, PointMap, Subset,
                                 additive_capacity)
 from choquet_tower.ellsberg import (EllsbergReport, ParadoxReport, UrnParams,
@@ -42,10 +44,14 @@ def _imports(source: str):
             yield node.lineno, node.module
 
 
-def test_no_module_imports_dataclasses_or_inspect():
+def _modules():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
-    found = [f"{path.name}:{line} imports {name}" for path in modules
+    return modules
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    found = [f"{path.name}:{line} imports {name}" for path in _modules()
              for line, name in _imports(path.read_text())
              if name.split(".")[0] in SLOW_IMPORTS]
     assert not found, "\n".join(found)
@@ -53,16 +59,27 @@ def test_no_module_imports_dataclasses_or_inspect():
 
 def test_no_module_imports_outside_the_standard_library():
     allowed = sys.stdlib_module_names | {"choquet_tower"}
-    found = [f"{path.name}:{line} imports {name}" for path in sorted(PACKAGE.glob("*.py"))
+    found = [f"{path.name}:{line} imports {name}" for path in _modules()
              for line, name in _imports(path.read_text())
              if name.split(".")[0] not in allowed]
     assert not found, "\n".join(found)
 
 
+def test_no_module_imports_its_own_package_by_name():
+    # relative imports alone, deferred ones included, so that a renamed copy
+    # of the package loads its own modules, never this one's
+    found = [f"{path.name}:{line} imports {name}" for path in _modules()
+             for line, name in _imports(path.read_text())
+             if name.split(".")[0] == "choquet_tower"]
+    assert not found, "\n".join(found)
+
+
 def test_a_function_local_import_is_seen():
     source = ("import math\nfrom . import core\n"
-              "def nodes(n):\n    from numpy.polynomial.legendre import leggauss\n")
-    assert list(_imports(source)) == [(1, "math"), (4, "numpy.polynomial.legendre")]
+              "def nodes(n):\n    from numpy.polynomial.legendre import leggauss\n"
+              "def run(args):\n    from choquet_tower.laws import SUITES\n")
+    assert list(_imports(source)) == [(1, "math"), (4, "numpy.polynomial.legendre"),
+                                      (6, "choquet_tower.laws")]
 
 
 def _loaded_by(code: str) -> set:
@@ -78,10 +95,45 @@ def _loaded_by(code: str) -> set:
     return set(ast.literal_eval(out))
 
 
+def _ours(loaded: set) -> set:
+    return {name for name in loaded if name.split(".")[0] == "choquet_tower"}
+
+
+#: the package modules the parser needs: none that a subcommand runs
+PARSER = {"choquet_tower", "choquet_tower.core", "choquet_tower.cli"}
+
+
 def test_building_the_parser_loads_neither_module():
     loaded = _loaded_by("import choquet_tower.cli as cli\ncli.build_parser()")
-    assert "choquet_tower.cli" in loaded
     assert not loaded & SLOW_IMPORTS
+    assert _ours(loaded) == PARSER
+
+
+def _command(argv: list) -> str:
+    # a command run through cli.main, its report written to a file
+    return f"import choquet_tower.cli as cli\nassert cli.main({argv!r}) == 0"
+
+
+def test_a_choquet_command_loads_only_the_kernel_and_the_space_file_reader(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text('{"points": ["a", "b"], "acts": {"f": ["1", "0"]}, "capacities": '
+                    '{"u": {"mode": "full", "values": {"00": "0", "10": "1/2", '
+                    '"01": "0", "11": "1"}}}}')
+    out = tmp_path / "out.txt"
+    loaded = _loaded_by(_command(["choquet", str(path), "u", "f", "--out", str(out)]))
+    assert _ours(loaded) == PARSER | {"choquet_tower.choquet", "choquet_tower.spacefile"}
+    assert out.read_text() == "1/2\n"
+
+
+def test_an_ellsberg_command_loads_no_law_tower_or_space_file_module(tmp_path):
+    out = tmp_path / "out.json"
+    loaded = _ours(_loaded_by(_command(
+        ["ellsberg", "--variant", "Z", "--big-n", "10", "--alpha", "2", "--u1", "3/5",
+         "--layer", "3", "--out", str(out)])))
+    assert "choquet_tower.ellsberg" in loaded and PARSER <= loaded
+    assert not loaded & {f"choquet_tower.{name}"
+                         for name in ("laws", "category", "tower", "spacefile")}
+    assert '"verdict": "supports modal preference"' in out.read_text()
 
 
 @pytest.mark.parametrize("code, ours", [
@@ -90,7 +142,7 @@ def test_building_the_parser_loads_neither_module():
 ])
 def test_the_package_root_imports_no_module_of_its_own(code, ours):
     # each public name has one import path, from its own module
-    assert {name for name in _loaded_by(code) if name.split(".")[0] == "choquet_tower"} == ours
+    assert _ours(_loaded_by(code)) == ours
 
 
 def _instances() -> list:
@@ -174,11 +226,26 @@ def test_run_config_lists_its_fields_in_order():
                                       "tolerance", "format", "out"]
 
 
+def _parameters(fn) -> tuple[str, ...]:
+    """A function's positional parameter names, read from its code object."""
+    code = fn.__code__
+    return code.co_varnames[:code.co_argcount]
+
+
 def test_suite_flags_are_read_from_the_suites_parameters():
-    from choquet_tower.cli import SUITE_READS
     assert SUITE_READS == {"choquet": ["trials"], "dirac": ["trials"],
                            "monad": ["trials", "grid", "space_size", "depth"],
                            "substitution": ["trials"],
                            "retraction": ["grid", "depth", "space_size"],
                            "ug-map": [], "unc-maps": ["trials"]}
     assert set(SUITE_READS) == set(laws.SUITES)
+    for name, suite in laws.SUITES.items():
+        assert SUITE_READS[name] == [f for f in _parameters(suite) if f in LAW_FLAG_DEFAULTS]
+
+
+def test_the_variant_choices_are_the_urn_variants():
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    variant, = (action for action in sub.choices["ellsberg"]._actions
+                if action.dest == "variant")
+    assert tuple(variant.choices) == ellsberg.VARIANTS

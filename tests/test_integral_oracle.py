@@ -1,7 +1,7 @@
 """Every Choquet integral on a small lattice, against a layer-cake oracle.
 
-On 1 to 3 points this enumerates every monotone normalized table with
-values in {0, 1/2, 1} (1, 9 and 129 of them) and every act with values in
+On 1 to 3 points this takes every monotone normalized table with values
+in {0, 1/2, 1} (1, 9 and 129 of them, from ``small_tables``) and every act with values in
 {-1, 0, 1/2, 2}, and integrates each pair in every representation that
 ``choquet_integral`` dispatches on: a dense table with an exact form, the
 same table in floats, the exact table kept without a form (as a table
@@ -24,7 +24,8 @@ from choquet_tower.choquet import choquet_integral
 from choquet_tower.core import Act, Capacity, FiniteSpace, additive_capacity, validate_capacity
 from choquet_tower.uncertainty import UncertaintySpace, xi
 
-LEVELS = (Fraction(0), Fraction(1, 2), Fraction(1))
+from small_tables import is_additive, monotone_tables
+
 ACT_VALUES = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2))
 SIZES = (1, 2, 3)
 
@@ -39,23 +40,6 @@ def layer_cake(table: list, values: tuple) -> Fraction:
         upper = table[sum(1 << i for i, x in enumerate(values) if x >= hi)]
         total += (hi - lo) * (upper if lo >= 0 else upper - 1)
     return total
-
-
-def monotone_tables(n: int) -> list[list]:
-    """Every table in mask order with 0 on the empty set, 1 on the full set,
-    the lattice's values between, that no added point lowers."""
-    full = (1 << n) - 1
-    tables = []
-    for inner in product(LEVELS, repeat=full - 1):
-        table = [Fraction(0), *inner, Fraction(1)]
-        if all(table[m] <= table[m | 1 << i] for m in range(full + 1) for i in range(n)):
-            tables.append(table)
-    return tables
-
-
-def is_additive(table: list, n: int) -> bool:
-    return all(table[m] == sum(table[1 << i] for i in range(n) if m >> i & 1)
-               for m in range(len(table)))
 
 
 @cache

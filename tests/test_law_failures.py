@@ -9,7 +9,8 @@ trial is that trial's failure, named by the exception's type and message,
 while an error raised as a suite is set up stays exit 1.  The exact branch
 of ``choquet_integral`` for one stored form, halved, fails a law suite
 (for dense tables ``choquet`` and ``retraction``), and for mass vectors the
-urn's closed-form check too.  ``xi``'s column pass without its step
+urn's closed-form check too; the command ``choquet`` imports the kernel
+when it runs, so on a dense space file it prints the halved value.  ``xi``'s column pass without its step
 multiplier fails ``ug-map``, whose map law takes its source side from
 ``xi``.  For the urn, a shifted
 closed form is the verdict "disagrees with the closed form" and exits 2 on
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from choquet_tower import category, choquet, cli, ellsberg, hierarchy, laws, uncertainty
+from choquet_tower import category, choquet, ellsberg, hierarchy, laws, uncertainty
 from choquet_tower.category import MapWitness
 from choquet_tower.cli import main
 from choquet_tower.core import Act, additive_capacity
@@ -225,7 +226,7 @@ def _halve_exact(monkeypatch, masses: bool) -> None:
         exact = u.exact_form is not None and f.exact_form is not None
         return out / 2 if exact and (u._masses is not None) == masses else out
 
-    for module in (category, choquet, cli, hierarchy, laws, uncertainty):
+    for module in (category, choquet, hierarchy, laws, uncertainty):
         monkeypatch.setattr(module, "choquet_integral", halved)
 
 
@@ -258,6 +259,24 @@ def test_a_halved_dense_integral_fails_dirac_with_exit_3(monkeypatch, capsys):
     assert law["failures"] > law["trials"] // 2
     assert [name for name, law in by_law.items() if law["failures"]] == [
         "integral-evaluates"]
+
+
+def test_a_halved_dense_integral_halves_what_the_choquet_command_prints(
+        monkeypatch, capsys, tmp_path):
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({
+        "points": ["a", "b", "c"], "acts": {"f": ["11", "1", "0"]},
+        "capacities": {"w": {"mode": "full", "values": {
+            "000": "0", "100": "1/10", "010": "1/10", "001": "1/10",
+            "110": "2/5", "101": "2/5", "011": "2/5", "111": "1"}}}}))
+    argv = ["choquet", str(path), "w", "f"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    _halve_exact(monkeypatch, masses=False)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert whole == "7/5\n" and captured.out == "7/10\n"
 
 
 @pytest.mark.parametrize("suite, law, start", [

@@ -22,26 +22,11 @@ from choquet_tower.category import mu
 from choquet_tower.core import additive_capacity, make_space, validate_capacity
 from choquet_tower.uncertainty import UncertaintySpace
 
-HALF = Fraction(1, 2)
+from small_tables import monotone_tables
 
 
 def _members(mask, n):
     return [i for i in range(n) if mask & (1 << i)]
-
-
-@cache
-def _monotone_tables(n):
-    """Every table in mask order with values in {0, 1/2, 1}, 0 on the empty
-    set, 1 on the full one, and no decrease from a set to a superset."""
-    full = (1 << n) - 1
-    inner = [m for m in range(1, full)]
-    tables = []
-    for draw in product((0, HALF, 1), repeat=len(inner)):
-        table = dict(zip(inner, draw))
-        table[0], table[full] = Fraction(0), Fraction(1)
-        if all(table[a] <= table[b] for a in table for b in table if a & b == a):
-            tables.append(tuple(Fraction(table[m]) for m in range(full + 1)))
-    return tuple(tables)
 
 
 @cache
@@ -79,7 +64,7 @@ def _weights(k):
             table = [Fraction(sum(nums[j] for j in _members(m, k)), sum(nums))
                      for m in range(1 << k)]
             yield additive_capacity(names, form=(list(nums), sum(nums))), table
-    for table in _monotone_tables(k):
+    for table in monotone_tables(k):
         yield validate_capacity(names, list(table)), table
 
 
@@ -94,7 +79,7 @@ def _spaces(n, k):
     """(how it was built, space, rows) for spaces of k capacities on n points."""
     base = make_space(["a", "b", "c"][:n])
     names = tuple(f"c{j}" for j in range(k))
-    additive, tables = _mass_rows(n), _monotone_tables(n)
+    additive, tables = _mass_rows(n), monotone_tables(n)
     for chosen in _windows(additive, k):
         den = math.lcm(*(x.denominator for masses, _ in chosen for x in masses))
         columns = [[int(masses[i] * den) for masses, _ in chosen] for i in range(n)]
@@ -117,7 +102,7 @@ def _dense_batch(base, names, rows):
 
 
 def test_the_lattices_have_their_known_sizes():
-    assert [len(_monotone_tables(n)) for n in (1, 2, 3)] == [1, 9, 129]
+    assert [len(monotone_tables(n)) for n in (1, 2, 3)] == [1, 9, 129]
     assert [len(_mass_rows(n)) for n in (1, 2, 3)] == [1, 5, 19]
 
 

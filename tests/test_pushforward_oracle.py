@@ -19,7 +19,8 @@ import pytest
 from choquet_tower.core import (FiniteSpace, PointMap, additive_capacity, pushforward,
                                 validate_capacity)
 
-LEVELS = (Fraction(0), Fraction(1, 2), Fraction(1))
+from small_tables import is_additive, monotone_tables
+
 NUMERATORS = (0, 1, 2)
 SIZES = (1, 2, 3)
 
@@ -45,27 +46,10 @@ def preimage(h: PointMap, mask: int) -> int:
     return out
 
 
-def monotone_tables(n: int) -> list[list]:
-    """Every table in mask order with 0 on the empty set, 1 on the full set,
-    the lattice's values between, that no added point lowers."""
-    full = (1 << n) - 1
-    tables = []
-    for inner in product(LEVELS, repeat=full - 1):
-        table = [Fraction(0), *inner, Fraction(1)]
-        if all(table[m] <= table[m | 1 << i] for m in range(full + 1) for i in range(n)):
-            tables.append(table)
-    return tables
-
-
 def mass_table(nums: tuple, den: int) -> list:
     """The set function of masses nums / den, written out subset by subset."""
     return [Fraction(sum(x for i, x in enumerate(nums) if m >> i & 1), den)
             for m in range(1 << len(nums))]
-
-
-def is_additive(table: list, n: int) -> bool:
-    return all(table[m] == sum(table[1 << i] for i in range(n) if m >> i & 1)
-               for m in range(len(table)))
 
 
 def check(got, table: list, h: PointMap, masses: bool) -> None:

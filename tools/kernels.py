@@ -49,7 +49,12 @@ the median time and the SHA-256 of a text form of its output:
 - ``Capacity.value`` of a mass vector on n = 10, 300 and 3000 points, drawn
   by ``laws.rand_additive`` from seed 1, at every cumulative mask of the
   chain of an act drawn next by ``laws.rand_act``: the values, in chain
-  order.
+  order;
+- ``choquet_integral`` of an act drawn by ``laws.rand_act`` against a dense
+  table drawn by ``laws.rand_capacity`` on n = 3, 8 and 16 points, and
+  against a mass vector drawn by ``laws.rand_additive`` on n = 10, 300 and
+  3000 points, all from seed 1: the integral.  The act is rebuilt from its
+  values before each run, so its chain is derived in the timed call.
 
 A digest that differs from ``DIGESTS`` is printed as FAIL and the script
 exits 1: a kernel whose output changes is a broken kernel, not a faster one.
@@ -82,7 +87,7 @@ import spacegen  # noqa: E402  benchmarks/spacegen.py, read only
 from choquet_tower import core  # noqa: E402
 from choquet_tower.category import dirac, mu  # noqa: E402
 from choquet_tower.choquet import choquet_integral  # noqa: E402
-from choquet_tower.core import make_space  # noqa: E402
+from choquet_tower.core import Act, make_space  # noqa: E402
 from choquet_tower.ellsberg import (UrnParams, build_sequence,  # noqa: E402
                                     build_urn_space, standard_acts)
 from choquet_tower.hierarchy import USequence, xi_chain  # noqa: E402
@@ -143,6 +148,18 @@ DIGESTS = {
         "6cdea638bfd6acd1dcd3b2d02c54acf2053ac43c543e33f739b147f3aa88fe1d",
     "value mass vector n=3000":
         "3d357cd5f58cdf161b141547a02d38fe1793dfd1fc5aeb5f85f58a235fac9710",
+    "choquet_integral dense n=3":
+        "af0501c419dfd1ad4bb7046f63ffdb5761604efd48b29f7c2986ec12254d68a4",
+    "choquet_integral dense n=8":
+        "e8bb55eb6be61e20d427cc00accd5d72e019e603f756d2a17773df121a9a590b",
+    "choquet_integral dense n=16":
+        "fb37dd4e408b92cfe731bc42709254766d090b5117852a8970dc139cc62cacf1",
+    "choquet_integral masses n=10":
+        "9767b5f13f4b97a12b75d5ad6a98bea16b4855f40c415a1c1d95676196778da4",
+    "choquet_integral masses n=300":
+        "03ea290dd75b2f09ea2274a31b360d1edf585f8a3a5bae9a4959c55574849547",
+    "choquet_integral masses n=3000":
+        "195f8864a41ed7134ff26e598c4171ca769e5b5a5c308717bbfcc2d0836aa15a",
 }
 
 
@@ -188,11 +205,16 @@ def _images_text(images: dict) -> str:
     return "\n".join(f"{name} {_form_text(*cap.exact_form)}" for name, cap in images.items())
 
 
-def _value_calls(n: int) -> tuple:
-    # a drawn mass vector on n points and the cumulative masks of a drawn act
+def _drawn(n: int, draw: Callable) -> tuple:
+    # a capacity drawn on n points from seed 1, and an act drawn next
     rng = random.Random(1)
     space = make_space([f"p{i}" for i in range(n)])
-    u, f = rand_additive(rng, space), rand_act(rng, space)
+    return draw(rng, space), rand_act(rng, space)
+
+
+def _value_calls(n: int) -> tuple:
+    # a drawn mass vector on n points and the cumulative masks of a drawn act
+    u, f = _drawn(n, rand_additive)
     return u, list(accumulate((mask for mask, _ in f.chain_blocks), or_))
 
 
@@ -266,6 +288,12 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         out[f"value mass vector n={n}"] = (
             lambda args=args: args, lambda u, masks: [u.value(m) for m in masks],
             lambda values: ",".join(map(str, values)))
+    for kind, draw, sizes in (("dense", rand_capacity, (3, 8, 16)),
+                              ("masses", rand_additive, (10, 300, 3000))):
+        for n in sizes:
+            u, f = _drawn(n, draw)
+            out[f"choquet_integral {kind} n={n}"] = (
+                lambda u=u, values=f.values: (u, Act(u.space, values)), choquet_integral, str)
     return out
 
 
