@@ -9,9 +9,8 @@ for non-additive second-order capacities).
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .choquet import choquet_integral, choquet_sum
 from .core import (TABLE_TOL, Act, Capacity, FiniteSpace, Frozen, Number, PointMap,
@@ -260,7 +259,7 @@ def monad_counterexample(beta: Number) -> MonadCounterexample:
 
 def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
               source: USequence, target: USequence, g: GTransform,
-              *, seed: int = 0) -> MapWitness:
+              draw: Callable[[FiniteSpace], Act]) -> MapWitness:
     """Level-wise maps commuting with the transformed expectation chain.
 
     ``phi[k]`` maps level-k points; for k >= 1 the level-k points are the
@@ -268,13 +267,13 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
     the target level is a parameterized family; an image given by name must
     name a capacity of the target level.  Each of the ``len(phi) - 1``
     levels whose capacities ``phi[k + 1]`` maps is checked: the commuting
-    identity must hold on every indicator act plus seeded random acts.
-    The source side is one ``xi`` per lifted act, pulled back along the
-    level's point map, whose entry k meets the k-th capacity's image.
+    identity must hold on every indicator act of the target level's base,
+    then on 50 acts ``draw(base)`` returns.  The source side is one ``xi``
+    per lifted act, pulled back along the level's point map, whose entry k
+    meets the k-th capacity's image.
     """
     if len(phi) < 2:
         raise ValueError("need at least two levels of maps")
-    rng = random.Random(seed)
     for n in range(len(phi) - 1):
         src = source.levels[n] if n < len(source.levels) else TERMINAL
         tgt = target.levels[n] if n < len(target.levels) else TERMINAL
@@ -284,10 +283,7 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
         point_map = PointMap(src.base, tgt_base, dict(phi[n]))
 
         test_acts = [indicator(tgt_base, mask) for mask in tgt_base.all_masks()]
-        for _ in range(50):
-            test_acts.append(Act(tgt_base, tuple(
-                Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-                for _ in range(len(tgt_base)))))
+        test_acts += [draw(tgt_base) for _ in range(50)]
         lifted = [f.map(g.forward) if g.kind != "linear" else f for f in test_acts]
         source_side = [xi(src, precompose_act(act, point_map)).values for act in lifted]
 

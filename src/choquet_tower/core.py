@@ -562,11 +562,12 @@ class Capacity(Frozen):
         return self._masses is not None or _table_is_additive(*self._keys())
 
     def _stored_value(self, mask: int):
-        # the table entry, or the masses' sum, floats uncompensated in point order
+        # the table entry, or the masses' sum, floats uncompensated in point
+        # order; both forms refuse a mask below 0 or past the points
+        if mask >> len(self.space.points):
+            raise IndexError(f"mask {mask:#x} has bits beyond the space")
         if self._table is not None:
             return self._table[mask]
-        if mask >> len(self._masses):  # compress would drop the bits beyond
-            raise IndexError(f"mask {mask:#x} has bits beyond the space")
         masses = compress(self._masses, point_flags(mask))
         return sum(masses) if self._den else reduce(add, masses, 0)
 

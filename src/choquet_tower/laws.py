@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Optional
 
 from .category import (compose_ug_maps, dirac, is_mp_unc_map, is_ug_map,
@@ -203,7 +203,7 @@ def rand_uncertainty_space(rng: random.Random, space: FiniteSpace) -> Uncertaint
 # ---------------------------------------------------------------------------
 # suites
 
-def run_choquet_suite(seed: int = 7, trials: int = 500) -> SuiteReport:
+def run_choquet_suite(seed: int, trials: int) -> SuiteReport:
     def monotonicity(rng):
         space = rand_space(rng)
         u = rand_capacity(rng, space)
@@ -261,7 +261,7 @@ def run_choquet_suite(seed: int = 7, trials: int = 500) -> SuiteReport:
     ))
 
 
-def run_dirac_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
+def run_dirac_suite(seed: int, trials: int) -> SuiteReport:
     def table_identity(rng):
         space = rand_space(rng, 5)
         for p in space.points:
@@ -327,8 +327,8 @@ def _suite_tower(suite: str, grid: int, space_size: int, depth: int) -> GridTowe
     return build_tower(FiniteSpace(tuple(LABELS[:space_size])), grid, depth)
 
 
-def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
-                    space_size: int = 2, depth: int = 3) -> SuiteReport:
+def run_monad_suite(seed: int, trials: int, grid: int, space_size: int,
+                    depth: int) -> SuiteReport:
     tower = _suite_tower("monad", grid, space_size, depth)
 
     def unit(rng):
@@ -369,7 +369,7 @@ def run_monad_suite(seed: int = 7, trials: int = 200, grid: int = 2,
     ))
 
 
-def run_substitution_suite(seed: int = 7, trials: int = 500) -> SuiteReport:
+def run_substitution_suite(seed: int, trials: int) -> SuiteReport:
     domain = _space(4)
     codomain = FiniteSpace(tuple("xyz"))
 
@@ -386,8 +386,7 @@ def run_substitution_suite(seed: int = 7, trials: int = 500) -> SuiteReport:
     ))
 
 
-def run_retraction_suite(grid: int = 2, depth: int = 3,
-                         space_size: int = 2, seed: int = 7) -> SuiteReport:
+def run_retraction_suite(grid: int, depth: int, space_size: int, seed: int) -> SuiteReport:
     if space_size < 2:
         # on one point {a} is the full set: no inconsistent vector to detect
         raise ValueError(f"the retraction suite needs a base of at least 2 points, "
@@ -466,7 +465,7 @@ def _urn_maps(urn: UncertaintySpace, top: dict) -> list[dict]:
             {name: name for name, _ in urn.capacities}, top]
 
 
-def run_ug_map_suite(seed: int = 7) -> SuiteReport:
+def run_ug_map_suite(seed: int) -> SuiteReport:
     params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
     seq_x = build_sequence("X", params)
     seq_y = build_sequence("Y", params)
@@ -483,23 +482,23 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
             if xi(urn, f).values != tuple(choquet_sum(cap.value, f)
                                           for _, cap in urn.capacities):
                 return f"xi disagrees with choquet_sum on the act {f.values}"
-        phi = _urn_maps(urn, {"vu": "vu"})
-        if not is_ug_map(phi, seq_x, seq_x, g_lin, seed=_below(rng.getrandbits, 100)):
+        phi, draw = _urn_maps(urn, {"vu": "vu"}), partial(rand_act, rng)
+        if not is_ug_map(phi, seq_x, seq_x, g_lin, draw):
             return "identity maps failed under the linear transform"
-        if not is_ug_map(phi, seq_x, seq_x, g_ent, seed=_below(rng.getrandbits, 100)):
+        if not is_ug_map(phi, seq_x, seq_x, g_ent, draw):
             return "identity maps failed under the entropic transform"
         return None
 
     def inclusion(rng):
         phi = _urn_maps(urn, {"vb": family.member(Fraction(1, 2))})
-        if not is_ug_map(phi, seq_y, seq_z, g_lin, seed=_below(rng.getrandbits, 100)):
+        if not is_ug_map(phi, seq_y, seq_z, g_lin, partial(rand_act, rng)):
             return "binomial midpoint inclusion failed"
         return None
 
     def composition(rng):
         composed = compose_ug_maps(_urn_maps(urn, {"vb": "vb"}),
                                    _urn_maps(urn, {"vb": family.member(Fraction(1, 2))}))
-        if not is_ug_map(composed, seq_y, seq_z, g_lin, seed=_below(rng.getrandbits, 100)):
+        if not is_ug_map(composed, seq_y, seq_z, g_lin, partial(rand_act, rng)):
             return "composition of passing maps failed"
         return None
 
@@ -510,7 +509,7 @@ def run_ug_map_suite(seed: int = 7) -> SuiteReport:
     ))
 
 
-def run_unc_maps_suite(seed: int = 7, trials: int = 200) -> SuiteReport:
+def run_unc_maps_suite(seed: int, trials: int) -> SuiteReport:
     def mp_implies_unc(rng):
         domain = rand_space(rng, 4)
         codomain = rand_space(rng, 3)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -310,6 +311,11 @@ class TestMonadCounterexample:
             monad_counterexample(0.5)
 
 
+def _drawn():
+    # the test acts of a map check: each is_ug_map call draws afresh from seed 0
+    return partial(rand_act, random.Random(0))
+
+
 class TestUgMaps:
     def test_identity(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
@@ -318,8 +324,8 @@ class TestUgMaps:
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
                {"vu": "vu"}]
-        assert is_ug_map(phi, seq, seq, GTransform.linear(1)).verdict
-        assert is_ug_map(phi, seq, seq, GTransform.entropic(1.0)).verdict
+        assert is_ug_map(phi, seq, seq, GTransform.linear(1), _drawn()).verdict
+        assert is_ug_map(phi, seq, seq, GTransform.entropic(1.0), _drawn()).verdict
 
     def test_binomial_inclusion_at_midpoint(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
@@ -330,7 +336,7 @@ class TestUgMaps:
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
                {"vb": family.family(Fraction(1, 2))}]
-        assert is_ug_map(phi, seq_y, seq_z, GTransform.linear(1)).verdict
+        assert is_ug_map(phi, seq_y, seq_z, GTransform.linear(1), _drawn()).verdict
 
     def test_wrong_target_detected(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))
@@ -341,7 +347,7 @@ class TestUgMaps:
         phi = [{p: p for p in urn.base.points},
                {name: name for name, _ in urn.capacities},
                {"vb": family.family(Fraction(1, 4))}]
-        witness = is_ug_map(phi, seq_y, seq_z, GTransform.linear(1))
+        witness = is_ug_map(phi, seq_y, seq_z, GTransform.linear(1), _drawn())
         assert not witness.verdict
 
     @pytest.mark.parametrize("variant", ["X", "Z"])
@@ -354,7 +360,7 @@ class TestUgMaps:
                {"vb": "vb"}]  # X names its weighting "vu"; Z's family has no names
         with pytest.raises(ValueError, match="no capacity named 'vb'"):
             is_ug_map(phi, seq_y, build_sequence(variant, params),
-                      GTransform.linear(1))
+                      GTransform.linear(1), _drawn())
 
     @pytest.mark.parametrize("levels, fragment", [
         (1, "need at least two levels of maps"),
@@ -367,7 +373,7 @@ class TestUgMaps:
         urn = seq.levels[0]
         phi = [{p: p for p in urn.base.points}, {name: name for name in urn.names}, {}]
         with pytest.raises(ValueError, match=fragment):
-            is_ug_map(phi[:levels], seq, seq, GTransform.linear(1))
+            is_ug_map(phi[:levels], seq, seq, GTransform.linear(1), _drawn())
 
     def test_the_source_side_is_one_xi_per_level_and_test_act(self, monkeypatch):
         # each level's 2**n indicators and 50 drawn acts are integrated
@@ -384,7 +390,7 @@ class TestUgMaps:
         monkeypatch.setattr(category, "xi", counted)
         phi = [{p: p for p in urn.base.points}, {name: name for name in urn.names},
                {"vu": "vu"}]
-        assert is_ug_map(phi, seq, seq, GTransform.linear(1)).verdict
+        assert is_ug_map(phi, seq, seq, GTransform.linear(1), _drawn()).verdict
         assert calls == [urn] * 58 + [weights] * 58
         # past its last level a sequence is TERMINAL, whose one point is
         # "*": a level whose one capacity is named "*" maps onto it
@@ -393,7 +399,7 @@ class TestUgMaps:
         calls.clear()
         phi = [{"a": "a", "b": "b"}, {"*": "*"}, {"*": "*"}]
         assert is_ug_map(phi, USequence((one,)), USequence((one,)),
-                         GTransform.linear(1)).verdict
+                         GTransform.linear(1), _drawn()).verdict
         assert calls == [one] * 54 + [TERMINAL] * 52
 
     def test_a_failure_witness_replays_on_the_failing_capacity(self):
@@ -403,7 +409,7 @@ class TestUgMaps:
         image = seq_z.levels[1].family(Fraction(1, 4))
         phi = [{p: p for p in urn.base.points}, {name: name for name in urn.names},
                {"vb": image}]
-        witness = is_ug_map(phi, seq_y, seq_z, GTransform.linear(1))
+        witness = is_ug_map(phi, seq_y, seq_z, GTransform.linear(1), _drawn())
         level, name, values, lhs, rhs = witness.failure
         f = Act(seq_y.levels[level].base, values)
         assert (level, name) == (1, "vb") and lhs != rhs
@@ -423,7 +429,7 @@ class TestUgMaps:
                 {name: name for name, _ in urn.capacities},
                 {"vb": family.family(Fraction(1, 2))}]
         composed = compose_ug_maps(ident, incl)
-        assert is_ug_map(composed, seq_y, seq_z, GTransform.linear(1)).verdict
+        assert is_ug_map(composed, seq_y, seq_z, GTransform.linear(1), _drawn()).verdict
 
 
 class TestAssociativityWitness:

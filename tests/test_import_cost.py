@@ -74,6 +74,14 @@ def test_no_module_imports_its_own_package_by_name():
     assert not found, "\n".join(found)
 
 
+def test_only_the_law_suites_import_random():
+    # every random draw is the law suites', on a trial's own stream; a
+    # kernel that wants test values takes them from its caller
+    found = {path.stem for path in _modules()
+             for _, name in _imports(path.read_text()) if name == "random"}
+    assert found == {"laws"}
+
+
 def test_a_function_local_import_is_seen():
     source = ("import math\nfrom . import core\n"
               "def nodes(n):\n    from numpy.polynomial.legendre import leggauss\n"

@@ -14,7 +14,7 @@ import pytest
 
 from choquet_tower.choquet import chain_act
 from choquet_tower.core import Act, Capacity, FiniteSpace, PointMap, additive_capacity
-from choquet_tower import laws
+from choquet_tower import category, laws
 from choquet_tower.laws import LABELS, _below
 
 SEEDS = range(1000)
@@ -149,3 +149,44 @@ def test_spaces_are_built_once_per_size():
     rng = random.Random(3)
     spaces = [laws.rand_space(rng) for _ in range(50)]
     assert len({id(s) for s in spaces}) == len({len(s) for s in spaces})
+
+
+class _FirstDrawn(Exception):
+    pass
+
+
+def test_a_ug_map_trial_draws_its_test_acts_from_its_own_stream(monkeypatch):
+    # the identity law's first drawn act over 200 suite seeds: a second
+    # seed drawn below 100 would allow at most 100 of them
+    integrated = []
+    real_xi = category.xi
+
+    def xi_to_the_first_drawn_act(us, f):
+        # a level's drawn acts follow its indicator acts
+        integrated.append(f.values)
+        if len(integrated) > 1 << len(f.space):
+            raise _FirstDrawn
+        return real_xi(us, f)
+
+    real_run, identity = laws._run_law, []
+
+    def run_identity_only(name, trials, seed, trial_fn):
+        if name != "identity":
+            return laws.LawResult(name, trials, 0)
+        identity.append(trial_fn)
+        return real_run(name, trials, seed, trial_fn)
+
+    monkeypatch.setattr(category, "xi", xi_to_the_first_drawn_act)
+    monkeypatch.setattr(laws, "_run_law", run_identity_only)
+    firsts = set()
+    for seed in range(200):
+        integrated.clear()
+        laws.run_ug_map_suite(seed)
+        acts = integrated[:]
+        firsts.add(acts[-1])
+        # the trial replays from its derived seed alone
+        integrated.clear()
+        with pytest.raises(_FirstDrawn):
+            identity[-1](random.Random(((seed + 1) * 1000003) & 0xFFFFFFFF))
+        assert integrated == acts
+    assert len(firsts) > 100

@@ -114,8 +114,8 @@ def _witness_passes(real):
 
 
 def _fails_entropic(real):
-    return lambda phi, source, target, g, **kwargs: (
-        g.kind != "entropic" and real(phi, source, target, g, **kwargs))
+    return lambda phi, source, target, g, draw: (
+        g.kind != "entropic" and real(phi, source, target, g, draw))
 
 
 #: (suite arguments, kernel name in ``laws``, replacement, {law: message start})

@@ -6,9 +6,9 @@ from choquet_tower import laws
 @pytest.mark.parametrize("suite,kwargs", [
     ("choquet", {"trials": 60}),
     ("dirac", {"trials": 60}),
-    ("monad", {"trials": 30}),
+    ("monad", {"trials": 30, "grid": 2, "space_size": 2, "depth": 3}),
     ("substitution", {"trials": 60}),
-    ("retraction", {}),
+    ("retraction", {"grid": 2, "depth": 3, "space_size": 2}),
     ("ug-map", {}),
     ("unc-maps", {"trials": 40}),
 ])
@@ -18,7 +18,7 @@ def test_suite_passes(suite, kwargs):
 
 
 def test_retraction_on_three_point_base():
-    report = laws.run_retraction_suite(space_size=3)
+    report = laws.run_retraction_suite(grid=2, depth=3, space_size=3, seed=7)
     assert report.passed, report.to_dict()
 
 
@@ -34,4 +34,4 @@ def test_retraction_needs_two_points(monkeypatch):
 
     monkeypatch.setattr(laws, "build_tower", no_tower)
     with pytest.raises(ValueError, match="at least 2 points"):
-        laws.run_retraction_suite(space_size=1)
+        laws.run_retraction_suite(grid=2, depth=3, space_size=1, seed=7)

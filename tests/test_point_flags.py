@@ -13,8 +13,9 @@ from itertools import product
 import pytest
 
 from choquet_tower.choquet import chain_act, choquet_integral
-from choquet_tower.core import (Act, Capacity, PointMap, Subset, additive_capacity, indicator,
-                                make_space, point_flags)
+from choquet_tower.core import (Act, Capacity, PointMap, SpaceMismatchError, Subset,
+                                additive_capacity, indicator, make_space, point_flags,
+                                validate_capacity)
 from choquet_tower.hierarchy import conditional_act
 
 
@@ -98,6 +99,25 @@ def test_a_mass_vector_refuses_a_mask_beyond_its_points_as_the_walk_did():
         for mask in (-1, -8, 8, 0b1010, 1 << 70):
             with pytest.raises(IndexError):
                 u.value(mask)
+        assert u.is_null(0) and not u.is_null(0b111)
+
+
+def test_both_forms_refuse_a_mask_below_zero_or_past_their_points():
+    # a dense table once read -1 as its full set through negative indexing
+    space = _space(3)
+    forms = [validate_capacity(space, [0, 0, 0, 0, 0, 0, Fraction(1, 2), 1]),
+             validate_capacity(space, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0]),
+             additive_capacity(space, form=([0, 1, 2], 3)),
+             additive_capacity(space, [0.25, 0.25, 0.5])]
+    assert [u._masses is None for u in forms] == [True, True, False, False]
+    for u in forms:
+        for mask in (-1, 1 << 3, 1 << 70):
+            for read in (u.value, u.is_null):
+                with pytest.raises(IndexError, match="has bits beyond the space"):
+                    read(mask)
+            with pytest.raises(SpaceMismatchError, match="has bits beyond the space"):
+                u(mask)
+        assert u.value(0) == 0 and u.value(0b111) == 1 == u(0b111)
         assert u.is_null(0) and not u.is_null(0b111)
 
 

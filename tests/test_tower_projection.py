@@ -64,9 +64,9 @@ def _swapped_mu(us, v):
 
 
 def test_a_perturbed_average_fails_the_retraction_suite(monkeypatch):
-    assert laws.run_retraction_suite().passed
+    assert laws.run_retraction_suite(2, 3, 2, 7).passed
     monkeypatch.setattr(tower_module, "mu", _swapped_mu)
-    report = laws.run_retraction_suite()
+    report = laws.run_retraction_suite(2, 3, 2, 7)
     assert not report.passed
     retraction = report.laws[0]
     assert retraction.name == "retraction" and retraction.failures == 1
