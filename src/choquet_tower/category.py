@@ -91,8 +91,8 @@ def dirac(space: FiniteSpace, point: str) -> Capacity:
 
 def embedding_condition(us: UncertaintySpace) -> bool:
     """True iff the point mass of every point is among the capacities."""
-    return all(any(dirac(us.base, p).equals(cap) for _, cap in us.capacities)
-               for p in us.base.points)
+    masses = [dirac(us.base, p) for p in us.base.points]
+    return all(any(eta.equals(cap) for _, cap in us.capacities) for eta in masses)
 
 
 class EmbDiracReport(Frozen):
@@ -119,18 +119,17 @@ def emb_dirac_conditions(source: UncertaintySpace,
     chosen: dict[str, Optional[str]] = {}
     failures: dict[str, tuple] = {}
     caps = source.capacities
+    # per subset A, the masks of the capacities w with w(A) = 0 and with w(A) = 1
+    sets = [(mask, sum(1 << j for j, (_, w) in enumerate(caps) if w.is_null(mask)),
+             sum(1 << j for j, (_, w) in enumerate(caps)
+                 if values_close(w.value(mask), 1, TABLE_TOL)))
+            for mask in source.base.all_masks()]
     for u_name, u in caps:
         found = None
         last_reason = None
         for v_name, v in second.capacities:
             reason = None
-            for mask in source.base.all_masks():
-                zero = one = 0
-                for j, (_, w) in enumerate(caps):
-                    if w.is_null(mask):
-                        zero |= 1 << j
-                    elif values_close(w.value(mask), 1, TABLE_TOL):
-                        one |= 1 << j
+            for mask, zero, one in sets:
                 if v.is_null(zero | one):
                     reason = (1, mask)
                     break
@@ -270,7 +269,10 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
     identity must hold on every indicator act of the target level's base,
     then on 50 acts ``draw(base)`` returns.  The source side is one ``xi``
     per lifted act, pulled back along the level's point map, whose entry k
-    meets the k-th capacity's image.
+    meets the k-th capacity's image.  A ``TERMINAL`` level's one point is
+    ``"*"``: from it the point map sends ``"*"`` to the one image that
+    ``phi[k]`` gives, the image of the single capacity below it, and into
+    it every image is ``"*"``.
     """
     if len(phi) < 2:
         raise ValueError("need at least two levels of maps")
@@ -280,7 +282,15 @@ def is_ug_map(phi: Sequence[Mapping[str, Union[str, Capacity]]],
         if isinstance(src, FamilyLevel):
             raise ValueError("family levels are not supported on the source side")
         tgt_base = tgt.base
-        point_map = PointMap(src.base, tgt_base, dict(phi[n]))
+        points = dict(phi[n])
+        if src is TERMINAL:
+            images = set(points.values())
+            if len(images) != 1:
+                raise ValueError(f"the terminal point needs one image, got {len(images)}")
+            points = {"*": images.pop()}
+        if tgt is TERMINAL:
+            points = dict.fromkeys(points, "*")
+        point_map = PointMap(src.base, tgt_base, points)
 
         test_acts = [indicator(tgt_base, mask) for mask in tgt_base.all_masks()]
         test_acts += [draw(tgt_base) for _ in range(50)]

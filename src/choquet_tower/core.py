@@ -747,7 +747,10 @@ def _first_decrease(n: int, keys: Sequence, tol: float) -> Optional[tuple[int, i
     2**n ``keys`` exceeds, beyond ``tol``, the entry at mask | 1 << i, or
     None: the one monotonicity sweep, over cover pairs alone.  Exact int
     keys that ``_packed_monotone`` finds monotone skip the sweep; any other
-    keys, and a table it flags, are swept, so the witness is the sweep's."""
+    keys, and a table it flags, are swept, so the witness is the sweep's.
+    ``tol`` bounds each cover pair, so a nested pair n steps apart may fall
+    by up to n * ``tol``: for a float table at most ``MAX_DENSE_POINTS`` *
+    ``TABLE_TOL`` = 2e-11, far below ``VALUE_TOL``."""
     if tol == 0 and _packed_monotone(n, keys):
         return None
     first = None
@@ -806,7 +809,9 @@ def validate_capacity(space: FiniteSpace, table: Sequence) -> Capacity:
     given by their masses go through ``additive_capacity`` instead, and
     tables held as exact forms through ``validate_batch``.  What the
     capacity stores goes through the normalization and monotonicity checks
-    of ``_checked_table``.
+    of ``_checked_table``.  A float table may fall by up to ``TABLE_TOL``
+    on each cover pair (A, A + {i}), so by up to n * ``TABLE_TOL``, at
+    most 2e-11, between nested subsets n points apart.
     """
     check_dense_size(space)
     if isinstance(table, Mapping):

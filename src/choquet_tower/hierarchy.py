@@ -155,6 +155,10 @@ class USequence(Frozen):
     def __init__(self, levels: tuple[Level, ...]):
         if not levels or levels[0] is TERMINAL or not isinstance(levels[0], UncertaintySpace):
             raise ValueError("a sequence starts with a concrete uncertainty space")
+        for level in levels:
+            if not isinstance(level, (UncertaintySpace, FamilyLevel)):
+                raise ValueError(f"a sequence entry is an uncertainty space or a family "
+                                 f"level, not {type(level).__name__}")
         for cur, nxt in zip(levels, levels[1:]):
             if cur is TERMINAL:
                 if nxt is not TERMINAL:
@@ -162,15 +166,12 @@ class USequence(Frozen):
             elif isinstance(cur, FamilyLevel):
                 if nxt is not TERMINAL:
                     raise ValueError("a family level closes the sequence")
-            elif isinstance(cur, UncertaintySpace):
-                if nxt is TERMINAL:
-                    if len(cur.names) != 1:
-                        raise ValueError("only a single-capacity level can close "
-                                         "with the terminal space")
-                elif isinstance(nxt, (UncertaintySpace, FamilyLevel)):
-                    if nxt.base.points != cur.names:
-                        raise ValueError(
-                            "next level's points must be this level's capacities")
+            elif nxt is TERMINAL:
+                if len(cur.names) != 1:
+                    raise ValueError("only a single-capacity level can close "
+                                     "with the terminal space")
+            elif nxt.base.points != cur.names:
+                raise ValueError("next level's points must be this level's capacities")
         self.__dict__.update(levels=levels)
 
     @property

@@ -20,7 +20,7 @@ from .choquet import chain_act, choquet_integral, choquet_sum
 from .core import (Act, Capacity, FiniteSpace, Frozen, PointMap, _cover_slices,
                    additive_capacity, indicator, pushforward, validate_capacity)
 from .ellsberg import UrnParams, build_sequence, standard_acts
-from .tower import (GridTower, ProjectiveVector, build_tower, iota, project,
+from .tower import (GridTower, ProjectiveVector, build_tower, project,
                     projective_consistency)
 from .uncertainty import GTransform, UncertaintySpace, epsilon, xi
 
@@ -338,14 +338,12 @@ def run_monad_suite(seed: int, trials: int, grid: int, space_size: int,
                 return problem
         return None
 
-    level2 = tower.space_at(2)
-    averaged = iota(tower, 2, 1).values()
-    # the evaluation act of each base subset over the averaged level-2 points
-    evaluations = [Act(level2, tuple(cap.value(mask) for cap in averaged))
+    # mu's defining table without mu: per base subset A, x -> I(x, epsilon(A)) on level 2
+    evaluations = [xi(tower.view(1), epsilon(tower.view(0), mask))
                    for mask in tower.base.all_masks()]
 
     def associativity(rng):
-        w = rand_additive(rng, level2)
+        w = rand_additive(rng, tower.space_at(2))
         left = mu(tower.view(0), mu(tower.view(1), w))
         table = [choquet_sum(w.value, act) for act in evaluations]
         for mask in tower.base.all_masks():

@@ -18,7 +18,7 @@ from choquet_tower.core import (Act, FiniteSpace, PointMap,
                                 make_space, pushforward, validate_capacity)
 from choquet_tower.ellsberg import UrnParams, build_sequence, build_urn_space
 from choquet_tower.hierarchy import TERMINAL, USequence
-from choquet_tower.laws import (rand_act, rand_capacity, rand_nonadditive,
+from choquet_tower.laws import (_urn_maps, rand_act, rand_capacity, rand_nonadditive,
                                 rand_point_map, rand_uncertainty_space)
 from choquet_tower.uncertainty import GTransform, UncertaintySpace, epsilon
 
@@ -415,6 +415,50 @@ class TestUgMaps:
         assert (level, name) == (1, "vb") and lhs != rhs
         assert lhs == choquet_integral(seq_y.levels[1].capacity(name), f)
         assert rhs == choquet_integral(image, f)
+
+    @staticmethod
+    def _closing_first(weight):
+        # a source of one level, then TERMINAL, into a target whose level 0
+        # holds the point masses t1 at x and t2 at y, and whose level 1 weighs
+        # them by `weight`, named "w"
+        a, base = make_space(["a"]), make_space(["x", "y"])
+        source = USequence((UncertaintySpace(a, (("s", dirac(a, "a")),)), TERMINAL))
+        level0 = UncertaintySpace(base, (("t1", dirac(base, "x")), ("t2", dirac(base, "y"))))
+        names = level0.capacity_space
+        return source, USequence((level0, UncertaintySpace(names, (("w", weight(names)),))))
+
+    def test_a_terminal_source_point_goes_where_its_capacity_goes(self):
+        # "*" stands for s, which goes to t1: the unit mass over "*" must
+        # become the point mass at t1
+        phi = [{"a": "x"}, {"s": "t1"}, {"*": "w"}]
+        source, target = self._closing_first(lambda names: dirac(names, "t1"))
+        assert is_ug_map(phi, source, target, GTransform.linear(1), _drawn()).verdict
+
+    def test_a_terminal_source_point_fails_under_the_wrong_weight(self):
+        phi = [{"a": "x"}, {"s": "t1"}, {"*": "w"}]
+        uniform = lambda names: additive_capacity(names, form=([1, 1], 2))  # noqa: E731
+        source, target = self._closing_first(uniform)
+        witness = is_ug_map(phi, source, target, GTransform.linear(1), _drawn())
+        level, name, values, lhs, rhs = witness.failure
+        assert not witness.verdict and (level, name) == (1, "*")
+        # the unit mass at "*" reads the act at t1; the uniform weight averages it
+        assert lhs == values[0] and rhs == (values[0] + values[1]) / 2 and lhs != rhs
+
+    def test_a_terminal_source_point_needs_one_image(self):
+        # level 0 reads s's image alone; at level 1 "*" would have two
+        phi = [{"a": "x"}, {"s": "t1", "r": "t2"}, {"*": "w"}]
+        source, target = self._closing_first(lambda names: dirac(names, "t1"))
+        with pytest.raises(ValueError, match="the terminal point needs one image, got 2"):
+            is_ug_map(phi, source, target, GTransform.linear(1), _drawn())
+
+    def test_the_identity_on_x_reaches_its_terminal_level(self):
+        # four maps check X's urn, weight and terminal levels; into TERMINAL
+        # every image is "*"
+        seq = build_sequence("X", UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5)))
+        phi = _urn_maps(seq.levels[0], {"vu": "vu"}) + [{"*": "*"}]
+        assert seq.levels[2] is TERMINAL
+        assert is_ug_map(phi, seq, seq, GTransform.linear(1), _drawn()).verdict
+        assert is_ug_map(phi, seq, seq, GTransform.entropic(1.0), _drawn()).verdict
 
     def test_composition(self):
         params = UrnParams(big_n=1, alpha=2, u1=Fraction(3, 5))

@@ -279,6 +279,9 @@ INPUT_CHECKS = {
         ValueError, "a family level closes the sequence"),
     "level after the terminal": (lambda: USequence(toy_sequence().levels * 2), ValueError,
                                  "levels after the terminal space stay terminal"),
+    "entry that is not a level": (
+        lambda: USequence((toy_sequence().levels[0], "junk")), ValueError,
+        "a sequence entry is an uncertainty space or a family level, not str"),
     "many-point act at the terminal": (
         lambda: xi_chain(toy_sequence(), Act(make_space(["x", "y"]), (1, 2)), 2, 3),
         LayerError, "terminal level expects a one-point act"),

@@ -37,6 +37,10 @@ the median time and the SHA-256 of a text form of its output:
   capacity's exact form; the weight is rebuilt before each run, but the
   view is built once, and its capacities on the first run, as the laws
   reuse a tower's views;
+- the associativity oracle's evaluation acts on that tower, ``xi`` of
+  level 1's view against ``epsilon`` of level 0's view on each of the 4
+  base subsets: mu's defining table for each of level 2's 20 points, the
+  four acts' forms; the views are built once, as for ``mu``;
 - ``name_of`` on that tower's top view, rebuilt from its batch before each
   run: its 1540 capacities built from the batch and each looked up by
   ``name_of``, which hashes every one, every name found and its capacity's
@@ -94,7 +98,7 @@ from choquet_tower.hierarchy import USequence, xi_chain  # noqa: E402
 from choquet_tower.laws import rand_act, rand_additive, rand_capacity  # noqa: E402
 from choquet_tower.spacefile import load_space_file  # noqa: E402
 from choquet_tower.tower import build_tower, iota  # noqa: E402
-from choquet_tower.uncertainty import UncertaintySpace, xi  # noqa: E402
+from choquet_tower.uncertainty import UncertaintySpace, epsilon, xi  # noqa: E402
 
 U1 = Fraction(3, 5)
 #: timed runs of each kernel
@@ -134,6 +138,9 @@ DIGESTS = {
         "a62d7c6dde4a154ed1e5b57a5a9a3122eb9ed5fbfa14ffc6ff8e6e9ae66b0095",
     "mu top view, drawn weight":
         "cec27d398f0b4ec3db27e53c7289f7977d6a71339a7a20d941b243766d3c91c0",
+    # the acts built from iota 2->1, which runs mu on each level-2 point, hash the same
+    "associativity evaluations grid 3":
+        "cfe1641c182182ebd7136c02da5eee1db8b2686324c9c30a6d9930856bee3b83",
     "name_of top view, every capacity":
         "e6f80b82a0dc53add6ec446eeab1d871d0d0616311018ce8f807cf4ca3239409",
     "iota 3->1":
@@ -276,6 +283,10 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         lambda: (top, dirac(weights, weights.points[len(weights) // 2])), mu, form_text)
     out["mu top view, drawn weight"] = (
         lambda: (top, rand_additive(random.Random(1), weights)), mu, form_text)
+    out["associativity evaluations grid 3"] = (
+        lambda: (tower,), lambda t: [xi(t.view(1), epsilon(t.view(0), mask))
+                                     for mask in t.base.all_masks()],
+        lambda acts: "\n".join(map(form_text, acts)))
     out["name_of top view, every capacity"] = (
         lambda: (_fresh(top),),
         lambda us: {us.name_of(cap): cap for _, cap in us.capacities}, _images_text)
