@@ -46,23 +46,20 @@ def is_unc_map(h: PointMap, source: UncertaintySpace,
     _require_same_space(h.domain, source.base)
     _require_same_space(h.codomain, target.base)
     dominating: dict[str, str] = {}
-    preimages = h.preimage_masks()
+    preimages = h.preimage_masks
+    nulls: dict[str, list[int]] = {}
     for u_name, u in source.capacities:
         blockers = []
-        chosen = None
         for v_name, v in target.capacities:
-            bad = None
-            for mask, pre in enumerate(preimages):
-                if v.is_null(mask) and not u.is_null(pre):
-                    bad = mask
-                    break
+            if v_name not in nulls:
+                nulls[v_name] = [mask for mask in target.base.all_masks() if v.is_null(mask)]
+            bad = next((m for m in nulls[v_name] if not u.is_null(preimages[m])), None)
             if bad is None:
-                chosen = v_name
+                dominating[u_name] = v_name
                 break
             blockers.append((v_name, bad))
-        if chosen is None:
+        else:
             return MapWitness(False, failure=(u_name, tuple(blockers)))
-        dominating[u_name] = chosen
     return MapWitness(True, dominating=dominating)
 
 

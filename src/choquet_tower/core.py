@@ -292,9 +292,16 @@ class Subset(Value, Frozen):
     _value = ("space", "mask")
 
     def __init__(self, space: FiniteSpace, mask: int):
-        if not 0 <= mask <= space.full_mask:
-            raise SpaceMismatchError(f"mask {mask:#x} has bits beyond the space")
-        self.__dict__.update(space=space, mask=mask)
+        self.__dict__.update(space=space, mask=_checked_mask(space, mask))
+
+
+def _checked_mask(space: FiniteSpace, mask: int) -> int:
+    # an int, not a bool or a number int() would truncate, within the space
+    if type(mask) is not int:
+        raise TypeError(f"a mask must be an int, got {type(mask).__name__}")
+    if not 0 <= mask <= space.full_mask:
+        raise SpaceMismatchError(f"mask {mask:#x} has bits beyond the space")
+    return mask
 
 
 def _require_same_space(a: FiniteSpace, b: FiniteSpace) -> None:
@@ -308,10 +315,7 @@ def _mask_of(space: FiniteSpace, subset: Union[Subset, int]) -> int:
     if isinstance(subset, Subset):
         _require_same_space(space, subset.space)
         return subset.mask
-    mask = int(subset)
-    if not 0 <= mask <= space.full_mask:
-        raise SpaceMismatchError(f"mask {mask:#x} has bits beyond the space")
-    return mask
+    return _checked_mask(space, subset)
 
 
 class Act(Value, Frozen):
@@ -481,8 +485,9 @@ class PointMap(Value, Frozen):
     def preimage_mask(self, mask_in_codomain: int) -> int:
         return reduce(or_, compress(self._point_preimages, point_flags(mask_in_codomain)), 0)
 
+    @once
     def preimage_masks(self) -> list[int]:
-        """The preimage of every codomain mask, in mask order."""
+        """The preimage of every codomain mask, in mask order; shared, never mutated."""
         check_dense_size(self.codomain)
         masks = [0]
         for m in self._point_preimages:
@@ -983,4 +988,4 @@ def pushforward(u: Capacity, h: PointMap) -> Capacity:
         for j, m in zip(h.images, u._masses):
             out[j] += m
         return Capacity(target, masses=out, den=u._den)
-    return Capacity(target, table=[u._table[m] for m in h.preimage_masks()], den=u._den)
+    return Capacity(target, table=[u._table[m] for m in h.preimage_masks], den=u._den)

@@ -241,11 +241,11 @@ def run_choquet_suite(seed: int, trials: int) -> SuiteReport:
         u = rand_additive(rng, space)
         f, g = rand_act(rng, space), rand_act(rng, space)
         a, b = rand_fraction(rng), rand_fraction(rng)
+        direct = choquet_integral(u, f)
         lhs = choquet_integral(u, f.scale(a) + g.scale(b))
-        rhs = a * choquet_integral(u, f) + b * choquet_integral(u, g)
+        rhs = a * direct + b * choquet_integral(u, g)
         if lhs != rhs:
             return f"additive capacity not linear: {lhs} vs {rhs}"
-        direct = choquet_integral(u, f)
         weighted = sum(v * m for v, m in zip(f.values, u.singleton_masses()))
         if direct != weighted:
             return "additive capacity does not reduce to the weighted sum"
@@ -530,9 +530,10 @@ def run_unc_maps_suite(seed: int, trials: int) -> SuiteReport:
         g = rand_point_map(rng, b, c)
         mid = distinct_space(b, (pushforward(cap, f) for _, cap in src.capacities), "v")
         end = distinct_space(c, (pushforward(cap, g) for _, cap in mid.capacities), "z")
-        if not is_mp_unc_map(f.then(g), src, end):
+        fg = f.then(g)
+        if not is_mp_unc_map(fg, src, end):
             return "composition of measure preserving maps failed"
-        if not is_unc_map(f.then(g), src, end):
+        if not is_unc_map(fg, src, end):
             return "composition of dominated maps failed"
         return None
 

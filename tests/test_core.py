@@ -19,6 +19,7 @@ from choquet_tower.core import (MAX_EXACT_EXPONENT, Act, Capacity,
                                 distort, exponent, identity_map, indicator,
                                 make_space, precompose_act, pushforward,
                                 validate_capacity)
+from choquet_tower.uncertainty import UncertaintySpace, epsilon
 
 
 def thirds(space):
@@ -127,7 +128,7 @@ class TestPointMap:
                 return sum(1 << i for i, p in enumerate(dom.points)
                            if mask >> cod.points.index(to[p]) & 1)
 
-            assert h.preimage_masks() == [preimage(m) for m in cod.all_masks()]
+            assert h.preimage_masks == [preimage(m) for m in cod.all_masks()]
             assert all(h.preimage_mask(m) == preimage(m) for m in cod.all_masks())
             for u in (laws.rand_capacity(rng, dom), laws.rand_additive(rng, dom)):
                 pushed = pushforward(u, h)
@@ -409,6 +410,24 @@ INPUT_CHECKS = {
 def test_an_input_check_refuses_with_its_message(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+ABC = make_space(["a", "b", "c"])
+#: each door that reads a mask, with a mask on ABC
+MASK_DOORS = {
+    "capacity call": thirds(ABC),
+    "indicator": lambda mask: indicator(ABC, mask),
+    "epsilon": lambda mask: epsilon(UncertaintySpace(ABC, (("w", thirds(ABC)),)), mask),
+    "subset": lambda mask: Subset(ABC, mask),
+}
+
+
+@pytest.mark.parametrize("mask", [1.9, 2.0, "3", True, Fraction(5, 2)], ids=repr)
+@pytest.mark.parametrize("door", MASK_DOORS.values(), ids=MASK_DOORS)
+def test_a_mask_that_is_not_an_int_is_refused_by_its_type(door, mask):
+    # int() would read 1.9 as {a}, "3" as {a, b} and 5/2 as {b}
+    with pytest.raises(TypeError, match=f"^a mask must be an int, got {type(mask).__name__}$"):
+        door(mask)
 
 
 def test_capacities_on_different_spaces_are_never_equal():

@@ -57,7 +57,7 @@ def test_preimage_mask_matches_the_walk_over_the_images_for_every_small_map():
         for images in product(range(n), repeat=m):
             h = PointMap(domain, codomain, {p: codomain.points[j]
                                             for p, j in zip(domain.points, images)})
-            masks = h.preimage_masks()
+            masks = h.preimage_masks
             for mask in codomain.all_masks():
                 old = 0
                 for i, j in enumerate(h.images):

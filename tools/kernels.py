@@ -50,6 +50,14 @@ the median time and the SHA-256 of a text form of its output:
   lifted as point masses), every image's name and exact form: the reads
   the retraction suite makes through the tower's views;
 - ``laws.rand_capacity`` on 6 points from seed 1, the table's exact form;
+- ``pushforward`` of a dense table drawn by ``laws.rand_capacity`` on 12
+  points from seed 1 along a map drawn next by ``laws.rand_point_map`` onto
+  10 points, the pushed table's exact form; and ``is_unc_map`` from an
+  uncertainty space drawn next by ``laws.rand_uncertainty_space`` on 10
+  points, along a map drawn next onto 8 points, into the point mass at the
+  first point followed by the source's pushforwards: the verdict, the
+  dominating names and the failure.  The map is rebuilt before each run of
+  either, so the preimage list a map builds once is built in the timed call;
 - ``Capacity.value`` of a mass vector on n = 10, 300 and 3000 points, drawn
   by ``laws.rand_additive`` from seed 1, at every cumulative mask of the
   chain of an act drawn next by ``laws.rand_act``: the values, in chain
@@ -89,13 +97,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import spacegen  # noqa: E402  benchmarks/spacegen.py, read only
 
 from choquet_tower import core  # noqa: E402
-from choquet_tower.category import dirac, mu  # noqa: E402
+from choquet_tower.category import dirac, is_unc_map, mu  # noqa: E402
 from choquet_tower.choquet import choquet_integral  # noqa: E402
-from choquet_tower.core import Act, make_space  # noqa: E402
+from choquet_tower.core import Act, PointMap, make_space, pushforward  # noqa: E402
 from choquet_tower.ellsberg import (UrnParams, build_sequence,  # noqa: E402
                                     build_urn_space, standard_acts)
 from choquet_tower.hierarchy import USequence, xi_chain  # noqa: E402
-from choquet_tower.laws import rand_act, rand_additive, rand_capacity  # noqa: E402
+from choquet_tower.laws import (distinct_space, rand_act, rand_additive,  # noqa: E402
+                                rand_capacity, rand_point_map, rand_uncertainty_space)
 from choquet_tower.spacefile import load_space_file  # noqa: E402
 from choquet_tower.tower import build_tower, iota  # noqa: E402
 from choquet_tower.uncertainty import UncertaintySpace, epsilon, xi  # noqa: E402
@@ -149,6 +158,10 @@ DIGESTS = {
         "5e483e3e1d19d3e4168c02946d34f715687af0bcf74c9828c8b1258966d7dc67",
     "rand_capacity 6 points":
         "157d750f494490cd906ab8f1dc53a780c298fe2b65d2a71c485236e4ea68a2d1",
+    "pushforward dense 12 -> 10 points":
+        "d72c37c66269558f0bf6ddf249520db6ca6ebb5465c2f31b593d92cfc8c9017e",
+    "is_unc_map 10 -> 8 points":
+        "6046cb75ef08cd7c8c8c5e49cbbbcd75b8fc31321f579a9027329890f39b2b0c",
     "value mass vector n=10":
         "05f1e6289ac2cc0b28b1912a5da38e414d3fbce41b347c922194cc885545f857",
     "value mass vector n=300":
@@ -225,6 +238,25 @@ def _value_calls(n: int) -> tuple:
     return u, list(accumulate((mask for mask, _ in f.chain_blocks), or_))
 
 
+def _map_inputs() -> tuple:
+    # a dense table on 12 points and a map onto 10; an uncertainty space on
+    # 10 points, a map onto 8, and a point mass before its pushforwards
+    rng = random.Random(1)
+    space12, space10, space8 = (make_space([f"p{i}" for i in range(n)]) for n in (12, 10, 8))
+    u = rand_capacity(rng, space12)
+    h = rand_point_map(rng, space12, space10)
+    source = rand_uncertainty_space(rng, space10)
+    g = rand_point_map(rng, space10, space8)
+    target = distinct_space(space8, [dirac(space8, "p0")] + [
+        pushforward(cap, g) for _, cap in source.capacities], "v")
+    return (u, h), (source, g, target)
+
+
+def _fresh_map(h: PointMap) -> PointMap:
+    # the same map, built again, so no preimage list carries over
+    return PointMap(h.domain, h.codomain, h.mapping)
+
+
 def _spacegen_form() -> tuple:
     doc = json.loads(spacegen.generate(1)["dense"].text)
     n = len(doc["points"])
@@ -294,6 +326,12 @@ def kernels() -> dict[str, tuple[Callable, Callable, Callable[..., str]]]:
         out[f"iota {m}->{n}"] = (lambda m=m, n=n: (tower, m, n), iota, _images_text)
     out["rand_capacity 6 points"] = (
         lambda: (random.Random(1), space6), rand_capacity, form_text)
+    (u12, h12), (source, g, target) = _map_inputs()
+    out["pushforward dense 12 -> 10 points"] = (
+        lambda: (u12, _fresh_map(h12)), pushforward, form_text)
+    out["is_unc_map 10 -> 8 points"] = (
+        lambda: (_fresh_map(g), source, target), is_unc_map,
+        lambda w: repr((w.verdict, w.dominating, w.failure)))
     for n in (10, 300, 3000):
         args = _value_calls(n)
         out[f"value mass vector n={n}"] = (
