@@ -187,6 +187,21 @@ def substitution_check(u: Capacity, h: PointMap, f: Act) -> bool:
     return values_close(lhs, rhs)
 
 
+def comonotonic_counterexample() -> tuple[Act, Act, Act, Act]:
+    """``(f, g, xi(us, f), xi(us, g))``: f and g are comonotonic, their images
+    are not.
+
+    Fixed instance: points A1, A2, A3, the uniform capacity and the
+    (1/2, 1/8, 3/8) additive capacity, f = (11, 1, 0) and g = (11, 10, 0).
+    The images' first-minus-second differences are -13/8 and 1/4.
+    """
+    space = FiniteSpace(("A1", "A2", "A3"))
+    us = UncertaintySpace(space, (("u1", additive_capacity(space, form=([1, 1, 1], 3))),
+                                  ("u2", additive_capacity(space, form=([4, 1, 3], 8)))))
+    f, g = Act(space, (11, 1, 0)), Act(space, (11, 10, 0))
+    return f, g, xi(us, f), xi(us, g)
+
+
 class MonadCounterexample(Frozen):
     """Both routes through the two-layer average on the fixed 10-capacity urn.
 

@@ -18,8 +18,8 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .core import (VALUE_TOL, Act, FiniteSpace, Frozen, Number, _echo,
-                   additive_capacity, is_exact, parse_number, values_close)
+from .core import (VALUE_TOL, Frozen, Number, _echo, is_exact, parse_number,
+                   values_close)
 
 if TYPE_CHECKING:
     from .ellsberg import EllsbergReport
@@ -164,19 +164,19 @@ def cmd_laws(args) -> int:
     if unread:
         raise ValueError(f"the {args.suite} suite does not read {', '.join(unread)}")
     flags = {**LAW_FLAG_DEFAULTS, **given}
+    run = {flag: flags[flag] for flag in reads}
+    # a suite without --trials runs each law once
     config = RunConfig(command=f"laws {args.suite}", seed=args.seed,
-                       trials=flags["trials"], out=args.out)
-    report = SUITES[args.suite](
-        seed=args.seed, **{flag: flags[flag] for flag in reads})
-    payload = {"config": config.to_dict(), **report.to_dict()}
+                       trials=run.get("trials", 1), out=args.out)
+    report = SUITES[args.suite](seed=args.seed, **run)
+    payload = {"config": {**config.to_dict(), **run}, **report.to_dict()}
     _emit(_to_json(payload), args.out)
     return EXIT_OK if report.passed else EXIT_LAW
 
 
 def cmd_counterexample(args) -> int:
-    from .category import monad_counterexample
+    from .category import comonotonic_counterexample, monad_counterexample
     from .choquet import are_comonotonic
-    from .uncertainty import UncertaintySpace, xi
     given = {flag: getattr(args, flag) for flag in ("beta", "backend", "tolerance")
              if getattr(args, flag) is not None}
     if args.which == "comonotonic" and given:
@@ -185,15 +185,7 @@ def cmd_counterexample(args) -> int:
     config = RunConfig(command=f"counterexample {args.which}", out=args.out,
                        **{flag: value for flag, value in given.items() if flag != "beta"})
     if args.which == "comonotonic":
-        space = FiniteSpace(("A1", "A2", "A3"))
-        us = UncertaintySpace(space, (
-            ("u1", additive_capacity(space, [Fraction(1, 3)] * 3)),
-            ("u2", additive_capacity(space,
-                                     [Fraction(1, 2), Fraction(1, 8), Fraction(3, 8)])),
-        ))
-        f = Act(space, (11, 1, 0))
-        g = Act(space, (11, 10, 0))
-        xf, xg = xi(us, f), xi(us, g)
+        f, g, xf, xg = comonotonic_counterexample()
         d_f = xf.values[0] - xf.values[1]
         d_g = xg.values[0] - xg.values[1]
         payload = {

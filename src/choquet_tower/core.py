@@ -568,7 +568,10 @@ class Capacity(Frozen):
 
     def _stored_value(self, mask: int):
         # the table entry, or the masses' sum, floats uncompensated in point
-        # order; both forms refuse a mask below 0 or past the points
+        # order; both forms refuse a mask that is not an int (a bool is not
+        # one), then one below 0 or past the points, as _checked_mask does
+        if type(mask) is not int:
+            raise TypeError(f"a mask must be an int, got {type(mask).__name__}")
         if mask >> len(self.space.points):
             raise IndexError(f"mask {mask:#x} has bits beyond the space")
         if self._table is not None:

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet_tower import category
-from choquet_tower.category import (compose_ug_maps, dirac,
+from choquet_tower.category import (comonotonic_counterexample, compose_ug_maps, dirac,
                                     emb_dirac_conditions, embedding_condition,
                                     is_mp_unc_map, is_ug_map, is_unc_map,
                                     monad_counterexample, mu,
                                     substitution_check)
-from choquet_tower.choquet import choquet_integral, choquet_sum
+from choquet_tower.choquet import are_comonotonic, choquet_integral, choquet_sum
 from choquet_tower.core import (Act, FiniteSpace, PointMap,
                                 additive_capacity, identity_map, indicator,
                                 make_space, pushforward, validate_capacity)
@@ -278,6 +278,16 @@ class TestSubstitution:
             h = rand_point_map(rng, dom, cod)
             f = rand_act(rng, cod)
             assert substitution_check(u, h, f)
+
+
+def test_the_comonotonic_counterexample_loses_comonotonicity_under_xi():
+    f, g, xf, xg = comonotonic_counterexample()
+    assert f.values == (11, 1, 0) and g.values == (11, 10, 0)
+    assert are_comonotonic(f, g) and not are_comonotonic(xf, xg)
+    d_f, d_g = xf.values[0] - xf.values[1], xg.values[0] - xg.values[1]
+    assert (d_f, d_g, d_f * d_g) == (Fraction(-13, 8), Fraction(1, 4), Fraction(-13, 32))
+    # the images are the acts' expectations under (1/3, 1/3, 1/3) and (1/2, 1/8, 3/8)
+    assert xf.values == (4, Fraction(45, 8)) and xg.values == (7, Fraction(27, 4))
 
 
 class TestMonadCounterexample:

@@ -1,8 +1,9 @@
 """What a command pays before its work: the package's classes are plain
 immutable classes, importing the command line loads neither
 ``dataclasses`` nor ``inspect``, no module imports anything outside the
-standard library or its own package by name, and each subcommand loads
-only the package modules it runs."""
+standard library or its own package by name, each subcommand loads
+only the package modules it runs, and the command line builds no paper
+instance of its own."""
 
 import argparse
 import ast
@@ -80,6 +81,31 @@ def test_only_the_law_suites_import_random():
     found = {path.stem for path in _modules()
              for _, name in _imports(path.read_text()) if name == "random"}
     assert found == {"laws"}
+
+
+#: what builds a space, an act, a capacity or an uncertainty space
+BUILDERS = {"FiniteSpace", "make_space", "Act", "additive_capacity", "validate_capacity",
+            "UncertaintySpace", "xi"}
+
+
+def _calls(source: str):
+    """(line, name) per call of a plain or dotted name in a module's source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name:
+                yield node.lineno, name
+
+
+def test_the_command_line_builds_no_paper_instance():
+    # each instance is built where its definitions live, in category or a
+    # space file; the command line formats what they return
+    found = [f"cli.py:{line} calls {name}"
+             for line, name in _calls((PACKAGE / "cli.py").read_text()) if name in BUILDERS]
+    assert not found, "\n".join(found)
+    assert list(_calls("x = core.Act(s, v)\nf(xi(us, g))\n")) == [
+        (1, "Act"), (2, "f"), (2, "xi")]
 
 
 def test_a_function_local_import_is_seen():

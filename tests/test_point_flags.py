@@ -121,6 +121,22 @@ def test_both_forms_refuse_a_mask_below_zero_or_past_their_points():
         assert u.is_null(0) and not u.is_null(0b111)
 
 
+@pytest.mark.parametrize("form", ["table", "masses"])
+@pytest.mark.parametrize("mask", [True, False, 1.0], ids=repr)
+def test_both_forms_refuse_a_mask_that_is_not_an_int(form, mask):
+    # a bool once read as the mask 1 or 0, and a float failed inside ``>>``
+    space = _space(3)
+    u = (validate_capacity(space, [0, 0, 0, 0, 0, 0, Fraction(1, 2), 1]) if form == "table"
+         else additive_capacity(space, form=([0, 1, 2], 3)))
+    assert (u._masses is None) == (form == "table")
+    message = f"^a mask must be an int, got {type(mask).__name__}$"
+    for read in (u.value, u.is_null):
+        with pytest.raises(TypeError, match=message):
+            read(mask)
+    with pytest.raises(TypeError, match=message):
+        u(mask)
+
+
 def test_the_mass_walk_of_choquet_integral_matches_the_point_by_point_walk():
     rng = random.Random(12)
     for n in range(1, 9):
